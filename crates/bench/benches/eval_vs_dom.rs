@@ -10,9 +10,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rc_bench::{bench_db, division_query, negation_query};
 use rc_formula::vars::free_vars;
-use rc_relalg::RaExpr;
+use rc_relalg::{EvalCtx, RaExpr};
 use rc_safety::dom_baseline::{augment_with_dom, eval_brute_force, translate_dom};
-use rc_safety::pipeline::compile;
+use rc_safety::pipeline::{compile_with, CompileOptions};
 use rc_safety::tuplewise::eval_tuplewise;
 
 fn bench_eval(c: &mut Criterion) {
@@ -20,7 +20,7 @@ fn bench_eval(c: &mut Criterion) {
         ("negation", negation_query()),
         ("division", division_query()),
     ] {
-        let compiled = compile(&f).expect("compiles");
+        let compiled = compile_with(&f, CompileOptions::default()).expect("compiles");
         let dom_expr = {
             let e = translate_dom(&f);
             let cols = free_vars(&f);
@@ -39,7 +39,13 @@ fn bench_eval(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new("ranf-pipeline", domain_size),
                 &db,
-                |b, db| b.iter(|| compiled.run(std::hint::black_box(db)).unwrap()),
+                |b, db| {
+                    b.iter(|| {
+                        compiled
+                            .run(std::hint::black_box(db), &mut EvalCtx::default())
+                            .unwrap()
+                    })
+                },
             );
             group.bench_with_input(BenchmarkId::new("tuplewise", domain_size), &db, |b, db| {
                 b.iter(|| eval_tuplewise(&compiled.ranf_form, std::hint::black_box(db)).unwrap())
@@ -47,7 +53,16 @@ fn bench_eval(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new("dom-translation", domain_size),
                 &augmented,
-                |b, adb| b.iter(|| rc_relalg::eval(std::hint::black_box(&dom_expr), adb).unwrap()),
+                |b, adb| {
+                    b.iter(|| {
+                        rc_relalg::eval(
+                            std::hint::black_box(&dom_expr),
+                            adb,
+                            &mut EvalCtx::default(),
+                        )
+                        .unwrap()
+                    })
+                },
             );
             // Brute force explodes quickly; keep it to the smaller domains.
             if domain_size <= 80 {

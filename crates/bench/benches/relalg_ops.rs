@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rand::Rng;
 use rc_bench::rng;
 use rc_formula::{Term, Value, Var};
-use rc_relalg::{eval, Database, RaExpr, Relation};
+use rc_relalg::{eval, Database, EvalCtx, RaExpr, Relation};
 
 fn make_db(rows: usize, domain: i64, seed: u64) -> Database {
     let mut r = rng(seed);
@@ -49,7 +49,7 @@ fn bench_ops(c: &mut Criterion) {
             RaExpr::scan("B", vec![Term::var("y"), Term::var("z")]),
         );
         group.bench_with_input(BenchmarkId::new("join", rows), &db, |b, db| {
-            b.iter(|| eval(std::hint::black_box(&join), db).unwrap())
+            b.iter(|| eval(std::hint::black_box(&join), db, &mut EvalCtx::default()).unwrap())
         });
 
         let diff = RaExpr::diff(
@@ -57,7 +57,7 @@ fn bench_ops(c: &mut Criterion) {
             RaExpr::scan("B", vec![Term::var("x"), Term::var("y")]),
         );
         group.bench_with_input(BenchmarkId::new("diff", rows), &db, |b, db| {
-            b.iter(|| eval(std::hint::black_box(&diff), db).unwrap())
+            b.iter(|| eval(std::hint::black_box(&diff), db, &mut EvalCtx::default()).unwrap())
         });
 
         // Generalized diff on a column subset (the anti-join case).
@@ -69,7 +69,14 @@ fn bench_ops(c: &mut Criterion) {
             ),
         );
         group.bench_with_input(BenchmarkId::new("diff-subset", rows), &db, |b, db| {
-            b.iter(|| eval(std::hint::black_box(&diff_subset), db).unwrap())
+            b.iter(|| {
+                eval(
+                    std::hint::black_box(&diff_subset),
+                    db,
+                    &mut EvalCtx::default(),
+                )
+                .unwrap()
+            })
         });
 
         let union = RaExpr::union(
@@ -77,7 +84,7 @@ fn bench_ops(c: &mut Criterion) {
             RaExpr::scan("B", vec![Term::var("x"), Term::var("y")]),
         );
         group.bench_with_input(BenchmarkId::new("union", rows), &db, |b, db| {
-            b.iter(|| eval(std::hint::black_box(&union), db).unwrap())
+            b.iter(|| eval(std::hint::black_box(&union), db, &mut EvalCtx::default()).unwrap())
         });
 
         let project = RaExpr::project(
@@ -85,7 +92,7 @@ fn bench_ops(c: &mut Criterion) {
             vec![Var::new("y")],
         );
         group.bench_with_input(BenchmarkId::new("project", rows), &db, |b, db| {
-            b.iter(|| eval(std::hint::black_box(&project), db).unwrap())
+            b.iter(|| eval(std::hint::black_box(&project), db, &mut EvalCtx::default()).unwrap())
         });
     }
     group.finish();

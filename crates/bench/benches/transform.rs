@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rc_bench::{allowed_formula_sized, division_query, negation_query};
 use rc_formula::parse;
-use rc_safety::pipeline::compile;
+use rc_safety::pipeline::{compile_with, CompileOptions};
 use rc_safety::{genify, ranf, translate};
 
 fn bench_stages(c: &mut Criterion) {
@@ -16,7 +16,7 @@ fn bench_stages(c: &mut Criterion) {
         // bench measures typical (not pathological) inputs.
         let f = (0..64u64)
             .map(|salt| allowed_formula_sized(size, 0xBEEF + size as u64 + salt))
-            .find(|f| compile(f).is_ok())
+            .find(|f| compile_with(f, CompileOptions::default()).is_ok())
             .expect("some formula of this size normalizes");
         group.bench_with_input(BenchmarkId::new("genify", size), &f, |b, f| {
             b.iter(|| genify(std::hint::black_box(f)).expect("allowed genifies"))
@@ -30,7 +30,9 @@ fn bench_stages(c: &mut Criterion) {
             b.iter(|| translate(std::hint::black_box(r)).expect("RANF translates"))
         });
         group.bench_with_input(BenchmarkId::new("compile", size), &f, |b, f| {
-            b.iter(|| compile(std::hint::black_box(f)).expect("compiles"))
+            b.iter(|| {
+                compile_with(std::hint::black_box(f), CompileOptions::default()).expect("compiles")
+            })
         });
     }
     group.finish();
@@ -52,7 +54,7 @@ fn bench_paper_queries(c: &mut Criterion) {
         ),
     ] {
         group.bench_function(name, |b| {
-            b.iter(|| compile(std::hint::black_box(&f)).unwrap())
+            b.iter(|| compile_with(std::hint::black_box(&f), CompileOptions::default()).unwrap())
         });
     }
     group.finish();

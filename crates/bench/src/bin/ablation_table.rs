@@ -17,7 +17,7 @@ use rc_formula::generate::{random_allowed_formula, GenConfig};
 use rc_formula::transform::{applicable_rewrites, apply_at, CONSERVATIVE_RULES};
 use rc_formula::vars::{rectified, FreshVars};
 use rc_formula::{Formula, Var};
-use rc_relalg::EvalStats;
+use rc_relalg::EvalCtx;
 use rc_safety::generator::ConjunctChoice;
 use rc_safety::pipeline::{compile_with, CompileOptions};
 
@@ -77,10 +77,10 @@ fn main() {
         for (p, a) in f.predicates() {
             db.declare(p, a);
         }
-        let mut ss = EvalStats::default();
-        let mut sf = EvalStats::default();
-        let rs = cs.run_with_stats(&db, &mut ss).unwrap();
-        let rf = cf.run_with_stats(&db, &mut sf).unwrap();
+        let mut ss = EvalCtx::default();
+        let mut sf = EvalCtx::default();
+        let rs = cs.run(&db, &mut ss).unwrap();
+        let rf = cf.run(&db, &mut sf).unwrap();
         assert_eq!(rs, rf, "strategies must agree on answers (seed {seed})");
         if cs.expr.node_count() <= cf.expr.node_count() {
             wins_smaller += 1;
@@ -95,8 +95,8 @@ fn main() {
                 cf.ranf_form.node_count().to_string(),
                 cs.expr.node_count().to_string(),
                 cf.expr.node_count().to_string(),
-                ss.tuples_produced.to_string(),
-                sf.tuples_produced.to_string(),
+                ss.stats.tuples_produced.to_string(),
+                sf.stats.tuples_produced.to_string(),
             ]);
         }
     }
@@ -131,10 +131,10 @@ fn main() {
         for (p, a) in f.predicates() {
             db.declare(p, a);
         }
-        let mut sraw = EvalStats::default();
-        let mut sopt = EvalStats::default();
-        let rraw = craw.run_with_stats(&db, &mut sraw).unwrap();
-        let ropt = copt.run_with_stats(&db, &mut sopt).unwrap();
+        let mut sraw = EvalCtx::default();
+        let mut sopt = EvalCtx::default();
+        let rraw = craw.run(&db, &mut sraw).unwrap();
+        let ropt = copt.run(&db, &mut sopt).unwrap();
         assert_eq!(
             rraw, ropt,
             "simplifier must not change answers (seed {seed})"
@@ -147,8 +147,8 @@ fn main() {
                 seed.to_string(),
                 craw.expr.node_count().to_string(),
                 copt.expr.node_count().to_string(),
-                sraw.tuples_produced.to_string(),
-                sopt.tuples_produced.to_string(),
+                sraw.stats.tuples_produced.to_string(),
+                sopt.stats.tuples_produced.to_string(),
             ]);
         }
     }

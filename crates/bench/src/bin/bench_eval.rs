@@ -26,7 +26,7 @@
 //!   must hit both the plan and the result layer;
 //! * **shared_subtree** — plans whose join subtree appears several times:
 //!   plain tree evaluation vs the memoizing DAG evaluator
-//!   ([`eval_shared`]), with the per-run memo hit count.
+//!   ([`EvalCtx::memoized`]), with the per-run memo hit count.
 //!
 //! A **partition** family rides along: a large-join workload timed with
 //! the kernels forced sequential (`Budget::with_partitions(1)`) against
@@ -101,12 +101,14 @@ use rc_bench::Table;
 use rc_formula::{Term, Value, Var};
 use rc_relalg::trace::json_str;
 use rc_relalg::{
-    eval, eval_baseline, eval_governed, eval_shared, eval_traced, optimize, partition_count,
-    saturate_governed, simplify, Budget, Database, Estimator, EvalStats, FaultInjector, OpSpan,
-    PlanCache, RaExpr, Relation, RelationBuilder, SelPred, Tracer,
+    eval, eval_baseline, optimize, partition_count, saturate_governed, simplify, Budget, Database,
+    Estimator, EvalCtx, FaultInjector, OpSpan, PlanCache, RaExpr, Relation, RelationBuilder,
+    SelPred, Tracer,
 };
-use rc_safety::anyrc::compile_and_eval_any_cached;
-use rc_safety::pipeline::{compile_and_eval_cached, CompileOptions, Compiled, PlannerMode};
+use rc_safety::pipeline::{
+    compile_and_eval_cached, serve, CompileOptions, Compiled, Mode, PlannerMode, Request, Served,
+};
+use rc_safety::PipelineError;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -220,26 +222,16 @@ fn time_paired(
 }
 
 /// Paired tracing-off overhead for one workload: plain `eval` against the
-/// same evaluation through [`eval_traced`] with a disabled tracer.
+/// same evaluation with an explicitly disabled tracer.
 fn trace_off_overhead(samples: usize, expr: &RaExpr, db: &Database) -> f64 {
     let (_, _, ratio) = time_paired(
         samples,
         || {
-            black_box(eval(black_box(expr), black_box(db)).unwrap());
+            black_box(run(black_box(expr), black_box(db)));
         },
         || {
-            let mut stats = EvalStats::default();
-            let mut tracer = Tracer::off();
-            black_box(
-                eval_traced(
-                    black_box(expr),
-                    black_box(db),
-                    &mut stats,
-                    Budget::unlimited(),
-                    &mut tracer,
-                )
-                .unwrap(),
-            );
+            let mut cx = EvalCtx::new(Budget::unlimited()).with_tracer(Tracer::off());
+            black_box(eval(black_box(expr), black_box(db), &mut cx).unwrap());
         },
     );
     (ratio - 1.0) * 100.0
@@ -335,22 +327,16 @@ fn bench_partition_workload(
 ) -> PartitionRecord {
     let seq_budget = Budget::new().with_partitions(1);
     let par_budget = Budget::new(); // auto: cardinality/cores heuristic
-    let seq_rel = eval_governed(expr, db, &mut EvalStats::default(), &seq_budget).unwrap();
-    let par_rel = eval_governed(expr, db, &mut EvalStats::default(), &par_budget).unwrap();
+    let seq_rel = run_under(expr, db, &seq_budget);
+    let par_rel = run_under(expr, db, &par_budget);
     let identical = seq_rel == par_rel && seq_rel.to_string() == par_rel.to_string();
     let (seq_ns, par_ns, ratio) = time_paired(
         samples,
         || {
-            let mut stats = EvalStats::default();
-            black_box(
-                eval_governed(black_box(expr), black_box(db), &mut stats, &seq_budget).unwrap(),
-            );
+            black_box(run_under(black_box(expr), black_box(db), &seq_budget));
         },
         || {
-            let mut stats = EvalStats::default();
-            black_box(
-                eval_governed(black_box(expr), black_box(db), &mut stats, &par_budget).unwrap(),
-            );
+            black_box(run_under(black_box(expr), black_box(db), &par_budget));
         },
     );
     // Fallback overhead: spawn denial (the degraded path a thread-starved
@@ -361,16 +347,10 @@ fn bench_partition_workload(
     let (_, _, fb_ratio) = time_paired(
         samples,
         || {
-            let mut stats = EvalStats::default();
-            black_box(
-                eval_governed(black_box(expr), black_box(db), &mut stats, &seq_budget).unwrap(),
-            );
+            black_box(run_under(black_box(expr), black_box(db), &seq_budget));
         },
         || {
-            let mut stats = EvalStats::default();
-            black_box(
-                eval_governed(black_box(expr), black_box(db), &mut stats, &denied_budget).unwrap(),
-            );
+            black_box(run_under(black_box(expr), black_box(db), &denied_budget));
         },
     );
     PartitionRecord {
@@ -577,16 +557,16 @@ fn bench_multi_join(
 ) -> MultiJoinRecord {
     let heuristic = simplify(expr);
     let optimized = optimize(expr, db);
-    let want = eval(&heuristic, db).expect("heuristic plan evaluates");
-    let got = eval(&optimized, db).expect("optimized plan evaluates");
+    let want = run(&heuristic, db);
+    let got = run(&optimized, db);
     assert_eq!(want, got, "{name}: cost-optimized plan changed the answer");
     let (heuristic_ns, optimized_ns, ratio) = time_paired(
         samples,
         || {
-            black_box(eval(black_box(&heuristic), black_box(db)).unwrap());
+            black_box(run(black_box(&heuristic), black_box(db)));
         },
         || {
-            black_box(eval(black_box(&optimized), black_box(db)).unwrap());
+            black_box(run(black_box(&optimized), black_box(db)));
         },
     );
     let mut chosen_order = Vec::new();
@@ -677,17 +657,17 @@ fn run_opt_gate() {
             continue;
         }
         assert_eq!(
-            eval(&heuristic, &reg_db).unwrap(),
-            eval(&optimized, &reg_db).unwrap(),
+            run(&heuristic, &reg_db),
+            run(&optimized, &reg_db),
             "{name}: optimized plan changed the answer"
         );
         let (_, _, ratio) = time_paired(
             15,
             || {
-                black_box(eval(black_box(&heuristic), black_box(&reg_db)).unwrap());
+                black_box(run(black_box(&heuristic), black_box(&reg_db)));
             },
             || {
-                black_box(eval(black_box(&optimized), black_box(&reg_db)).unwrap());
+                black_box(run(black_box(&optimized), black_box(&reg_db)));
             },
         );
         let pct = (ratio - 1.0) * 100.0;
@@ -805,16 +785,16 @@ fn bench_rewrite(
     let cost_plan = optimize(expr, db);
     let (sat_plan, report) =
         saturate_governed(expr, db, Budget::unlimited()).expect("unlimited budget never trips");
-    let want = eval(&cost_plan, db).expect("cost plan evaluates");
-    let got = eval(&sat_plan, db).expect("saturated plan evaluates");
+    let want = run(&cost_plan, db);
+    let got = run(&sat_plan, db);
     assert_eq!(want, got, "{name}: saturated plan changed the answer");
     let (cost_ns, saturated_ns, ratio) = time_paired(
         samples,
         || {
-            black_box(eval(black_box(&cost_plan), black_box(db)).unwrap());
+            black_box(run(black_box(&cost_plan), black_box(db)));
         },
         || {
-            black_box(eval(black_box(&sat_plan), black_box(db)).unwrap());
+            black_box(run(black_box(&sat_plan), black_box(db)));
         },
     );
     let est = Estimator::new(db);
@@ -868,9 +848,7 @@ fn rewrite_json(r: &RewriteRecord) -> String {
 ///
 /// Exits nonzero on failure; never touches `BENCH_eval.json`.
 fn run_egraph_gate() {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use rc_safety::corpus::{corpus, formula_of};
+    use rc_safety::corpus::{corpus, formula_of, random_db};
 
     // Leg 1: corpus bit-identity across planner modes. The `any` entry
     // point serves every corpus formula (safe-pair legs inherit the
@@ -882,32 +860,12 @@ fn run_egraph_gate() {
     let mut served = 0u32;
     for entry in corpus() {
         let f = formula_of(&entry);
-        let schema = rc_formula::Schema::infer(&f).expect("corpus schema");
-        let mut domain: Vec<Value> = (1..=4).map(Value::int).collect();
-        for c in f.constants() {
-            if !domain.contains(&c) {
-                domain.push(c);
-            }
-        }
         for seed in [0u64, 3] {
-            let db = if seed == 0 {
-                let mut d = Database::new();
-                for (p, ar) in schema.predicates() {
-                    d.declare(p, ar);
-                }
-                d
-            } else {
-                Database::random(&schema, &domain, 6, &mut StdRng::seed_from_u64(seed))
-            };
-            let mut cost_cache: PlanCache<Compiled> = PlanCache::new();
-            let mut sat_cache: PlanCache<Compiled> = PlanCache::new();
-            let cost = compile_and_eval_any_cached(
-                entry.text,
-                &db,
-                CompileOptions::default(),
-                &mut cost_cache,
-            );
-            let sat = compile_and_eval_any_cached(entry.text, &db, saturate_opts(), &mut sat_cache);
+            let db = random_db(&f, seed);
+            let cost_cache: PlanCache<Compiled> = PlanCache::new();
+            let sat_cache: PlanCache<Compiled> = PlanCache::new();
+            let cost = serve_any(entry.text, &db, CompileOptions::default(), &cost_cache);
+            let sat = serve_any(entry.text, &db, saturate_opts(), &sat_cache);
             let (cost, sat) = match (cost, sat) {
                 (Ok(c), Ok(s)) => (c, s),
                 (c, s) => {
@@ -921,10 +879,7 @@ fn run_egraph_gate() {
                     std::process::exit(1);
                 }
             };
-            if cost.answer.finite != sat.answer.finite
-                || cost.answer.maybe_infinite != sat.answer.maybe_infinite
-                || cost.answer.per_variable != sat.answer.per_variable
-            {
+            if cost.relation != sat.relation || cost.per_variable != sat.per_variable {
                 eprintln!(
                     "EGRAPH GATE FAILED: {} (seed {seed}) saturated serving diverges from \
                      the cost planner (relation or infiniteness flags)",
@@ -1010,17 +965,17 @@ fn run_egraph_gate() {
                 continue;
             }
             assert_eq!(
-                eval(&cost_plan, db).unwrap(),
-                eval(&sat_plan, db).unwrap(),
+                run(&cost_plan, db),
+                run(&sat_plan, db),
                 "{family}/{name}: saturated plan changed the answer"
             );
             let (_, _, ratio) = time_paired(
                 15,
                 || {
-                    black_box(eval(black_box(&cost_plan), black_box(db)).unwrap());
+                    black_box(run(black_box(&cost_plan), black_box(db)));
                 },
                 || {
-                    black_box(eval(black_box(&sat_plan), black_box(db)).unwrap());
+                    black_box(run(black_box(&sat_plan), black_box(db)));
                 },
             );
             let pct = (ratio - 1.0) * 100.0;
@@ -1318,30 +1273,23 @@ fn bench_any_query(
     n: usize,
 ) -> AnyRecord {
     let cold_ns = time_median(samples, || {
-        let mut cache: PlanCache<Compiled> = PlanCache::new();
-        black_box(
-            compile_and_eval_any_cached(text, db, CompileOptions::default(), &mut cache)
-                .expect("cold any serve"),
-        );
+        let cache: PlanCache<Compiled> = PlanCache::new();
+        black_box(serve_any(text, db, CompileOptions::default(), &cache).expect("cold any serve"));
     });
-    let mut cache: PlanCache<Compiled> = PlanCache::new();
-    compile_and_eval_any_cached(text, db, CompileOptions::default(), &mut cache).expect("prime");
+    let cache: PlanCache<Compiled> = PlanCache::new();
+    serve_any(text, db, CompileOptions::default(), &cache).expect("prime");
     let warm_ns = time_median(samples, || {
-        black_box(
-            compile_and_eval_any_cached(text, db, CompileOptions::default(), &mut cache)
-                .expect("warm any serve"),
-        );
+        black_box(serve_any(text, db, CompileOptions::default(), &cache).expect("warm any serve"));
     });
-    let check = compile_and_eval_any_cached(text, db, CompileOptions::default(), &mut cache)
-        .expect("warm any serve");
+    let check = serve_any(text, db, CompileOptions::default(), &cache).expect("warm any serve");
     AnyRecord {
         name,
         rows: n,
         cold_ns,
         warm_ns,
         speedup: cold_ns as f64 / warm_ns as f64,
-        safe_pair: check.answer.safe_pair,
-        maybe_infinite: check.answer.maybe_infinite,
+        safe_pair: check.safe_pair,
+        maybe_infinite: check.maybe_infinite(),
         warm_hits: check.plan_cached && check.result_cached,
     }
 }
@@ -1353,9 +1301,7 @@ fn bench_any_query(
 /// `any` wire verb, with the infiniteness flags surviving the round
 /// trip. Exits nonzero on failure; never touches `BENCH_eval.json`.
 fn run_any_gate() {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use rc_safety::corpus::{corpus, formula_of};
+    use rc_safety::corpus::{corpus, formula_of, random_db};
     use rc_safety::dom_baseline::eval_brute_force;
     use rc_safety::pipeline::{classify, SafetyClass};
     use rc_serve::{Client, Response, Server, ServerConfig};
@@ -1366,36 +1312,16 @@ fn run_any_gate() {
         let f = formula_of(&entry);
         let rejected = classify(&f) == SafetyClass::NotRecognized;
         for seed in [0u64, 3] {
-            let schema = rc_formula::Schema::infer(&f).expect("corpus schema");
-            let mut domain: Vec<Value> = (1..=4).map(Value::int).collect();
-            for c in f.constants() {
-                if !domain.contains(&c) {
-                    domain.push(c);
-                }
-            }
-            let db = if seed == 0 {
-                let mut d = Database::new();
-                for (p, ar) in schema.predicates() {
-                    d.declare(p, ar);
-                }
-                d
-            } else {
-                Database::random(&schema, &domain, 6, &mut StdRng::seed_from_u64(seed))
-            };
-            let mut cache: PlanCache<Compiled> = PlanCache::new();
-            let out = match compile_and_eval_any_cached(
-                entry.text,
-                &db,
-                CompileOptions::default(),
-                &mut cache,
-            ) {
+            let db = random_db(&f, seed);
+            let cache: PlanCache<Compiled> = PlanCache::new();
+            let out = match serve_any(entry.text, &db, CompileOptions::default(), &cache) {
                 Ok(o) => o,
                 Err(e) => {
                     eprintln!("ANY GATE FAILED: {} (seed {seed}) errors: {e}", entry.id);
                     std::process::exit(1);
                 }
             };
-            if out.answer.finite != eval_brute_force(&f, &db) {
+            if out.relation != eval_brute_force(&f, &db) {
                 eprintln!(
                     "ANY GATE FAILED: {} (seed {seed}) diverges from the brute-force oracle",
                     entry.id
@@ -1406,9 +1332,9 @@ fn run_any_gate() {
             let mut client = Client::connect(server.local_addr()).expect("connect client");
             match client.any(entry.text) {
                 Ok(Response::Query(ok)) => {
-                    if ok.relation != out.answer.finite
-                        || ok.any_infinite != Some(out.answer.maybe_infinite)
-                        || ok.any_infinite_vars.as_deref() != Some(&out.answer.per_variable)
+                    if ok.relation != out.relation
+                        || ok.any_infinite != Some(out.maybe_infinite())
+                        || ok.any_infinite_vars.as_deref() != Some(&out.per_variable)
                     {
                         eprintln!(
                             "ANY GATE FAILED: {} (seed {seed}) wire round-trip diverges \
@@ -1440,6 +1366,30 @@ fn run_any_gate() {
         eprintln!("ANY GATE FAILED: no classifier-rejected entries exercised");
         std::process::exit(1);
     }
+}
+
+/// Evaluate `expr` ungoverned — the unit of work the timing loops repeat.
+fn run(expr: &RaExpr, db: &Database) -> Relation {
+    run_under(expr, db, Budget::unlimited())
+}
+
+/// [`run`] under `budget`.
+fn run_under(expr: &RaExpr, db: &Database, budget: &Budget) -> Relation {
+    eval(expr, db, &mut EvalCtx::new(budget)).unwrap()
+}
+
+/// Serve `text` in [`Mode::Any`] through `cache`.
+fn serve_any(
+    text: &str,
+    db: &Database,
+    opts: CompileOptions,
+    cache: &PlanCache<Compiled>,
+) -> Result<Served, PipelineError> {
+    let req = Request {
+        mode: Mode::Any,
+        ..Request::new(text, opts)
+    };
+    serve(&req, db, cache)
 }
 
 fn main() {
@@ -1492,25 +1442,21 @@ fn main() {
     for &n in &sizes {
         let db = db_for(n);
         for (name, expr) in workloads() {
-            let out_rows = eval(&expr, &db).expect("evaluates").len();
+            let out_rows = run(&expr, &db).len();
             // Governance overhead: every limit armed (so checkpoints take
             // their full path — deadline comparison included) but set high
             // enough to never trip. Paired sampling cancels machine drift.
             let (kernel_ns, governed_ns, ratio) = time_paired(
                 samples,
                 || {
-                    black_box(eval(black_box(&expr), black_box(&db)).unwrap());
+                    black_box(run(black_box(&expr), black_box(&db)));
                 },
                 || {
                     let budget = Budget::new()
                         .with_deadline(Duration::from_secs(3600))
                         .with_max_tuples(u64::MAX / 2)
                         .with_max_nodes(u64::MAX / 2);
-                    let mut stats = EvalStats::default();
-                    black_box(
-                        eval_governed(black_box(&expr), black_box(&db), &mut stats, &budget)
-                            .unwrap(),
-                    );
+                    black_box(run_under(black_box(&expr), black_box(&db), &budget));
                 },
             );
             let baseline_ns = time_median(samples, || {
@@ -1523,10 +1469,9 @@ fn main() {
             let trace_off_pct = trace_off_overhead(samples, &expr, &db);
             trace_overheads.push(trace_off_pct);
             // One traced run: per-operator self-time breakdown.
-            let mut tstats = EvalStats::default();
-            let mut tracer = Tracer::on();
-            eval_traced(&expr, &db, &mut tstats, Budget::unlimited(), &mut tracer).unwrap();
-            let root = tracer.finish().expect("traced run leaves a root span");
+            let mut cx = EvalCtx::default().with_tracer(Tracer::on());
+            eval(&expr, &db, &mut cx).unwrap();
+            let root = cx.tracer.finish().expect("traced run leaves a root span");
             let mut ops: Vec<(String, u64, usize)> = Vec::new();
             op_self_times(&root, &mut ops);
             let breakdown = ops
@@ -1611,30 +1556,15 @@ fn main() {
     ]);
     for (name, expr) in shared_subtree_workloads() {
         let tree_ns = time_median(samples, || {
-            black_box(eval(black_box(&expr), black_box(&cache_db)).unwrap());
+            black_box(run(black_box(&expr), black_box(&cache_db)));
         });
         let dag_ns = time_median(samples, || {
-            let mut stats = EvalStats::default();
-            black_box(
-                eval_shared(
-                    black_box(&expr),
-                    black_box(&cache_db),
-                    &mut stats,
-                    Budget::unlimited(),
-                    &mut Tracer::off(),
-                )
-                .unwrap(),
-            );
+            let mut cx = EvalCtx::default().memoized();
+            black_box(eval(black_box(&expr), black_box(&cache_db), &mut cx).unwrap());
         });
-        let mut stats = EvalStats::default();
-        eval_shared(
-            &expr,
-            &cache_db,
-            &mut stats,
-            Budget::unlimited(),
-            &mut Tracer::off(),
-        )
-        .unwrap();
+        let mut cx = EvalCtx::default().memoized();
+        eval(&expr, &cache_db, &mut cx).unwrap();
+        let stats = cx.stats;
         let speedup = tree_ns as f64 / dag_ns as f64;
         shared_table.row(vec![
             name.to_string(),

@@ -14,9 +14,9 @@
 
 use rc_bench::{bench_db, division_query, negation_query, Table};
 use rc_formula::vars::free_vars;
-use rc_relalg::{EvalStats, RaExpr};
+use rc_relalg::{EvalCtx, RaExpr};
 use rc_safety::dom_baseline::{augment_with_dom, eval_dom, translate_dom};
-use rc_safety::pipeline::compile;
+use rc_safety::pipeline::{compile_with, CompileOptions};
 use rc_safety::tuplewise::eval_tuplewise;
 use std::time::Instant;
 
@@ -30,7 +30,7 @@ fn main() {
         ),
     ] {
         println!("[{name}]");
-        let compiled = compile(&f).expect("compiles");
+        let compiled = compile_with(&f, CompileOptions::default()).expect("compiles");
         let mut t = Table::new(&[
             "|Dom|",
             "rows/rel",
@@ -46,9 +46,9 @@ fn main() {
             let rows = 50;
             let db = bench_db(domain_size, rows, 99 + domain_size as u64);
 
-            let mut ranf_stats = EvalStats::default();
+            let mut ranf_stats = EvalCtx::default();
             let t0 = Instant::now();
-            let ours = compiled.run_with_stats(&db, &mut ranf_stats).unwrap();
+            let ours = compiled.run(&db, &mut ranf_stats).unwrap();
             let ranf_us = t0.elapsed().as_micros();
 
             // Dom-based algebra translation.
@@ -60,10 +60,9 @@ fn main() {
                 RaExpr::project(dom_expr, cols)
             };
             let augmented = augment_with_dom(&db, &f);
-            let mut dom_stats = EvalStats::default();
+            let mut dom_stats = EvalCtx::default();
             let t1 = Instant::now();
-            let dom_ans =
-                rc_relalg::eval_with_stats(&dom_expr, &augmented, &mut dom_stats).unwrap();
+            let dom_ans = rc_relalg::eval(&dom_expr, &augmented, &mut dom_stats).unwrap();
             let dom_us = t1.elapsed().as_micros();
             assert_eq!(ours, dom_ans, "Dom baseline disagrees");
             // Keep eval_dom linked in as the reference implementation.
@@ -86,8 +85,8 @@ fn main() {
                 domain_size.to_string(),
                 rows.to_string(),
                 ours.len().to_string(),
-                ranf_stats.tuples_produced.to_string(),
-                dom_stats.tuples_produced.to_string(),
+                ranf_stats.stats.tuples_produced.to_string(),
+                dom_stats.stats.tuples_produced.to_string(),
                 ranf_us.to_string(),
                 tw_us.to_string(),
                 dom_us.to_string(),

@@ -10,9 +10,9 @@
 
 use rand::Rng;
 use rc_bench::{rng, Table};
-use rc_relalg::{eval_with_stats, Database, EvalStats};
+use rc_relalg::{eval, Database, EvalCtx};
 use rc_safety::naive::{section2_formula, section2_naive};
-use rc_safety::pipeline::compile;
+use rc_safety::pipeline::{compile_with, CompileOptions};
 
 fn make_db(n: usize, r3_rows: usize, seed: u64) -> Database {
     let mut db = Database::new();
@@ -37,7 +37,7 @@ fn make_db(n: usize, r3_rows: usize, seed: u64) -> Database {
 fn main() {
     println!("=== Sec. 2 'real life' example: QUEL product-first vs correct translation ===\n");
     let naive_expr = section2_naive().translate_naive();
-    let correct = compile(&section2_formula()).unwrap();
+    let correct = compile_with(&section2_formula(), CompileOptions::default()).unwrap();
 
     let mut t = Table::new(&[
         "|R1|",
@@ -51,11 +51,11 @@ fn main() {
     for n in [10usize, 100, 300] {
         for r3 in [0usize, 5] {
             let db = make_db(n, r3, 7 + n as u64);
-            let mut s1 = EvalStats::default();
-            let quel = eval_with_stats(&naive_expr, &db, &mut s1).unwrap();
-            let mut s2 = EvalStats::default();
+            let mut s1 = EvalCtx::default();
+            let quel = eval(&naive_expr, &db, &mut s1).unwrap();
+            let mut s2 = EvalCtx::default();
             let ours = correct
-                .run_with_stats(&db, &mut s2)
+                .run(&db, &mut s2)
                 .expect("correct translation evaluates");
             t.row(vec![
                 n.to_string(),
@@ -63,8 +63,8 @@ fn main() {
                 quel.len().to_string(),
                 ours.len().to_string(),
                 (quel == ours).to_string(),
-                s1.tuples_produced.to_string(),
-                s2.tuples_produced.to_string(),
+                s1.stats.tuples_produced.to_string(),
+                s2.stats.tuples_produced.to_string(),
             ]);
         }
     }

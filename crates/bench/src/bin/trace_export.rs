@@ -1,10 +1,9 @@
 //! Export the machine-readable JSON trace of one corpus query.
 //!
-//! Runs the full traced pipeline (`compile_and_eval_traced`) on a paper
-//! formula over a deterministic random database and writes the
-//! [`rc_relalg::PipelineTrace`] JSON to `TRACE_corpus.json` at the
-//! repository root — the artifact CI uploads so a pipeline run's span tree
-//! can be inspected without rerunning anything:
+//! Writes [`rc_safety::corpus::trace_export`] — the traced pipeline run on
+//! a paper formula over a deterministic random database — to
+//! `TRACE_corpus.json` at the repository root, the artifact CI uploads so
+//! a pipeline run's span tree can be inspected without rerunning anything:
 //!
 //! ```sh
 //! cargo run --release -p rc-bench --bin trace_export [corpus-id] [seed]
@@ -13,13 +12,6 @@
 //! Defaults to `ex9.2-row2` (a wide-sense evaluable formula exercising
 //! classify → genify → ranf → translate → optimize → eval) with seed 7.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rc_formula::{Schema, Value};
-use rc_relalg::Database;
-use rc_safety::corpus::{by_id, formula_of};
-use rc_safety::pipeline::{compile_and_eval_traced, CompileOptions};
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let id = args.get(1).map(String::as_str).unwrap_or("ex9.2-row2");
@@ -27,31 +19,8 @@ fn main() {
         .get(2)
         .map(|s| s.parse().expect("seed must be a number"))
         .unwrap_or(7);
-    let entry = by_id(id).unwrap_or_else(|| panic!("no corpus entry with id {id:?}"));
-    let f = formula_of(&entry);
-    let schema = Schema::infer(&f).expect("corpus formulas have consistent arities");
-    let mut domain: Vec<Value> = (1..=4).map(Value::int).collect();
-    for c in f.constants() {
-        if !domain.contains(&c) {
-            domain.push(c);
-        }
-    }
-    let db = Database::random(&schema, &domain, 6, &mut StdRng::seed_from_u64(seed));
-
-    let (result, trace) = compile_and_eval_traced(&f.to_string(), &db, CompileOptions::default());
-    match &result {
-        Ok(out) => println!(
-            "{id}: {} answer rows, {} operators traced",
-            out.relation.len(),
-            trace.root.as_ref().map(|r| r.span_count()).unwrap_or(0)
-        ),
-        Err(e) => println!("{id}: failed ({e}) — exporting the partial trace"),
-    }
-    let json = format!(
-        "{{\"corpus_id\": {id:?}, \"seed\": {seed}, \"ok\": {}, \"trace\": {}}}\n",
-        result.is_ok(),
-        trace.to_json()
-    );
+    let json = rc_safety::corpus::trace_export(id, seed)
+        .unwrap_or_else(|| panic!("no corpus entry with id {id:?}"));
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../TRACE_corpus.json");
     std::fs::write(path, &json).expect("write TRACE_corpus.json");
     println!("wrote {path}");

@@ -8,9 +8,9 @@
 //! ```
 
 use rc_formula::parse;
-use rc_relalg::Database;
+use rc_relalg::{Database, EvalCtx};
 use rc_safety::dom_baseline::eval_brute_force;
-use rc_safety::pipeline::compile;
+use rc_safety::pipeline::{compile_with, CompileOptions};
 
 fn main() {
     // Schema: P/1, Q/2, R/2, S/3 — the paper's shapes with arities
@@ -41,12 +41,12 @@ fn main() {
     println!("=== Example 9.2: formula → RANF → relational algebra ===\n");
     for (name, text) in rows {
         let f = parse(text).unwrap();
-        let c = compile(&f).expect("paper formulas compile");
+        let c = compile_with(&f, CompileOptions::default()).expect("paper formulas compile");
         println!("[{name}]");
         println!("  formula: {f}");
         println!("  RANF:    {}", c.ranf_form);
         println!("  algebra: {}", c.expr);
-        let ours = c.run(&db).unwrap();
+        let ours = c.run(&db, &mut EvalCtx::default()).unwrap();
         let oracle = eval_brute_force(&f, &db);
         assert_eq!(ours, oracle, "{name} answer mismatch");
         println!("  answer:  {ours}   (matches brute-force oracle)");

@@ -47,9 +47,9 @@
 //!   closed formulas it is always `false` — a 0-ary answer is never
 //!   infinite, even when the truth value itself is domain dependent).
 //! * Both legs run under **one** budget (`opts.budget` governs the pair
-//!   as a single query), and both are served through the same plan/result
-//!   cache machinery as ordinary queries: the legs are keyed by the
-//!   original query text under salted option keys, their results are
+//!   as a single query), and both are served by the one serving path,
+//!   [`crate::pipeline::serve`] in [`Mode::Any`]: the legs are keyed by
+//!   the original query text under salted option keys, their results are
 //!   keyed by the *base* database version, and stale cached legs are
 //!   delta-refreshed ([`rc_relalg::ivm`]) — the guard tables, which the
 //!   base database does not store, get a computed delta spliced into the
@@ -57,22 +57,20 @@
 
 use crate::dom_baseline::dom_pred;
 use crate::pipeline::{
-    classify, compile_and_eval_in, compile_and_eval_traced, compile_for, compile_traced_for,
-    CompileOptions, Compiled, Exclusive, PipelineError, PlanStore, QueryOutput, SafetyClass,
+    classify, leg, serve, CompileOptions, Compiled, Mode, PipelineError, Request, SafetyClass,
+    Served,
 };
 use rc_formula::ast::Formula;
 use rc_formula::term::Var;
 use rc_formula::vars::{bound_vars, free_vars, is_rectified, rectified};
 use rc_formula::{Symbol, Term, Value};
-use rc_relalg::govern::{Budget, Stage};
+use rc_relalg::govern::Stage;
 use rc_relalg::{
-    refresh, worth_refreshing, Database, Estimator, EvalStats, PipelineTrace, PlanCache,
-    RefreshError, Relation, RelationBuilder, SharedPlanCache, StageSpan, StageTracer, TableDelta,
-    Tracer,
+    Database, Delta, EvalStats, MaintainedView, NoCache, OpSpan, PipelineTrace, PlanStore,
+    Relation, RelationBuilder, StageTracer, TableDelta,
 };
 use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// The reserved name of the star-extended domain guard relation (the
 /// active domain plus the fresh star constants), the `inf` counterpart
@@ -116,25 +114,6 @@ pub struct AnyAnswer {
     /// Evaluation counters, summed over both legs (or the single
     /// fast-path evaluation).
     pub stats: EvalStats,
-}
-
-/// What the cached serving paths produce: the answer plus which cache
-/// layers were hit. For a safe pair the flags are conjunctions over both
-/// legs (`plan_cached`/`result_cached`) or a disjunction
-/// (`result_refreshed`) — a pair is only "cached" when *both* halves
-/// were.
-#[derive(Clone, Debug)]
-pub struct CachedAnyOutput {
-    /// The safe-pair answer.
-    pub answer: AnyAnswer,
-    /// Were all compilation stages skipped via the plan cache?
-    pub plan_cached: bool,
-    /// Was all evaluation skipped via the result cache (verbatim or
-    /// refreshed)?
-    pub result_cached: bool,
-    /// Was at least one stale cached leg delta-refreshed rather than
-    /// recomputed?
-    pub result_refreshed: bool,
 }
 
 /// Relativize every quantifier of `f` to the guard predicate and leave
@@ -196,259 +175,186 @@ fn star_values(db: &Database, query: &Formula, q: usize) -> Vec<Value> {
     out
 }
 
-/// The guard table contents for one leg: active domain ∪ query constants
-/// ∪ stars, with the `#default` element when everything is empty
-/// (first-order semantics needs a nonempty domain) — byte-compatible
-/// with [`crate::dom_baseline::augment_with_dom`]'s `Dom#` when `stars`
-/// is empty.
-fn guard_relation(db: &Database, query: &Formula, stars: &[Value]) -> Relation {
-    let mut b = RelationBuilder::with_capacity(1, db.active_domain().len() + stars.len());
-    for &v in db.active_domain() {
-        b.push_row(&[v]);
-    }
-    for c in query.constants() {
-        b.push_row(&[c]);
-    }
-    for &s in stars {
-        b.push_row(&[s]);
-    }
-    if b.is_empty() {
-        b.push_row(&[Value::str("#default")]);
-    }
-    b.finish()
+/// The guard table one safe-pair leg evaluates over: `Dom#` (no stars)
+/// or `DomPlus#` (with the stars).
+pub(crate) struct Guard<'a> {
+    pred: Symbol,
+    stars: &'a [Value],
 }
 
-/// A copy of `db` with the leg's predicates declared and its guard table
-/// installed.
-fn augment_for_leg(db: &Database, leg: &Formula, guard: Symbol, stars: &[Value]) -> Database {
-    let mut out = db.clone();
-    for (p, arity) in leg.predicates() {
-        out.declare(p, arity);
-    }
-    out.insert_relation(guard, guard_relation(db, leg, stars));
-    out
-}
-
-/// What serving one leg yields: the compiled plan, the leg's answer and
-/// evaluation stats, then the three serving-path flags in cache order —
-/// plan hit, result hit (verbatim), result refreshed (IVM).
-type ServedLeg = (Arc<Compiled>, Relation, EvalStats, bool, bool, bool);
-
-/// Serve one leg of the pair through the cache, mirroring the ordinary
-/// cached serving path: plan lookup (salted key under the original query
-/// text) → result lookup → guard-delta-extended IVM refresh → full
-/// evaluation. Results and views are stamped with the *base* database
-/// version; the augmented database is only built on an evaluation miss.
-#[allow(clippy::too_many_arguments)]
-fn serve_leg(
-    text: &str,
-    salt: u64,
-    db: &Database,
-    leg_f: &Formula,
-    guard: Symbol,
-    stars: &[Value],
-    opts: &CompileOptions,
-    budget: &Budget,
-    cache: &impl PlanStore,
-) -> Result<ServedLeg, PipelineError> {
-    let db_version = db.version();
-    let opts_key = opts.cache_key() ^ salt;
-    let stats_epoch = if opts.optimize { db.stats_epoch() } else { 0 };
-    let mut aug: Option<Database> = None;
-    let (compiled, plan_hash, plan_cached) = match cache.lookup_plan(text, opts_key, stats_epoch) {
-        Some((compiled, hash)) => (compiled, hash, true),
-        None => {
-            let a = aug.get_or_insert_with(|| augment_for_leg(db, leg_f, guard, stars));
-            let compiled = compile_for(leg_f, opts.clone(), a).map_err(PipelineError::from)?;
-            let hash = rc_relalg::plan_hash(&compiled.expr);
-            (
-                cache.insert_plan(text, opts_key, stats_epoch, compiled, hash),
-                hash,
-                false,
-            )
+impl Guard<'_> {
+    /// The guard table contents for leg formula `leg`: active domain ∪
+    /// query constants ∪ stars, with the `#default` element when
+    /// everything is empty (first-order semantics needs a nonempty
+    /// domain) — byte-compatible with
+    /// [`crate::dom_baseline::augment_with_dom`]'s `Dom#` when there are
+    /// no stars.
+    fn relation(&self, db: &Database, leg: &Formula) -> Relation {
+        let adom = db.active_domain();
+        let mut b = RelationBuilder::with_capacity(1, adom.len() + self.stars.len());
+        for &v in adom {
+            b.push_row(&[v]);
         }
-    };
-    let mut stats = EvalStats::default();
-    if let Some(relation) = cache.lookup_result(plan_hash, db_version) {
-        stats.budget_checks += 1;
-        budget
-            .checkpoint(Stage::Eval)
-            .and_then(|()| budget.charge_tuples(Stage::Eval, relation.len() as u64))
-            .map_err(PipelineError::Budget)?;
-        return Ok((compiled, relation, stats, plan_cached, true, false));
-    }
-    if let Some(view) = cache.view_snapshot(plan_hash) {
-        if view.base_version() != db_version {
-            if let Some(mut chain) = db.delta_chain(view.base_version(), db_version) {
-                // The guard table lives only inside the view, so the
-                // base delta chain says nothing about it. Recover the
-                // old contents from the view's materialized scan, build
-                // the new contents from the current database, and splice
-                // the set difference into the chain. A guard that is
-                // scanned but not recoverable (the optimizer rewrote the
-                // full-table scan away) forces a full re-evaluation.
-                let guard_ok = if view.preds().contains(&guard) {
-                    match view.scan_contents(guard) {
-                        Some(old) => {
-                            let new = guard_relation(db, leg_f, stars);
-                            chain.insert_table(
-                                guard,
-                                TableDelta {
-                                    plus: new.minus(old),
-                                    minus: old.minus(&new),
-                                },
-                            );
-                            true
-                        }
-                        None => false,
-                    }
-                } else {
-                    true
-                };
-                let full_cost = || Estimator::new(db).cost(&compiled.expr);
-                if guard_ok && worth_refreshing(&view, &chain, full_cost) {
-                    match refresh(
-                        &view,
-                        &chain,
-                        db_version,
-                        &mut stats,
-                        budget,
-                        &mut Tracer::off(),
-                    ) {
-                        Ok((refreshed_view, relation)) => {
-                            stats.budget_checks += 1;
-                            budget
-                                .checkpoint(Stage::Eval)
-                                .and_then(|()| {
-                                    budget.charge_tuples(Stage::Eval, relation.len() as u64)
-                                })
-                                .map_err(PipelineError::Budget)?;
-                            cache.install_refreshed(plan_hash, refreshed_view, relation.clone());
-                            return Ok((compiled, relation, stats, plan_cached, true, true));
-                        }
-                        Err(RefreshError::Budget(b)) => return Err(PipelineError::Budget(b)),
-                        Err(RefreshError::Unsupported(_)) => {
-                            stats = EvalStats::default();
-                        }
-                    }
-                }
-            }
+        for c in leg.constants() {
+            b.push_row(&[c]);
         }
+        for &s in self.stars {
+            b.push_row(&[s]);
+        }
+        if b.is_empty() {
+            b.push_row(&[Value::str("#default")]);
+        }
+        b.finish()
     }
-    let a = aug.get_or_insert_with(|| augment_for_leg(db, leg_f, guard, stars));
-    let (relation, view) =
-        compiled.run_maintained(a, db_version, &mut stats, budget, &mut Tracer::off())?;
-    cache.insert_result(plan_hash, db_version, relation.clone());
-    cache.register_view(plan_hash, view);
-    Ok((compiled, relation, stats, plan_cached, false, false))
+
+    /// A copy of `db` with the leg's predicates declared and its guard
+    /// table installed.
+    pub(crate) fn augment(&self, db: &Database, leg: &Formula) -> Database {
+        let mut out = db.clone();
+        for (p, arity) in leg.predicates() {
+            out.declare(p, arity);
+        }
+        out.insert_relation(self.pred, self.relation(db, leg));
+        out
+    }
+
+    /// Splice the guard table's delta into `chain` before refreshing
+    /// `view`. The guard lives only inside the view, so the base delta
+    /// chain says nothing about it: recover the old contents from the
+    /// view's materialized scan, build the new contents from `db`, and
+    /// record the set difference. `None` when the guard is scanned but
+    /// not recoverable (the optimizer rewrote the full-table scan away) —
+    /// the leg then re-evaluates in full.
+    pub(crate) fn splice(
+        &self,
+        view: &MaintainedView,
+        db: &Database,
+        leg: &Formula,
+        chain: &mut Delta,
+    ) -> Option<()> {
+        if view.preds().contains(&self.pred) {
+            let old = view.scan_contents(self.pred)?;
+            let new = self.relation(db, leg);
+            let delta = TableDelta {
+                plus: new.minus(old),
+                minus: old.minus(&new),
+            };
+            chain.insert_table(self.pred, delta);
+        }
+        Some(())
+    }
 }
 
-/// Package a fast-path (recognized-class) pipeline answer as an
-/// [`AnyAnswer`]: recognized ⇒ domain independent ⇒ the finite answer is
-/// the whole answer.
-fn fast_answer(
-    columns: Vec<Var>,
-    class: SafetyClass,
-    relation: Relation,
-    stats: EvalStats,
-) -> AnyAnswer {
-    let n = columns.len();
-    AnyAnswer {
-        columns,
-        class,
-        safe_pair: false,
-        finite: relation,
-        maybe_infinite: false,
-        per_variable: vec![false; n],
-        stats,
-    }
-}
-
-/// Scan the inf leg's answer for star witnesses: the overall flag and
-/// the per-column mask.
-fn star_mask(inf: &Relation, stars: &[Value], ncols: usize) -> (bool, Vec<bool>) {
+/// Scan the inf leg's answer for star witnesses: the per-column mask.
+fn star_mask(inf: &Relation, stars: &[Value], ncols: usize) -> Vec<bool> {
     let star_set: BTreeSet<Value> = stars.iter().copied().collect();
     let mut per_variable = vec![false; ncols];
-    let mut maybe_infinite = false;
     for row in inf.iter() {
         for (j, v) in row.iter().enumerate() {
-            if star_set.contains(v) {
-                per_variable[j] = true;
-                maybe_infinite = true;
-            }
+            per_variable[j] |= star_set.contains(v);
         }
     }
-    (maybe_infinite, per_variable)
+    per_variable
 }
 
-/// The shared serving path behind the cached entry points.
-fn compile_and_eval_any_in(
-    text: &str,
+/// [`Mode::Any`] serving: parse and classify, then serve a recognized
+/// formula as one ordinary leg and anything else as the safe pair — the
+/// fin leg under `Dom#`, the inf leg under `DomPlus#`, both through
+/// [`leg`] under the original query text with salted keys. The stage spans
+/// of each leg are tagged `anyrc=fin|inf`; the operator tree is the fin
+/// leg's (the one producing the finite answer).
+pub(crate) fn serve_any<S: PlanStore<Compiled>>(
+    req: &Request<'_>,
     db: &Database,
-    opts: CompileOptions,
-    cache: &impl PlanStore,
-) -> Result<CachedAnyOutput, PipelineError> {
-    let f = rc_formula::parse(text).map_err(PipelineError::Parse)?;
+    store: &mut S,
+    st: &mut StageTracer,
+    root: &mut Option<OpSpan>,
+) -> Result<Served, PipelineError> {
+    st.begin(Stage::Parse, req.text.len() as u64);
+    let f = rc_formula::parse(req.text).map_err(PipelineError::Parse)?;
+    st.end(f.node_count() as u64, String::new());
     let class = classify(&f);
     if class != SafetyClass::NotRecognized {
-        let out = compile_and_eval_in(text, db, opts, cache)?;
-        return Ok(CachedAnyOutput {
-            answer: fast_answer(out.compiled.columns.clone(), class, out.relation, out.stats),
-            plan_cached: out.plan_cached,
-            result_cached: out.result_cached,
-            result_refreshed: out.result_refreshed,
-        });
+        let out = leg(req, Some(&f), 0, None, db, store, st, Some(root))?;
+        return Ok(Served { class, ..out });
     }
     let rect = if is_rectified(&f) { f } else { rectified(&f) };
     let q = free_vars(&rect).len() + bound_vars(&rect).len();
     let stars = star_values(db, &rect, q);
     let fin_f = relativized_query(&rect, dom_pred());
     let inf_f = relativized_query(&rect, dom_plus_pred());
-    let budget = opts.budget.clone();
-    let (fin_c, fin_rel, fin_stats, fin_pc, fin_rc, fin_rr) = serve_leg(
-        text,
-        FIN_SALT,
-        db,
-        &fin_f,
-        dom_pred(),
-        &[],
-        &opts,
-        &budget,
-        cache,
-    )?;
-    let (_, inf_rel, inf_stats, inf_pc, inf_rc, inf_rr) = serve_leg(
-        text,
-        INF_SALT,
-        db,
-        &inf_f,
-        dom_plus_pred(),
-        &stars,
-        &opts,
-        &budget,
-        cache,
-    )?;
-    let columns = fin_c.columns.clone();
-    let (maybe_infinite, per_variable) = star_mask(&inf_rel, &stars, columns.len());
-    let mut stats = fin_stats;
-    stats.merge(inf_stats);
-    Ok(CachedAnyOutput {
-        answer: AnyAnswer {
-            columns,
-            class,
-            safe_pair: true,
-            finite: fin_rel,
-            maybe_infinite,
-            per_variable,
-            stats,
-        },
-        plan_cached: fin_pc && inf_pc,
-        result_cached: fin_rc && inf_rc,
-        result_refreshed: fin_rr || inf_rr,
+    let fin_guard = Guard {
+        pred: dom_pred(),
+        stars: &[],
+    };
+    let inf_guard = Guard {
+        pred: dom_plus_pred(),
+        stars: &stars,
+    };
+    let fin = tagged(st, "fin", |st| {
+        leg(
+            req,
+            Some(&fin_f),
+            FIN_SALT,
+            Some(&fin_guard),
+            db,
+            store,
+            st,
+            Some(root),
+        )
+    })?;
+    let inf = tagged(st, "inf", |st| {
+        leg(
+            req,
+            Some(&inf_f),
+            INF_SALT,
+            Some(&inf_guard),
+            db,
+            store,
+            st,
+            None,
+        )
+    })?;
+    let mut stats = fin.stats;
+    stats.merge(inf.stats);
+    Ok(Served {
+        class,
+        safe_pair: true,
+        per_variable: star_mask(&inf.relation, &stars, fin.compiled.columns.len()),
+        stats,
+        plan_cached: fin.plan_cached && inf.plan_cached,
+        result_cached: fin.result_cached && inf.result_cached,
+        result_refreshed: fin.result_refreshed || inf.result_refreshed,
+        ..fin
     })
 }
 
-/// Evaluate an arbitrary relational calculus query: recognized formulas
-/// go through the ordinary pipeline, everything else through the
+/// Run one leg and tag the stage spans it recorded — including a span its
+/// failure left open — with `anyrc=<tag>`.
+fn tagged<T>(st: &mut StageTracer, tag: &str, leg: impl FnOnce(&mut StageTracer) -> T) -> T {
+    let from = st.stages().len();
+    let out = leg(st);
+    st.fail();
+    st.tag_since(from, &format!("anyrc={tag}"));
+    out
+}
+
+impl From<Served> for AnyAnswer {
+    fn from(s: Served) -> AnyAnswer {
+        AnyAnswer {
+            columns: s.compiled.columns.clone(),
+            class: s.class,
+            safe_pair: s.safe_pair,
+            maybe_infinite: s.maybe_infinite(),
+            finite: s.relation,
+            per_variable: s.per_variable,
+            stats: s.stats,
+        }
+    }
+}
+
+/// Evaluate an arbitrary relational calculus query, uncached: recognized
+/// formulas go through the ordinary pipeline, everything else through the
 /// safe-pair construction (see the module docs for the contract).
 ///
 /// ```
@@ -468,164 +374,28 @@ pub fn compile_and_eval_any(
     db: &Database,
     opts: CompileOptions,
 ) -> Result<AnyAnswer, PipelineError> {
-    let mut cache = PlanCache::new();
-    Ok(compile_and_eval_any_cached(text, db, opts, &mut cache)?.answer)
-}
-
-/// [`compile_and_eval_any`] through a cross-run [`PlanCache`]: both legs
-/// of the pair (or the fast-path plan) are cached and delta-maintained
-/// exactly like ordinary queries, under the original query text.
-pub fn compile_and_eval_any_cached(
-    text: &str,
-    db: &Database,
-    opts: CompileOptions,
-    cache: &mut PlanCache<Compiled>,
-) -> Result<CachedAnyOutput, PipelineError> {
-    compile_and_eval_any_in(text, db, opts, &Exclusive(RefCell::new(cache)))
-}
-
-/// [`compile_and_eval_any_cached`] against a concurrently shared cache —
-/// the entry point the query server uses for the `any` wire verb.
-pub fn compile_and_eval_any_shared(
-    text: &str,
-    db: &Database,
-    opts: CompileOptions,
-    cache: &SharedPlanCache<Compiled>,
-) -> Result<CachedAnyOutput, PipelineError> {
-    compile_and_eval_any_in(text, db, opts, cache)
-}
-
-/// Append the leg tag to every stage span of one leg's trace.
-fn tag_spans(spans: &mut [StageSpan], tag: &str) {
-    for s in spans.iter_mut() {
-        if s.detail.is_empty() {
-            s.detail = format!("anyrc={tag}");
-        } else {
-            s.detail = format!("{} anyrc={tag}", s.detail);
-        }
-    }
-}
-
-/// One uncached, traced leg: compile with per-stage spans, evaluate with
-/// an operator tracer, and tag every span with `anyrc=fin|inf`.
-fn traced_leg(
-    leg_f: &Formula,
-    aug: &Database,
-    opts: CompileOptions,
-    budget: &Budget,
-    tag: &str,
-) -> (
-    Result<(Compiled, Relation, EvalStats), PipelineError>,
-    PipelineTrace,
-) {
-    let mut st = StageTracer::on();
-    let compiled = match compile_traced_for(leg_f, opts, Some(aug), &mut st) {
-        Ok(c) => c,
-        Err(e) => {
-            let mut trace = st.into_trace(None);
-            tag_spans(&mut trace.stages, tag);
-            return (Err(e.into()), trace);
-        }
+    let req = Request {
+        mode: Mode::Any,
+        ..Request::new(text, opts)
     };
-    st.begin(Stage::Eval, compiled.expr.node_count() as u64);
-    let mut stats = EvalStats::default();
-    let mut tracer = Tracer::on();
-    match compiled.run_traced(aug, &mut stats, budget, &mut tracer) {
-        Ok(relation) => {
-            st.end(
-                relation.len() as u64,
-                format!("tuples_produced={}", stats.tuples_produced),
-            );
-            let mut trace = st.into_trace(tracer.finish());
-            tag_spans(&mut trace.stages, tag);
-            (Ok((compiled, relation, stats)), trace)
-        }
-        Err(e) => {
-            let mut trace = st.into_trace(tracer.finish());
-            tag_spans(&mut trace.stages, tag);
-            (Err(e.into()), trace)
-        }
-    }
+    serve(&req, db, NoCache).map(AnyAnswer::from)
 }
 
-/// [`compile_and_eval_any`] with full observability: the returned trace
-/// concatenates the parse span with both legs' stage spans, each tagged
-/// `anyrc=fin` or `anyrc=inf` in its detail; the operator tree is the
-/// fin leg's (the one producing [`AnyAnswer::finite`]). Fast-path
-/// (recognized) queries return the ordinary
-/// [`compile_and_eval_traced`] trace unchanged.
+/// [`compile_and_eval_any`] with its [`PipelineTrace`] — populated on
+/// failure too.
 pub fn compile_and_eval_any_traced(
     text: &str,
     db: &Database,
     opts: CompileOptions,
 ) -> (Result<AnyAnswer, PipelineError>, PipelineTrace) {
-    let mut st = StageTracer::on();
-    st.begin(Stage::Parse, text.len() as u64);
-    let f = match rc_formula::parse(text) {
-        Ok(f) => f,
-        Err(e) => return (Err(PipelineError::Parse(e)), st.into_trace(None)),
+    let trace = RefCell::default();
+    let req = Request {
+        mode: Mode::Any,
+        trace: Some(&trace),
+        ..Request::new(text, opts)
     };
-    st.end(f.node_count() as u64, String::new());
-    let class = classify(&f);
-    if class != SafetyClass::NotRecognized {
-        let (res, trace) = compile_and_eval_traced(text, db, opts);
-        return (
-            res.map(|out: QueryOutput| {
-                fast_answer(out.compiled.columns.clone(), class, out.relation, out.stats)
-            }),
-            trace,
-        );
-    }
-    let parse_spans: Vec<StageSpan> = st.stages().to_vec();
-    let rect = if is_rectified(&f) { f } else { rectified(&f) };
-    let q = free_vars(&rect).len() + bound_vars(&rect).len();
-    let stars = star_values(db, &rect, q);
-    let fin_f = relativized_query(&rect, dom_pred());
-    let inf_f = relativized_query(&rect, dom_plus_pred());
-    let budget = opts.budget.clone();
-    let fin_aug = augment_for_leg(db, &fin_f, dom_pred(), &[]);
-    let (fin_res, fin_trace) = traced_leg(&fin_f, &fin_aug, opts.clone(), &budget, "fin");
-    let mut stages = parse_spans;
-    stages.extend(fin_trace.stages);
-    let (fin_c, fin_rel, fin_stats) = match fin_res {
-        Ok(v) => v,
-        Err(e) => {
-            return (
-                Err(e),
-                PipelineTrace {
-                    stages,
-                    root: fin_trace.root,
-                },
-            )
-        }
-    };
-    let inf_aug = augment_for_leg(db, &inf_f, dom_plus_pred(), &stars);
-    let (inf_res, inf_trace) = traced_leg(&inf_f, &inf_aug, opts, &budget, "inf");
-    stages.extend(inf_trace.stages);
-    let trace = PipelineTrace {
-        stages,
-        root: fin_trace.root,
-    };
-    let (_, inf_rel, inf_stats) = match inf_res {
-        Ok(v) => v,
-        Err(e) => return (Err(e), trace),
-    };
-    let columns = fin_c.columns;
-    let (maybe_infinite, per_variable) = star_mask(&inf_rel, &stars, columns.len());
-    let mut stats = fin_stats;
-    stats.merge(inf_stats);
-    (
-        Ok(AnyAnswer {
-            columns,
-            class,
-            safe_pair: true,
-            finite: fin_rel,
-            maybe_infinite,
-            per_variable,
-            stats,
-        }),
-        trace,
-    )
+    let out = serve(&req, db, NoCache).map(AnyAnswer::from);
+    (out, trace.into_inner())
 }
 
 #[cfg(test)]
@@ -633,6 +403,7 @@ mod tests {
     use super::*;
     use crate::dom_baseline::eval_brute_force;
     use rc_formula::parse;
+    use rc_relalg::PlanCache;
 
     fn db() -> Database {
         Database::from_facts("P(1)\nP(2)\nQ(2)\nQ(3)\nR(1, 2)\nR(3, 1)").unwrap()
@@ -715,27 +486,26 @@ mod tests {
     #[test]
     fn cached_pair_serves_and_refreshes() {
         let mut database = db();
-        let mut cache = PlanCache::new();
+        let cache = PlanCache::new();
         let text = "P(x) | Q(y)";
-        let cold =
-            compile_and_eval_any_cached(text, &database, CompileOptions::default(), &mut cache)
-                .unwrap();
+        let req = Request {
+            mode: Mode::Any,
+            ..Request::new(text, CompileOptions::default())
+        };
+        let cold = serve(&req, &database, &cache).unwrap();
         assert!(!cold.plan_cached && !cold.result_cached);
-        let warm =
-            compile_and_eval_any_cached(text, &database, CompileOptions::default(), &mut cache)
-                .unwrap();
+        let warm = serve(&req, &database, &cache).unwrap();
         assert!(warm.plan_cached && warm.result_cached && !warm.result_refreshed);
-        assert_eq!(cold.answer.finite, warm.answer.finite);
-        assert_eq!(cold.answer.per_variable, warm.answer.per_variable);
+        assert_eq!(cold.relation, warm.relation);
+        assert_eq!(cold.per_variable, warm.per_variable);
         // Mutate: the guard tables change with the active domain, so the
         // refresh path must splice computed guard deltas into the chain.
         database.apply_delta("P(7)").unwrap();
         let fresh = compile_and_eval_any(text, &database, CompileOptions::default()).unwrap();
-        let served =
-            compile_and_eval_any_cached(text, &database, CompileOptions::default(), &mut cache)
-                .unwrap();
-        assert_eq!(served.answer.finite, fresh.finite);
-        assert_eq!(served.answer.per_variable, fresh.per_variable);
+        let served = serve(&req, &database, &cache).unwrap();
+        assert!(served.result_refreshed);
+        assert_eq!(served.relation, fresh.finite);
+        assert_eq!(served.per_variable, fresh.per_variable);
     }
 
     #[test]

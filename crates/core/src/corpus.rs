@@ -6,7 +6,13 @@
 //! harness prints these as the classification table, and the integration
 //! suite asserts every expectation.
 
+use crate::pipeline::{serve, CompileOptions, Request};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use rc_formula::ast::Formula;
+use rc_formula::{Schema, Value};
+use rc_relalg::{Database, NoCache};
+use std::cell::RefCell;
 
 /// One formula from the paper.
 #[derive(Clone, Copy, Debug)]
@@ -303,6 +309,48 @@ pub fn formula_of(entry: &PaperFormula) -> Formula {
 /// Look up a corpus entry by id.
 pub fn by_id(id: &str) -> Option<PaperFormula> {
     corpus().into_iter().find(|e| e.id == id)
+}
+
+/// A reproducible database over `f`'s inferred schema: six random rows
+/// per predicate drawn from the values 1–4 plus `f`'s constants, or — for
+/// seed 0 — every predicate declared and empty, so vacuous answers get
+/// exercised too.
+pub fn random_db(f: &Formula, seed: u64) -> Database {
+    let schema = Schema::infer(f).expect("consistent arities");
+    if seed == 0 {
+        let mut db = Database::new();
+        for (p, arity) in schema.predicates() {
+            db.declare(p, arity);
+        }
+        return db;
+    }
+    let mut domain: Vec<Value> = (1..=4).map(Value::int).collect();
+    for c in f.constants() {
+        if !domain.contains(&c) {
+            domain.push(c);
+        }
+    }
+    Database::random(&schema, &domain, 6, &mut StdRng::seed_from_u64(seed))
+}
+
+/// The machine-readable JSON trace of corpus entry `id`: the traced
+/// pipeline run over [`random_db`] as `{"corpus_id", "seed", "ok",
+/// "trace"}` — the partial trace when the run fails. `None` when no entry
+/// has that id.
+pub fn trace_export(id: &str, seed: u64) -> Option<String> {
+    let f = formula_of(&by_id(id)?);
+    let db = random_db(&f, seed);
+    let text = f.to_string();
+    let trace = RefCell::default();
+    let req = Request {
+        trace: Some(&trace),
+        ..Request::new(&text, CompileOptions::default())
+    };
+    let ok = serve(&req, &db, NoCache).is_ok();
+    Some(format!(
+        "{{\"corpus_id\": {id:?}, \"seed\": {seed}, \"ok\": {ok}, \"trace\": {}}}\n",
+        trace.into_inner().to_json()
+    ))
 }
 
 #[cfg(test)]

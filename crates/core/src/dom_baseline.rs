@@ -187,7 +187,7 @@ pub fn eval_dom(f: &Formula, db: &Database) -> Result<Relation, rc_relalg::EvalE
     } else {
         RaExpr::project(expr, cols)
     };
-    rc_relalg::eval(&expr, &augmented)
+    rc_relalg::eval(&expr, &augmented, &mut rc_relalg::EvalCtx::default())
 }
 
 /// Brute-force tuple-at-a-time active-domain evaluation — the second
@@ -251,7 +251,7 @@ mod tests {
             } else {
                 RaExpr::project(e, cols)
             };
-            let ours = rc_relalg::eval(&e, &database).unwrap();
+            let ours = rc_relalg::eval(&e, &database, &mut Default::default()).unwrap();
             assert_eq!(ours, dom_answer, "pipeline vs dom on {s}");
         }
     }

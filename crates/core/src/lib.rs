@@ -30,26 +30,28 @@
 //! | `Dom`-relation and brute-force baselines (Secs. 2–3) | [`dom_baseline`] |
 //! | the QUEL disjunction anomaly (Sec. 2) | [`naive`] |
 //! | every formula appearing in the paper | [`corpus`] |
-//! | end-to-end pipeline: classify → genify → ranf → translate → eval | [`pipeline`] |
+//! | end-to-end pipeline: classify → genify → ranf → translate → eval, one `serve` entry | [`pipeline`] |
+//! | safe pairs for arbitrary formulas | [`anyrc`] |
 //! | oracle: finite-interpretation evaluation | [`interp`] |
 //! | geometric interpretation of `con` (Fig. 2) | [`geometry`] |
 //!
 //! ## Quick start
 //!
 //! ```
-//! use rc_relalg::Database;
-//! use rc_safety::pipeline::query;
+//! use rc_relalg::{Database, NoCache};
+//! use rc_safety::pipeline::{serve, CompileOptions, Request};
 //!
 //! let db = Database::from_facts(
 //!     "Part('bolt')\nPart('nut')\nSupplies('acme', 'bolt')\nSupplies('acme', 'nut')",
 //! ).unwrap();
+//! let query = |text| serve(&Request::new(text, CompileOptions::default()), &db, NoCache);
 //!
 //! // "Does some supplier supply all parts?" — Example 5.2's G.
-//! let yes = query("exists y. forall x. (!Part(x) | Supplies(y, x))", &db).unwrap();
-//! assert_eq!(yes.as_bool(), Some(true));
+//! let yes = query("exists y. forall x. (!Part(x) | Supplies(y, x))").unwrap();
+//! assert_eq!(yes.relation.as_bool(), Some(true));
 //!
 //! // Unsafe queries are rejected, not misanswered.
-//! assert!(query("!Part(x)", &db).is_err());
+//! assert!(query("!Part(x)").is_err());
 //! ```
 
 #![deny(missing_docs)]
@@ -71,18 +73,13 @@ pub mod pipeline;
 pub mod ranf;
 pub mod translate;
 
-pub use anyrc::{
-    compile_and_eval_any, compile_and_eval_any_cached, compile_and_eval_any_shared,
-    compile_and_eval_any_traced, AnyAnswer, CachedAnyOutput,
-};
+pub use anyrc::AnyAnswer;
 pub use classes::{check_allowed, check_evaluable, is_allowed, is_evaluable};
 pub use eqreduce::{equality_reduce, is_wide_sense_evaluable};
 pub use gencon::{con, con_not, gen, gen_not};
 pub use genify::genify;
 pub use pipeline::{
-    classify, compile, compile_and_eval, compile_and_eval_cached, compile_and_eval_shared,
-    compile_and_eval_traced, query, CachedQueryOutput, Compiled, PipelineError, PlanStore,
-    QueryOutput, SafetyClass,
+    classify, serve, CompileOptions, Compiled, Mode, PipelineError, Request, SafetyClass, Served,
 };
 pub use ranf::{is_ranf, ranf};
 pub use translate::translate;

@@ -126,7 +126,7 @@ mod tests {
     use crate::ranf::ranf;
     use crate::translate::translate;
     use rc_formula::Value;
-    use rc_relalg::{eval, Database};
+    use rc_relalg::{eval, Database, EvalCtx};
 
     fn db(with_r3: bool) -> Database {
         let mut facts =
@@ -144,10 +144,10 @@ mod tests {
         let q = section2_naive();
         let e = q.translate_naive();
         // With R3 empty, the cross product is empty: the user's surprise.
-        let rel = eval(&e, &db(false)).unwrap();
+        let rel = eval(&e, &db(false), &mut EvalCtx::default()).unwrap();
         assert!(rel.is_empty(), "QUEL semantics must return null here");
         // With R3 nonempty, matches appear.
-        let rel2 = eval(&e, &db(true)).unwrap();
+        let rel2 = eval(&e, &db(true), &mut EvalCtx::default()).unwrap();
         assert!(rel2.contains(&[Value::str("alice")]));
         assert!(rel2.contains(&[Value::str("bob")]));
     }
@@ -158,21 +158,21 @@ mod tests {
         let g = genify(&f).unwrap();
         let r = ranf(&g).unwrap();
         let e = translate(&r).unwrap();
-        let rel = eval(&e, &db(false)).unwrap();
+        let rel = eval(&e, &db(false), &mut EvalCtx::default()).unwrap();
         // R1 ⋈ R2 matches survive even with R3 empty.
         assert_eq!(rel.len(), 1);
         assert!(rel.contains(&[Value::str("alice")]));
-        let rel2 = eval(&e, &db(true)).unwrap();
+        let rel2 = eval(&e, &db(true), &mut EvalCtx::default()).unwrap();
         assert_eq!(rel2.len(), 2);
     }
 
     #[test]
     fn with_all_tables_populated_both_agree() {
         let q = section2_naive();
-        let naive = eval(&q.translate_naive(), &db(true)).unwrap();
+        let naive = eval(&q.translate_naive(), &db(true), &mut EvalCtx::default()).unwrap();
         let f = section2_formula();
         let e = translate(&ranf(&genify(&f).unwrap()).unwrap()).unwrap();
-        let ours = eval(&e, &db(true)).unwrap();
+        let ours = eval(&e, &db(true), &mut EvalCtx::default()).unwrap();
         assert_eq!(naive, ours);
     }
 }

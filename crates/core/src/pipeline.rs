@@ -2,13 +2,21 @@
 //! → `ranf` → translate → simplify → evaluate.
 //!
 //! This is the public face of the reproduction: given any relational
-//! calculus formula, [`compile`] either produces a Dom-free relational
+//! calculus formula, [`compile_for`] either produces a Dom-free relational
 //! algebra expression computing its answer, or rejects it with the reason
 //! it is unsafe. Unlike the approaches the paper criticizes (Sec. 3), the
 //! pipeline never silently reinterprets a formula: every transformation
 //! preserves logical equivalence, and unsafety is reported, not papered
 //! over.
+//!
+//! [`serve`] is the one way to run a query text end to end: plan lookup →
+//! result lookup → IVM refresh → evaluation, through any [`PlanStore`]
+//! (a [`rc_relalg::PlanCache`], shareable across threads, or the
+//! retain-nothing
+//! [`rc_relalg::NoCache`]), in
+//! [`Mode::Safe`] or — via safe pairs ([`crate::anyrc`]) — [`Mode::Any`].
 
+use crate::anyrc::Guard;
 use crate::classes::{check_evaluable, is_allowed, SafetyViolation};
 use crate::eqreduce::equality_reduce;
 use crate::generator::ConjunctChoice;
@@ -21,9 +29,9 @@ use rc_formula::term::Var;
 use rc_formula::vars::{free_vars, is_rectified, rectified};
 use rc_relalg::govern::{Budget, BudgetExceeded, Stage};
 use rc_relalg::{
-    eval_shared, eval_traced, materialize, refresh, worth_refreshing, Database, Estimator,
-    EvalError, EvalStats, MaintainedView, PipelineTrace, PlanCache, RaExpr, RefreshError, Relation,
-    SharedPlanCache, StageTracer, Tracer,
+    eval, refresh, worth_refreshing, Database, Estimator, EvalCtx, EvalError, EvalStats,
+    MaintainedView, OpSpan, PipelineTrace, PlanCache, PlanStore, RaExpr, RefreshError, Relation,
+    SharedPlanCache, StageTracer, TraceSink, Tracer,
 };
 use std::cell::RefCell;
 use std::fmt;
@@ -126,7 +134,7 @@ impl fmt::Display for PlannerMode {
     }
 }
 
-/// Options for [`compile`].
+/// Options for [`compile_with`] and [`serve`].
 #[derive(Clone, Debug)]
 pub struct CompileOptions {
     /// Attempt equality reduction (Alg. A.1) when the formula is not
@@ -252,11 +260,6 @@ impl From<TranslateError> for CompileError {
     }
 }
 
-/// Compile a formula with default options.
-pub fn compile(f: &Formula) -> Result<Compiled, CompileError> {
-    compile_with(f, CompileOptions::default())
-}
-
 /// Compile a formula into a Dom-free relational algebra expression.
 ///
 /// Without a target database the final stage runs the statistics-free
@@ -281,21 +284,14 @@ pub fn compile_for(
     compile_traced_for(f, opts, Some(db), &mut StageTracer::off())
 }
 
-/// [`compile_with`] recording one [`rc_relalg::StageSpan`] per pipeline
-/// stage into `st` (node counts, wall time, and a deterministic stage
-/// detail such as `class=` or `repairs=`). On an error the open span is
-/// left for [`StageTracer::into_trace`] to seal as failed, so a partial
-/// trace names the stage that tripped.
-pub fn compile_traced(
-    f: &Formula,
-    opts: CompileOptions,
-    st: &mut StageTracer,
-) -> Result<Compiled, CompileError> {
-    compile_traced_for(f, opts, None, st)
-}
-
-/// The full pipeline: [`compile_traced`] plus an optional target database
-/// enabling the cost-based planner (see [`compile_for`]).
+/// The compiler: every stage from classification to the optimized,
+/// hash-consed plan, with an optional target database enabling the
+/// cost-based planner (see [`compile_for`]). One
+/// [`rc_relalg::StageSpan`] per stage is recorded into `st` (node counts,
+/// wall time, and a deterministic stage detail such as `class=` or
+/// `repairs=`); on an error the open span is left for
+/// [`StageTracer::into_trace`] to seal as failed, so a partial trace names
+/// the stage that tripped.
 pub fn compile_traced_for(
     f: &Formula,
     opts: CompileOptions,
@@ -448,83 +444,15 @@ impl Compiled {
         out
     }
 
-    /// Evaluate the compiled query.
-    pub fn run(&self, db: &Database) -> Result<Relation, EvalError> {
-        let mut stats = EvalStats::default();
-        self.run_with_stats(db, &mut stats)
+    /// Evaluate the compiled plan against `db` — uncached, under `cx`'s
+    /// budget, tracer and memo (see [`EvalCtx`]).
+    pub fn run(&self, db: &Database, cx: &mut EvalCtx<'_>) -> Result<Relation, EvalError> {
+        eval(&self.expr, &prepare(db, &self.original), cx)
     }
 
-    /// Evaluate while accumulating operator statistics.
-    pub fn run_with_stats(
-        &self,
-        db: &Database,
-        stats: &mut EvalStats,
-    ) -> Result<Relation, EvalError> {
-        self.run_governed(db, stats, Budget::unlimited())
-    }
-
-    /// Evaluate under a resource [`Budget`]: either exactly the ungoverned
-    /// answer or an [`EvalError::Budget`] — never a truncated relation.
-    pub fn run_governed(
-        &self,
-        db: &Database,
-        stats: &mut EvalStats,
-        budget: &Budget,
-    ) -> Result<Relation, EvalError> {
-        self.run_traced(db, stats, budget, &mut Tracer::off())
-    }
-
-    /// [`Compiled::run_governed`] recording an operator span tree into
-    /// `tracer` (input/output cardinalities, kernel row counts, dedup
-    /// ratios, parallel-vs-sequential path) — including a partial tree
-    /// when the evaluation errors.
-    pub fn run_traced(
-        &self,
-        db: &Database,
-        stats: &mut EvalStats,
-        budget: &Budget,
-        tracer: &mut Tracer,
-    ) -> Result<Relation, EvalError> {
-        eval_traced(
-            &self.expr,
-            &prepare(db, &self.original),
-            stats,
-            budget,
-            tracer,
-        )
-    }
-
-    /// [`Compiled::run_traced`] with common-subexpression sharing: the
-    /// plan's duplicated subtrees (compile interns the expression into a
-    /// DAG) are each evaluated once per run and served from a memo table
-    /// afterwards — [`EvalStats::memo_hits`] counts the services and the
-    /// reused subplans appear as `cache_hit` leaf spans. Same answer and
-    /// budget semantics as [`Compiled::run_traced`]; used by the cached
-    /// serving path ([`compile_and_eval_cached`]).
-    pub fn run_shared(
-        &self,
-        db: &Database,
-        stats: &mut EvalStats,
-        budget: &Budget,
-        tracer: &mut Tracer,
-    ) -> Result<Relation, EvalError> {
-        eval_shared(
-            &self.expr,
-            &prepare(db, &self.original),
-            stats,
-            budget,
-            tracer,
-        )
-    }
-
-    /// [`Compiled::run_shared`], additionally materializing every subplan
-    /// into a [`MaintainedView`] registered for delta-refresh: identical
-    /// answer, statistics, and budget semantics (the recording evaluator
-    /// *is* the memoizing evaluator), plus the standing-query state that
-    /// lets later mutations advance this result in O(|Δ|) instead of
-    /// recomputing it. `base_version` is the version of `db` the caller
-    /// serves — captured by the caller because the evaluation itself runs
-    /// against a prepared clone with its own stamp.
+    /// [`Compiled::run`] with a recording memo, returning the standing
+    /// query ([`MaintainedView`]) stamped `base_version` alongside the
+    /// answer.
     pub fn run_maintained(
         &self,
         db: &Database,
@@ -533,14 +461,16 @@ impl Compiled {
         budget: &Budget,
         tracer: &mut Tracer,
     ) -> Result<(Relation, MaintainedView), EvalError> {
-        materialize(
-            &self.expr,
-            &prepare(db, &self.original),
-            base_version,
-            stats,
-            budget,
-            tracer,
-        )
+        let mut cx = EvalCtx::new(budget)
+            .with_tracer(std::mem::take(tracer))
+            .memoized();
+        let out = self.run(db, &mut cx);
+        stats.merge(cx.stats);
+        *tracer = std::mem::take(&mut cx.tracer);
+        Ok((
+            out?,
+            MaintainedView::recorded(&mut cx, base_version).expect("memoized run"),
+        ))
     }
 }
 
@@ -552,36 +482,6 @@ fn prepare(db: &Database, f: &Formula) -> Database {
         out.declare(p, arity);
     }
     out
-}
-
-/// Top-level query failure.
-#[derive(Clone, Debug, PartialEq)]
-pub enum QueryError {
-    /// The query text did not parse.
-    Parse(ParseError),
-    /// The formula could not be compiled.
-    Compile(CompileError),
-    /// Evaluation failed.
-    Eval(EvalError),
-}
-
-impl fmt::Display for QueryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QueryError::Parse(e) => write!(f, "{e}"),
-            QueryError::Compile(e) => write!(f, "{e}"),
-            QueryError::Eval(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for QueryError {}
-
-/// Parse, compile and evaluate a query in one call.
-pub fn query(text: &str, db: &Database) -> Result<Relation, QueryError> {
-    let f = rc_formula::parse(text).map_err(QueryError::Parse)?;
-    let compiled = compile(&f).map_err(QueryError::Compile)?;
-    compiled.run(db).map_err(QueryError::Eval)
 }
 
 /// Unified failure taxonomy for the whole pipeline
@@ -660,89 +560,90 @@ impl From<EvalError> for PipelineError {
     }
 }
 
-impl From<QueryError> for PipelineError {
-    fn from(e: QueryError) -> Self {
-        match e {
-            QueryError::Parse(e) => PipelineError::Parse(e),
-            QueryError::Compile(e) => e.into(),
-            QueryError::Eval(e) => e.into(),
+/// Which answer a [`Request`] asks for.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Mode {
+    /// The paper's pipeline: a formula outside every recognized safe class
+    /// is rejected with the reason.
+    #[default]
+    Safe,
+    /// Any formula: recognized formulas are served exactly as in
+    /// [`Mode::Safe`], everything else through the safe pair of
+    /// [`crate::anyrc`] — the active-domain answer plus per-column
+    /// infiniteness.
+    Any,
+}
+
+/// One query for [`serve`].
+#[derive(Clone, Debug)]
+pub struct Request<'a> {
+    /// The query text (also the plan-cache key).
+    pub text: &'a str,
+    /// Compilation options; `opts.budget` governs the whole serve.
+    pub opts: CompileOptions,
+    /// Safe-class or any-formula answer.
+    pub mode: Mode,
+    /// When set, the serve records its [`PipelineTrace`] here — on failure
+    /// too, so a partial trace names the stage and operator that tripped.
+    pub trace: Option<&'a RefCell<PipelineTrace>>,
+}
+
+impl<'a> Request<'a> {
+    /// An untraced [`Mode::Safe`] request.
+    pub fn new(text: &'a str, opts: CompileOptions) -> Request<'a> {
+        Request {
+            text,
+            opts,
+            mode: Mode::Safe,
+            trace: None,
         }
     }
 }
 
-/// Everything [`compile_and_eval`] produces: the compiled stages, the
-/// answer relation, and the evaluation counters (including governance
-/// consumption).
+/// What [`serve`] produces: the answer, its plan, evaluation counters, and
+/// which store layers were hit. For a safe pair the flags are conjunctions
+/// over both legs (`plan_cached`, `result_cached`) or a disjunction
+/// (`result_refreshed`) — a pair is only "cached" when both halves were.
 #[derive(Clone, Debug)]
-pub struct QueryOutput {
-    /// The compiled query with every intermediate stage.
-    pub compiled: Compiled,
-    /// The answer relation.
-    pub relation: Relation,
-    /// Evaluation statistics, including [`EvalStats::budget_checks`].
-    pub stats: EvalStats,
-}
-
-/// Parse, compile, and evaluate under one shared [`Budget`]
-/// (`opts.budget` governs every stage). On a trip the result is a
-/// [`PipelineError::Budget`] naming the stage, the bound, and the
-/// consumption — never a truncated relation.
-///
-/// ```
-/// use rc_safety::pipeline::{compile_and_eval, CompileOptions};
-/// use rc_relalg::Database;
-///
-/// let db = Database::from_facts("P(1, 1)\nP(1, 2)\nP(3, 3)\nQ(1)").unwrap();
-/// let out = compile_and_eval("P(x, y) & ~Q(y)", &db, CompileOptions::default()).unwrap();
-/// assert_eq!(out.relation.len(), 2); // (1,2) and (3,3)
-/// assert!(out.stats.operators > 0);
-/// ```
-pub fn compile_and_eval(
-    text: &str,
-    db: &Database,
-    opts: CompileOptions,
-) -> Result<QueryOutput, PipelineError> {
-    let f = rc_formula::parse(text).map_err(PipelineError::Parse)?;
-    let budget = opts.budget.clone();
-    let compiled = compile_for(&f, opts, db).map_err(PipelineError::from)?;
-    let mut stats = EvalStats::default();
-    let relation = compiled.run_governed(db, &mut stats, &budget)?;
-    Ok(QueryOutput {
-        compiled,
-        relation,
-        stats,
-    })
-}
-
-/// What [`compile_and_eval_cached`] produces: the shared compiled plan,
-/// the answer, evaluation counters, and which cache layers were hit.
-#[derive(Clone, Debug)]
-pub struct CachedQueryOutput {
-    /// The compiled query (shared with the cache — cloning is one
-    /// reference bump).
+pub struct Served {
+    /// The compiled plan, shared with the store (for a safe pair, the fin
+    /// leg's plan).
     pub compiled: Arc<Compiled>,
-    /// The answer relation.
+    /// The classifier's verdict on the query.
+    pub class: SafetyClass,
+    /// The answer; for a safe pair, the active-domain answer.
     pub relation: Relation,
-    /// Evaluation statistics. On a result-cache hit only the governance
-    /// charge for the materialized cardinality is recorded (nothing was
-    /// evaluated).
+    /// Evaluation counters, summed over both legs of a safe pair. On a
+    /// result hit only the governance charge is recorded.
     pub stats: EvalStats,
     /// Was parse → … → optimize skipped via the plan cache?
     pub plan_cached: bool,
-    /// Was evaluation skipped via the result cache? Also true when a
-    /// stale entry was delta-refreshed instead of recomputed (see
-    /// `result_refreshed`).
+    /// Was evaluation skipped via the result cache? Also true when a stale
+    /// entry was delta-refreshed (see `result_refreshed`).
     pub result_cached: bool,
     /// Was a stale cached result *refreshed* by delta propagation
     /// ([`rc_relalg::ivm`]) rather than served verbatim or recomputed?
-    /// Implies `result_cached`.
     pub result_refreshed: bool,
+    /// Did the safe-pair construction run?
+    pub safe_pair: bool,
+    /// Per-column infiniteness: `per_variable[j]` is `true` when some
+    /// infinite-domain answer tuple carries a non-active-domain value in
+    /// column `j`. All `false` unless a safe pair found such a tuple.
+    pub per_variable: Vec<bool>,
 }
 
-/// [`compile_and_eval`] through a cross-run [`PlanCache`]: re-serving the
-/// same query text (under the same semantic options) skips
-/// parse → classify → genify → ranf → translate → optimize, and — while
-/// the database version is unchanged — evaluation too.
+impl Served {
+    /// Does the answer under an infinite domain contain tuples outside the
+    /// active domain?
+    pub fn maybe_infinite(&self) -> bool {
+        self.per_variable.contains(&true)
+    }
+}
+
+/// Serve a query text end to end through `store`: plan lookup → result
+/// lookup → IVM refresh → evaluation, once per leg (one leg for
+/// [`Mode::Safe`] and recognized [`Mode::Any`] formulas, the two legs of
+/// a safe pair otherwise).
 ///
 /// Key and invalidation contract (see [`rc_relalg::cache`]):
 ///
@@ -752,358 +653,245 @@ pub struct CachedQueryOutput {
 ///   and a re-plan against fresh statistics lands under a fresh key;
 /// * results are keyed by the interned plan's structural hash and the
 ///   [`Database::version`] observed *before* evaluation; any mutation
-///   bumps the version, so stale results can never be served.
+///   bumps the version, so stale results can never be served — a stale
+///   entry whose view the journalled delta chain can advance is refreshed
+///   instead of recomputed.
 ///
-/// Budget semantics are preserved: a fully cached request still passes a
-/// checkpoint (so deadlines and cancellation fire) and charges the
-/// materialized cardinality against the tuple budget — a cache hit can
-/// trip a tight budget exactly like the evaluation it stands in for.
-/// Evaluation misses run through [`Compiled::run_shared`], so duplicated
-/// subplans inside one query are computed once even on a cold serve.
+/// Budget semantics are preserved: a cached or refreshed serve still
+/// passes a checkpoint (so deadlines and cancellation fire) and charges
+/// the answer's cardinality against the tuple budget, before anything is
+/// installed — a trip leaves the store exactly as it was.
+///
+/// A store that retains things evaluates through the memoizing evaluator
+/// ([`EvalCtx::memoized`]), recording the view it keeps;
+/// [`rc_relalg::NoCache`] gets
+/// plain evaluation (no memo, subtree and partition parallelism allowed).
+/// A traced request ([`Request::trace`]) records one stage span per
+/// pipeline stage and the operator tree of the evaluation; on success the
+/// tree's actual cardinalities feed `db`'s statistics store
+/// ([`rc_relalg::harvest_actuals`], safe pairs excepted), so later
+/// compilations re-plan against observed truth.
 ///
 /// ```
-/// use rc_safety::pipeline::{compile_and_eval_cached, CompileOptions};
-/// use rc_relalg::{Database, PlanCache};
+/// use rc_relalg::{Database, NoCache, PlanCache};
+/// use rc_safety::pipeline::{serve, CompileOptions, Request};
 ///
-/// let db = Database::from_facts("P(1, 1)\nP(1, 2)\nQ(1)").unwrap();
-/// let mut cache = PlanCache::new();
-/// let cold = compile_and_eval_cached("P(x, y) & Q(x)", &db, CompileOptions::default(), &mut cache)
-///     .unwrap();
-/// assert!(!cold.plan_cached && !cold.result_cached);
-/// let warm = compile_and_eval_cached("P(x, y) & Q(x)", &db, CompileOptions::default(), &mut cache)
-///     .unwrap();
-/// assert!(warm.plan_cached && warm.result_cached);
+/// let db = Database::from_facts("P(1, 1)\nP(1, 2)\nP(3, 3)\nQ(1)").unwrap();
+/// let req = Request::new("P(x, y) & ~Q(y)", CompileOptions::default());
+/// let out = serve(&req, &db, NoCache).unwrap();
+/// assert_eq!(out.relation.len(), 2); // (1,2) and (3,3)
+///
+/// let cache = PlanCache::new();
+/// let cold = serve(&req, &db, &cache).unwrap();
+/// let warm = serve(&req, &db, &cache).unwrap();
+/// assert!(!cold.plan_cached && warm.plan_cached && warm.result_cached);
 /// assert_eq!(cold.relation, warm.relation);
 /// ```
+pub fn serve<S: PlanStore<Compiled>>(
+    req: &Request<'_>,
+    db: &Database,
+    mut store: S,
+) -> Result<Served, PipelineError> {
+    let sink = match req.trace {
+        Some(_) => TraceSink::Tree,
+        None => TraceSink::Off,
+    };
+    let mut st = StageTracer::new(sink);
+    let mut root = None;
+    let res = match req.mode {
+        Mode::Safe => leg(req, None, 0, None, db, &mut store, &mut st, Some(&mut root)),
+        Mode::Any => crate::anyrc::serve_any(req, db, &mut store, &mut st, &mut root),
+    };
+    if let Some(slot) = req.trace {
+        let trace = st.into_trace(root);
+        if let Ok(out) = &res {
+            if !out.safe_pair {
+                rc_relalg::harvest_actuals(&out.compiled.expr, trace.root.as_ref(), db);
+            }
+        }
+        *slot.borrow_mut() = trace;
+    }
+    res
+}
+
+/// Serve one evaluation of the pipeline: plan lookup → result lookup →
+/// IVM refresh → evaluation. `formula` is the parsed query when the
+/// caller has one ([`Mode::Any`] parses to classify; [`Mode::Safe`]
+/// parses only on a plan miss). `salt` separates the plan keys of the
+/// safe-pair legs, which share the query text. A `guard` leg evaluates
+/// over a copy of `db` carrying the guard table, built only on a miss;
+/// its results and views are still stamped with `db`'s version. The
+/// operator tree goes to `ops` when `st` collects.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn leg<S: PlanStore<Compiled>>(
+    req: &Request<'_>,
+    formula: Option<&Formula>,
+    salt: u64,
+    guard: Option<&Guard<'_>>,
+    db: &Database,
+    store: &mut S,
+    st: &mut StageTracer,
+    ops: Option<&mut Option<OpSpan>>,
+) -> Result<Served, PipelineError> {
+    let opts = &req.opts;
+    let budget = &opts.budget;
+    let guarded = guard.zip(formula);
+    // Capture the version before `prepare` clones-and-declares inside the
+    // eval path; the clone's declares must not disturb our key.
+    let db_version = db.version();
+    let opts_key = opts.cache_key() ^ salt;
+    // Plans compiled without the cost-based planner never read statistics,
+    // so they share the epoch-0 key space regardless of feedback.
+    let stats_epoch = if opts.optimize { db.stats_epoch() } else { 0 };
+    let mut aug: Option<Database> = None;
+    let (compiled, plan_hash, plan_cached) =
+        match store.lookup_plan(req.text, opts_key, stats_epoch) {
+            Some((compiled, hash)) => (compiled, hash, true),
+            None => {
+                let parsed;
+                let f = match formula {
+                    Some(f) => f,
+                    None => {
+                        st.begin(Stage::Parse, req.text.len() as u64);
+                        parsed = rc_formula::parse(req.text).map_err(PipelineError::Parse)?;
+                        st.end(parsed.node_count() as u64, String::new());
+                        &parsed
+                    }
+                };
+                let target = match guarded {
+                    Some((g, f)) => &*aug.insert(g.augment(db, f)),
+                    None => db,
+                };
+                let compiled = compile_traced_for(f, opts.clone(), Some(target), st)?;
+                let hash = rc_relalg::plan_hash(&compiled.expr);
+                let compiled = store.insert_plan(req.text, opts_key, stats_epoch, compiled, hash);
+                (compiled, hash, false)
+            }
+        };
+    let mut stats = EvalStats::default();
+    let (relation, stats, result_cached, result_refreshed) = 'served: {
+        if let Some(relation) = store.lookup_result(plan_hash, db_version) {
+            charge_served(budget, &mut stats, &relation)?;
+            break 'served (relation, stats, true, false);
+        }
+        // The result entry missed (cold, or stale by some mutation). Before
+        // re-evaluating, try to *advance* the registered view by the delta
+        // chain bridging its version to ours: O(|Δ|·fanout) merge work instead
+        // of a full evaluation. Skipped when the chain is unknown or the cost
+        // gate says the delta is too large; abandoned — with the store left
+        // exactly as it was — on a budget trip or an unsupported shape.
+        if let Some(view) = store.view_snapshot(plan_hash) {
+            let chain = (view.base_version() != db_version)
+                .then(|| db.delta_chain(view.base_version(), db_version))
+                .flatten();
+            let chain = match (chain, guarded) {
+                (Some(mut chain), Some((g, f))) => {
+                    g.splice(&view, db, f, &mut chain).map(|()| chain)
+                }
+                (chain, _) => chain,
+            };
+            // Lazy: a trickle-sized delta refreshes without ever asking the
+            // estimator (whose statistics the mutation just invalidated).
+            let full_cost = || Estimator::new(db).cost(&compiled.expr);
+            if let Some(chain) = chain.filter(|c| worth_refreshing(&view, c, full_cost)) {
+                let off = &mut Tracer::off();
+                match refresh(&view, &chain, db_version, &mut stats, budget, off) {
+                    Ok((view, relation)) => {
+                        charge_served(budget, &mut stats, &relation)?;
+                        store.install_view(plan_hash, view, relation.clone(), true);
+                        break 'served (relation, stats, true, true);
+                    }
+                    Err(RefreshError::Budget(b)) => return Err(PipelineError::Budget(b)),
+                    Err(RefreshError::Unsupported(_)) => {}
+                }
+            }
+        }
+        let target = match guarded {
+            Some((g, f)) => &*aug.get_or_insert_with(|| g.augment(db, f)),
+            None => db,
+        };
+        let tracer = match ops {
+            Some(_) if st.is_on() => Tracer::on(),
+            _ => Tracer::off(),
+        };
+        let mut cx = EvalCtx::new(budget).with_tracer(tracer);
+        if store.retains() {
+            cx = cx.memoized();
+        }
+        st.begin(Stage::Eval, compiled.expr.node_count() as u64);
+        let out = compiled.run(target, &mut cx);
+        if let Some(ops) = ops {
+            *ops = std::mem::take(&mut cx.tracer).finish();
+        }
+        let relation = out?;
+        st.end(
+            relation.len() as u64,
+            format!("tuples_produced={}", cx.stats.tuples_produced),
+        );
+        if let Some(view) = MaintainedView::recorded(&mut cx, db_version) {
+            store.install_view(plan_hash, view, relation.clone(), false);
+        }
+        (relation, cx.stats, false, false)
+    };
+    Ok(Served {
+        class: compiled.class,
+        per_variable: vec![false; compiled.columns.len()],
+        compiled,
+        relation,
+        stats,
+        plan_cached,
+        result_cached,
+        result_refreshed,
+        safe_pair: false,
+    })
+}
+
+/// Serving from the store — verbatim or refreshed — still consumes
+/// governance: one checkpoint (deadline/cancellation) plus the answer's
+/// cardinality against the tuple budget, so a small delta cannot smuggle a
+/// large cached relation past the limits.
+fn charge_served(
+    budget: &Budget,
+    stats: &mut EvalStats,
+    relation: &Relation,
+) -> Result<(), PipelineError> {
+    stats.budget_checks += 1;
+    budget
+        .checkpoint(Stage::Eval)
+        .and_then(|()| budget.charge_tuples(Stage::Eval, relation.len() as u64))
+        .map_err(PipelineError::Budget)
+}
+
+/// [`serve`] through `cache`.
 pub fn compile_and_eval_cached(
     text: &str,
     db: &Database,
     opts: CompileOptions,
     cache: &mut PlanCache<Compiled>,
-) -> Result<CachedQueryOutput, PipelineError> {
-    compile_and_eval_in(text, db, opts, &Exclusive(RefCell::new(cache)))
+) -> Result<Served, PipelineError> {
+    serve(&Request::new(text, opts), db, &*cache)
 }
 
-/// [`compile_and_eval_cached`] against a *concurrently shared* cache: the
-/// exact same serving path (one implementation — see [`PlanStore`]), but
-/// callable from any number of threads through `&self`. This is the
-/// entry point a multi-client query server uses: each worker snapshots the
-/// database (O(1) `Arc`'d relation clones) and serves through one
-/// process-wide [`SharedPlanCache`], so a formula compiled for any client
-/// is warm for every client.
+/// [`serve`] through `cache`.
 pub fn compile_and_eval_shared(
     text: &str,
     db: &Database,
     opts: CompileOptions,
     cache: &SharedPlanCache<Compiled>,
-) -> Result<CachedQueryOutput, PipelineError> {
-    compile_and_eval_in(text, db, opts, cache)
-}
-
-/// The cache surface the cached serving path needs, abstracted so the
-/// single-threaded [`PlanCache`] (exclusive `&mut`, zero synchronization)
-/// and the lock-sharded [`SharedPlanCache`] serve through *one* code path
-/// — the differential suite's byte-identical guarantee between in-process
-/// and server-side serving holds by construction, not by parallel
-/// maintenance of two implementations.
-pub trait PlanStore {
-    /// See [`PlanCache::lookup_plan`].
-    fn lookup_plan(
-        &self,
-        text: &str,
-        opts_key: u64,
-        stats_epoch: u64,
-    ) -> Option<(Arc<Compiled>, u64)>;
-    /// See [`PlanCache::insert_plan`].
-    fn insert_plan(
-        &self,
-        text: &str,
-        opts_key: u64,
-        stats_epoch: u64,
-        compiled: Compiled,
-        plan_hash: u64,
-    ) -> Arc<Compiled>;
-    /// See [`PlanCache::lookup_result`].
-    fn lookup_result(&self, plan_hash: u64, db_version: u64) -> Option<Relation>;
-    /// See [`PlanCache::insert_result`].
-    fn insert_result(&self, plan_hash: u64, db_version: u64, rel: Relation);
-    /// See [`PlanCache::register_view`].
-    fn register_view(&self, plan_hash: u64, view: MaintainedView);
-    /// See [`PlanCache::view_snapshot`].
-    fn view_snapshot(&self, plan_hash: u64) -> Option<MaintainedView>;
-    /// See [`PlanCache::install_refreshed`].
-    fn install_refreshed(&self, plan_hash: u64, view: MaintainedView, rel: Relation);
-}
-
-/// Adapter giving an exclusively borrowed [`PlanCache`] the [`PlanStore`]
-/// shape (interior mutability is safe: the borrow is exclusive).
-pub(crate) struct Exclusive<'a>(pub(crate) RefCell<&'a mut PlanCache<Compiled>>);
-
-impl PlanStore for Exclusive<'_> {
-    fn lookup_plan(
-        &self,
-        text: &str,
-        opts_key: u64,
-        stats_epoch: u64,
-    ) -> Option<(Arc<Compiled>, u64)> {
-        self.0.borrow_mut().lookup_plan(text, opts_key, stats_epoch)
-    }
-
-    fn insert_plan(
-        &self,
-        text: &str,
-        opts_key: u64,
-        stats_epoch: u64,
-        compiled: Compiled,
-        plan_hash: u64,
-    ) -> Arc<Compiled> {
-        self.0
-            .borrow_mut()
-            .insert_plan(text, opts_key, stats_epoch, compiled, plan_hash)
-    }
-
-    fn lookup_result(&self, plan_hash: u64, db_version: u64) -> Option<Relation> {
-        self.0.borrow_mut().lookup_result(plan_hash, db_version)
-    }
-
-    fn insert_result(&self, plan_hash: u64, db_version: u64, rel: Relation) {
-        self.0
-            .borrow_mut()
-            .insert_result(plan_hash, db_version, rel)
-    }
-
-    fn register_view(&self, plan_hash: u64, view: MaintainedView) {
-        self.0.borrow_mut().register_view(plan_hash, view)
-    }
-
-    fn view_snapshot(&self, plan_hash: u64) -> Option<MaintainedView> {
-        self.0.borrow().view_snapshot(plan_hash)
-    }
-
-    fn install_refreshed(&self, plan_hash: u64, view: MaintainedView, rel: Relation) {
-        self.0.borrow_mut().install_refreshed(plan_hash, view, rel)
-    }
-}
-
-impl PlanStore for SharedPlanCache<Compiled> {
-    fn lookup_plan(
-        &self,
-        text: &str,
-        opts_key: u64,
-        stats_epoch: u64,
-    ) -> Option<(Arc<Compiled>, u64)> {
-        SharedPlanCache::lookup_plan(self, text, opts_key, stats_epoch)
-    }
-
-    fn insert_plan(
-        &self,
-        text: &str,
-        opts_key: u64,
-        stats_epoch: u64,
-        compiled: Compiled,
-        plan_hash: u64,
-    ) -> Arc<Compiled> {
-        SharedPlanCache::insert_plan(self, text, opts_key, stats_epoch, compiled, plan_hash)
-    }
-
-    fn lookup_result(&self, plan_hash: u64, db_version: u64) -> Option<Relation> {
-        SharedPlanCache::lookup_result(self, plan_hash, db_version)
-    }
-
-    fn insert_result(&self, plan_hash: u64, db_version: u64, rel: Relation) {
-        SharedPlanCache::insert_result(self, plan_hash, db_version, rel)
-    }
-
-    fn register_view(&self, plan_hash: u64, view: MaintainedView) {
-        SharedPlanCache::register_view(self, plan_hash, view)
-    }
-
-    fn view_snapshot(&self, plan_hash: u64) -> Option<MaintainedView> {
-        SharedPlanCache::view_snapshot(self, plan_hash)
-    }
-
-    fn install_refreshed(&self, plan_hash: u64, view: MaintainedView, rel: Relation) {
-        SharedPlanCache::install_refreshed(self, plan_hash, view, rel)
-    }
-}
-
-pub(crate) fn compile_and_eval_in(
-    text: &str,
-    db: &Database,
-    opts: CompileOptions,
-    cache: &impl PlanStore,
-) -> Result<CachedQueryOutput, PipelineError> {
-    // Capture the version before `prepare` clones-and-declares inside the
-    // eval path; the clone's declares must not disturb our key.
-    let db_version = db.version();
-    let opts_key = opts.cache_key();
-    // Plans compiled without the cost-based planner never read statistics,
-    // so they share the epoch-0 key space regardless of feedback.
-    let stats_epoch = if opts.optimize { db.stats_epoch() } else { 0 };
-    let budget = opts.budget.clone();
-    let (compiled, plan_hash, plan_cached) = match cache.lookup_plan(text, opts_key, stats_epoch) {
-        Some((compiled, hash)) => (compiled, hash, true),
-        None => {
-            let f = rc_formula::parse(text).map_err(PipelineError::Parse)?;
-            let compiled = compile_for(&f, opts, db).map_err(PipelineError::from)?;
-            let hash = rc_relalg::plan_hash(&compiled.expr);
-            (
-                cache.insert_plan(text, opts_key, stats_epoch, compiled, hash),
-                hash,
-                false,
-            )
-        }
-    };
-    let mut stats = EvalStats::default();
-    if let Some(relation) = cache.lookup_result(plan_hash, db_version) {
-        // Serving from cache still consumes governance: one checkpoint
-        // (deadline/cancellation) plus the answer's cardinality against
-        // the tuple budget.
-        stats.budget_checks += 1;
-        budget
-            .checkpoint(Stage::Eval)
-            .and_then(|()| budget.charge_tuples(Stage::Eval, relation.len() as u64))
-            .map_err(PipelineError::Budget)?;
-        return Ok(CachedQueryOutput {
-            compiled,
-            relation,
-            stats,
-            plan_cached,
-            result_cached: true,
-            result_refreshed: false,
-        });
-    }
-    // The result entry missed (cold, or stale by some mutation). Before
-    // re-evaluating, try to *advance* the registered maintained view by
-    // the delta chain bridging its version to ours: O(|Δ|·fanout) merge
-    // work instead of a full evaluation. The attempt is skipped when the
-    // chain is unknown (non-delta mutation, evicted journal link) or when
-    // the cost gate says the delta is too large relative to the estimated
-    // full cost; it is *abandoned* — with the cached entry left exactly
-    // as it was — on a budget trip or an unsupported shape.
-    if let Some(view) = cache.view_snapshot(plan_hash) {
-        if view.base_version() != db_version {
-            if let Some(chain) = db.delta_chain(view.base_version(), db_version) {
-                // Lazy: a trickle-sized delta refreshes without ever
-                // asking the estimator (whose table statistics were just
-                // invalidated by the mutation and would rebuild in O(n)).
-                let full_cost = || Estimator::new(db).cost(&compiled.expr);
-                if worth_refreshing(&view, &chain, full_cost) {
-                    match refresh(
-                        &view,
-                        &chain,
-                        db_version,
-                        &mut stats,
-                        &budget,
-                        &mut Tracer::off(),
-                    ) {
-                        Ok((refreshed_view, relation)) => {
-                            // A refreshed serve still charges the answer's
-                            // cardinality, exactly like a verbatim hit — a
-                            // small delta must not smuggle a large cached
-                            // relation past the tuple budget. Charged
-                            // *before* install so a trip leaves the cache
-                            // untouched.
-                            stats.budget_checks += 1;
-                            budget
-                                .checkpoint(Stage::Eval)
-                                .and_then(|()| {
-                                    budget.charge_tuples(Stage::Eval, relation.len() as u64)
-                                })
-                                .map_err(PipelineError::Budget)?;
-                            cache.install_refreshed(plan_hash, refreshed_view, relation.clone());
-                            return Ok(CachedQueryOutput {
-                                compiled,
-                                relation,
-                                stats,
-                                plan_cached,
-                                result_cached: true,
-                                result_refreshed: true,
-                            });
-                        }
-                        Err(RefreshError::Budget(b)) => return Err(PipelineError::Budget(b)),
-                        Err(RefreshError::Unsupported(_)) => {
-                            // Fall back to full evaluation with clean
-                            // counters (partial refresh accounting would
-                            // pollute the cold-path statistics).
-                            stats = EvalStats::default();
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let (relation, view) =
-        compiled.run_maintained(db, db_version, &mut stats, &budget, &mut Tracer::off())?;
-    cache.insert_result(plan_hash, db_version, relation.clone());
-    cache.register_view(plan_hash, view);
-    Ok(CachedQueryOutput {
-        compiled,
-        relation,
-        stats,
-        plan_cached,
-        result_cached: false,
-        result_refreshed: false,
-    })
-}
-
-/// [`compile_and_eval`] with full observability: returns the
-/// [`PipelineTrace`] alongside the result. The trace is populated on
-/// **both** success and failure — a `BudgetExceeded` comes back with the
-/// partial trace whose failed stage span and deepest incomplete operator
-/// span name exactly where the trip happened.
-///
-/// This is also where the statistics feedback loop closes: on success the
-/// completed operator spans' actual cardinalities are harvested into
-/// `db`'s statistics store ([`rc_relalg::harvest_actuals`]), so the next
-/// compilation of a query touching the same subplans re-plans against
-/// observed truth instead of estimates. Harvesting that *changes* a stored
-/// observation moves [`Database::stats_epoch`], which retires cached plans
-/// built against the stale statistics (see [`compile_and_eval_cached`]).
-pub fn compile_and_eval_traced(
-    text: &str,
-    db: &Database,
-    opts: CompileOptions,
-) -> (Result<QueryOutput, PipelineError>, PipelineTrace) {
-    let mut st = StageTracer::on();
-    st.begin(Stage::Parse, text.len() as u64);
-    let f = match rc_formula::parse(text) {
-        Ok(f) => f,
-        Err(e) => return (Err(PipelineError::Parse(e)), st.into_trace(None)),
-    };
-    st.end(f.node_count() as u64, String::new());
-    let budget = opts.budget.clone();
-    let compiled = match compile_traced_for(&f, opts, Some(db), &mut st) {
-        Ok(c) => c,
-        Err(e) => return (Err(e.into()), st.into_trace(None)),
-    };
-    st.begin(Stage::Eval, compiled.expr.node_count() as u64);
-    let mut stats = EvalStats::default();
-    let mut tracer = Tracer::on();
-    match compiled.run_traced(db, &mut stats, &budget, &mut tracer) {
-        Ok(relation) => {
-            st.end(
-                relation.len() as u64,
-                format!("tuples_produced={}", stats.tuples_produced),
-            );
-            let trace = st.into_trace(tracer.finish());
-            rc_relalg::harvest_actuals(&compiled.expr, trace.root.as_ref(), db);
-            let out = QueryOutput {
-                compiled,
-                relation,
-                stats,
-            };
-            (Ok(out), trace)
-        }
-        Err(e) => (Err(e.into()), st.into_trace(tracer.finish())),
-    }
+) -> Result<Served, PipelineError> {
+    serve(&Request::new(text, opts), db, cache)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rc_formula::{parse, Value};
-    use rc_relalg::Database;
+    use rc_relalg::{Database, NoCache};
+
+    fn query(text: &str, db: &Database) -> Result<Relation, PipelineError> {
+        let req = Request::new(text, CompileOptions::default());
+        serve(&req, db, NoCache).map(|out| out.relation)
+    }
 
     fn db() -> Database {
         Database::from_facts(
@@ -1159,7 +947,7 @@ mod tests {
     #[test]
     fn unsafe_queries_are_rejected_with_reasons() {
         let err = query("!Part(x)", &db()).unwrap_err();
-        assert!(matches!(err, QueryError::Compile(CompileError::NotSafe(_))));
+        assert!(matches!(err, PipelineError::NotSafe(_)));
         assert!(query("Part(x) | Supplies(y, x)", &db()).is_err());
     }
 
@@ -1188,7 +976,7 @@ mod tests {
     #[test]
     fn compiled_stages_are_exposed() {
         let f = parse("exists y. (P(x) | Q(x, y))").unwrap();
-        let c = compile(&f).unwrap();
+        let c = compile_with(&f, CompileOptions::default()).unwrap();
         assert_eq!(c.class, SafetyClass::Evaluable);
         assert!(crate::classes::is_allowed(&c.allowed_form));
         assert!(crate::ranf::is_ranf(&c.ranf_form));
@@ -1216,12 +1004,12 @@ mod tests {
     #[test]
     fn wide_sense_query_compiles_via_reduction() {
         let f = parse("Q(y, y) & (x = y | P(x))").unwrap();
-        let c = compile(&f).unwrap();
+        let c = compile_with(&f, CompileOptions::default()).unwrap();
         assert_eq!(c.class, SafetyClass::WideSenseEvaluable);
         assert!(c.reduced.is_some());
         let mut d = Database::new();
         d.load_facts("Q(1, 1)\nQ(2, 2)\nP(7)").unwrap();
-        let ans = c.run(&d).unwrap();
+        let ans = c.run(&d, &mut EvalCtx::default()).unwrap();
         // Columns are (y, x) — free variables in first-occurrence order.
         // x = y cases: (1,1), (2,2); P cases: (1,7), (2,7).
         assert_eq!(c.columns, vec![Var::new("y"), Var::new("x")]);
@@ -1248,8 +1036,8 @@ mod tests {
             "Part(x) & forall y. (!Supplies(y, x) | Supplies(y, 'bolt'))",
         ] {
             let f = parse(s).unwrap();
-            let c = compile(&f).unwrap();
-            let ours = c.run(&d).unwrap();
+            let c = compile_with(&f, CompileOptions::default()).unwrap();
+            let ours = c.run(&d, &mut EvalCtx::default()).unwrap();
             let oracle = eval_brute_force(&f, &d);
             assert_eq!(ours, oracle, "{s}");
         }
@@ -1257,10 +1045,14 @@ mod tests {
 
     #[test]
     fn column_order_follows_free_variable_order() {
-        let c = compile(&parse("Supplies(y, x) & Part(x)").unwrap()).unwrap();
+        let c = compile_with(
+            &parse("Supplies(y, x) & Part(x)").unwrap(),
+            CompileOptions::default(),
+        )
+        .unwrap();
         assert_eq!(c.columns, vec![Var::new("y"), Var::new("x")]);
         let d = db();
-        let ans = c.run(&d).unwrap();
+        let ans = c.run(&d, &mut EvalCtx::default()).unwrap();
         assert!(ans.contains(&[Value::str("acme"), Value::str("bolt")]));
     }
 }

@@ -238,7 +238,7 @@ mod tests {
     use crate::ranf::ranf;
     use rc_formula::parse;
     use rc_formula::Value;
-    use rc_relalg::{eval, Database};
+    use rc_relalg::{eval, Database, EvalCtx};
 
     fn db() -> Database {
         Database::from_facts(
@@ -252,7 +252,7 @@ mod tests {
         let r = ranf(&f).unwrap();
         let e = translate(&r).unwrap();
         e.validate(None).unwrap();
-        let rel = eval(&e, &db()).unwrap();
+        let rel = eval(&e, &db(), &mut EvalCtx::default()).unwrap();
         (e, rel)
     }
 
@@ -344,7 +344,7 @@ mod tests {
             let f = parse(s).unwrap();
             let r = ranf(&f).unwrap();
             let e = translate(&r).unwrap();
-            let rel = eval(&e, &database).unwrap();
+            let rel = eval(&e, &database, &mut EvalCtx::default()).unwrap();
             // Oracle: active-domain evaluation. RANF queries are domain
             // independent, so active-domain answers are THE answers.
             let interp = FiniteInterp::active(&database, &f);

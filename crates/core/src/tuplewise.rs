@@ -226,9 +226,10 @@ fn solve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::compile;
+    use crate::pipeline::{compile_with, CompileOptions};
     use rc_formula::parse;
     use rc_relalg::eval;
+    use rc_relalg::EvalCtx;
 
     fn db() -> Database {
         Database::from_facts("P(1)\nP(2)\nQ(1, 2)\nQ(2, 3)\nQ(3, 3)\nR(2, 1)\nR(3, 2)\nS(1, 2, 3)")
@@ -237,8 +238,8 @@ mod tests {
 
     fn check(s: &str) {
         let f = parse(s).unwrap();
-        let c = compile(&f).unwrap();
-        let algebra = eval(&c.expr, &db()).unwrap();
+        let c = compile_with(&f, CompileOptions::default()).unwrap();
+        let algebra = eval(&c.expr, &db(), &mut EvalCtx::default()).unwrap();
         let tuples = eval_tuplewise(&c.ranf_form, &db()).unwrap();
         // Column orders may differ; compare through the algebra's order.
         let ranf_cols = free_vars(&c.ranf_form);
@@ -284,11 +285,11 @@ mod tests {
     #[test]
     fn closed_queries_give_nullary_relations() {
         let f = parse("exists x. (P(x) & Q(x, x))").unwrap();
-        let c = compile(&f).unwrap();
+        let c = compile_with(&f, CompileOptions::default()).unwrap();
         let r = eval_tuplewise(&c.ranf_form, &db()).unwrap();
         assert_eq!(r.as_bool(), Some(false)); // no P(x) with Q(x,x)
         let g = parse("exists x, y. (P(x) & Q(x, y))").unwrap();
-        let c2 = compile(&g).unwrap();
+        let c2 = compile_with(&g, CompileOptions::default()).unwrap();
         assert_eq!(
             eval_tuplewise(&c2.ranf_form, &db()).unwrap().as_bool(),
             Some(true)
@@ -311,11 +312,13 @@ mod tests {
                 &mut StdRng::seed_from_u64(seed),
                 3,
             ));
-            let Ok(c) = compile(&f) else { continue };
+            let Ok(c) = compile_with(&f, CompileOptions::default()) else {
+                continue;
+            };
             let schema = Schema::infer(&f).unwrap();
             let domain: Vec<Value> = (0..5).map(Value::int).collect();
             let dbr = Database::random(&schema, &domain, 6, &mut StdRng::seed_from_u64(seed));
-            let algebra = eval(&c.expr, &dbr).unwrap();
+            let algebra = eval(&c.expr, &dbr, &mut EvalCtx::default()).unwrap();
             let tw = eval_tuplewise(&c.ranf_form, &dbr).unwrap();
             let ranf_cols = free_vars(&c.ranf_form);
             let perm: Vec<usize> = c

@@ -251,7 +251,7 @@ fn eval_rec(expr: &RaExpr, db: &Database) -> Result<BRel, EvalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::eval;
+    use crate::eval::{eval, EvalCtx};
     use std::sync::Arc;
 
     fn db() -> Database {
@@ -288,7 +288,7 @@ mod tests {
         ];
         let d = db();
         for e in exprs {
-            let fast = eval(&e, &d).unwrap();
+            let fast = eval(&e, &d, &mut EvalCtx::default()).unwrap();
             let slow = eval_baseline(&e, &d).unwrap();
             assert_eq!(fast, slow, "engines disagree on {e}");
             assert_eq!(fast.to_string(), slow.to_string(), "order differs on {e}");
@@ -301,7 +301,7 @@ mod tests {
         let missing = RaExpr::scan("Zzz", vec![Term::var("x")]);
         assert_eq!(
             eval_baseline(&missing, &d).unwrap_err(),
-            eval(&missing, &d).unwrap_err()
+            eval(&missing, &d, &mut EvalCtx::default()).unwrap_err()
         );
     }
 }

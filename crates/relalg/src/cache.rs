@@ -27,12 +27,13 @@
 //!
 //! The payload type is generic because this crate only knows about algebra
 //! expressions — `rc-core` instantiates `PlanCache` with its full compiled
-//! pipeline artifact.
+//! pipeline artifact. [`PlanStore`] is the surface the serving path runs
+//! over: a shared [`PlanCache`] or the retain-nothing [`NoCache`].
 //!
 //! Governance interaction: the cache stores only *completed* results.
 //! Serving a hit still passes through the caller's budget accounting (see
-//! `compile_and_eval_cached` in `rc-core`), charging the materialized
-//! cardinality, so a cached answer cannot bypass tuple limits.
+//! `serve` in `rc-core`), charging the materialized cardinality, so a
+//! cached answer cannot bypass tuple limits.
 //!
 //! [`purge_stale`]: PlanCache::purge_stale
 
@@ -40,7 +41,7 @@ use crate::ivm::MaintainedView;
 use crate::relation::Relation;
 use rc_formula::fxhash::{FxHashMap, FxHasher};
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Hit/miss counters for a [`PlanCache`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -88,9 +89,8 @@ fn rate(hits: u64, misses: u64) -> f64 {
     }
 }
 
-/// A versioned plan/result cache; see the [module docs](self) for the key
-/// and invalidation contract.
-pub struct PlanCache<P> {
+/// One lock's worth of cache state; see [`PlanCache`].
+struct Shard<P> {
     plans: FxHashMap<(String, u64, u64), (Arc<P>, u64)>,
     results: FxHashMap<u64, (u64, Relation)>,
     /// Materialized standing queries keyed by plan hash — the substrate
@@ -103,9 +103,17 @@ pub struct PlanCache<P> {
     stats: CacheStats,
 }
 
-impl<P> Default for PlanCache<P> {
+impl<P> Shard<P> {
+    /// Store a view and its root result, stamped with the view's version.
+    fn install(&mut self, plan_hash: u64, view: MaintainedView, rel: Relation) {
+        self.results.insert(plan_hash, (view.base_version(), rel));
+        self.views.insert(plan_hash, view);
+    }
+}
+
+impl<P> Default for Shard<P> {
     fn default() -> Self {
-        PlanCache {
+        Shard {
             plans: FxHashMap::default(),
             results: FxHashMap::default(),
             views: FxHashMap::default(),
@@ -114,182 +122,42 @@ impl<P> Default for PlanCache<P> {
     }
 }
 
-impl<P> PlanCache<P> {
-    /// An empty cache.
-    pub fn new() -> PlanCache<P> {
-        PlanCache::default()
-    }
-
-    /// Look up a compiled plan by query text, options fingerprint, and the
-    /// statistics epoch it was planned under (`0` when the cost-based
-    /// planner was off). Returns the payload and its plan hash.
-    pub fn lookup_plan(
-        &mut self,
-        text: &str,
-        opts_key: u64,
-        stats_epoch: u64,
-    ) -> Option<(Arc<P>, u64)> {
-        // Keying by (text, opts, epoch) without allocating would need a
-        // borrowed tuple key; one short String per lookup is noise next to
-        // the compile it saves.
-        match self.plans.get(&(text.to_string(), opts_key, stats_epoch)) {
-            Some((p, h)) => {
-                self.stats.plan_hits += 1;
-                Some((p.clone(), *h))
-            }
-            None => {
-                self.stats.plan_misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Store a compiled plan under its query text, options fingerprint, and
-    /// statistics epoch. Returns the shared payload for immediate use.
-    pub fn insert_plan(
-        &mut self,
-        text: impl Into<String>,
-        opts_key: u64,
-        stats_epoch: u64,
-        payload: P,
-        plan_hash: u64,
-    ) -> Arc<P> {
-        let payload = Arc::new(payload);
-        self.plans.insert(
-            (text.into(), opts_key, stats_epoch),
-            (payload.clone(), plan_hash),
-        );
-        payload
-    }
-
-    /// Look up a materialized result for a plan, valid only against the
-    /// exact database version it was computed for.
-    pub fn lookup_result(&mut self, plan_hash: u64, db_version: u64) -> Option<Relation> {
-        match self.results.get(&plan_hash) {
-            Some((v, rel)) if *v == db_version => {
-                self.stats.result_hits += 1;
-                Some(rel.clone())
-            }
-            Some(_) => {
-                self.stats.stale_results += 1;
-                self.stats.result_misses += 1;
-                None
-            }
-            None => {
-                self.stats.result_misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Store a materialized result, replacing any entry for the same plan
-    /// (including stale ones from earlier database versions).
-    pub fn insert_result(&mut self, plan_hash: u64, db_version: u64, rel: Relation) {
-        self.results.insert(plan_hash, (db_version, rel));
-    }
-
-    /// Drop every result entry not computed against `db_version`. Returns
-    /// the number evicted (also accumulated into
-    /// [`CacheStats::evicted_results`]). Plan entries are untouched (they
-    /// are version-independent), and so are maintained views — a view is
-    /// exactly the state that lets a *future* lookup skip recomputation,
-    /// stale or not.
-    pub fn purge_stale(&mut self, db_version: u64) -> usize {
-        let before = self.results.len();
-        self.results.retain(|_, (v, _)| *v == db_version);
-        let evicted = before - self.results.len();
-        self.stats.evicted_results += evicted as u64;
-        evicted
-    }
-
-    /// Register (or replace) the materialized standing query backing a
-    /// result entry, so later mutations can refresh instead of evict.
-    pub fn register_view(&mut self, plan_hash: u64, view: MaintainedView) {
-        self.views.insert(plan_hash, view);
-    }
-
-    /// A clone of the maintained view registered for a plan, if any. The
-    /// clone is cheap in spirit (canonical buffers are contiguous) and
-    /// deliberate in letter: refresh happens *outside* any cache lock,
-    /// against a snapshot, and only a fully successful refresh is
-    /// installed back — a failed or abandoned refresh leaves the cache
-    /// holding exactly the old state.
-    pub fn view_snapshot(&self, plan_hash: u64) -> Option<MaintainedView> {
-        self.views.get(&plan_hash).cloned()
-    }
-
-    /// Install a successfully refreshed view and its root result, bumping
-    /// [`CacheStats::refreshed_results`]. The result entry is stamped
-    /// with the view's new base version.
-    pub fn install_refreshed(&mut self, plan_hash: u64, view: MaintainedView, rel: Relation) {
-        self.results.insert(plan_hash, (view.base_version(), rel));
-        self.views.insert(plan_hash, view);
-        self.stats.refreshed_results += 1;
-    }
-
-    /// Number of maintained views currently registered.
-    pub fn view_count(&self) -> usize {
-        self.views.len()
-    }
-
-    /// Number of cached plans.
-    pub fn plan_count(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// Number of cached results.
-    pub fn result_count(&self) -> usize {
-        self.results.len()
-    }
-
-    /// Hit/miss counters so far.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Drop all entries (including maintained views) and reset the
-    /// counters.
-    pub fn clear(&mut self) {
-        self.plans.clear();
-        self.results.clear();
-        self.views.clear();
-        self.stats = CacheStats::default();
-    }
-}
-
-/// How many independently locked shards a [`SharedPlanCache`] spreads its
+/// How many independently locked shards a [`PlanCache`] spreads its
 /// entries over. A power of two so the shard pick is a mask; 16 keeps lock
 /// contention negligible for any worker count this process can host while
 /// costing only 16 small maps.
 pub const CACHE_SHARDS: usize = 16;
 
-/// A process-wide, concurrently shareable [`PlanCache`]: the same
-/// plan/result layers and the same key-and-invalidation contract, but
-/// callable from any number of threads through `&self`.
+/// A versioned plan/result cache; see the [module docs](self) for the key
+/// and invalidation contract. It is callable from any number of threads
+/// through `&self`.
 ///
 /// Internally the cache is *lock-sharded*: [`CACHE_SHARDS`] independent
-/// `Mutex<PlanCache>` shards, with plan entries routed by a hash of the
-/// query text and result entries routed by the plan hash. Two requests for
-/// different queries almost never touch the same lock, and no lock is ever
-/// held across compilation or evaluation — only across the map probe
-/// itself. This is the wasmtime engine/store discipline applied to plans:
-/// the compiled artifact is immutable and `Arc`-shared, so concurrent
-/// sessions hand out the same plan without copying or blocking each other.
+/// mutex-guarded shards, with plan entries routed by a hash of the query
+/// text and result entries (and views) routed by the plan hash. Two
+/// requests for different queries almost never touch the same lock, and no
+/// lock is ever held across compilation or evaluation — only across the
+/// map probe itself. This is the wasmtime engine/store discipline applied
+/// to plans: the compiled artifact is immutable and `Arc`-shared, so
+/// concurrent sessions hand out the same plan without copying or blocking
+/// each other.
 ///
 /// A poisoned shard (a panic while holding the lock) is recovered rather
 /// than propagated: cache contents are derived state, so serving from a
 /// shard some earlier panicking thread touched is always safe — worst case
 /// the entry is stale-free but cold.
-pub struct SharedPlanCache<P> {
-    shards: Vec<Mutex<PlanCache<P>>>,
+pub struct PlanCache<P> {
+    shards: Vec<Mutex<Shard<P>>>,
 }
 
-impl<P> Default for SharedPlanCache<P> {
+/// The name concurrent callers use for [`PlanCache`], which is shareable
+/// as it is.
+pub type SharedPlanCache<P> = PlanCache<P>;
+
+impl<P> Default for PlanCache<P> {
     fn default() -> Self {
-        SharedPlanCache {
-            shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(PlanCache::new()))
-                .collect(),
+        PlanCache {
+            shards: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
         }
     }
 }
@@ -302,46 +170,58 @@ fn shard_of_text(text: &str, opts_key: u64, stats_epoch: u64) -> usize {
     (h.finish() as usize) & (CACHE_SHARDS - 1)
 }
 
-fn shard_of_hash(plan_hash: u64) -> usize {
-    // The low bits of an FxHash-derived plan hash are well mixed.
-    (plan_hash as usize) & (CACHE_SHARDS - 1)
+fn lock<P>(shard: &Mutex<Shard<P>>) -> MutexGuard<'_, Shard<P>> {
+    shard.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
-impl<P> SharedPlanCache<P> {
-    /// An empty shared cache.
-    pub fn new() -> SharedPlanCache<P> {
-        SharedPlanCache::default()
+impl<P> PlanCache<P> {
+    /// An empty cache.
+    pub fn new() -> PlanCache<P> {
+        PlanCache::default()
     }
 
-    fn plan_shard(&self, text: &str, opts_key: u64, epoch: u64) -> &Mutex<PlanCache<P>> {
-        &self.shards[shard_of_text(text, opts_key, epoch)]
+    fn plan_shard(&self, text: &str, opts_key: u64, epoch: u64) -> MutexGuard<'_, Shard<P>> {
+        lock(&self.shards[shard_of_text(text, opts_key, epoch)])
     }
 
-    fn result_shard(&self, plan_hash: u64) -> &Mutex<PlanCache<P>> {
-        &self.shards[shard_of_hash(plan_hash)]
+    fn result_shard(&self, plan_hash: u64) -> MutexGuard<'_, Shard<P>> {
+        // The low bits of an FxHash-derived plan hash are well mixed.
+        lock(&self.shards[(plan_hash as usize) & (CACHE_SHARDS - 1)])
     }
 
-    fn lock(shard: &Mutex<PlanCache<P>>) -> std::sync::MutexGuard<'_, PlanCache<P>> {
-        shard.lock().unwrap_or_else(|poison| poison.into_inner())
+    fn sum(&self, f: impl Fn(&Shard<P>) -> usize) -> usize {
+        self.shards.iter().map(|s| f(&lock(s))).sum()
     }
 
-    /// Concurrent [`PlanCache::lookup_plan`].
+    /// Look up a compiled plan by query text, options fingerprint, and the
+    /// statistics epoch it was planned under (`0` when the cost-based
+    /// planner was off). Returns the payload and its plan hash.
     pub fn lookup_plan(
         &self,
         text: &str,
         opts_key: u64,
         stats_epoch: u64,
     ) -> Option<(Arc<P>, u64)> {
-        Self::lock(self.plan_shard(text, opts_key, stats_epoch)).lookup_plan(
-            text,
-            opts_key,
-            stats_epoch,
-        )
+        let mut shard = self.plan_shard(text, opts_key, stats_epoch);
+        // Keying by (text, opts, epoch) without allocating would need a
+        // borrowed tuple key; one short String per lookup is noise next to
+        // the compile it saves.
+        let hit = shard
+            .plans
+            .get(&(text.to_string(), opts_key, stats_epoch))
+            .map(|(p, h)| (Arc::clone(p), *h));
+        match hit {
+            Some(_) => shard.stats.plan_hits += 1,
+            None => shard.stats.plan_misses += 1,
+        }
+        hit
     }
 
-    /// Concurrent [`PlanCache::insert_plan`]. When another thread raced the
-    /// same compile and inserted first, *its* payload wins and is returned,
-    /// so every caller converges on one shared `Arc` per key.
+    /// Store a compiled plan under its query text, options fingerprint,
+    /// and statistics epoch; returns the shared payload for immediate use.
+    /// When another thread raced the same compile and inserted first,
+    /// *its* payload wins and is returned, so every caller converges on one
+    /// shared `Arc` per key.
     pub fn insert_plan(
         &self,
         text: &str,
@@ -350,79 +230,109 @@ impl<P> SharedPlanCache<P> {
         payload: P,
         plan_hash: u64,
     ) -> Arc<P> {
-        let mut shard = Self::lock(self.plan_shard(text, opts_key, stats_epoch));
-        // Probe the map directly: a racing-insert convergence check is not
-        // a lookup and must not touch the hit/miss counters.
-        if let Some((existing, _)) = shard.plans.get(&(text.to_string(), opts_key, stats_epoch)) {
-            return existing.clone();
-        }
-        shard.insert_plan(text, opts_key, stats_epoch, payload, plan_hash)
+        let mut shard = self.plan_shard(text, opts_key, stats_epoch);
+        let (p, _) = shard
+            .plans
+            .entry((text.to_string(), opts_key, stats_epoch))
+            .or_insert_with(|| (Arc::new(payload), plan_hash));
+        Arc::clone(p)
     }
 
-    /// Concurrent [`PlanCache::lookup_result`].
+    /// Look up a materialized result for a plan, valid only against the
+    /// exact database version it was computed for.
     pub fn lookup_result(&self, plan_hash: u64, db_version: u64) -> Option<Relation> {
-        Self::lock(self.result_shard(plan_hash)).lookup_result(plan_hash, db_version)
+        let mut shard = self.result_shard(plan_hash);
+        let (hit, stale) = match shard.results.get(&plan_hash) {
+            Some((v, rel)) if *v == db_version => (Some(rel.clone()), false),
+            Some(_) => (None, true),
+            None => (None, false),
+        };
+        let stats = &mut shard.stats;
+        match hit {
+            Some(_) => stats.result_hits += 1,
+            None => stats.result_misses += 1,
+        }
+        stats.stale_results += u64::from(stale);
+        hit
     }
 
-    /// Concurrent [`PlanCache::insert_result`].
+    /// Store a materialized result, replacing any entry for the same plan
+    /// (including stale ones from earlier database versions).
     pub fn insert_result(&self, plan_hash: u64, db_version: u64, rel: Relation) {
-        Self::lock(self.result_shard(plan_hash)).insert_result(plan_hash, db_version, rel)
+        self.result_shard(plan_hash)
+            .results
+            .insert(plan_hash, (db_version, rel));
     }
 
-    /// Concurrent [`PlanCache::register_view`] (routed like results, by
-    /// plan hash).
-    pub fn register_view(&self, plan_hash: u64, view: MaintainedView) {
-        Self::lock(self.result_shard(plan_hash)).register_view(plan_hash, view)
-    }
-
-    /// Concurrent [`PlanCache::view_snapshot`]. The shard lock covers only
-    /// the clone — never the refresh computed against the snapshot.
-    pub fn view_snapshot(&self, plan_hash: u64) -> Option<MaintainedView> {
-        Self::lock(self.result_shard(plan_hash)).view_snapshot(plan_hash)
-    }
-
-    /// Concurrent [`PlanCache::install_refreshed`]. Racing refreshers for
-    /// the same plan both install; last writer wins with a complete
-    /// (view, result) pair either way — both are self-consistent states.
-    pub fn install_refreshed(&self, plan_hash: u64, view: MaintainedView, rel: Relation) {
-        Self::lock(self.result_shard(plan_hash)).install_refreshed(plan_hash, view, rel)
-    }
-
-    /// Total maintained views across all shards.
-    pub fn view_count(&self) -> usize {
-        self.shards.iter().map(|s| Self::lock(s).view_count()).sum()
-    }
-
-    /// [`PlanCache::purge_stale`] across every shard; returns the total
-    /// number of result entries evicted.
+    /// Drop every result entry not computed against `db_version`. Returns
+    /// the number evicted (also accumulated into
+    /// [`CacheStats::evicted_results`]). Plan entries are untouched (they
+    /// are version-independent), and so are maintained views — a view is
+    /// exactly the state that lets a *future* lookup skip recomputation,
+    /// stale or not.
     pub fn purge_stale(&self, db_version: u64) -> usize {
-        self.shards
-            .iter()
-            .map(|s| Self::lock(s).purge_stale(db_version))
-            .sum()
+        let mut evicted = 0;
+        for shard in &self.shards {
+            let mut shard = lock(shard);
+            let before = shard.results.len();
+            shard.results.retain(|_, (v, _)| *v == db_version);
+            let n = before - shard.results.len();
+            shard.stats.evicted_results += n as u64;
+            evicted += n;
+        }
+        evicted
     }
 
-    /// Total cached plans across all shards.
+    /// Register (or replace) the materialized standing query backing a
+    /// result entry, so later mutations can refresh instead of evict.
+    pub fn register_view(&self, plan_hash: u64, view: MaintainedView) {
+        self.result_shard(plan_hash).views.insert(plan_hash, view);
+    }
+
+    /// A clone of the maintained view registered for a plan, if any. The
+    /// clone is cheap in spirit (canonical buffers are contiguous) and
+    /// deliberate in letter: refresh happens *outside* any cache lock,
+    /// against a snapshot, and only a fully successful refresh is
+    /// installed back — a failed or abandoned refresh leaves the cache
+    /// holding exactly the old state.
+    pub fn view_snapshot(&self, plan_hash: u64) -> Option<MaintainedView> {
+        self.result_shard(plan_hash).views.get(&plan_hash).cloned()
+    }
+
+    /// Install a successfully refreshed view and its root result, bumping
+    /// [`CacheStats::refreshed_results`]. The result entry is stamped
+    /// with the view's new base version. Racing refreshers for the same
+    /// plan both install; last writer wins with a complete (view, result)
+    /// pair either way — both are self-consistent states.
+    pub fn install_refreshed(&self, plan_hash: u64, view: MaintainedView, rel: Relation) {
+        let mut shard = self.result_shard(plan_hash);
+        shard.install(plan_hash, view, rel);
+        shard.stats.refreshed_results += 1;
+    }
+
+    /// Number of maintained views currently registered.
+    pub fn view_count(&self) -> usize {
+        self.sum(|s| s.views.len())
+    }
+
+    /// Number of cached plans.
     pub fn plan_count(&self) -> usize {
-        self.shards.iter().map(|s| Self::lock(s).plan_count()).sum()
+        self.sum(|s| s.plans.len())
     }
 
-    /// Total cached results across all shards.
+    /// Number of cached results.
     pub fn result_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| Self::lock(s).result_count())
-            .sum()
+        self.sum(|s| s.results.len())
     }
 
-    /// Aggregated hit/miss counters across all shards. Each counter is the
-    /// sum of per-shard counters; a snapshot taken while other threads are
-    /// serving is a consistent-enough lower bound (shards are read one at a
-    /// time), which is all cache statistics can promise under concurrency.
+    /// Hit/miss counters so far, summed over the shards. A snapshot taken
+    /// while other threads are serving is a consistent-enough lower bound
+    /// (shards are read one at a time), which is all cache statistics can
+    /// promise under concurrency.
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
-        for s in &self.shards {
-            let s = Self::lock(s).stats();
+        for shard in &self.shards {
+            let s = lock(shard).stats;
             total.plan_hits += s.plan_hits;
             total.plan_misses += s.plan_misses;
             total.result_hits += s.result_hits;
@@ -434,12 +344,113 @@ impl<P> SharedPlanCache<P> {
         total
     }
 
-    /// Drop every entry and reset the counters in every shard.
+    /// Drop all entries (including maintained views) and reset the
+    /// counters.
     pub fn clear(&self) {
-        for s in &self.shards {
-            Self::lock(s).clear();
+        for shard in &self.shards {
+            *lock(shard) = Shard::default();
         }
     }
+}
+
+/// The cache surface the serving path needs, abstracted so a
+/// [`PlanCache`] and the retain-nothing [`NoCache`] serve through *one*
+/// code path — the byte-identical guarantee between in-process and
+/// server-side serving holds by construction.
+pub trait PlanStore<P> {
+    /// Does this store keep what it is given? A store that retains nothing
+    /// gets plain (non-memoizing, parallel) evaluation: recording subplan
+    /// values for a view nobody keeps would be wasted work.
+    fn retains(&self) -> bool {
+        true
+    }
+    /// See [`PlanCache::lookup_plan`].
+    fn lookup_plan(&mut self, text: &str, opts_key: u64, stats_epoch: u64)
+        -> Option<(Arc<P>, u64)>;
+    /// See [`PlanCache::insert_plan`].
+    fn insert_plan(
+        &mut self,
+        text: &str,
+        opts_key: u64,
+        stats_epoch: u64,
+        payload: P,
+        plan_hash: u64,
+    ) -> Arc<P>;
+    /// See [`PlanCache::lookup_result`].
+    fn lookup_result(&mut self, plan_hash: u64, db_version: u64) -> Option<Relation>;
+    /// See [`PlanCache::view_snapshot`].
+    fn view_snapshot(&self, plan_hash: u64) -> Option<MaintainedView>;
+    /// Store a view and its root result, stamped with the view's base
+    /// version: a fresh materialization, or (`refreshed`) a delta-advanced
+    /// view — [`PlanCache::install_refreshed`].
+    fn install_view(
+        &mut self,
+        plan_hash: u64,
+        view: MaintainedView,
+        rel: Relation,
+        refreshed: bool,
+    );
+}
+
+impl<P> PlanStore<P> for &PlanCache<P> {
+    fn lookup_plan(&mut self, text: &str, opts_key: u64, epoch: u64) -> Option<(Arc<P>, u64)> {
+        PlanCache::lookup_plan(self, text, opts_key, epoch)
+    }
+
+    fn insert_plan(&mut self, text: &str, key: u64, epoch: u64, p: P, hash: u64) -> Arc<P> {
+        PlanCache::insert_plan(self, text, key, epoch, p, hash)
+    }
+
+    fn lookup_result(&mut self, plan_hash: u64, db_version: u64) -> Option<Relation> {
+        PlanCache::lookup_result(self, plan_hash, db_version)
+    }
+
+    fn view_snapshot(&self, plan_hash: u64) -> Option<MaintainedView> {
+        PlanCache::view_snapshot(self, plan_hash)
+    }
+
+    fn install_view(
+        &mut self,
+        plan_hash: u64,
+        view: MaintainedView,
+        rel: Relation,
+        refreshed: bool,
+    ) {
+        if refreshed {
+            self.install_refreshed(plan_hash, view, rel);
+        } else {
+            self.result_shard(plan_hash).install(plan_hash, view, rel);
+        }
+    }
+}
+
+/// The store that retains nothing: every lookup misses, every insert is
+/// dropped. Serving through it is plain uncached compile-and-evaluate.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NoCache;
+
+impl<P> PlanStore<P> for NoCache {
+    fn retains(&self) -> bool {
+        false
+    }
+
+    fn lookup_plan(&mut self, _: &str, _: u64, _: u64) -> Option<(Arc<P>, u64)> {
+        None
+    }
+
+    fn insert_plan(&mut self, _: &str, _: u64, _: u64, payload: P, _: u64) -> Arc<P> {
+        Arc::new(payload)
+    }
+
+    fn lookup_result(&mut self, _: u64, _: u64) -> Option<Relation> {
+        None
+    }
+
+    fn view_snapshot(&self, _: u64) -> Option<MaintainedView> {
+        None
+    }
+
+    fn install_view(&mut self, _: u64, _: MaintainedView, _: Relation, _: bool) {}
 }
 
 #[cfg(test)]
@@ -453,7 +464,7 @@ mod tests {
 
     #[test]
     fn plan_entries_key_on_text_options_and_epoch() {
-        let mut c: PlanCache<&'static str> = PlanCache::new();
+        let c: PlanCache<&'static str> = PlanCache::new();
         assert!(c.lookup_plan("E x: P(x)", 0, 0).is_none());
         c.insert_plan("E x: P(x)", 0, 0, "payload", 42);
         let (p, h) = c.lookup_plan("E x: P(x)", 0, 0).expect("hit");
@@ -473,7 +484,7 @@ mod tests {
 
     #[test]
     fn results_hit_only_on_exact_version() {
-        let mut c: PlanCache<()> = PlanCache::new();
+        let c: PlanCache<()> = PlanCache::new();
         c.insert_result(7, 100, rel([1, 2]));
         assert_eq!(c.lookup_result(7, 100), Some(rel([1, 2])));
         assert_eq!(c.lookup_result(7, 101), None, "stale version must miss");
@@ -485,7 +496,7 @@ mod tests {
 
     #[test]
     fn insert_replaces_stale_entry_for_same_plan() {
-        let mut c: PlanCache<()> = PlanCache::new();
+        let c: PlanCache<()> = PlanCache::new();
         c.insert_result(7, 100, rel([1, 2]));
         c.insert_result(7, 101, rel([3, 4]));
         assert_eq!(c.result_count(), 1);
@@ -495,7 +506,7 @@ mod tests {
 
     #[test]
     fn purge_stale_drops_only_other_versions() {
-        let mut c: PlanCache<()> = PlanCache::new();
+        let c: PlanCache<()> = PlanCache::new();
         c.insert_result(1, 100, rel([1, 2]));
         c.insert_result(2, 101, rel([3, 4]));
         c.insert_result(3, 101, rel([5, 6]));
@@ -505,31 +516,18 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_mirrors_plan_cache_contract() {
-        let c: SharedPlanCache<&'static str> = SharedPlanCache::new();
-        assert!(c.lookup_plan("q", 0, 0).is_none());
+    fn racing_plan_inserts_converge_on_the_first_payload() {
+        let c: PlanCache<&'static str> = PlanCache::new();
         let first = c.insert_plan("q", 0, 0, "mine", 7);
-        // A racing insert under the same key converges on the first payload.
         let second = c.insert_plan("q", 0, 0, "theirs", 7);
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(*c.lookup_plan("q", 0, 0).expect("hit").0, "mine");
-        c.insert_result(7, 100, rel([1, 2]));
-        assert_eq!(c.lookup_result(7, 100), Some(rel([1, 2])));
-        assert_eq!(c.lookup_result(7, 101), None);
-        let s = c.stats();
-        assert_eq!((s.plan_hits, s.plan_misses), (1, 1));
-        assert_eq!((s.result_hits, s.result_misses, s.stale_results), (1, 1, 1));
-        assert_eq!((c.plan_count(), c.result_count()), (1, 1));
-        assert_eq!(c.purge_stale(999), 1);
-        c.clear();
-        assert_eq!(c.stats(), CacheStats::default());
-        assert_eq!((c.plan_count(), c.result_count()), (0, 0));
     }
 
     #[test]
-    fn shared_cache_is_coherent_under_contention() {
+    fn cache_is_coherent_under_contention() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let c: Arc<SharedPlanCache<u64>> = Arc::new(SharedPlanCache::new());
+        let c: Arc<PlanCache<u64>> = Arc::new(PlanCache::new());
         let built = Arc::new(AtomicUsize::new(0));
         std::thread::scope(|s| {
             for t in 0..8u64 {
@@ -565,21 +563,11 @@ mod tests {
     }
 
     fn tiny_view() -> (crate::Database, Relation, MaintainedView) {
-        use crate::eval::EvalStats;
-        use crate::govern::Budget;
-        use crate::ivm::materialize;
-        use crate::trace::Tracer;
         let db = crate::Database::from_facts("P(1)").unwrap();
         let e = crate::expr::RaExpr::scan("P", vec![rc_formula::Term::var("x")]);
-        let (out, view) = materialize(
-            &e,
-            &db,
-            db.version(),
-            &mut EvalStats::default(),
-            Budget::unlimited(),
-            &mut Tracer::off(),
-        )
-        .unwrap();
+        let mut cx = crate::EvalCtx::default().memoized();
+        let out = crate::eval(&e, &db, &mut cx).unwrap();
+        let view = MaintainedView::recorded(&mut cx, db.version()).unwrap();
         (db, out, view)
     }
 
@@ -591,7 +579,7 @@ mod tests {
         use crate::trace::Tracer;
         let (mut db, out, view) = tiny_view();
         let v0 = db.version();
-        let mut c: PlanCache<()> = PlanCache::new();
+        let c: PlanCache<()> = PlanCache::new();
         c.insert_result(7, v0, out.clone());
         c.register_view(7, view);
         assert_eq!(c.view_count(), 1);
@@ -628,27 +616,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_mirrors_view_registry() {
-        let (db, out, view) = tiny_view();
-        let c: SharedPlanCache<()> = SharedPlanCache::new();
-        c.insert_result(7, db.version(), out.clone());
-        c.register_view(7, view.clone());
-        assert_eq!(c.view_count(), 1);
-        let snap = c.view_snapshot(7).expect("view registered");
-        assert_eq!(snap.base_version(), view.base_version());
-        c.install_refreshed(7, view, out);
-        let s = c.stats();
-        assert_eq!(s.refreshed_results, 1);
-        assert_eq!(c.purge_stale(0), 1);
-        assert_eq!(c.stats().evicted_results, 1);
-        assert_eq!(c.view_count(), 1, "views survive purge_stale");
-        c.clear();
-        assert_eq!(c.view_count(), 0);
-    }
-
-    #[test]
     fn clear_resets_everything() {
-        let mut c: PlanCache<u8> = PlanCache::new();
+        let c: PlanCache<u8> = PlanCache::new();
         c.insert_plan("q", 0, 0, 1, 9);
         c.insert_result(9, 100, rel([1, 2]));
         c.lookup_plan("q", 0, 0);

@@ -913,7 +913,7 @@ fn align_columns(e: RaExpr, want: Vec<Var>) -> RaExpr {
 ///
 /// ```
 /// use rc_formula::Term;
-/// use rc_relalg::{eval, saturate, Database, Estimator, RaExpr};
+/// use rc_relalg::{eval, saturate, Database, Estimator, EvalCtx, RaExpr};
 ///
 /// let db = Database::from_facts(
 ///     "A(1, 10)\nB(2, 10)\nC(10, 5)\nC(10, 6)\nC(11, 7)",
@@ -924,7 +924,8 @@ fn align_columns(e: RaExpr, want: Vec<Var>) -> RaExpr {
 /// // union-factor rule proves (A ∪ B) ⨝ C equal and extraction picks it.
 /// let plan = RaExpr::union(RaExpr::join(ab("A"), cc()), RaExpr::join(ab("B"), cc()));
 /// let rewritten = saturate(&plan, &db);
-/// assert_eq!(eval(&rewritten, &db).unwrap(), eval(&plan, &db).unwrap());
+/// let run = |e: &RaExpr| eval(e, &db, &mut EvalCtx::default()).unwrap();
+/// assert_eq!(run(&rewritten), run(&plan));
 /// let est = Estimator::new(&db);
 /// assert!(est.cost(&rewritten) <= est.cost(&plan));
 /// ```
@@ -937,7 +938,7 @@ pub fn saturate(e: &RaExpr, db: &Database) -> RaExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::eval;
+    use crate::eval::{eval, EvalCtx};
     use crate::optimize::simplify;
     use rc_formula::{Term, Value};
 
@@ -996,7 +997,10 @@ mod tests {
         assert!(fired > 0, "union-factor should match: {report}");
         assert!(report.improved, "factored plan should cost less: {report}");
         assert_eq!(rewritten.cols(), plan.cols(), "column order preserved");
-        assert_eq!(eval(&rewritten, &db).unwrap(), eval(&plan, &db).unwrap());
+        assert_eq!(
+            eval(&rewritten, &db, &mut EvalCtx::default()).unwrap(),
+            eval(&plan, &db, &mut EvalCtx::default()).unwrap()
+        );
         let est = Estimator::new(&db);
         assert!(est.cost(&rewritten) < est.cost(&optimize(&plan, &db)));
     }
@@ -1017,7 +1021,10 @@ mod tests {
             .unwrap()
             .1;
         assert!(fired > 0, "diff-distribute should match: {report}");
-        assert_eq!(eval(&rewritten, &db).unwrap(), eval(&plan, &db).unwrap());
+        assert_eq!(
+            eval(&rewritten, &db, &mut EvalCtx::default()).unwrap(),
+            eval(&plan, &db, &mut EvalCtx::default()).unwrap()
+        );
     }
 
     #[test]
@@ -1031,8 +1038,8 @@ mod tests {
             SelPred::NeqConst(var("x"), Value::int(2)),
         );
         let rewritten = saturate(&plan, &db);
-        let ans = eval(&rewritten, &db).unwrap();
-        assert_eq!(ans, eval(&plan, &db).unwrap());
+        let ans = eval(&rewritten, &db, &mut EvalCtx::default()).unwrap();
+        assert_eq!(ans, eval(&plan, &db, &mut EvalCtx::default()).unwrap());
         assert_eq!(ans.len(), 1, "σ[x≠2](A − B) = {{1}}");
     }
 
@@ -1062,7 +1069,10 @@ mod tests {
                 est.cost(&rewritten) <= est.cost(&simplify(&plan)),
                 "saturate must never cost more than simplify on {plan}"
             );
-            assert_eq!(eval(&rewritten, &db).unwrap(), eval(&plan, &db).unwrap());
+            assert_eq!(
+                eval(&rewritten, &db, &mut EvalCtx::default()).unwrap(),
+                eval(&plan, &db, &mut EvalCtx::default()).unwrap()
+            );
         }
     }
 
@@ -1099,7 +1109,10 @@ mod tests {
         let budget = Budget::new().with_max_nodes(plan.node_count() as u64 + 2);
         let (rewritten, report) = saturate_governed(&plan, &db, &budget).unwrap();
         assert!(!report.saturated);
-        assert_eq!(eval(&rewritten, &db).unwrap(), eval(&plan, &db).unwrap());
+        assert_eq!(
+            eval(&rewritten, &db, &mut EvalCtx::default()).unwrap(),
+            eval(&plan, &db, &mut EvalCtx::default()).unwrap()
+        );
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub struct EvalStats {
     /// counter; deterministic for a given expression and database.
     pub budget_checks: u64,
     /// Subplan evaluations satisfied from the per-run memo table
-    /// ([`eval_shared`]); always 0 on the non-memoizing entry points.
+    /// ([`EvalCtx::memoized`] runs); always 0 otherwise.
     pub memo_hits: u64,
 }
 
@@ -153,52 +153,123 @@ impl From<BudgetExceeded> for EvalError {
     }
 }
 
-/// Evaluate `expr` against `db`. The result's column order is
-/// `expr.cols()`.
-pub fn eval(expr: &RaExpr, db: &Database) -> Result<Relation, EvalError> {
-    let mut stats = EvalStats::default();
-    eval_with_stats(expr, db, &mut stats)
+/// Everything one evaluation threads through the operator tree: the
+/// counters it accumulates, the [`Budget`] governing it, the operator
+/// [`Tracer`], and — for memoizing runs — the per-run memo table.
+///
+/// * [`EvalCtx::default`] is an ungoverned, untraced, non-memoizing run.
+/// * [`EvalCtx::new`] governs the run by a budget: the result is either
+///   exactly the ungoverned answer or an [`EvalError::Budget`] — never a
+///   truncated relation. Checks run at every operator boundary and every
+///   [`crate::govern::CHECK_INTERVAL`] rows inside the kernels.
+/// * [`EvalCtx::with_tracer`] records an operator span tree (see
+///   [`crate::trace`]): input/output cardinalities, pre-dedup row counts,
+///   kernel loop counts — including partial spans when the evaluation
+///   errors, so a budget trip can be attributed to the operator that was
+///   running.
+/// * [`EvalCtx::memoized`] turns on common-subexpression sharing: the
+///   expression is hash-consed into a DAG ([`crate::plan::intern`]) and
+///   each distinct subplan is computed **once**, later occurrences being
+///   served from the memo. A memo hit still passes a budget checkpoint and
+///   charges the materialized cardinality, so governed runs cannot smuggle
+///   rows past the limits. [`EvalStats::memo_hits`] counts the hits,
+///   `operators`/`tuples_produced` count only work actually performed,
+///   served subplans trace as `cache_hit` leaves, and subtrees evaluate
+///   sequentially (the memo is shared mutable state). The memo keeps every
+///   subplan's value afterwards —
+///   [`MaintainedView::recorded`](crate::ivm::MaintainedView::recorded)
+///   turns it into a standing query for incremental maintenance.
+#[derive(Debug)]
+pub struct EvalCtx<'a> {
+    /// Counters accumulated by the run.
+    pub stats: EvalStats,
+    /// The budget every operator charges.
+    pub budget: &'a Budget,
+    /// The operator span collector.
+    pub tracer: Tracer,
+    memo: Option<Memo>,
+    /// Operator nesting depth of the node being evaluated.
+    depth: usize,
 }
 
-/// Evaluate while accumulating [`EvalStats`].
-pub fn eval_with_stats(
-    expr: &RaExpr,
-    db: &Database,
-    stats: &mut EvalStats,
-) -> Result<Relation, EvalError> {
-    eval_governed(expr, db, stats, Budget::unlimited())
+impl Default for EvalCtx<'_> {
+    fn default() -> Self {
+        EvalCtx::new(Budget::unlimited())
+    }
 }
 
-/// Evaluate under a resource [`Budget`]: the result is either exactly the
-/// ungoverned answer or an [`EvalError::Budget`] — never a truncated
-/// relation. Checks run at every operator boundary and every
-/// [`crate::govern::CHECK_INTERVAL`] rows inside the kernels.
-pub fn eval_governed(
-    expr: &RaExpr,
-    db: &Database,
-    stats: &mut EvalStats,
-    budget: &Budget,
-) -> Result<Relation, EvalError> {
-    eval_traced(expr, db, stats, budget, &mut Tracer::off())
+impl<'a> EvalCtx<'a> {
+    /// An untraced, non-memoizing run governed by `budget`.
+    pub fn new(budget: &'a Budget) -> EvalCtx<'a> {
+        EvalCtx {
+            stats: EvalStats::default(),
+            budget,
+            tracer: Tracer::off(),
+            memo: None,
+            depth: 0,
+        }
+    }
+
+    /// Record operator spans into `tracer`.
+    pub fn with_tracer(mut self, tracer: Tracer) -> EvalCtx<'a> {
+        self.tracer = tracer;
+        self
+    }
+
+    /// Evaluate shared subplans once, keeping every subplan's value.
+    pub fn memoized(mut self) -> EvalCtx<'a> {
+        self.memo = Some(Memo::default());
+        self
+    }
+
+    /// Take the memo of the last run: the interned root it evaluated and
+    /// one relation per distinct DAG node, keyed by node address (root
+    /// included). `None` for non-memoizing or failed runs.
+    pub(crate) fn take_memo(&mut self) -> Option<(Arc<RaExpr>, FxHashMap<usize, Relation>)> {
+        let memo = self.memo.as_mut()?;
+        let root = memo.root.take()?;
+        Some((root, std::mem::take(&mut memo.table)))
+    }
+
+    /// A context for a parallel branch: same budget and depth, fresh
+    /// counters, a forked tracer, no memo.
+    fn fork(&self) -> EvalCtx<'a> {
+        EvalCtx {
+            stats: EvalStats::default(),
+            budget: self.budget,
+            tracer: self.tracer.fork(),
+            memo: None,
+            depth: self.depth,
+        }
+    }
+
+    /// Fold a finished branch back in (stats merged, spans adopted).
+    fn join(&mut self, branch: EvalCtx<'_>) {
+        self.stats.merge(branch.stats);
+        self.tracer.adopt(branch.tracer);
+    }
 }
 
-/// Evaluate under a [`Budget`] while recording an operator span tree into
-/// `tracer` (see [`crate::trace`]). With a disabled tracer this is exactly
-/// [`eval_governed`]; with a collecting one, every operator leaves a span
-/// carrying input/output cardinalities, pre-dedup row counts, and kernel
-/// loop counts — including partial spans when the evaluation errors, so a
-/// budget trip can be attributed to the operator that was running.
-pub fn eval_traced(
-    expr: &RaExpr,
-    db: &Database,
-    stats: &mut EvalStats,
-    budget: &Budget,
-    tracer: &mut Tracer,
-) -> Result<Relation, EvalError> {
+/// Evaluate `expr` against `db` under `cx` (see [`EvalCtx`] for the
+/// budget, tracing and memoization semantics). The result's column order
+/// is `expr.cols()`.
+pub fn eval(expr: &RaExpr, db: &Database, cx: &mut EvalCtx<'_>) -> Result<Relation, EvalError> {
     expr.validate(None)?;
-    stats.budget_checks += 1;
-    budget.checkpoint(Stage::Eval)?;
-    eval_rec(expr, db, stats, budget, tracer, None)
+    cx.stats.budget_checks += 1;
+    cx.budget.checkpoint(Stage::Eval)?;
+    if cx.memo.is_none() {
+        return eval_rec(expr, db, cx);
+    }
+    let (root, _) = crate::plan::Interner::new().intern(expr);
+    if let Some(memo) = cx.memo.as_mut() {
+        *memo = Memo::default();
+    }
+    let out = eval_rec(&root, db, cx)?;
+    if let Some(memo) = cx.memo.as_mut() {
+        memo.table.insert(Arc::as_ptr(&root) as usize, out.clone());
+        memo.root = Some(root);
+    }
+    Ok(out)
 }
 
 /// Per-run memo table for DAG evaluation: maps an interned subplan (by
@@ -206,75 +277,44 @@ pub fn eval_traced(
 /// coincide with structural identity, see [`crate::plan`]) to its
 /// materialized relation. [`Relation`] clones are O(1), so a hit costs a
 /// map probe plus the governance charge for the materialized cardinality.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Memo {
+    root: Option<Arc<RaExpr>>,
     table: FxHashMap<usize, Relation>,
-    hits: u64,
 }
 
-/// Evaluate with common-subexpression sharing: the expression is
-/// hash-consed into a DAG ([`crate::plan::intern`]) and each distinct
-/// subplan is computed **once**, later occurrences being served from a
-/// per-run memo table.
-///
-/// Semantics are identical to [`eval_traced`] — same relation, and a memo
-/// hit still passes a budget checkpoint and charges the materialized
-/// cardinality against the tuple budget, so governed runs cannot smuggle
-/// rows past the limits through the cache. Differences visible to callers:
-///
-/// * [`EvalStats::memo_hits`] counts served subplans, and `operators` /
-///   `tuples_produced` count only the work actually performed (shared
-///   subtrees are not re-counted);
-/// * trace spans for served subplans are leaves flagged `cache_hit` (their
-///   subtrees were traced at first evaluation);
-/// * subtrees are evaluated sequentially — the memo is shared mutable
-///   state, and the sharing it enables replaces the parallel speedup on
-///   exactly the plans where memoization applies.
-pub fn eval_shared(
-    expr: &RaExpr,
-    db: &Database,
-    stats: &mut EvalStats,
-    budget: &Budget,
-    tracer: &mut Tracer,
-) -> Result<Relation, EvalError> {
-    expr.validate(None)?;
-    let (dag, _) = crate::plan::intern(expr);
-    stats.budget_checks += 1;
-    budget.checkpoint(Stage::Eval)?;
-    let mut memo = Memo::default();
-    let out = eval_rec(&dag, db, stats, budget, tracer, Some(&mut memo));
-    stats.memo_hits += memo.hits;
-    out
-}
+/// Operator levels evaluated on one stack before recursion moves to a
+/// fresh one (see [`on_fresh_stack`]). Debug builds spend roughly ten
+/// times the stack per level that optimized builds do.
+pub(crate) const STACK_SEGMENT_LEVELS: usize = if cfg!(debug_assertions) { 16 } else { 128 };
 
-/// Evaluate an already-interned plan DAG while *recording* every
-/// subplan's materialized relation, keyed by the [`Arc`] address of each
-/// node inside `root`'s DAG. This is the initialization path for
-/// incremental view maintenance ([`crate::ivm`]): the returned table
-/// holds one canonical relation per distinct DAG node — the root
-/// included — exactly the "old" operand values the Δ-rules merge
-/// against.
-///
-/// Semantics and governance are identical to [`eval_shared`] minus the
-/// interning step: `root` must already be hash-consed (see
-/// [`crate::plan::intern`]) so pointer identity coincides with
-/// structural identity.
-pub(crate) fn eval_shared_recording(
-    root: &Arc<RaExpr>,
-    db: &Database,
-    stats: &mut EvalStats,
-    budget: &Budget,
-    tracer: &mut Tracer,
-) -> Result<(Relation, FxHashMap<usize, Relation>), EvalError> {
-    root.validate(None)?;
-    stats.budget_checks += 1;
-    budget.checkpoint(Stage::Eval)?;
-    let mut memo = Memo::default();
-    let out = eval_rec(root, db, stats, budget, tracer, Some(&mut memo))?;
-    stats.memo_hits += memo.hits;
-    let mut vals = memo.table;
-    vals.insert(Arc::as_ptr(root) as usize, out.clone());
-    Ok((out, vals))
+/// Stack size of each fresh segment: a generous bound on
+/// [`STACK_SEGMENT_LEVELS`] levels of the evaluator or the refresh walk.
+/// Only the pages actually touched are committed.
+const STACK_SEGMENT_BYTES: usize = 16 << 20;
+
+/// Run `f` on a fresh scoped thread with a [`STACK_SEGMENT_BYTES`] stack,
+/// blocking until it returns. The recursive walks (evaluation, IVM
+/// refresh) call this every [`STACK_SEGMENT_LEVELS`] levels, so a plan of
+/// any depth evaluates on any caller's stack instead of overflowing it.
+/// If the thread cannot be spawned, `f` runs inline.
+pub(crate) fn on_fresh_stack<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+    let mut f = Some(f);
+    let spawned = std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .name("rc-eval-deep".to_string())
+            .stack_size(STACK_SEGMENT_BYTES)
+            .spawn_scoped(s, || (f.take().expect("taken once"))())
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .ok()
+    });
+    match spawned {
+        Some(out) => out,
+        None => (f.take().expect("spawn failed before running"))(),
+    }
 }
 
 /// Evaluate a child held behind an [`Arc`], consulting the memo first. On
@@ -283,31 +323,30 @@ pub(crate) fn eval_shared_recording(
 fn eval_child(
     child: &Arc<RaExpr>,
     db: &Database,
-    stats: &mut EvalStats,
-    budget: &Budget,
-    tr: &mut Tracer,
-    memo: Option<&mut Memo>,
+    cx: &mut EvalCtx<'_>,
 ) -> Result<Relation, EvalError> {
-    let Some(memo) = memo else {
-        return eval_rec(child, db, stats, budget, tr, None);
-    };
     let key = Arc::as_ptr(child) as usize;
-    if let Some(rel) = memo.table.get(&key) {
-        let rel = rel.clone();
-        memo.hits += 1;
-        tr.open(child);
-        tr.note_cache_hit();
-        tr.note_input(rel.len());
-        stats.budget_checks += 1;
-        let charged = budget
+    let Some(memo) = cx.memo.as_ref() else {
+        return eval_rec(child, db, cx);
+    };
+    if let Some(rel) = memo.table.get(&key).cloned() {
+        cx.stats.memo_hits += 1;
+        cx.tracer.open(child);
+        cx.tracer.note_cache_hit();
+        cx.tracer.note_input(rel.len());
+        cx.stats.budget_checks += 1;
+        let charged = cx
+            .budget
             .checkpoint(Stage::Eval)
-            .and_then(|()| budget.charge_tuples(Stage::Eval, rel.len() as u64));
+            .and_then(|()| cx.budget.charge_tuples(Stage::Eval, rel.len() as u64));
         let res = charged.map(|()| rel).map_err(EvalError::from);
-        tr.close(res.as_ref().ok());
+        cx.tracer.close(res.as_ref().ok());
         return res;
     }
-    let rel = eval_rec(child, db, stats, budget, tr, Some(memo))?;
-    memo.table.insert(key, rel.clone());
+    let rel = eval_rec(child, db, cx)?;
+    if let Some(memo) = cx.memo.as_mut() {
+        memo.table.insert(key, rel.clone());
+    }
     Ok(rel)
 }
 
@@ -974,48 +1013,32 @@ const PARALLEL_THRESHOLD: u64 = 8192;
 /// branch the scope still joins both workers, so cancelled threads drain
 /// cleanly (and leave their partial spans) before the error propagates.
 ///
-/// Memoizing runs ([`eval_shared`]) always take the sequential path: the
-/// memo is shared mutable state, and cross-branch sharing is the point.
+/// Memoizing runs always take the sequential path: the memo is shared
+/// mutable state, and cross-branch sharing is the point.
 fn eval_pair(
     l: &Arc<RaExpr>,
     r: &Arc<RaExpr>,
     db: &Database,
-    stats: &mut EvalStats,
-    budget: &Budget,
-    tr: &mut Tracer,
-    memo: Option<&mut Memo>,
+    cx: &mut EvalCtx<'_>,
 ) -> Result<(Relation, Relation), EvalError> {
-    if let Some(memo) = memo {
-        let lrel = eval_child(l, db, stats, budget, tr, Some(memo))?;
-        let rrel = eval_child(r, db, stats, budget, tr, Some(memo))?;
-        return Ok((lrel, rrel));
-    }
-    if scan_cost(l, db) >= PARALLEL_THRESHOLD
+    if cx.memo.is_none()
+        && scan_cost(l, db) >= PARALLEL_THRESHOLD
         && scan_cost(r, db) >= PARALLEL_THRESHOLD
-        && budget.spawn_allowed()
+        && cx.budget.spawn_allowed()
     {
-        tr.note_parallel();
-        let mut ltr = tr.fork();
-        let mut rtr = tr.fork();
-        let ((lres, lstats, ltr), (rres, rstats, rtr)) = std::thread::scope(|s| {
-            let lhandle = s.spawn(move || {
-                let mut st = EvalStats::default();
-                let rel = eval_rec(l, db, &mut st, budget, &mut ltr, None);
-                (rel, st, ltr)
-            });
-            let mut rst = EvalStats::default();
-            let rrel = eval_rec(r, db, &mut rst, budget, &mut rtr, None);
-            let left = lhandle.join().expect("eval worker panicked");
-            (left, (rrel, rst, rtr))
+        cx.tracer.note_parallel();
+        let (mut lcx, mut rcx) = (cx.fork(), cx.fork());
+        let (lres, rres) = std::thread::scope(|s| {
+            let lhandle = s.spawn(|| eval_rec(l, db, &mut lcx));
+            let rres = eval_rec(r, db, &mut rcx);
+            (lhandle.join().expect("eval worker panicked"), rres)
         });
-        stats.merge(lstats);
-        stats.merge(rstats);
-        tr.adopt(ltr);
-        tr.adopt(rtr);
+        cx.join(lcx);
+        cx.join(rcx);
         Ok((lres?, rres?))
     } else {
-        let lrel = eval_rec(l, db, stats, budget, tr, None)?;
-        let rrel = eval_rec(r, db, stats, budget, tr, None)?;
+        let lrel = eval_child(l, db, cx)?;
+        let rrel = eval_child(r, db, cx)?;
         Ok((lrel, rrel))
     }
 }
@@ -1023,29 +1046,27 @@ fn eval_pair(
 /// Span-wrapping shell around [`eval_node`]: opens an operator span,
 /// evaluates, closes it as completed or incomplete. This is the single
 /// place tracing observes the operator boundary — the same boundary the
-/// governor checkpoints at.
-fn eval_rec(
-    expr: &RaExpr,
-    db: &Database,
-    stats: &mut EvalStats,
-    budget: &Budget,
-    tr: &mut Tracer,
-    memo: Option<&mut Memo>,
-) -> Result<Relation, EvalError> {
-    tr.open(expr);
-    let res = eval_node(expr, db, stats, budget, tr, memo);
-    tr.close(res.as_ref().ok());
+/// governor checkpoints at — and where deep plans move to a fresh stack.
+fn eval_rec(expr: &RaExpr, db: &Database, cx: &mut EvalCtx<'_>) -> Result<Relation, EvalError> {
+    cx.depth += 1;
+    let res = if cx.depth.is_multiple_of(STACK_SEGMENT_LEVELS) {
+        on_fresh_stack(|| eval_span(expr, db, cx))
+    } else {
+        eval_span(expr, db, cx)
+    };
+    cx.depth -= 1;
     res
 }
 
-fn eval_node(
-    expr: &RaExpr,
-    db: &Database,
-    stats: &mut EvalStats,
-    budget: &Budget,
-    tr: &mut Tracer,
-    mut memo: Option<&mut Memo>,
-) -> Result<Relation, EvalError> {
+fn eval_span(expr: &RaExpr, db: &Database, cx: &mut EvalCtx<'_>) -> Result<Relation, EvalError> {
+    cx.tracer.open(expr);
+    let res = eval_node(expr, db, cx);
+    cx.tracer.close(res.as_ref().ok());
+    res
+}
+
+fn eval_node(expr: &RaExpr, db: &Database, cx: &mut EvalCtx<'_>) -> Result<Relation, EvalError> {
+    let budget = cx.budget;
     let mut gov = Governor::new(budget, Stage::Eval);
     // Tick/check counters contributed by partitioned-kernel workers; folded
     // into the operator's totals alongside the sequential governor's.
@@ -1063,7 +1084,7 @@ fn eval_node(
                     pattern: pattern.len(),
                 });
             }
-            tr.note_input(base.len());
+            cx.tracer.note_input(base.len());
             let cols = expr.cols();
             // Plain scan — all-distinct variable pattern: the stored
             // relation IS the answer, and cloning it is O(1).
@@ -1124,7 +1145,7 @@ fn eval_node(
                     }
                     out.push_row_from(first_pos.iter().map(|&i| row[i]));
                 }
-                tr.note_raw(out.len() as u64);
+                cx.tracer.note_raw(out.len() as u64);
                 out.finish()
             }
         }
@@ -1132,9 +1153,9 @@ fn eval_node(
         RaExpr::Unit => Relation::unit(),
         RaExpr::Empty { cols } => Relation::new(cols.len()),
         RaExpr::Join(l, r) => {
-            let (lrel, rrel) = eval_pair(l, r, db, stats, budget, tr, memo.as_deref_mut())?;
-            tr.note_input(lrel.len());
-            tr.note_input(rrel.len());
+            let (lrel, rrel) = eval_pair(l, r, db, cx)?;
+            cx.tracer.note_input(lrel.len());
+            cx.tracer.note_input(rrel.len());
             let lcols = l.cols();
             let rcols = r.cols();
             let shared: Vec<Var> = rcols
@@ -1167,10 +1188,10 @@ fn eval_node(
                     &mut part_checks,
                     &mut part_ticks,
                 )?;
-                tr.note_parallel();
-                tr.note_partitions(&sizes);
+                cx.tracer.note_parallel();
+                cx.tracer.note_partitions(&sizes);
                 if let Some(raw) = raw {
-                    tr.note_raw(raw);
+                    cx.tracer.note_raw(raw);
                 }
                 out
             } else {
@@ -1179,16 +1200,16 @@ fn eval_node(
                     &lrel, &rrel, &l_shared, &r_shared, &r_extra, &mut gov, &mut raw,
                 )?;
                 if raw > 0 {
-                    tr.note_raw(raw);
+                    cx.tracer.note_raw(raw);
                 }
                 out
             }
         }
         RaExpr::Union(l, r) => {
-            let (lrel, rrel) = eval_pair(l, r, db, stats, budget, tr, memo.as_deref_mut())?;
-            tr.note_input(lrel.len());
-            tr.note_input(rrel.len());
-            tr.note_raw((lrel.len() + rrel.len()) as u64);
+            let (lrel, rrel) = eval_pair(l, r, db, cx)?;
+            cx.tracer.note_input(lrel.len());
+            cx.tracer.note_input(rrel.len());
+            cx.tracer.note_raw((lrel.len() + rrel.len()) as u64);
             let lcols = l.cols();
             let rcols = r.cols();
             let perm = positions(&rcols, &lcols);
@@ -1203,8 +1224,8 @@ fn eval_node(
                         &mut part_checks,
                         &mut part_ticks,
                     )?;
-                    tr.note_parallel();
-                    tr.note_partitions(&sizes);
+                    cx.tracer.note_parallel();
+                    cx.tracer.note_partitions(&sizes);
                     out
                 } else {
                     // Same column order: one linear merge of two sorted inputs.
@@ -1220,9 +1241,9 @@ fn eval_node(
             }
         }
         RaExpr::Diff(l, r) => {
-            let (lrel, rrel) = eval_pair(l, r, db, stats, budget, tr, memo.as_deref_mut())?;
-            tr.note_input(lrel.len());
-            tr.note_input(rrel.len());
+            let (lrel, rrel) = eval_pair(l, r, db, cx)?;
+            cx.tracer.note_input(lrel.len());
+            cx.tracer.note_input(rrel.len());
             let lcols = l.cols();
             let rcols = r.cols();
             let proj = positions(&lcols, &rcols);
@@ -1238,8 +1259,8 @@ fn eval_node(
                         &mut part_checks,
                         &mut part_ticks,
                     )?;
-                    tr.note_parallel();
-                    tr.note_partitions(&sizes);
+                    cx.tracer.note_parallel();
+                    cx.tracer.note_partitions(&sizes);
                     out
                 } else {
                     // Same columns, same order: plain sorted-merge difference.
@@ -1266,17 +1287,17 @@ fn eval_node(
                         true
                     },
                 )?;
-                tr.note_parallel();
-                tr.note_partitions(&sizes);
+                cx.tracer.note_parallel();
+                cx.tracer.note_partitions(&sizes);
                 out
             } else {
                 antijoin_kernel(&lrel, &rrel, &proj, &mut gov)?
             }
         }
         RaExpr::Project { input, cols } => {
-            let rel = eval_child(input, db, stats, budget, tr, memo)?;
-            tr.note_input(rel.len());
-            tr.note_raw(rel.len() as u64);
+            let rel = eval_child(input, db, cx)?;
+            cx.tracer.note_input(rel.len());
+            cx.tracer.note_raw(rel.len() as u64);
             let icols = input.cols();
             let proj = positions(&icols, cols);
             let parts = partition_plan(rel.len(), budget);
@@ -1291,8 +1312,8 @@ fn eval_node(
                     &mut part_checks,
                     &mut part_ticks,
                 )?;
-                tr.note_parallel();
-                tr.note_partitions(&sizes);
+                cx.tracer.note_parallel();
+                cx.tracer.note_partitions(&sizes);
                 out
             } else {
                 let mut out = RelationBuilder::with_capacity(cols.len(), rel.len());
@@ -1304,8 +1325,8 @@ fn eval_node(
             }
         }
         RaExpr::Select { input, pred } => {
-            let rel = eval_child(input, db, stats, budget, tr, memo.as_deref_mut())?;
-            tr.note_input(rel.len());
+            let rel = eval_child(input, db, cx)?;
+            cx.tracer.note_input(rel.len());
             let icols = input.cols();
             let keep: RowPred = match *pred {
                 SelPred::EqCols(a, b) => {
@@ -1336,8 +1357,8 @@ fn eval_node(
                     &mut part_ticks,
                     |row| keep(row),
                 )?;
-                tr.note_parallel();
-                tr.note_partitions(&sizes);
+                cx.tracer.note_parallel();
+                cx.tracer.note_partitions(&sizes);
                 out
             } else {
                 let mut kept: Vec<Value> = Vec::new();
@@ -1353,8 +1374,8 @@ fn eval_node(
             }
         }
         RaExpr::Duplicate { input, src, .. } => {
-            let rel = eval_child(input, db, stats, budget, tr, memo)?;
-            tr.note_input(rel.len());
+            let rel = eval_child(input, db, cx)?;
+            cx.tracer.note_input(rel.len());
             let icols = input.cols();
             let i = positions(&icols, &[*src])[0];
             // Appending a copy of an existing column cannot reorder rows:
@@ -1368,9 +1389,10 @@ fn eval_node(
             Relation::from_canonical(icols.len() + 1, rel.len(), data)
         }
     };
-    stats.record(&out);
-    stats.budget_checks += gov.checks() + part_checks + 1;
-    tr.note_kernel_rows((gov.ticks() + part_ticks) as u64);
+    cx.stats.record(&out);
+    cx.stats.budget_checks += gov.checks() + part_checks + 1;
+    cx.tracer
+        .note_kernel_rows((gov.ticks() + part_ticks) as u64);
     budget.checkpoint(Stage::Eval)?;
     budget.charge_tuples(Stage::Eval, out.len() as u64)?;
     Ok(out)
@@ -1391,7 +1413,7 @@ mod tests {
     #[test]
     fn scan_plain() {
         let e = RaExpr::scan("P", vec![Term::var("x"), Term::var("y")]);
-        let r = eval(&e, &db()).unwrap();
+        let r = eval(&e, &db(), &mut EvalCtx::default()).unwrap();
         assert_eq!(r.len(), 3);
     }
 
@@ -1399,7 +1421,7 @@ mod tests {
     fn scan_with_constant_selects() {
         // P(x, 3)
         let e = RaExpr::scan("P", vec![Term::var("x"), Term::val(3)]);
-        let r = eval(&e, &db()).unwrap();
+        let r = eval(&e, &db(), &mut EvalCtx::default()).unwrap();
         assert_eq!(r.len(), 2);
         assert!(r.contains(&[Value::int(2)]));
         assert!(r.contains(&[Value::int(3)]));
@@ -1409,7 +1431,7 @@ mod tests {
     fn scan_with_repeated_var_selects_diagonal() {
         // P(x, x)
         let e = RaExpr::scan("P", vec![Term::var("x"), Term::var("x")]);
-        let r = eval(&e, &db()).unwrap();
+        let r = eval(&e, &db(), &mut EvalCtx::default()).unwrap();
         assert_eq!(r.len(), 1);
         assert!(r.contains(&[Value::int(3)]));
     }
@@ -1421,7 +1443,7 @@ mod tests {
             RaExpr::scan("P", vec![Term::var("x"), Term::var("y")]),
             RaExpr::scan("Q", vec![Term::var("y")]),
         );
-        let r = eval(&e, &db()).unwrap();
+        let r = eval(&e, &db(), &mut EvalCtx::default()).unwrap();
         assert_eq!(e.cols(), vec![Var::new("x"), Var::new("y")]);
         assert_eq!(r.len(), 3); // (1,2), (2,3), (3,3)
     }
@@ -1432,7 +1454,7 @@ mod tests {
             RaExpr::scan("Q", vec![Term::var("x")]),
             RaExpr::scan("R", vec![Term::var("z")]),
         );
-        let r = eval(&e, &db()).unwrap();
+        let r = eval(&e, &db(), &mut EvalCtx::default()).unwrap();
         assert_eq!(r.len(), 2); // {2,3} × {1}
     }
 
@@ -1446,7 +1468,7 @@ mod tests {
             RaExpr::scan("P", vec![Term::var("x"), Term::var("y")]),
             RaExpr::scan("T", vec![Term::var("y"), Term::var("z")]),
         );
-        let r = eval(&e, &d).unwrap();
+        let r = eval(&e, &d, &mut EvalCtx::default()).unwrap();
         assert_eq!(e.cols(), vec![Var::new("x"), Var::new("y"), Var::new("z")]);
         assert_eq!(r.len(), 3);
         assert!(r.contains(&[Value::int(1), Value::int(2), Value::int(7)]));
@@ -1461,7 +1483,7 @@ mod tests {
             RaExpr::scan("P", vec![Term::var("x"), Term::var("y")]),
             RaExpr::scan("S", vec![Term::var("y"), Term::var("x")]),
         );
-        let r = eval(&e, &db()).unwrap();
+        let r = eval(&e, &db(), &mut EvalCtx::default()).unwrap();
         // S(1,2) flipped is (x=2, y=1); S(9,9) is (9,9).
         assert!(r.contains(&[Value::int(2), Value::int(1)]));
         assert!(r.contains(&[Value::int(9), Value::int(9)]));
@@ -1475,13 +1497,13 @@ mod tests {
             RaExpr::scan("P", vec![Term::var("x"), Term::var("y")]),
             RaExpr::scan("Q", vec![Term::var("y")]),
         );
-        let r = eval(&e, &db()).unwrap();
+        let r = eval(&e, &db(), &mut EvalCtx::default()).unwrap();
         assert!(r.is_empty()); // every P.y ∈ {2,3} = Q
         let e2 = RaExpr::diff(
             RaExpr::scan("P", vec![Term::var("x"), Term::var("y")]),
             RaExpr::scan("R", vec![Term::var("y")]),
         );
-        let r2 = eval(&e2, &db()).unwrap();
+        let r2 = eval(&e2, &db(), &mut EvalCtx::default()).unwrap();
         assert_eq!(r2.len(), 3); // no P.y is 1
     }
 
@@ -1492,7 +1514,7 @@ mod tests {
             RaExpr::scan("P", vec![Term::var("x"), Term::var("y")]),
             vec![Var::new("y")],
         );
-        let r = eval(&e, &db()).unwrap();
+        let r = eval(&e, &db(), &mut EvalCtx::default()).unwrap();
         assert_eq!(r.len(), 2);
     }
 
@@ -1502,24 +1524,28 @@ mod tests {
         let eq = eval(
             &RaExpr::select(p.clone(), SelPred::EqCols(Var::new("x"), Var::new("y"))),
             &db(),
+            &mut EvalCtx::default(),
         )
         .unwrap();
         assert_eq!(eq.len(), 1);
         let neq = eval(
             &RaExpr::select(p.clone(), SelPred::NeqCols(Var::new("x"), Var::new("y"))),
             &db(),
+            &mut EvalCtx::default(),
         )
         .unwrap();
         assert_eq!(neq.len(), 2);
         let eqc = eval(
             &RaExpr::select(p.clone(), SelPred::EqConst(Var::new("x"), Value::int(2))),
             &db(),
+            &mut EvalCtx::default(),
         )
         .unwrap();
         assert_eq!(eqc.len(), 1);
         let neqc = eval(
             &RaExpr::select(p, SelPred::NeqConst(Var::new("x"), Value::int(2))),
             &db(),
+            &mut EvalCtx::default(),
         )
         .unwrap();
         assert_eq!(neqc.len(), 2);
@@ -1532,20 +1558,26 @@ mod tests {
             src: Var::new("x"),
             dst: Var::new("x2"),
         };
-        let r = eval(&e, &db()).unwrap();
+        let r = eval(&e, &db(), &mut EvalCtx::default()).unwrap();
         assert!(r.contains(&[Value::int(2), Value::int(2)]));
         assert_eq!(r.len(), 2);
     }
 
     #[test]
     fn unit_and_single() {
-        assert_eq!(eval(&RaExpr::Unit, &db()).unwrap().as_bool(), Some(true));
+        assert_eq!(
+            eval(&RaExpr::Unit, &db(), &mut EvalCtx::default())
+                .unwrap()
+                .as_bool(),
+            Some(true)
+        );
         let s = eval(
             &RaExpr::Single {
                 var: Var::new("x"),
                 value: Value::str("none"),
             },
             &db(),
+            &mut EvalCtx::default(),
         )
         .unwrap();
         assert!(s.contains(&[Value::str("none")]));
@@ -1555,7 +1587,7 @@ mod tests {
     fn missing_relation_errors() {
         let e = RaExpr::scan("Zzz", vec![Term::var("x")]);
         assert!(matches!(
-            eval(&e, &db()),
+            eval(&e, &db(), &mut EvalCtx::default()),
             Err(EvalError::MissingRelation(_))
         ));
     }
@@ -1566,8 +1598,9 @@ mod tests {
             RaExpr::scan("P", vec![Term::var("x"), Term::var("y")]),
             RaExpr::scan("Q", vec![Term::var("y")]),
         );
-        let mut stats = EvalStats::default();
-        let r = eval_with_stats(&e, &db(), &mut stats).unwrap();
+        let mut cx = EvalCtx::default();
+        let r = eval(&e, &db(), &mut cx).unwrap();
+        let stats = cx.stats;
         assert_eq!(stats.operators, 3);
         assert_eq!(stats.tuples_produced, (3 + 2 + r.len()) as u64);
         assert!(stats.max_intermediate >= r.len());
@@ -1606,7 +1639,10 @@ mod tests {
         let mut d = Database::new();
         d.insert_relation("B", Relation::unit());
         let e = RaExpr::scan("B", vec![]);
-        assert_eq!(eval(&e, &d).unwrap().as_bool(), Some(true));
+        assert_eq!(
+            eval(&e, &d, &mut EvalCtx::default()).unwrap().as_bool(),
+            Some(true)
+        );
         let _ = tuple([1i64]); // silence unused import when tests shrink
     }
 
@@ -1627,14 +1663,14 @@ mod tests {
             RaExpr::scan("A", vec![Term::var("x"), Term::var("y")]),
             RaExpr::scan("B", vec![Term::var("y"), Term::var("z")]),
         );
-        let mut stats = EvalStats::default();
-        let r = eval_with_stats(&e, &d, &mut stats).unwrap();
-        assert_eq!(stats.operators, 3);
+        let mut cx = EvalCtx::default();
+        let r = eval(&e, &d, &mut cx).unwrap();
+        assert_eq!(cx.stats.operators, 3);
         // B dedups to the (i % 97, i % 13) pairs — 13 partners per key by
         // CRT — so every A row contributes exactly 13 output rows.
         assert_eq!(r.len(), rows as usize * 13);
         // Deterministic: a second (parallel) evaluation renders identically.
-        let r2 = eval(&e, &d).unwrap();
+        let r2 = eval(&e, &d, &mut EvalCtx::default()).unwrap();
         assert_eq!(r, r2);
         assert_eq!(r.to_string(), r2.to_string());
     }
@@ -1689,10 +1725,10 @@ mod tests {
         let d = partition_db();
         for e in kernel_family_plans() {
             let seq = Budget::new().with_partitions(1);
-            let want = eval_governed(&e, &d, &mut EvalStats::default(), &seq).unwrap();
+            let want = eval(&e, &d, &mut EvalCtx::new(&seq)).unwrap();
             for n in [2usize, 3, 7, 1000] {
                 let budget = Budget::new().with_partitions(n);
-                let got = eval_governed(&e, &d, &mut EvalStats::default(), &budget).unwrap();
+                let got = eval(&e, &d, &mut EvalCtx::new(&budget)).unwrap();
                 assert_eq!(want, got, "partitions={n} plan={e}");
                 assert_eq!(want.to_string(), got.to_string(), "partitions={n}");
             }
@@ -1704,15 +1740,16 @@ mod tests {
         let d = partition_db();
         for e in kernel_family_plans() {
             let budget = Budget::new().with_partitions(4);
-            let mut s1 = EvalStats::default();
-            let mut s2 = EvalStats::default();
-            let mut t1 = Tracer::on();
-            let mut t2 = Tracer::on();
-            let r1 = eval_traced(&e, &d, &mut s1, &budget, &mut t1).unwrap();
-            let r2 = eval_traced(&e, &d, &mut s2, &budget, &mut t2).unwrap();
+            let mut c1 = EvalCtx::new(&budget).with_tracer(Tracer::on());
+            let mut c2 = EvalCtx::new(&budget).with_tracer(Tracer::on());
+            let r1 = eval(&e, &d, &mut c1).unwrap();
+            let r2 = eval(&e, &d, &mut c2).unwrap();
             assert_eq!(r1, r2);
-            assert_eq!(s1, s2, "stats must reproduce under a fixed count");
-            let (p1, p2) = (t1.finish().unwrap(), t2.finish().unwrap());
+            assert_eq!(
+                c1.stats, c2.stats,
+                "stats must reproduce under a fixed count"
+            );
+            let (p1, p2) = (c1.tracer.finish().unwrap(), c2.tracer.finish().unwrap());
             assert_eq!(
                 p1.partitioned_projection(),
                 p2.partitioned_projection(),
@@ -1732,11 +1769,11 @@ mod tests {
         let fault = FaultInjector::new();
         fault.deny_thread_spawn(true);
         let denied = Budget::new().with_partitions(8).with_fault_injector(fault);
-        let mut tr = Tracer::on();
-        let got = eval_traced(&e, &d, &mut EvalStats::default(), &denied, &mut tr).unwrap();
-        let root = tr.finish().unwrap();
+        let mut cx = EvalCtx::new(&denied).with_tracer(Tracer::on());
+        let got = eval(&e, &d, &mut cx).unwrap();
+        let root = cx.tracer.finish().unwrap();
         assert!(!root.any_partitioned(), "denied spawn must stay sequential");
-        let plain = eval(&e, &d).unwrap();
+        let plain = eval(&e, &d, &mut EvalCtx::default()).unwrap();
         assert_eq!(got, plain);
     }
 
@@ -1749,10 +1786,10 @@ mod tests {
         );
         assert_eq!(d.partition_cache_entries(), 0);
         let budget = Budget::new().with_partitions(4);
-        eval_governed(&e, &d, &mut EvalStats::default(), &budget).unwrap();
+        eval(&e, &d, &mut EvalCtx::new(&budget)).unwrap();
         // Both scan sides are plain scans: two cached layouts.
         assert_eq!(d.partition_cache_entries(), 2);
-        eval_governed(&e, &d, &mut EvalStats::default(), &budget).unwrap();
+        eval(&e, &d, &mut EvalCtx::new(&budget)).unwrap();
         assert_eq!(d.partition_cache_entries(), 2, "second run must re-use");
     }
 
@@ -1764,11 +1801,11 @@ mod tests {
             RaExpr::scan("B", vec![Term::var("y"), Term::var("z")]),
         );
         let tight = Budget::new().with_partitions(4).with_max_tuples(100);
-        let err = eval_governed(&e, &d, &mut EvalStats::default(), &tight)
+        let err = eval(&e, &d, &mut EvalCtx::new(&tight))
             .expect_err("tuple cap must trip inside the partitioned join");
         assert!(matches!(err, EvalError::Budget(_)));
         // The same database (and its partition cache) serves a fresh run.
-        let ok = eval(&e, &d).unwrap();
+        let ok = eval(&e, &d, &mut EvalCtx::default()).unwrap();
         assert!(!ok.is_empty());
     }
 
@@ -1786,13 +1823,13 @@ mod tests {
     }
 
     #[test]
-    fn eval_shared_matches_eval_and_counts_hits() {
+    fn memoized_eval_matches_eval_and_counts_hits() {
         let d = db();
         let e = shared_subtree_plan();
-        let want = eval(&e, &d).unwrap();
-        let mut stats = EvalStats::default();
-        let mut tr = Tracer::on();
-        let got = eval_shared(&e, &d, &mut stats, Budget::unlimited(), &mut tr).unwrap();
+        let want = eval(&e, &d, &mut EvalCtx::default()).unwrap();
+        let mut cx = EvalCtx::default().with_tracer(Tracer::on()).memoized();
+        let got = eval(&e, &d, &mut cx).unwrap();
+        let stats = cx.stats;
         assert_eq!(want, got);
         // The join subtree (join + 2 scans) is computed once and served
         // once: one memo hit, and only the 6 distinct DAG nodes count as
@@ -1800,7 +1837,7 @@ mod tests {
         assert_eq!(stats.memo_hits, 1);
         assert_eq!(stats.operators, 6);
         assert_eq!(e.node_count(), 9);
-        let root = tr.finish().expect("span tree");
+        let root = cx.tracer.finish().expect("span tree");
         fn count_hits(s: &OpSpan) -> usize {
             s.cache_hit as usize + s.children.iter().map(count_hits).sum::<usize>()
         }
@@ -1820,16 +1857,16 @@ mod tests {
     }
 
     #[test]
-    fn eval_shared_without_sharing_is_plain_eval() {
+    fn memoized_eval_without_sharing_is_plain_eval() {
         let d = db();
         let e = RaExpr::diff(
             RaExpr::scan("P", vec![Term::var("x"), Term::var("y")]),
             RaExpr::scan("S", vec![Term::var("x"), Term::var("y")]),
         );
-        let mut stats = EvalStats::default();
-        let got = eval_shared(&e, &d, &mut stats, Budget::unlimited(), &mut Tracer::off()).unwrap();
-        assert_eq!(got, eval(&e, &d).unwrap());
-        assert_eq!(stats.memo_hits, 0);
+        let mut cx = EvalCtx::default().memoized();
+        let got = eval(&e, &d, &mut cx).unwrap();
+        assert_eq!(got, eval(&e, &d, &mut EvalCtx::default()).unwrap());
+        assert_eq!(cx.stats.memo_hits, 0);
     }
 
     #[test]
@@ -1837,31 +1874,25 @@ mod tests {
         let d = db();
         let e = shared_subtree_plan();
         // Ungoverned: find out how many tuples the memoized run charges.
-        let mut stats = EvalStats::default();
-        eval_shared(&e, &d, &mut stats, Budget::unlimited(), &mut Tracer::off()).unwrap();
+        let mut cx = EvalCtx::default().memoized();
+        eval(&e, &d, &mut cx).unwrap();
+        let stats = cx.stats;
         let full = Budget::new().with_max_tuples(1_000_000);
-        eval_shared(&e, &d, &mut EvalStats::default(), &full, &mut Tracer::off()).unwrap();
+        eval(&e, &d, &mut EvalCtx::new(&full).memoized()).unwrap();
         let charged = full.tuples_used();
         assert!(charged > 0);
         // A budget one short of that must trip — even though the final
         // tuples flow through a memo hit, the hit still charges its
         // materialized cardinality.
         let tight = Budget::new().with_max_tuples(charged - 1);
-        let err = eval_shared(
-            &e,
-            &d,
-            &mut EvalStats::default(),
-            &tight,
-            &mut Tracer::off(),
-        )
-        .expect_err("tuple cap must trip");
+        let err =
+            eval(&e, &d, &mut EvalCtx::new(&tight).memoized()).expect_err("tuple cap must trip");
         assert!(matches!(err, EvalError::Budget(_)), "got {err:?}");
         // Sanity: the memoized run charges no more than the parallel-free
         // plain run (shared subtrees are charged once per *service*, and
         // the service charge equals the subplan's output size).
         let plain = Budget::new().with_max_tuples(1_000_000);
-        let mut pstats = EvalStats::default();
-        eval_governed(&e, &d, &mut pstats, &plain).unwrap();
+        eval(&e, &d, &mut EvalCtx::new(&plain)).unwrap();
         assert!(charged <= plain.tuples_used() + stats.memo_hits * stats.max_intermediate as u64);
     }
 }

@@ -68,10 +68,9 @@
 //! `ivm=refresh` spans carrying per-operator Δ cardinalities; any budget
 //! trip or cancellation abandons the walk with the old view intact.
 
-use crate::database::Database;
 use crate::eval::{
-    antijoin_kernel, antijoin_probe_prebuilt, eval_shared_recording, join_kernel,
-    join_probe_prebuilt, positions, EvalError, EvalStats, RowTable,
+    antijoin_kernel, antijoin_probe_prebuilt, join_kernel, join_probe_prebuilt, on_fresh_stack,
+    positions, EvalCtx, EvalStats, RowTable, STACK_SEGMENT_LEVELS,
 };
 use crate::expr::{RaExpr, SelPred};
 use crate::govern::{Budget, BudgetExceeded, Governor, Stage};
@@ -191,11 +190,13 @@ pub const DELTA_LOG_CAP: usize = 64;
 
 /// A bounded journal of applied deltas: `from_version → (to_version,
 /// Δ)`. Shared (behind one `Arc<Mutex<_>>`) by every clone of a
-/// [`Database`], so the server's copy-on-write mutation path and the
-/// snapshot a cached view was built against agree on the chain between
-/// any two version stamps. Mutations that bypass
-/// [`Database::apply_delta`] (bulk loads, declarations) leave a gap —
-/// chains across a gap are unresolvable and force the fallback path.
+/// [`Database`](crate::database::Database), so the server's
+/// copy-on-write mutation path and the snapshot a cached view was built
+/// against agree on the chain between any two version stamps. Mutations
+/// that bypass
+/// [`Database::apply_delta`](crate::database::Database::apply_delta)
+/// (bulk loads, declarations) leave a gap — chains across a gap are
+/// unresolvable and force the fallback path.
 #[derive(Debug, Default)]
 pub struct DeltaLog {
     links: FxHashMap<u64, (u64, Arc<Delta>)>,
@@ -251,7 +252,8 @@ impl DeltaLog {
 /// A materialized standing query: the hash-consed plan DAG, one
 /// canonical relation per DAG node (keyed by `Arc` address, stable
 /// because the view owns the root), and the database version the values
-/// reflect. Produced by [`materialize`], advanced by [`refresh`].
+/// reflect. Recorded by a memoizing evaluation
+/// ([`MaintainedView::recorded`]), advanced by [`refresh`].
 #[derive(Clone, Debug)]
 pub struct MaintainedView {
     root: Arc<RaExpr>,
@@ -384,37 +386,27 @@ impl From<BudgetExceeded> for RefreshError {
     }
 }
 
-/// Evaluate `expr` against `db` while materializing every subplan — the
-/// standing-query registration path. Evaluation semantics, statistics,
-/// and governance are identical to the memoizing DAG evaluator
-/// ([`crate::eval::eval_shared`]); `base_version` should be the version
-/// stamp of the database the caller serves results for (the caller may
-/// evaluate against a prepared clone whose own stamp differs).
-pub fn materialize(
-    expr: &RaExpr,
-    db: &Database,
-    base_version: u64,
-    stats: &mut EvalStats,
-    budget: &Budget,
-    tracer: &mut Tracer,
-) -> Result<(Relation, MaintainedView), EvalError> {
-    let mut interner = crate::plan::Interner::new();
-    let (root, _) = interner.intern(expr);
-    let (out, vals) = eval_shared_recording(&root, db, stats, budget, tracer)?;
-    let mut preds = FxHashSet::default();
-    collect_preds(&root, &mut preds);
-    let mut preds: Vec<Symbol> = preds.into_iter().collect();
-    preds.sort();
-    Ok((
-        out,
-        MaintainedView {
+impl MaintainedView {
+    /// The standing query recorded by the last successful memoizing run
+    /// of `cx` ([`EvalCtx::memoized`]): the interned plan DAG and every
+    /// subplan's value, stamped `base_version` — the version of the
+    /// database the caller serves results for (the run may have used a
+    /// prepared clone whose own stamp differs). `None` when `cx` is not
+    /// memoizing or its last run failed. Takes the memo out of `cx`.
+    pub fn recorded(cx: &mut EvalCtx<'_>, base_version: u64) -> Option<MaintainedView> {
+        let (root, vals) = cx.take_memo()?;
+        let mut preds = FxHashSet::default();
+        collect_preds(&root, &mut preds);
+        let mut preds: Vec<Symbol> = preds.into_iter().collect();
+        preds.sort();
+        Some(MaintainedView {
             root,
             preds,
             vals,
             indexes: FxHashMap::default(),
             base_version,
-        },
-    ))
+        })
+    }
 }
 
 /// Mark the most recent completed top-level trace span as an IVM
@@ -494,6 +486,7 @@ pub fn refresh(
         new_indexes: FxHashMap::default(),
         done: FxHashMap::default(),
         budget,
+        depth: 0,
     };
     refresh_node(&view.root, &mut ctx, stats, tracer)?;
     let root_key = Arc::as_ptr(&view.root) as usize;
@@ -519,6 +512,8 @@ struct Ctx<'a> {
     new_indexes: FxHashMap<usize, Arc<JoinIndex>>,
     done: FxHashMap<usize, TableDelta>,
     budget: &'a Budget,
+    /// DAG nesting depth of the node being refreshed.
+    depth: usize,
 }
 
 impl Ctx<'_> {
@@ -565,7 +560,8 @@ impl Ctx<'_> {
 
 /// Span-wrapping shell around [`refresh_inner`], mirroring the
 /// evaluator's `eval_rec`: one span per DAG node (shared nodes are
-/// refreshed once and their delta replayed from the memo).
+/// refreshed once and their delta replayed from the memo), and a fresh
+/// stack every [`STACK_SEGMENT_LEVELS`] levels.
 fn refresh_node(
     node: &Arc<RaExpr>,
     ctx: &mut Ctx<'_>,
@@ -576,6 +572,23 @@ fn refresh_node(
     if let Some(done) = ctx.done.get(&key) {
         return Ok(done.clone());
     }
+    ctx.depth += 1;
+    let res = if ctx.depth.is_multiple_of(STACK_SEGMENT_LEVELS) {
+        on_fresh_stack(|| refresh_span(node, key, ctx, stats, tr))
+    } else {
+        refresh_span(node, key, ctx, stats, tr)
+    };
+    ctx.depth -= 1;
+    res
+}
+
+fn refresh_span(
+    node: &Arc<RaExpr>,
+    key: usize,
+    ctx: &mut Ctx<'_>,
+    stats: &mut EvalStats,
+    tr: &mut Tracer,
+) -> Result<TableDelta, RefreshError> {
     tr.open(node);
     let res = refresh_inner(node, key, ctx, stats, tr);
     match &res {
@@ -1004,8 +1017,19 @@ fn collect_preds(e: &RaExpr, out: &mut FxHashSet<Symbol>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::database::Database;
     use crate::eval::eval;
     use rc_formula::Term;
+
+    /// Evaluate with a recording memo: the answer and its standing query.
+    fn materialize(expr: &RaExpr, db: &Database) -> (Relation, MaintainedView) {
+        let mut cx = EvalCtx::default().memoized();
+        let out = eval(expr, db, &mut cx).unwrap();
+        (
+            out,
+            MaintainedView::recorded(&mut cx, db.version()).unwrap(),
+        )
+    }
 
     fn delta_of(db: &mut Database, text: &str) -> Delta {
         db.apply_delta(text).expect("delta applies")
@@ -1015,17 +1039,8 @@ mod tests {
     /// equals a from-scratch evaluation on the mutated database.
     fn check_refresh(expr: &RaExpr, facts: &str, delta_text: &str) {
         let mut db = Database::from_facts(facts).unwrap();
-        let mut stats = EvalStats::default();
         let budget = Budget::unlimited();
-        let (cold, view) = materialize(
-            expr,
-            &db,
-            db.version(),
-            &mut stats,
-            budget,
-            &mut Tracer::off(),
-        )
-        .unwrap();
+        let (cold, view) = materialize(expr, &db);
         let delta = delta_of(&mut db, delta_text);
         let (new_view, refreshed) = refresh(
             &view,
@@ -1036,7 +1051,7 @@ mod tests {
             &mut Tracer::off(),
         )
         .unwrap();
-        let full = eval(expr, &db).unwrap();
+        let full = eval(expr, &db, &mut EvalCtx::default()).unwrap();
         assert_eq!(refreshed, full, "refresh must equal full re-evaluation");
         assert_eq!(new_view.result(), &full);
         assert_eq!(new_view.base_version(), db.version());
@@ -1092,15 +1107,7 @@ mod tests {
         let e = scan2("P");
         let mut db = Database::from_facts("P(1, 2)\nP(2, 3)").unwrap();
         let budget = Budget::unlimited();
-        let (_, view) = materialize(
-            &e,
-            &db,
-            db.version(),
-            &mut EvalStats::default(),
-            budget,
-            &mut Tracer::off(),
-        )
-        .unwrap();
+        let (_, view) = materialize(&e, &db);
         let v0 = db.version();
         db.apply_delta("-P(1, 2)").unwrap();
         db.apply_delta("P(1, 2)").unwrap();
@@ -1114,7 +1121,7 @@ mod tests {
             &mut Tracer::off(),
         )
         .unwrap();
-        assert_eq!(refreshed, eval(&e, &db).unwrap());
+        assert_eq!(refreshed, eval(&e, &db, &mut EvalCtx::default()).unwrap());
     }
 
     #[test]
@@ -1122,15 +1129,7 @@ mod tests {
         let e = scan2("P");
         let mut db = Database::from_facts("P(1, 2)\nZzz(5)").unwrap();
         let budget = Budget::unlimited();
-        let (cold, view) = materialize(
-            &e,
-            &db,
-            db.version(),
-            &mut EvalStats::default(),
-            budget,
-            &mut Tracer::off(),
-        )
-        .unwrap();
+        let (cold, view) = materialize(&e, &db);
         let delta = db.apply_delta("Zzz(6)").unwrap();
         assert!(worth_refreshing(&view, &delta, || 0.0));
         let (nv, refreshed) = refresh(
@@ -1151,15 +1150,7 @@ mod tests {
         let e = RaExpr::join(scan2("P"), RaExpr::scan("Q", vec![Term::var("y")]));
         let mut db = Database::from_facts("P(1, 2)\nQ(2)").unwrap();
         let budget = Budget::unlimited();
-        let (_, view) = materialize(
-            &e,
-            &db,
-            db.version(),
-            &mut EvalStats::default(),
-            budget,
-            &mut Tracer::off(),
-        )
-        .unwrap();
+        let (_, view) = materialize(&e, &db);
         let delta = db.apply_delta("P(7, 2)").unwrap();
         let mut tr = Tracer::on();
         refresh(
@@ -1182,16 +1173,7 @@ mod tests {
     fn budget_trip_mid_refresh_charges_maintain_stage() {
         let e = RaExpr::join(scan2("P"), RaExpr::scan("Q", vec![Term::var("y")]));
         let mut db = Database::from_facts("P(1, 2)\nP(2, 2)\nQ(2)").unwrap();
-        let budget = Budget::unlimited();
-        let (_, view) = materialize(
-            &e,
-            &db,
-            db.version(),
-            &mut EvalStats::default(),
-            budget,
-            &mut Tracer::off(),
-        )
-        .unwrap();
+        let (_, view) = materialize(&e, &db);
         let delta = db.apply_delta("P(3, 2)\nP(4, 2)\nP(5, 2)").unwrap();
         let tight = Budget::new().with_max_tuples(1);
         let err = refresh(
@@ -1232,16 +1214,7 @@ mod tests {
     fn cost_gate_rejects_oversized_deltas() {
         let e = scan2("P");
         let mut db = Database::from_facts("P(1, 2)").unwrap();
-        let budget = Budget::unlimited();
-        let (_, view) = materialize(
-            &e,
-            &db,
-            db.version(),
-            &mut EvalStats::default(),
-            budget,
-            &mut Tracer::off(),
-        )
-        .unwrap();
+        let (_, view) = materialize(&e, &db);
         let mut big = String::new();
         for i in 0..200 {
             big.push_str(&format!("P({i}, {i})\n"));

@@ -15,12 +15,14 @@
 //!   [`relation::PartitionedRelation`]) behind the partition-parallel
 //!   kernels and the per-database partition cache;
 //! * [`expr::RaExpr`] — the expression tree, with structural validation;
-//! * [`eval`](mod@eval) — hash-join/anti-join evaluation with [`eval::EvalStats`],
-//!   including the memoizing DAG evaluator [`eval::eval_shared`];
+//! * [`eval`](mod@eval) — hash-join/anti-join evaluation: one
+//!   [`eval::eval`] entry taking an [`eval::EvalCtx`] that carries
+//!   statistics, budget, tracer and an optional DAG memo;
 //! * [`plan`] — hash-consing expressions into DAGs with physically shared
 //!   subtrees ([`plan::intern`]) and structural plan hashes;
 //! * [`cache`] — cross-run plan/result cache keyed by (plan hash,
-//!   [`database::Database`] version), invalidated by any mutation;
+//!   [`database::Database`] version), invalidated by any mutation, and the
+//!   [`cache::PlanStore`] surface the serving path runs over;
 //! * [`ivm`](mod@ivm) — incremental view maintenance: delta journals and
 //!   per-operator Δ-rules that *refresh* cached results in O(|Δ|·fanout)
 //!   instead of discarding them on mutation;
@@ -60,17 +62,14 @@ pub mod stats;
 pub mod trace;
 
 pub use baseline::eval_baseline;
-pub use cache::{CacheStats, PlanCache, SharedPlanCache, CACHE_SHARDS};
+pub use cache::{CacheStats, NoCache, PlanCache, PlanStore, SharedPlanCache, CACHE_SHARDS};
 pub use database::Database;
 pub use egraph::{rules, saturate, saturate_governed, RewriteRule, SaturationReport};
-pub use eval::{
-    eval, eval_governed, eval_shared, eval_traced, eval_with_stats, EvalError, EvalStats,
-};
+pub use eval::{eval, EvalCtx, EvalError, EvalStats};
 pub use expr::{RaExpr, SelPred};
 pub use govern::{Budget, BudgetExceeded, CancelHandle, FaultInjector, Governor, Resource, Stage};
 pub use ivm::{
-    materialize, refresh, worth_refreshing, Delta, DeltaLog, MaintainedView, RefreshError,
-    TableDelta,
+    refresh, worth_refreshing, Delta, DeltaLog, MaintainedView, RefreshError, TableDelta,
 };
 pub use optimize::{optimize, simplify};
 pub use plan::{intern, plan_hash, InternStats, Interner};

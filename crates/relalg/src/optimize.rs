@@ -276,7 +276,7 @@ fn push_select(input: &RaExpr, pred: SelPred) -> Option<RaExpr> {
 ///
 /// ```
 /// use rc_formula::Term;
-/// use rc_relalg::{eval, optimize, Database, Estimator, RaExpr};
+/// use rc_relalg::{eval, optimize, Database, Estimator, EvalCtx, RaExpr};
 ///
 /// let db = Database::from_facts("P(1)\nP(2)\nQ(2, 5)").unwrap();
 /// let plan = RaExpr::join(
@@ -285,7 +285,8 @@ fn push_select(input: &RaExpr, pred: SelPred) -> Option<RaExpr> {
 /// );
 /// let planned = optimize(&plan, &db);
 /// // Same rows, same column order, never estimated costlier.
-/// assert_eq!(eval(&planned, &db).unwrap(), eval(&plan, &db).unwrap());
+/// let run = |e: &RaExpr| eval(e, &db, &mut EvalCtx::default()).unwrap();
+/// assert_eq!(run(&planned), run(&plan));
 /// assert_eq!(planned.cols(), plan.cols());
 /// let est = Estimator::new(&db);
 /// assert!(est.cost(&planned) <= est.cost(&plan));
@@ -791,7 +792,7 @@ mod tests {
     #[test]
     fn diff_pushdown_semantics_on_concrete_data() {
         use crate::database::Database;
-        use crate::eval::eval;
+        use crate::eval::{eval, EvalCtx};
         use rc_formula::Value;
         // The σ(A−B) = σ(A)−B identity on the module-doc counterexample
         // shape: A = {1,2}, B = {2}, σ = (x ≠ 2). σ(A−B) = {1}; the unsound
@@ -805,8 +806,8 @@ mod tests {
             SelPred::NeqConst(Var::new("x"), Value::int(2)),
         );
         let opt = simplify(&raw);
-        let want = eval(&raw, &db).unwrap();
-        let got = eval(&opt, &db).unwrap();
+        let want = eval(&raw, &db, &mut EvalCtx::default()).unwrap();
+        let got = eval(&opt, &db, &mut EvalCtx::default()).unwrap();
         assert_eq!(want, got, "optimized diff plan changed the answer");
         assert_eq!(want.len(), 1);
         assert!(want.contains(&[Value::int(1)]));
@@ -867,15 +868,16 @@ mod tests {
         // must be in scope), so instead pin that the rewrite preserves
         // results on data.
         let db = crate::database::Database::from_facts("R(1, 10)\nR(2, 20)").unwrap();
-        let want = crate::eval::eval(&stuck, &db).unwrap();
-        let got = crate::eval::eval(&simplify(&stuck), &db).unwrap();
+        let want = crate::eval::eval(&stuck, &db, &mut crate::EvalCtx::default()).unwrap();
+        let got =
+            crate::eval::eval(&simplify(&stuck), &db, &mut crate::EvalCtx::default()).unwrap();
         assert_eq!(want, got);
     }
 
     mod cost {
         use super::*;
         use crate::database::Database;
-        use crate::eval::eval;
+        use crate::eval::{eval, EvalCtx};
 
         /// A database where join order matters: Big × Big is huge but either
         /// Big ⋈ Tiny collapses.
@@ -907,7 +909,10 @@ mod tests {
             let e = three_way();
             let opt = optimize(&e, &db);
             assert_eq!(opt.cols(), e.cols(), "column order must be preserved");
-            assert_eq!(eval(&opt, &db).unwrap(), eval(&simplify(&e), &db).unwrap());
+            assert_eq!(
+                eval(&opt, &db, &mut EvalCtx::default()).unwrap(),
+                eval(&simplify(&e), &db, &mut EvalCtx::default()).unwrap()
+            );
         }
 
         #[test]
@@ -960,7 +965,7 @@ mod tests {
             );
             let opt = optimize(&e, &db);
             assert_eq!(opt.cols(), e.cols());
-            assert_eq!(eval(&opt, &db).unwrap().len(), 2);
+            assert_eq!(eval(&opt, &db, &mut EvalCtx::default()).unwrap().len(), 2);
         }
 
         #[test]
@@ -988,7 +993,10 @@ mod tests {
             let e = e.unwrap();
             let opt = optimize(&e, &db);
             assert_eq!(opt.cols(), e.cols());
-            assert_eq!(eval(&opt, &db).unwrap(), eval(&simplify(&e), &db).unwrap());
+            assert_eq!(
+                eval(&opt, &db, &mut EvalCtx::default()).unwrap(),
+                eval(&simplify(&e), &db, &mut EvalCtx::default()).unwrap()
+            );
         }
 
         #[test]
@@ -1006,7 +1014,10 @@ mod tests {
             );
             let opt = optimize(&e, &db);
             assert_eq!(opt.cols(), vec![Var::new("x")]);
-            assert_eq!(eval(&opt, &db).unwrap(), eval(&simplify(&e), &db).unwrap());
+            assert_eq!(
+                eval(&opt, &db, &mut EvalCtx::default()).unwrap(),
+                eval(&simplify(&e), &db, &mut EvalCtx::default()).unwrap()
+            );
         }
 
         #[test]
@@ -1025,7 +1036,10 @@ mod tests {
             let after = optimize(&e, &db);
             // Either the plan changed or it was already optimal; both plans
             // must stay correct.
-            assert_eq!(eval(&after, &db).unwrap(), eval(&before, &db).unwrap());
+            assert_eq!(
+                eval(&after, &db, &mut EvalCtx::default()).unwrap(),
+                eval(&before, &db, &mut EvalCtx::default()).unwrap()
+            );
         }
     }
 }

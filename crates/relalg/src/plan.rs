@@ -10,7 +10,7 @@
 //!
 //! * physically shared nodes make [`Arc::ptr_eq`] a sound (and complete,
 //!   within one interner) structural-equality test, which the memoizing
-//!   evaluator ([`crate::eval::eval_shared`]) exploits to compute each
+//!   evaluator ([`crate::eval::EvalCtx::memoized`]) exploits to compute each
 //!   distinct subplan once per run;
 //! * [`InternStats`] quantifies the sharing, and is surfaced through the
 //!   pipeline trace so `explain` can report how much of a plan is reused.

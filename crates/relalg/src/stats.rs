@@ -564,18 +564,16 @@ mod tests {
 
     #[test]
     fn harvest_reads_completed_spans() {
-        use crate::eval::{eval_traced, EvalStats};
-        use crate::govern::Budget;
+        use crate::eval::{eval, EvalCtx};
         use crate::trace::Tracer;
         let db = db();
         let e = RaExpr::join(
             RaExpr::scan("P", vec![Term::var("x"), Term::var("y")]),
             RaExpr::scan("Q", vec![Term::var("y")]),
         );
-        let mut stats = EvalStats::default();
-        let mut tracer = Tracer::on();
-        let out = eval_traced(&e, &db, &mut stats, Budget::unlimited(), &mut tracer).unwrap();
-        let root = tracer.finish().unwrap();
+        let mut cx = EvalCtx::default().with_tracer(Tracer::on());
+        let out = eval(&e, &db, &mut cx).unwrap();
+        let root = cx.tracer.finish().unwrap();
         let changed = harvest_actuals(&e, Some(&root), &db);
         assert!(changed >= 3, "join + two scans should all record");
         assert_eq!(db.observed_rows(plan_hash(&e)), Some(out.len() as u64));

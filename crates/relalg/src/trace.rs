@@ -93,7 +93,7 @@ pub struct OpSpan {
     /// forced partition count instead.
     pub partitions: Vec<u64>,
     /// Was this subplan served from the per-run memo table
-    /// ([`crate::eval::eval_shared`])? Such spans are leaves — the subtree
+    /// ([`crate::eval::EvalCtx::memoized`])? Such spans are leaves — the subtree
     /// was traced at its first evaluation.
     pub cache_hit: bool,
     /// Did the operator run to completion? `false` when a budget trip or
@@ -464,6 +464,17 @@ impl StageTracer {
     /// The stage spans recorded so far (an open span is not included).
     pub fn stages(&self) -> &[StageSpan] {
         &self.stages
+    }
+
+    /// Append `tag` to the detail of every span recorded since the first
+    /// `from` (an open span is not included).
+    pub fn tag_since(&mut self, from: usize, tag: &str) {
+        for span in self.stages.iter_mut().skip(from) {
+            if !span.detail.is_empty() {
+                span.detail.push(' ');
+            }
+            span.detail.push_str(tag);
+        }
     }
 
     /// Finish: close any open span as failed and package the stage spans

@@ -16,8 +16,8 @@
 //!   never block mutators and vice versa; every response names the
 //!   version it ran against.
 //! * **Shared plan cache** — all connections serve through one
-//!   [`rc_relalg::SharedPlanCache`] via
-//!   [`rc_safety::pipeline::compile_and_eval_shared`]: a formula compiled
+//!   [`rc_relalg::PlanCache`] via [`rc_safety::pipeline::serve`]: a
+//!   formula compiled
 //!   for any client is warm for every client, and result entries are
 //!   invalidated by version exactly as in-process serving does.
 //! * **Admission control** — a bounded two-class priority queue

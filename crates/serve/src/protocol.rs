@@ -475,7 +475,7 @@ pub struct WireStats {
     pub max_intermediate: u64,
     /// Cooperative budget checkpoints passed.
     pub budget_checks: u64,
-    /// Memo-table services ([`rc_relalg::eval_shared`]).
+    /// Memo-table services ([`rc_relalg::EvalCtx::memoized`] runs).
     pub memo_hits: u64,
 }
 

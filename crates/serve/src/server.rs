@@ -20,10 +20,10 @@
 //!    query runs against exactly this version for its whole life
 //!    (MVCC-lite: concurrent mutation swaps the shared pointer and bumps
 //!    the version; it never touches a snapshot in use);
-//! 3. **serves** through the process-wide [`SharedPlanCache`] via
-//!    [`compile_and_eval_shared`] — the *same* code path in-process
-//!    callers use, which is why served responses are byte-identical to
-//!    local serving (`tests/serve_differential.rs`).
+//! 3. **serves** through the process-wide [`PlanCache`] via
+//!    [`serve`] — the *same* code path in-process callers use, which is
+//!    why served responses are byte-identical to local serving
+//!    (`tests/serve_differential.rs`).
 //!
 //! Mutations serialize on a dedicated mutate lock and do the expensive
 //! part — cloning the database (cheap: relations are `Arc`'d flat
@@ -36,17 +36,22 @@ use crate::protocol::{
     read_frame, write_frame, DeltaCount, FrameError, QueryOk, Request, Response, Verb, WireError,
     WireLimits, WireStats, MAX_REQUEST_FRAME,
 };
-use rc_relalg::{Budget, Database, FaultInjector, SharedPlanCache};
-use rc_safety::anyrc::compile_and_eval_any_shared;
-use rc_safety::pipeline::{
-    compile_and_eval_shared, compile_and_eval_traced, CompileOptions, Compiled,
-};
+use rc_relalg::{Budget, Database, FaultInjector, NoCache, PlanCache};
+use rc_safety::pipeline::{self, serve, CompileOptions, Compiled, Mode};
+use std::cell::RefCell;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
+
+/// Stack size of the threads that serve requests. Compilation and
+/// evaluation recurse over the formula and the plan; a one-kilobyte query
+/// text can compile to a plan over a thousand operators deep, which
+/// overflows the 2 MiB default before the evaluator's own stack
+/// segmentation applies. Only the pages actually touched are committed.
+const SERVE_STACK_BYTES: usize = 16 << 20;
 
 /// Server construction options.
 #[derive(Clone, Debug)]
@@ -86,7 +91,7 @@ struct Shared {
     /// Serializes mutators so clone+load happens outside the write lock.
     mutate_lock: Mutex<()>,
     /// The process-wide plan/result cache, shared by every client.
-    cache: SharedPlanCache<Compiled>,
+    cache: PlanCache<Compiled>,
     admission: Admission,
     fault: Option<FaultInjector>,
     max_request_frame: u32,
@@ -103,11 +108,13 @@ pub struct Server {
     state: Arc<Shared>,
     local_addr: SocketAddr,
     accept_handle: Option<JoinHandle<()>>,
-    /// Clones of live connection streams, kept so shutdown can unblock
-    /// reads; connection threads to join.
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    /// Live connections: a stream clone, kept so shutdown can unblock
+    /// reads, and the serving thread to join (`None` while a connection is
+    /// served inline on the accept thread).
+    conns: Conns,
 }
+
+type Conns = Arc<Mutex<Vec<(TcpStream, Option<JoinHandle<()>>)>>>;
 
 impl Server {
     /// Bind and start serving `db`.
@@ -122,7 +129,7 @@ impl Server {
         let state = Arc::new(Shared {
             db: RwLock::new(Arc::new(db)),
             mutate_lock: Mutex::new(()),
-            cache: SharedPlanCache::new(),
+            cache: PlanCache::new(),
             admission: Admission::new(cfg.admission),
             fault: cfg.fault.clone(),
             max_request_frame: cfg.max_request_frame,
@@ -132,29 +139,19 @@ impl Server {
             inline_served: AtomicU64::new(0),
             mutations: AtomicU64::new(0),
         });
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::default();
-        let handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
+        let conns: Conns = Arc::default();
         let accept_state = Arc::clone(&state);
         let accept_conns = Arc::clone(&conns);
-        let accept_handles = Arc::clone(&handles);
         let read_timeout = cfg.read_timeout;
         let accept_handle = thread::Builder::new()
             .name("rc-serve-accept".to_string())
-            .spawn(move || {
-                accept_loop(
-                    &listener,
-                    &accept_state,
-                    &accept_conns,
-                    &accept_handles,
-                    read_timeout,
-                );
-            })?;
+            .stack_size(SERVE_STACK_BYTES)
+            .spawn(move || accept_loop(&listener, &accept_state, &accept_conns, read_timeout))?;
         Ok(Server {
             state,
             local_addr,
             accept_handle: Some(accept_handle),
             conns,
-            handles,
         })
     }
 
@@ -191,22 +188,12 @@ impl Server {
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
-        // Unblock connection reads.
-        for conn in self
-            .conns
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .drain(..)
-        {
+        // Unblock connection reads, then join their threads.
+        let conns: Vec<_> = lock(&self.conns).drain(..).collect();
+        for (conn, _) in &conns {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
-        let joins: Vec<_> = self
-            .handles
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .drain(..)
-            .collect();
-        for h in joins {
+        for h in conns.into_iter().filter_map(|(_, h)| h) {
             let _ = h.join();
         }
     }
@@ -218,11 +205,14 @@ impl Drop for Server {
     }
 }
 
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 fn accept_loop(
     listener: &TcpListener,
     state: &Arc<Shared>,
-    conns: &Arc<Mutex<Vec<TcpStream>>>,
-    handles: &Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: &Conns,
     read_timeout: Option<Duration>,
 ) {
     for stream in listener.incoming() {
@@ -235,9 +225,13 @@ fn accept_loop(
         };
         let _ = stream.set_read_timeout(read_timeout);
         let _ = stream.set_nodelay(true);
-        if let Ok(clone) = stream.try_clone() {
-            conns.lock().unwrap_or_else(|p| p.into_inner()).push(clone);
-        }
+        // Forget connections that have closed since the last accept: only
+        // live ones need unblocking at shutdown. Inline entries are always
+        // finished here — inline serving runs on this thread.
+        lock(conns).retain(|(_, h)| h.as_ref().is_some_and(|h| !h.is_finished()));
+        let Ok(clone) = stream.try_clone() else {
+            continue;
+        };
         // Spawn denial (fault injector or OS) degrades to inline,
         // sequential serving on the accept thread: later clients wait
         // behind this one instead of being dropped.
@@ -245,26 +239,22 @@ fn accept_loop(
             .fault
             .as_ref()
             .is_some_and(|f| !Budget::new().with_fault_injector(f.clone()).spawn_allowed());
-        if spawn_denied {
+        let spawned = match (spawn_denied, stream.try_clone()) {
+            (false, Ok(conn)) => {
+                let conn_state = Arc::clone(state);
+                thread::Builder::new()
+                    .name("rc-serve-conn".to_string())
+                    .stack_size(SERVE_STACK_BYTES)
+                    .spawn(move || serve_connection(&conn_state, conn))
+                    .ok()
+            }
+            _ => None,
+        };
+        let inline = spawned.is_none();
+        lock(conns).push((clone, spawned));
+        if inline {
             state.inline_served.fetch_add(1, Ordering::Relaxed);
             serve_connection(state, stream);
-            continue;
-        }
-        // Keep a copy so a failed spawn (the closure consumes `stream`)
-        // can still serve this exact socket inline.
-        let inline_copy = stream.try_clone();
-        let conn_state = Arc::clone(state);
-        let spawned = thread::Builder::new()
-            .name("rc-serve-conn".to_string())
-            .spawn(move || serve_connection(&conn_state, stream));
-        match spawned {
-            Ok(h) => handles.lock().unwrap_or_else(|p| p.into_inner()).push(h),
-            Err(_) => {
-                state.inline_served.fetch_add(1, Ordering::Relaxed);
-                if let Ok(copy) = inline_copy {
-                    serve_connection(state, copy);
-                }
-            }
         }
     }
 }
@@ -384,66 +374,44 @@ fn serve_query(
     snapshot: &Database,
     opts: CompileOptions,
 ) -> Response {
-    match req.verb {
-        Verb::Query => match compile_and_eval_shared(&req.body, snapshot, opts, &state.cache) {
-            Ok(out) => Response::Query(QueryOk {
+    // `analyze` is traced and uncached: the same serve as local `explain
+    // analyze`, including the statistics feedback harvest (the snapshot
+    // shares the live database's stats store until a mutation, so
+    // observed cardinalities benefit later compilations exactly like
+    // in-process analyze runs do). Safe-pair serving ([`rc_safety::anyrc`])
+    // keys both legs under the request body with salted option keys.
+    let trace = RefCell::default();
+    let request = pipeline::Request {
+        text: &req.body,
+        opts,
+        mode: if req.verb == Verb::Any {
+            Mode::Any
+        } else {
+            Mode::Safe
+        },
+        trace: (req.verb == Verb::Analyze).then_some(&trace),
+    };
+    let served = match request.trace {
+        Some(_) => serve(&request, snapshot, NoCache),
+        None => serve(&request, snapshot, &state.cache),
+    };
+    match served {
+        Ok(out) => {
+            let any = request.mode == Mode::Any;
+            Response::Query(QueryOk {
                 version: snapshot.version(),
                 plan_cached: out.plan_cached,
                 result_cached: out.result_cached,
                 result_refreshed: out.result_refreshed,
                 stats: WireStats::from(&out.stats),
                 columns: out.compiled.columns.iter().map(|v| v.to_string()).collect(),
+                trace_json: request.trace.map(|t| t.borrow().to_json_deterministic()),
+                any_infinite: any.then(|| out.maybe_infinite()),
+                any_infinite_vars: any.then_some(out.per_variable),
                 relation: out.relation,
-                trace_json: None,
-                any_infinite: None,
-                any_infinite_vars: None,
-            }),
-            Err(e) => Response::Error(WireError::from_pipeline(&e)),
-        },
-        Verb::Any => {
-            // Safe-pair serving ([`rc_safety::anyrc`]): both legs go
-            // through the same shared cache, keyed under the request body
-            // with salted option keys.
-            match compile_and_eval_any_shared(&req.body, snapshot, opts, &state.cache) {
-                Ok(out) => Response::Query(QueryOk {
-                    version: snapshot.version(),
-                    plan_cached: out.plan_cached,
-                    result_cached: out.result_cached,
-                    result_refreshed: out.result_refreshed,
-                    stats: WireStats::from(&out.answer.stats),
-                    columns: out.answer.columns.iter().map(|v| v.to_string()).collect(),
-                    relation: out.answer.finite,
-                    trace_json: None,
-                    any_infinite: Some(out.answer.maybe_infinite),
-                    any_infinite_vars: Some(out.answer.per_variable),
-                }),
-                Err(e) => Response::Error(WireError::from_pipeline(&e)),
-            }
+            })
         }
-        Verb::Analyze => {
-            // Traced serving: same entry point as local `explain analyze`,
-            // including the statistics feedback harvest (the snapshot
-            // shares the live database's stats store until a mutation, so
-            // observed cardinalities benefit later compilations exactly
-            // like in-process analyze runs do).
-            let (result, trace) = compile_and_eval_traced(&req.body, snapshot, opts);
-            match result {
-                Ok(out) => Response::Query(QueryOk {
-                    version: snapshot.version(),
-                    plan_cached: false,
-                    result_cached: false,
-                    result_refreshed: false,
-                    stats: WireStats::from(&out.stats),
-                    columns: out.compiled.columns.iter().map(|v| v.to_string()).collect(),
-                    relation: out.relation,
-                    trace_json: Some(trace.to_json_deterministic()),
-                    any_infinite: None,
-                    any_infinite_vars: None,
-                }),
-                Err(e) => Response::Error(WireError::from_pipeline(&e)),
-            }
-        }
-        _ => unreachable!("serve_query only handles query/analyze/any"),
+        Err(e) => Response::Error(WireError::from_pipeline(&e)),
     }
 }
 
@@ -537,4 +505,26 @@ fn stats_response(state: &Arc<Shared>) -> Response {
         ("peak_queued".to_string(), adm.peak_queued.to_string()),
     ];
     Response::Stats(pairs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+
+    #[test]
+    fn closed_connections_are_not_retained() {
+        let server = Server::start(Database::new(), ServerConfig::default()).unwrap();
+        for _ in 0..200 {
+            let mut client = Client::connect(server.local_addr()).unwrap();
+            assert_eq!(client.ping().unwrap(), Response::Pong);
+        }
+        // Each accept forgets the connections that have closed, so only the
+        // last few (whose threads may still be winding down) remain.
+        let retained = lock(&server.conns).len();
+        assert!(
+            retained <= 8,
+            "{retained} of 200 closed connections retained"
+        );
+    }
 }

@@ -10,22 +10,22 @@
 //! ```
 
 use rc_safety::naive::{section2_formula, section2_naive};
-use rcsafe::{compile, Database};
+use rcsafe::{serve, CompileOptions, Database, EvalCtx, NoCache, Request};
 
 fn run_case(title: &str, db: &Database) {
     println!("== {title} ==");
 
     // QUEL semantics: σ_{n1=n2 ∨ n1=n3}(R1 × R2 × R3), project n1.
     let naive = section2_naive().translate_naive();
-    let naive_ans = rc_relalg::eval(&naive, db).expect("naive evaluates");
+    let naive_ans = rc_relalg::eval(&naive, db, &mut EvalCtx::default()).expect("naive evaluates");
     println!("  QUEL-style product-first answer: {naive_ans}");
 
     // The calculus formula the user meant, correctly translated.
-    let f = section2_formula();
-    let compiled = compile(&f).expect("formula compiles");
-    let ours = compiled.run(db).expect("evaluates");
-    println!("  correct translation answer:      {ours}");
-    println!("  algebra: {}", compiled.expr);
+    let text = section2_formula().to_string();
+    let ours = serve(&Request::new(&text, CompileOptions::default()), db, NoCache)
+        .expect("formula compiles and evaluates");
+    println!("  correct translation answer:      {}", ours.relation);
+    println!("  algebra: {}", ours.compiled.expr);
     println!();
 }
 

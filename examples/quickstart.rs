@@ -4,8 +4,8 @@
 //! cargo run --example quickstart
 //! ```
 
-use rcsafe::safety::pipeline::{compile, CompileOptions};
-use rcsafe::{classify, parse, Database};
+use rcsafe::safety::pipeline::compile_with;
+use rcsafe::{classify, parse, serve, CompileOptions, Database, NoCache, Request};
 
 fn main() {
     // A small graph database.
@@ -22,12 +22,16 @@ fn main() {
     println!("query:          {f}");
     println!("safety class:   {}", classify(&f));
 
-    let compiled = compile(&f).expect("query compiles");
+    // One call runs the whole pipeline: compile (every stage is kept on
+    // the returned plan), then evaluate.
+    let out = serve(&Request::new(text, CompileOptions::default()), &db, NoCache)
+        .expect("query compiles and evaluates");
+    let compiled = &out.compiled;
     println!("allowed form:   {}", compiled.allowed_form);
     println!("RANF form:      {}", compiled.ranf_form);
     println!("algebra:        {}", compiled.expr);
 
-    let answer = compiled.run(&db).expect("query evaluates");
+    let answer = &out.relation;
     println!(
         "answer ({}):     {}",
         compiled
@@ -41,14 +45,17 @@ fn main() {
 
     // Unsafe queries are rejected with a reason — never silently
     // reinterpreted (compare Sec. 2's QUEL anomaly).
-    let unsafe_q = parse("!Marked(x)").unwrap();
-    match compile(&unsafe_q) {
+    match serve(
+        &Request::new("!Marked(x)", CompileOptions::default()),
+        &db,
+        NoCache,
+    ) {
         Err(e) => println!("\n¬Marked(x) rejected: {e}"),
         Ok(_) => unreachable!("¬Marked(x) must not compile"),
     }
 
     // Compilation options: keep the raw (unsimplified) expression.
-    let raw = rc_safety::pipeline::compile_with(
+    let raw = compile_with(
         &f,
         CompileOptions {
             optimize: false,

@@ -57,35 +57,47 @@
 
 use rcsafe::formula::vars::rectified;
 use rcsafe::relalg::trace::{render_analyze, render_plan};
-use rcsafe::relalg::EvalStats;
 use rcsafe::safety::check_evaluable;
-use rcsafe::safety::pipeline::{
-    compile_and_eval, compile_and_eval_cached, compile_and_eval_traced, CompileOptions, Compiled,
-    PipelineError, PlannerMode, QueryOutput,
-};
 use rcsafe::{
-    classify, compile_and_eval_any_cached, parse, Budget, Database, PlanCache, Relation,
-    SafetyClass,
+    classify, parse, serve, Budget, CompileOptions, Compiled, Database, NoCache, PipelineError,
+    PlanCache, PlannerMode, Relation, Request, SafetyClass,
 };
+use std::cell::RefCell;
 use std::io::{self, BufRead, Write};
-use std::sync::Arc;
 use std::time::Duration;
 
-/// What every query mode produces: cached serving hands back a shared
-/// `Arc<Compiled>`, the uncached paths an owned one — unify on the `Arc`.
-struct Served {
-    compiled: Arc<Compiled>,
-    relation: Relation,
-    stats: EvalStats,
+/// How a served query was answered (plan hit, result hit, refreshed),
+/// for the REPL's one-line note.
+fn cache_note(cached: (bool, bool, bool)) -> Option<&'static str> {
+    match cached {
+        (_, true, true) => Some("result refreshed from cached view (delta applied)"),
+        (_, true, false) => Some("result served from cache (database unchanged)"),
+        (true, false, _) => Some("plan served from cache"),
+        (false, false, _) => None,
+    }
 }
 
-impl From<QueryOutput> for Served {
-    fn from(o: QueryOutput) -> Served {
-        Served {
-            compiled: Arc::new(o.compiled),
-            relation: o.relation,
-            stats: o.stats,
-        }
+/// Print an answer: the truth value of a closed query, otherwise its
+/// columns and relation — after a warning when some column may take
+/// infinitely many values outside the database.
+fn print_answer(columns: &[String], per_variable: &[bool], relation: &Relation) {
+    let starred: Vec<&str> = columns
+        .iter()
+        .zip(per_variable)
+        .filter(|(_, inf)| **inf)
+        .map(|(c, _)| c.as_str())
+        .collect();
+    if !starred.is_empty() {
+        println!(
+            "  warning: the full answer may be infinite — the active-domain \
+             answer below is complete only within the database ({})",
+            starred.join(", ")
+        );
+    }
+    if columns.is_empty() {
+        println!("  {}", relation.as_bool().unwrap_or(false));
+    } else {
+        println!("  ({}) ∈ {relation}", columns.join(", "));
     }
 }
 
@@ -308,13 +320,10 @@ fn client_main(addr: &str) {
                 }
             }
             Ok(Response::Query(ok)) => {
-                match (ok.plan_cached, ok.result_cached, ok.result_refreshed) {
-                    (_, true, true) => {
-                        println!("  result refreshed from cached view (delta applied)")
-                    }
-                    (_, true, false) => println!("  result served from cache (database unchanged)"),
-                    (true, false, _) => println!("  plan served from cache"),
-                    (false, false, _) => {}
+                if let Some(note) =
+                    cache_note((ok.plan_cached, ok.result_cached, ok.result_refreshed))
+                {
+                    println!("  {note}");
                 }
                 println!(
                     "  stats:    {} operators, {} tuples, {} budget checks (version {})",
@@ -326,27 +335,8 @@ fn client_main(addr: &str) {
                 if let Some(trace) = &ok.trace_json {
                     println!("  trace:    {trace}");
                 }
-                if ok.any_infinite == Some(true) {
-                    let starred = ok
-                        .any_infinite_vars
-                        .as_deref()
-                        .unwrap_or(&[])
-                        .iter()
-                        .zip(&ok.columns)
-                        .filter(|(inf, _)| **inf)
-                        .map(|(_, c)| c.as_str())
-                        .collect::<Vec<_>>()
-                        .join(", ");
-                    println!(
-                        "  warning: the full answer may be infinite — the active-domain \
-                         answer below is complete only within the database ({starred})"
-                    );
-                }
-                if ok.columns.is_empty() {
-                    println!("  {}", ok.relation.as_bool().unwrap_or(false));
-                } else {
-                    println!("  ({}) ∈ {}", ok.columns.join(", "), ok.relation);
-                }
+                let starred = ok.any_infinite_vars.as_deref().unwrap_or(&[]);
+                print_answer(&ok.columns, starred, &ok.relation);
             }
             Ok(Response::Error(e)) => {
                 print!("  {} error", e.kind);
@@ -380,7 +370,7 @@ fn main() {
     .unwrap();
     let mut limits = Limits::default();
     let mut planner = PlannerMode::default();
-    let mut cache: PlanCache<Compiled> = PlanCache::new();
+    let cache: PlanCache<Compiled> = PlanCache::new();
 
     println!("rcsafe console — relational calculus with safe translation");
     println!("preloaded: Part/1, Supplies/2. Type `help` for commands.\n");
@@ -522,66 +512,16 @@ fn main() {
             planner = planner_command(args, planner);
             continue;
         }
-        if let Some(text) = line.strip_prefix("query any ") {
-            let opts = CompileOptions {
-                budget: limits.arm(),
-                planner,
-                ..CompileOptions::default()
-            };
-            match compile_and_eval_any_cached(text, &db, opts, &mut cache) {
-                Ok(out) => {
-                    match (out.plan_cached, out.result_cached, out.result_refreshed) {
-                        (_, true, true) => {
-                            println!("  result refreshed from cached view (delta applied)")
-                        }
-                        (_, true, false) => {
-                            println!("  result served from cache (database unchanged)")
-                        }
-                        (true, false, _) => println!("  plan served from cache"),
-                        (false, false, _) => {}
-                    }
-                    let a = &out.answer;
-                    if a.safe_pair {
-                        println!("  not recognized safe: evaluated via safe-pair translation");
-                    }
-                    if a.maybe_infinite {
-                        let starred = a
-                            .columns
-                            .iter()
-                            .zip(&a.per_variable)
-                            .filter(|(_, inf)| **inf)
-                            .map(|(v, _)| v.to_string())
-                            .collect::<Vec<_>>()
-                            .join(", ");
-                        println!(
-                            "  warning: the full answer may be infinite — the active-domain \
-                             answer below is complete only within the database ({starred})"
-                        );
-                    }
-                    if a.columns.is_empty() {
-                        println!("  {}", a.finite.as_bool().unwrap_or(false));
-                    } else {
-                        let cols = a
-                            .columns
-                            .iter()
-                            .map(|v| v.to_string())
-                            .collect::<Vec<_>>()
-                            .join(", ");
-                        println!("  ({cols}) ∈ {}", a.finite);
-                    }
-                }
-                Err(PipelineError::Parse(e)) => println!("  parse error: {e}"),
-                Err(PipelineError::Budget(b)) => println!("  budget exceeded: {b}"),
-                Err(e) => println!("  error: {e}"),
-            }
-            continue;
-        }
         #[derive(PartialEq)]
         enum Mode {
             Plain,
             Explain,
             Analyze,
         }
+        let (any, line) = match line.strip_prefix("query any ") {
+            Some(rest) => (true, rest),
+            None => (false, line),
+        };
         let (mode, text) = if let Some(rest) = line.strip_prefix("explain analyze ") {
             (Mode::Analyze, rest)
         } else if let Some(rest) = line.strip_prefix("explain ") {
@@ -591,7 +531,7 @@ fn main() {
         };
         // Pre-classify for a friendlier rejection than the raw error,
         // pointing at the innermost violating subformula when we can.
-        if let Ok(f) = parse(text) {
+        if let (false, Ok(f)) = (any, parse(text)) {
             if classify(&f) == SafetyClass::NotRecognized {
                 match check_evaluable(&rectified(&f)) {
                     Err(v) => println!("  rejected: {v}"),
@@ -610,53 +550,39 @@ fn main() {
         };
         // Plain queries are served through the cross-run cache; `explain`
         // modes always recompile so the reported stages stay live.
-        let (result, trace, served) = if mode == Mode::Analyze {
-            let (r, t) = compile_and_eval_traced(text, &db, opts);
-            (r.map(Served::from), Some(t), None)
-        } else if mode == Mode::Explain {
-            (
-                compile_and_eval(text, &db, opts).map(Served::from),
-                None,
-                None,
-            )
-        } else {
-            match compile_and_eval_cached(text, &db, opts, &mut cache) {
-                Ok(o) => {
-                    let note = match (o.plan_cached, o.result_cached, o.result_refreshed) {
-                        (_, true, true) => {
-                            Some("result refreshed from cached view (delta applied)")
-                        }
-                        (_, true, false) => Some("result served from cache (database unchanged)"),
-                        (true, false, _) => Some("plan served from cache"),
-                        (false, false, _) => None,
-                    };
-                    (
-                        Ok(Served {
-                            compiled: o.compiled,
-                            relation: o.relation,
-                            stats: o.stats,
-                        }),
-                        None,
-                        note,
-                    )
-                }
-                Err(e) => (Err(e), None, None),
-            }
+        let trace = RefCell::default();
+        let req = Request {
+            mode: if any {
+                rcsafe::Mode::Any
+            } else {
+                rcsafe::Mode::Safe
+            },
+            trace: (mode == Mode::Analyze).then_some(&trace),
+            ..Request::new(text, opts)
         };
+        let result = match mode {
+            Mode::Plain => serve(&req, &db, &cache),
+            _ => serve(&req, &db, NoCache),
+        };
+        let trace = trace.into_inner();
         match result {
             Err(PipelineError::Parse(e)) => println!("  parse error: {e}"),
             Err(PipelineError::NotSafe(v)) => println!("  rejected: {v}"),
             Err(PipelineError::Budget(b)) => {
                 println!("  budget exceeded: {b}");
                 // The trace still names the hot operator on a trip.
-                if let Some(hot) = trace.as_ref().and_then(|t| t.hot_operator()) {
+                if let Some(hot) = trace.hot_operator() {
                     println!("  hot operator: {} (inputs {:?})", hot.op, hot.rows_in);
                 }
             }
             Err(e) => println!("  error: {e}"),
             Ok(outcome) => {
                 let c: &Compiled = &outcome.compiled;
-                if let Some(note) = served {
+                if let Some(note) = cache_note((
+                    outcome.plan_cached,
+                    outcome.result_cached,
+                    outcome.result_refreshed,
+                )) {
                     println!("  {note}");
                 }
                 if mode != Mode::Plain {
@@ -670,39 +596,32 @@ fn main() {
                         outcome.stats.budget_checks
                     );
                 }
-                match (&mode, &trace) {
-                    (Mode::Explain, _) => {
+                match mode {
+                    Mode::Explain => {
                         println!("  plan (estimated rows):");
                         for line in render_plan(&c.expr, &db).lines() {
                             println!("    {line}");
                         }
                     }
-                    (Mode::Analyze, Some(t)) => {
+                    Mode::Analyze => {
                         println!("  stages:");
                         // render() appends the operator tree; the annotated
                         // plan below covers that, so stop at the stage list.
-                        for line in t.render().lines().take_while(|l| *l != "operators:") {
+                        for line in trace.render().lines().take_while(|l| *l != "operators:") {
                             println!("    {line}");
                         }
                         println!("  plan (estimated vs actual rows):");
-                        for line in render_analyze(&c.expr, &db, t.root.as_ref()).lines() {
+                        for line in render_analyze(&c.expr, &db, trace.root.as_ref()).lines() {
                             println!("    {line}");
                         }
                     }
-                    _ => {}
+                    Mode::Plain => {}
                 }
-                let rel = &outcome.relation;
-                let cols = c
-                    .columns
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                if c.columns.is_empty() {
-                    println!("  {}", rel.as_bool().unwrap());
-                } else {
-                    println!("  ({cols}) ∈ {rel}");
+                if outcome.safe_pair {
+                    println!("  not recognized safe: evaluated via safe-pair translation");
                 }
+                let columns: Vec<String> = c.columns.iter().map(|v| v.to_string()).collect();
+                print_answer(&columns, &outcome.per_variable, &outcome.relation);
             }
         }
     }

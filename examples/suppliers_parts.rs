@@ -4,8 +4,14 @@
 //! cargo run --example suppliers_parts
 //! ```
 
-use rcsafe::safety::pipeline::query;
-use rcsafe::{classify, compile, parse, Database};
+use rcsafe::{
+    classify, parse, serve, CompileOptions, Database, NoCache, PipelineError, Request, Served,
+};
+
+/// Compile and evaluate one query text, uncached.
+fn query(text: &str, db: &Database) -> Result<Served, PipelineError> {
+    serve(&Request::new(text, CompileOptions::default()), db, NoCache)
+}
 
 fn main() {
     let db = Database::from_facts(
@@ -27,10 +33,10 @@ fn main() {
 
     // Example 5.2's G: "Does some supplier supply all parts?"
     // ∃y ∀x (¬P(x) ∨ S(y, x)) — evaluable but NOT allowed.
-    let g = parse("exists y. forall x. (!Part(x) | Supplies(y, x))").unwrap();
-    println!("G  = {g}");
-    println!("     class: {}", classify(&g));
-    let ans = compile(&g).unwrap().run(&db).unwrap();
+    let g = "exists y. forall x. (!Part(x) | Supplies(y, x))";
+    println!("G  = {}", parse(g).unwrap());
+    println!("     class: {}", classify(&parse(g).unwrap()));
+    let ans = query(g, &db).unwrap().relation;
     println!(
         "     some supplier supplies all parts? {:?}",
         ans.as_bool().unwrap()
@@ -39,21 +45,20 @@ fn main() {
     // The "apparently harmless variant" — *which* suppliers supply all
     // parts — is unsafe as ∀x(¬P(x) ∨ S(y,x)): if Part were empty, every y
     // would qualify. The paper's point: the system must REJECT it…
-    let open = parse("forall x. (!Part(x) | Supplies(y, x))").unwrap();
-    println!("\nopen variant = {open}");
-    match compile(&open) {
+    let open = "forall x. (!Part(x) | Supplies(y, x))";
+    println!("\nopen variant = {}", parse(open).unwrap());
+    match query(open, &db) {
         Err(e) => println!("     rejected: {e}"),
         Ok(_) => unreachable!(),
     }
 
     // …until the user grounds y in the database:
-    let grounded =
-        parse("exists p. Supplies(y, p) & forall x. (!Part(x) | Supplies(y, x))").unwrap();
-    println!("\ngrounded = {grounded}");
-    let c = compile(&grounded).unwrap();
-    println!("     class:   {}", c.class);
-    println!("     algebra: {}", c.expr);
-    println!("     answer:  {}", c.run(&db).unwrap());
+    let grounded = "exists p. Supplies(y, p) & forall x. (!Part(x) | Supplies(y, x))";
+    println!("\ngrounded = {}", parse(grounded).unwrap());
+    let out = query(grounded, &db).unwrap();
+    println!("     class:   {}", out.class);
+    println!("     algebra: {}", out.compiled.expr);
+    println!("     answer:  {}", out.relation);
 
     // Sec. 5.3's default-value query: supplier per part, 'none' when
     // nobody supplies it. `x = c` is the only way values outside the
@@ -65,7 +70,8 @@ fn main() {
         "Part(x) & (Supplies(y, x) | (forall z. !Supplies(z, x)) & y = 'none')",
         &db2,
     )
-    .unwrap();
+    .unwrap()
+    .relation;
     for t in ans.iter() {
         println!("     part {:10}  supplier {}", t[0].to_string(), t[1]);
     }

@@ -20,26 +20,6 @@ echo "==> cargo test (workspace)"
 #   BLESS=1 cargo test --test golden_trace
 cargo test -q --workspace
 
-echo "==> cache and optimizer regression suites (named so a failure is obvious)"
-cargo test -q --test cache_serving
-cargo test -q --test trace_json
-cargo test -q --test prop_relalg diff_heavy
-
-echo "==> query-server suites (wire differential, concurrency, protocol robustness, faults)"
-cargo test -q --test serve_differential
-cargo test -q --test serve_concurrent
-cargo test -q --test serve_protocol
-cargo test -q --test fault_injection
-
-echo "==> IVM differential suite (delta refresh must equal full re-evaluation)"
-cargo test -q --test prop_ivm
-
-echo "==> safe-pair differential suite (arbitrary formulas vs both active-domain oracles)"
-cargo test -q --test prop_anyrc
-
-echo "==> unicode lexing property suite"
-cargo test -q --test prop_unicode
-
 echo "==> example smoke tests"
 cargo run -q --example quickstart > /dev/null
 cargo run -q --example suppliers_parts > /dev/null

@@ -20,11 +20,12 @@
 //! The most common entry points are re-exported at the top level.
 //!
 //! ```
-//! use rcsafe::{Database, query};
+//! use rcsafe::{serve, CompileOptions, Database, NoCache, Request};
 //!
 //! let db = Database::from_facts("P('a')\nQ('a', 'b')").unwrap();
-//! let ans = query("exists y. (P(x) | Q(x, y))", &db).unwrap();
-//! assert_eq!(ans.len(), 1);
+//! let req = Request::new("exists y. (P(x) | Q(x, y))", CompileOptions::default());
+//! let ans = serve(&req, &db, NoCache).unwrap();
+//! assert_eq!(ans.relation.len(), 1);
 //! ```
 
 pub use rc_formula as formula;
@@ -33,17 +34,13 @@ pub use rc_safety as safety;
 
 pub use rc_formula::{parse, Formula, Schema, Symbol, Term, Value, Var};
 pub use rc_relalg::{
-    Budget, CacheStats, CancelHandle, Database, FaultInjector, PipelineTrace, PlanCache, RaExpr,
-    Relation, SharedPlanCache, TraceSink, Tracer,
+    Budget, CacheStats, CancelHandle, Database, EvalCtx, FaultInjector, NoCache, PipelineTrace,
+    PlanCache, RaExpr, Relation, SharedPlanCache, TraceSink, Tracer,
 };
-pub use rc_safety::anyrc::{
-    compile_and_eval_any, compile_and_eval_any_cached, compile_and_eval_any_shared,
-    compile_and_eval_any_traced, AnyAnswer, CachedAnyOutput,
-};
+pub use rc_safety::anyrc::AnyAnswer;
 pub use rc_safety::pipeline::{
-    classify, compile, compile_and_eval, compile_and_eval_cached, compile_and_eval_shared,
-    compile_and_eval_traced, query, CachedQueryOutput, Compiled, PipelineError, PlannerMode,
-    QueryOutput, SafetyClass,
+    classify, serve, CompileOptions, Compiled, Mode, PipelineError, PlannerMode, Request,
+    SafetyClass, Served,
 };
 pub use rc_safety::{
     equality_reduce, genify, is_allowed, is_evaluable, is_ranf, is_wide_sense_evaluable, ranf,

@@ -1,13 +1,11 @@
-//! End-to-end tests for the repeated-query serving path:
-//! [`compile_and_eval_cached`] must be answer-identical to the uncached
-//! pipeline, and the [`Database`] version stamp must invalidate
-//! materialized results the moment the database changes.
+//! End-to-end tests for the repeated-query serving path: `serve` through
+//! a [`PlanCache`] must be answer-identical to uncached serving, and the
+//! [`Database`] version stamp must invalidate materialized results the
+//! moment the database changes.
 
 use rcsafe::safety::corpus::corpus;
-use rcsafe::safety::pipeline::{
-    compile_and_eval, compile_and_eval_cached, CompileOptions, Compiled,
-};
-use rcsafe::{Budget, Database, PlanCache};
+use rcsafe::safety::pipeline::{compile_and_eval_cached, CompileOptions, Compiled};
+use rcsafe::{serve, Budget, Database, NoCache, PlanCache, Request};
 
 fn db() -> Database {
     Database::from_facts(
@@ -28,7 +26,11 @@ fn cached_serving_matches_uncached_across_the_corpus() {
     let mut seen = std::collections::HashSet::new();
     let mut served = 0;
     for entry in corpus() {
-        let uncached = match compile_and_eval(entry.text, &db, CompileOptions::default()) {
+        let uncached = match serve(
+            &Request::new(entry.text, CompileOptions::default()),
+            &db,
+            NoCache,
+        ) {
             Ok(o) => o,
             Err(_) => {
                 // Unsafe formulas must be rejected by the cached path too,
@@ -175,7 +177,7 @@ fn partition_policy_never_fragments_or_skews_the_cache() {
     assert_eq!(cache.plan_count(), 1);
 
     // And the partitioned-cold result equals an uncached sequential run.
-    let plain = rcsafe::safety::pipeline::compile_and_eval(text, &db, CompileOptions::default())
+    let plain = serve(&Request::new(text, CompileOptions::default()), &db, NoCache)
         .expect("uncached sequential run");
     assert_eq!(plain.relation, cold.relation);
 }

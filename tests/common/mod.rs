@@ -5,7 +5,27 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rcsafe::formula::vars::free_vars;
 use rcsafe::safety::interp::FiniteInterp;
-use rcsafe::{Database, Formula, Schema, Value, Var};
+use rcsafe::{
+    serve, CompileOptions, Database, Formula, NoCache, PipelineError, PipelineTrace, Request,
+    Schema, Served, Value, Var,
+};
+use std::cell::RefCell;
+
+/// Serve `text` uncached with tracing on: the outcome and its trace
+/// (partial when the serve fails).
+pub fn serve_traced(
+    text: &str,
+    db: &Database,
+    opts: CompileOptions,
+) -> (Result<Served, PipelineError>, PipelineTrace) {
+    let trace = RefCell::default();
+    let req = Request {
+        trace: Some(&trace),
+        ..Request::new(text, opts)
+    };
+    let out = serve(&req, db, NoCache);
+    (out, trace.into_inner())
+}
 
 /// The union of the schemas of two formulas (they must agree on arities).
 pub fn joint_schema(a: &Formula, b: &Formula) -> Schema {

@@ -10,35 +10,13 @@
 
 mod common;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rcsafe::relalg::govern::Stage;
-use rcsafe::safety::corpus::{corpus, formula_of, PaperFormula};
+use rcsafe::safety::corpus::{corpus, formula_of, random_db};
 use rcsafe::safety::dom_baseline::eval_brute_force;
-use rcsafe::safety::pipeline::{classify, compile, CompileError, PipelineError, SafetyClass};
-use rcsafe::{Database, Schema, Value};
-
-/// A reproducible database over an entry's inferred schema. Seed 0 yields
-/// the empty database so the vacuous cases are always exercised.
-fn db_for(entry: &PaperFormula, seed: u64) -> Database {
-    let f = formula_of(entry);
-    let schema = Schema::infer(&f).expect("corpus formulas have consistent arities");
-    let mut domain: Vec<Value> = (1..=4).map(Value::int).collect();
-    for c in f.constants() {
-        if !domain.contains(&c) {
-            domain.push(c);
-        }
-    }
-    if seed == 0 {
-        let mut d = Database::new();
-        for (p, ar) in schema.predicates() {
-            d.declare(p, ar);
-        }
-        d
-    } else {
-        Database::random(&schema, &domain, 6, &mut StdRng::seed_from_u64(seed))
-    }
-}
+use rcsafe::safety::pipeline::{
+    classify, compile_with, CompileError, CompileOptions, PipelineError, SafetyClass,
+};
+use rcsafe::EvalCtx;
 
 #[test]
 fn classify_agrees_with_paper_flags() {
@@ -66,7 +44,7 @@ fn classify_agrees_with_paper_flags() {
 fn compilation_succeeds_exactly_for_wide_sense_entries() {
     for e in corpus() {
         let f = formula_of(&e);
-        let outcome = compile(&f);
+        let outcome = compile_with(&f, CompileOptions::default());
         assert_eq!(
             outcome.is_ok(),
             e.wide_sense,
@@ -82,7 +60,8 @@ fn compilation_succeeds_exactly_for_wide_sense_entries() {
 fn rejected_entries_report_the_classify_stage() {
     for e in corpus().into_iter().filter(|e| !e.wide_sense) {
         let f = formula_of(&e);
-        let err = compile(&f).expect_err("unsafe entry must be rejected");
+        let err =
+            compile_with(&f, CompileOptions::default()).expect_err("unsafe entry must be rejected");
         assert!(
             matches!(err, CompileError::NotSafe(_)),
             "{}: expected a safety rejection, got {err:?}",
@@ -99,13 +78,15 @@ fn compiled_corpus_answers_match_dom_baseline() {
     let mut executed = 0usize;
     for e in corpus().into_iter().filter(|e| e.wide_sense) {
         let f = formula_of(&e);
-        let c = compile(&f).expect("wide-sense entries compile");
+        let c = compile_with(&f, CompileOptions::default()).expect("wide-sense entries compile");
         // Class inclusion: every wide-sense entry the paper asserts is also
         // domain independent, so active-domain answers are THE answers.
         assert!(e.domain_independent, "{}: inclusion violated", e.id);
         for seed in 0..4u64 {
-            let db = db_for(&e, seed);
-            let ours = c.run(&db).expect("compiled corpus entry evaluates");
+            let db = random_db(&f, seed);
+            let ours = c
+                .run(&db, &mut EvalCtx::default())
+                .expect("compiled corpus entry evaluates");
             let oracle = eval_brute_force(&c.original, &db);
             assert_eq!(
                 ours, oracle,

@@ -4,12 +4,21 @@
 mod common;
 
 use rcsafe::safety::dom_baseline::{eval_brute_force, eval_dom};
-use rcsafe::{compile, parse, query, Database, Value, Var};
+use rcsafe::safety::pipeline::compile_with;
+use rcsafe::{
+    parse, serve, CompileOptions, Database, EvalCtx, NoCache, PipelineError, Relation, Request,
+    Value, Var,
+};
+
+fn query(text: &str, db: &Database) -> Result<Relation, PipelineError> {
+    let req = Request::new(text, CompileOptions::default());
+    serve(&req, db, NoCache).map(|out| out.relation)
+}
 
 fn check_against_oracle(q: &str, db: &Database) {
     let f = parse(q).unwrap();
-    let c = compile(&f).unwrap_or_else(|e| panic!("{q}: {e}"));
-    let ours = c.run(db).unwrap();
+    let c = compile_with(&f, CompileOptions::default()).unwrap_or_else(|e| panic!("{q}: {e}"));
+    let ours = c.run(db, &mut EvalCtx::default()).unwrap();
     let oracle = eval_brute_force(&f, db);
     assert_eq!(ours, oracle, "{q}");
 }
@@ -40,8 +49,8 @@ fn repeated_variable_atoms_with_equalities() {
         "exists x. (P(x, x) & (x = 1 | x = 3))",
     ] {
         let f = parse(q).unwrap();
-        let c = compile(&f).unwrap_or_else(|e| panic!("{q}: {e}"));
-        let ours = c.run(&db).unwrap();
+        let c = compile_with(&f, CompileOptions::default()).unwrap_or_else(|e| panic!("{q}: {e}"));
+        let ours = c.run(&db, &mut EvalCtx::default()).unwrap();
         assert_eq!(ours, eval_brute_force(&f, &db), "{q} vs brute force");
         assert_eq!(ours, eval_dom(&f, &db).unwrap(), "{q} vs Dom baseline");
     }
@@ -106,8 +115,8 @@ fn shadowing_input_is_rectified() {
     // The same bound name at two levels must be handled by rectification.
     let db = Database::from_facts("P(1)\nQ(1, 2)\nQ(2, 2)").unwrap();
     let f = parse("exists y. (P(y) & exists y. Q(y, y))").unwrap();
-    let c = compile(&f).unwrap();
-    let ans = c.run(&db).unwrap();
+    let c = compile_with(&f, CompileOptions::default()).unwrap();
+    let ans = c.run(&db, &mut EvalCtx::default()).unwrap();
     // ∃y P(y) is true; ∃y Q(y,y) is true (Q(2,2)).
     assert_eq!(ans.as_bool(), Some(true));
 }
@@ -167,8 +176,8 @@ fn long_conjunction_chain() {
     let conj: Vec<String> = (0..20).map(|i| format!("E{i}(x{i}, x{})", i + 1)).collect();
     let q = conj.join(" & ");
     let f = parse(&q).unwrap();
-    let c = compile(&f).unwrap();
-    let ans = c.run(&db).unwrap();
+    let c = compile_with(&f, CompileOptions::default()).unwrap();
+    let ans = c.run(&db, &mut EvalCtx::default()).unwrap();
     assert_eq!(ans.len(), 1);
     assert_eq!(c.columns.len(), 21);
     assert_eq!(c.columns[0], Var::new("x0"));

@@ -14,8 +14,8 @@
 mod common;
 
 use rcsafe::relalg::govern::{Resource, Stage};
-use rcsafe::relalg::{EvalStats, OpSpan, RelationBuilder};
-use rcsafe::safety::pipeline::{compile, compile_and_eval_traced, CompileOptions, Compiled};
+use rcsafe::relalg::{EvalCtx, EvalStats, OpSpan, RelationBuilder};
+use rcsafe::safety::pipeline::{compile_with, CompileOptions, Compiled};
 use rcsafe::{parse, Budget, Database, FaultInjector, Tracer, Value};
 
 /// A join big enough on both sides to cross the evaluator's parallel
@@ -30,7 +30,11 @@ fn big_join() -> (Compiled, Database) {
     }
     db.insert_relation("A", a.finish());
     db.insert_relation("B", b.finish());
-    let c = compile(&parse("A(x, y) & B(y, z)").unwrap()).unwrap();
+    let c = compile_with(
+        &parse("A(x, y) & B(y, z)").unwrap(),
+        CompileOptions::default(),
+    )
+    .unwrap();
     (c, db)
 }
 
@@ -38,16 +42,16 @@ fn big_join() -> (Compiled, Database) {
 fn spawn_denial_degrades_to_identical_sequential_results() {
     let (c, db) = big_join();
 
-    let mut par_stats = EvalStats::default();
     let pinned = Budget::new().with_partitions(1);
-    let parallel = c.run_governed(&db, &mut par_stats, &pinned).unwrap();
+    let mut par = EvalCtx::new(&pinned);
+    let parallel = c.run(&db, &mut par).unwrap();
     assert!(!parallel.is_empty());
 
     let fault = FaultInjector::new();
     fault.deny_thread_spawn(true);
     let budget = Budget::new().with_fault_injector(fault);
-    let mut seq_stats = EvalStats::default();
-    let sequential = c.run_governed(&db, &mut seq_stats, &budget).unwrap();
+    let mut seq = EvalCtx::new(&budget);
+    let sequential = c.run(&db, &mut seq).unwrap();
 
     assert_eq!(
         parallel, sequential,
@@ -59,7 +63,7 @@ fn spawn_denial_degrades_to_identical_sequential_results() {
         "even the rendering must be identical"
     );
     assert_eq!(
-        par_stats, seq_stats,
+        par.stats, seq.stats,
         "stats merge must be deterministic: parallel left-then-right \
          merging equals straight sequential accumulation"
     );
@@ -68,28 +72,32 @@ fn spawn_denial_degrades_to_identical_sequential_results() {
 #[test]
 fn stats_are_reproducible_across_repeated_parallel_runs() {
     let (c, db) = big_join();
-    let mut first = EvalStats::default();
-    let mut second = EvalStats::default();
-    let a = c.run_with_stats(&db, &mut first).unwrap();
-    let b = c.run_with_stats(&db, &mut second).unwrap();
+    let (mut first, mut second) = (EvalCtx::default(), EvalCtx::default());
+    let a = c.run(&db, &mut first).unwrap();
+    let b = c.run(&db, &mut second).unwrap();
     assert_eq!(a, b);
-    assert_eq!(first, second, "repeated runs must count identically");
-    assert!(first.budget_checks > 0, "governance checks are surfaced");
+    assert_eq!(
+        first.stats, second.stats,
+        "repeated runs must count identically"
+    );
+    assert!(
+        first.stats.budget_checks > 0,
+        "governance checks are surfaced"
+    );
 }
 
 #[test]
 fn mid_kernel_cancellation_unwinds_and_engine_stays_usable() {
     let (c, db) = big_join();
-    let reference = c.run(&db).unwrap();
+    let reference = c.run(&db, &mut EvalCtx::default()).unwrap();
 
     // Let a few checkpoints pass so the cancellation lands *inside* the
     // evaluation (operator boundaries plus in-kernel ticks), not at entry.
     let fault = FaultInjector::new();
     fault.cancel_after_checkpoints(2);
     let budget = Budget::new().with_fault_injector(fault);
-    let mut stats = EvalStats::default();
     let err = c
-        .run_governed(&db, &mut stats, &budget)
+        .run(&db, &mut EvalCtx::new(&budget))
         .expect_err("forced mid-evaluation cancellation must surface");
     match err {
         rcsafe::relalg::EvalError::Budget(b) => {
@@ -101,22 +109,23 @@ fn mid_kernel_cancellation_unwinds_and_engine_stays_usable() {
 
     // The trip poisoned nothing: the same compiled query over the same
     // database still produces the full answer.
-    let after = c.run(&db).expect("engine must stay usable");
+    let after = c
+        .run(&db, &mut EvalCtx::default())
+        .expect("engine must stay usable");
     assert_eq!(after, reference);
 }
 
 #[test]
 fn cancellation_under_denied_spawns_also_unwinds_cleanly() {
     let (c, db) = big_join();
-    let reference = c.run(&db).unwrap();
+    let reference = c.run(&db, &mut EvalCtx::default()).unwrap();
 
     let fault = FaultInjector::new();
     fault.deny_thread_spawn(true);
     fault.cancel_after_checkpoints(3);
     let budget = Budget::new().with_fault_injector(fault);
-    let mut stats = EvalStats::default();
     let err = c
-        .run_governed(&db, &mut stats, &budget)
+        .run(&db, &mut EvalCtx::new(&budget))
         .expect_err("cancellation must fire on the sequential path too");
     match err {
         rcsafe::relalg::EvalError::Budget(b) => {
@@ -124,7 +133,7 @@ fn cancellation_under_denied_spawns_also_unwinds_cleanly() {
         }
         other => panic!("expected a cancellation report, got {other:?}"),
     }
-    assert_eq!(c.run(&db).unwrap(), reference);
+    assert_eq!(c.run(&db, &mut EvalCtx::default()).unwrap(), reference);
 }
 
 /// The deterministic cardinality projection of an operator span tree —
@@ -169,15 +178,18 @@ fn big_parallel_db() -> Database {
 #[test]
 fn spawn_denial_leaves_the_trace_projection_unchanged() {
     let db = big_parallel_db();
-    let c = compile(&parse("A(x, y) | B(x, y)").unwrap()).unwrap();
+    let c = compile_with(
+        &parse("A(x, y) | B(x, y)").unwrap(),
+        CompileOptions::default(),
+    )
+    .unwrap();
 
-    let mut par_stats = EvalStats::default();
-    let mut par_tr = Tracer::on();
     let pinned = Budget::new().with_partitions(1);
-    let parallel = c
-        .run_traced(&db, &mut par_stats, &pinned, &mut par_tr)
-        .unwrap();
-    let par_root = par_tr.finish().expect("parallel run leaves a root span");
+    let mut par = EvalCtx::new(&pinned).with_tracer(Tracer::on());
+    let parallel = c.run(&db, &mut par).unwrap();
+    let par_root = std::mem::take(&mut par.tracer)
+        .finish()
+        .expect("parallel run leaves a root span");
     assert!(
         par_root.any_parallel(),
         "both sides scan 9000 distinct rows — the parallel path must fire"
@@ -186,17 +198,16 @@ fn spawn_denial_leaves_the_trace_projection_unchanged() {
     let fault = FaultInjector::new();
     fault.deny_thread_spawn(true);
     let budget = Budget::new().with_fault_injector(fault);
-    let mut seq_stats = EvalStats::default();
-    let mut seq_tr = Tracer::on();
-    let sequential = c
-        .run_traced(&db, &mut seq_stats, &budget, &mut seq_tr)
-        .unwrap();
-    let seq_root = seq_tr.finish().expect("sequential run leaves a root span");
+    let mut seq = EvalCtx::new(&budget).with_tracer(Tracer::on());
+    let sequential = c.run(&db, &mut seq).unwrap();
+    let seq_root = std::mem::take(&mut seq.tracer)
+        .finish()
+        .expect("sequential run leaves a root span");
     assert!(!seq_root.any_parallel(), "spawn denial must stick");
 
     assert_eq!(parallel, sequential);
     assert_eq!(
-        par_stats, seq_stats,
+        par.stats, seq.stats,
         "every EvalStats field — operators, tuples_produced, \
          max_intermediate, budget_checks — must agree across paths"
     );
@@ -221,28 +232,28 @@ fn parallel_and_sequential_stats_agree_for_all_operator_shapes() {
         "A(x, y) & ~B(x, y)",
         "(A(x, y) & B(y, z)) | (A(z, y) & B(y, x))",
     ] {
-        let c = compile(&parse(text).unwrap()).unwrap();
+        let c = compile_with(&parse(text).unwrap(), CompileOptions::default()).unwrap();
 
-        let mut par_stats = EvalStats::default();
-        let mut par_tr = Tracer::on();
         let pinned = Budget::new().with_partitions(1);
-        let parallel = c
-            .run_traced(&db, &mut par_stats, &pinned, &mut par_tr)
-            .unwrap();
+        let mut par = EvalCtx::new(&pinned).with_tracer(Tracer::on());
+        let parallel = c.run(&db, &mut par).unwrap();
         assert!(
-            par_tr.finish().unwrap().any_parallel(),
+            std::mem::take(&mut par.tracer)
+                .finish()
+                .unwrap()
+                .any_parallel(),
             "{text}: fixture must actually exercise the parallel path"
         );
 
         let fault = FaultInjector::new();
         fault.deny_thread_spawn(true);
         let budget = Budget::new().with_fault_injector(fault);
-        let mut seq_stats = EvalStats::default();
-        let sequential = c.run_governed(&db, &mut seq_stats, &budget).unwrap();
+        let mut seq = EvalCtx::new(&budget);
+        let sequential = c.run(&db, &mut seq).unwrap();
 
         assert_eq!(parallel, sequential, "{text}: answers diverged");
         assert_eq!(
-            par_stats, seq_stats,
+            par.stats, seq.stats,
             "{text}: an EvalStats field diverges between the parallel and \
              sequential paths"
         );
@@ -257,15 +268,14 @@ fn parallel_and_sequential_stats_agree_for_all_operator_shapes() {
 #[test]
 fn mid_join_cancellation_under_forced_partitions_unwinds_cleanly() {
     let (c, db) = big_join();
-    let reference = c.run(&db).unwrap();
+    let reference = c.run(&db, &mut EvalCtx::default()).unwrap();
 
     for checkpoints in [2u64, 5, 9] {
         let fault = FaultInjector::new();
         fault.cancel_after_checkpoints(checkpoints);
         let budget = Budget::new().with_partitions(4).with_fault_injector(fault);
-        let mut stats = EvalStats::default();
         let err = c
-            .run_governed(&db, &mut stats, &budget)
+            .run(&db, &mut EvalCtx::new(&budget))
             .expect_err("cancellation must fire inside the partitioned evaluation");
         match err {
             rcsafe::relalg::EvalError::Budget(b) => {
@@ -276,14 +286,10 @@ fn mid_join_cancellation_under_forced_partitions_unwinds_cleanly() {
         }
 
         let partitioned_again = c
-            .run_governed(
-                &db,
-                &mut EvalStats::default(),
-                &Budget::new().with_partitions(4),
-            )
+            .run(&db, &mut EvalCtx::new(&Budget::new().with_partitions(4)))
             .expect("partitioned re-run after a cancelled partitioned run");
         assert_eq!(partitioned_again, reference);
-        assert_eq!(c.run(&db).unwrap(), reference);
+        assert_eq!(c.run(&db, &mut EvalCtx::default()).unwrap(), reference);
     }
 }
 
@@ -294,14 +300,14 @@ fn mid_kernel_cancellation_yields_a_partial_trace_naming_the_culprit() {
     let fault = FaultInjector::new();
     fault.cancel_after_checkpoints(2);
     let budget = Budget::new().with_fault_injector(fault);
-    let mut stats = EvalStats::default();
-    let mut tracer = Tracer::on();
-    c.run_traced(&db, &mut stats, &budget, &mut tracer)
+    let mut cx = EvalCtx::new(&budget).with_tracer(Tracer::on());
+    c.run(&db, &mut cx)
         .expect_err("forced cancellation must surface");
 
     // Every span the unwind crossed is closed but marked incomplete, so
     // the trace is well-formed and names where the cancellation landed.
-    let root = tracer
+    let root = cx
+        .tracer
         .finish()
         .expect("partial trace must still have a root");
     assert!(!root.completed, "the root span cannot have completed");
@@ -331,7 +337,7 @@ fn cancelled_pipeline_trace_attributes_the_tripped_stage() {
             budget: Budget::new().with_fault_injector(fault),
             ..CompileOptions::default()
         };
-        let (result, trace) = compile_and_eval_traced("A(x, y) & B(y, z)", &db, opts);
+        let (result, trace) = common::serve_traced("A(x, y) & B(y, z)", &db, opts);
         let b = match result {
             Err(rcsafe::PipelineError::Budget(b)) => b,
             Ok(_) => break, // count exceeds every checkpoint: nothing trips
@@ -362,8 +368,8 @@ fn cancelled_pipeline_trace_attributes_the_tripped_stage() {
 
 // ------------------------------------------ incremental maintenance --
 
-use rcsafe::relalg::{materialize, plan_hash, refresh};
-use rcsafe::safety::pipeline::{compile_and_eval, compile_and_eval_cached};
+use rcsafe::relalg::{eval, plan_hash, refresh, MaintainedView};
+use rcsafe::safety::pipeline::compile_and_eval_cached;
 use rcsafe::PlanCache;
 
 /// Cancellation landing inside a delta refresh must leave the cached
@@ -386,9 +392,10 @@ fn cancellation_mid_refresh_never_tears_the_cached_entry() {
         let fresh = 10 + i as i64;
         db.apply_delta(&format!("P({fresh}, 1)\nQ({fresh})"))
             .unwrap();
-        let full = compile_and_eval(text, &db, CompileOptions::default())
-            .unwrap()
-            .relation;
+        let full =
+            compile_and_eval_cached(text, &db, CompileOptions::default(), &mut PlanCache::new())
+                .unwrap()
+                .relation;
 
         let fault = FaultInjector::new();
         fault.cancel_after_checkpoints(checkpoints);
@@ -443,16 +450,9 @@ fn cancellation_mid_refresh_never_tears_the_cached_entry() {
 fn spawn_denial_during_partitioned_refresh_is_byte_identical() {
     let (c, mut db) = big_join();
     let budget_par = Budget::new().with_partitions(4);
-    let mut stats = EvalStats::default();
-    let (_, view) = materialize(
-        &c.expr,
-        &db,
-        db.version(),
-        &mut stats,
-        &budget_par,
-        &mut Tracer::off(),
-    )
-    .unwrap();
+    let mut cx = EvalCtx::new(&budget_par).memoized();
+    eval(&c.expr, &db, &mut cx).unwrap();
+    let view = MaintainedView::recorded(&mut cx, db.version()).unwrap();
 
     // A delta wide enough that the refresh's join re-probes do real work:
     // 400 fresh `A` rows and 40 deleted `B` rows.
@@ -506,7 +506,7 @@ fn spawn_denial_during_partitioned_refresh_is_byte_identical() {
     assert_eq!(view_par.result(), view_seq.result());
     assert_eq!(
         denied,
-        c.run(&db).unwrap(),
+        c.run(&db, &mut EvalCtx::default()).unwrap(),
         "refresh diverged from full eval"
     );
 
@@ -579,7 +579,7 @@ fn query_relation(client: &mut Client, text: &str) -> rcsafe::Relation {
 fn served_cancellation_releases_the_slot_and_poisons_nothing() {
     let fault = FaultInjector::new();
     let (server, db, c) = serve_big_join(Some(fault.clone()));
-    let reference = c.run(&db).unwrap();
+    let reference = c.run(&db, &mut EvalCtx::default()).unwrap();
     let text = "A(x, y) & B(y, z)";
 
     let mut client = Client::connect(server.local_addr()).expect("connect");
@@ -608,7 +608,7 @@ fn served_cancellation_releases_the_slot_and_poisons_nothing() {
 #[test]
 fn client_disconnect_mid_query_leaves_the_server_healthy() {
     let (server, db, c) = serve_big_join(None);
-    let reference = c.run(&db).unwrap();
+    let reference = c.run(&db, &mut EvalCtx::default()).unwrap();
     let text = "A(x, y) & B(y, z)";
 
     for _ in 0..8 {
@@ -646,7 +646,7 @@ fn spawn_denial_degrades_to_inline_sequential_serving() {
     let fault = FaultInjector::new();
     fault.deny_thread_spawn(true);
     let (server, db, c) = serve_big_join(Some(fault));
-    let reference = c.run(&db).unwrap();
+    let reference = c.run(&db, &mut EvalCtx::default()).unwrap();
     let text = "A(x, y) & B(y, z)";
 
     // Inline serving occupies the accept thread until the connection

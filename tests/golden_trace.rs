@@ -11,12 +11,13 @@
 //! BLESS=1 cargo test --test golden_trace
 //! ```
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rcsafe::formula::{Schema, Value};
+mod common;
+
+use common::serve_traced;
+use rcsafe::formula::Value;
 use rcsafe::relalg::RelationBuilder;
-use rcsafe::safety::corpus::{by_id, formula_of};
-use rcsafe::safety::pipeline::{compile_and_eval_traced, CompileOptions};
+use rcsafe::safety::corpus::{by_id, formula_of, random_db};
+use rcsafe::safety::pipeline::CompileOptions;
 use rcsafe::{Budget, Database};
 use std::path::PathBuf;
 
@@ -42,19 +43,6 @@ const PINNED: &[&str] = &[
 /// formula's schema with the same recipe the end-to-end corpus tests use.
 const DB_SEED: u64 = 7;
 
-fn db_for_id(id: &str) -> Database {
-    let entry = by_id(id).unwrap_or_else(|| panic!("no corpus entry {id:?}"));
-    let f = formula_of(&entry);
-    let schema = Schema::infer(&f).expect("corpus formulas have consistent arities");
-    let mut domain: Vec<Value> = (1..=4).map(Value::int).collect();
-    for c in f.constants() {
-        if !domain.contains(&c) {
-            domain.push(c);
-        }
-    }
-    Database::random(&schema, &domain, 6, &mut StdRng::seed_from_u64(DB_SEED))
-}
-
 fn snapshot_path(id: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/snapshots")
@@ -62,10 +50,10 @@ fn snapshot_path(id: &str) -> PathBuf {
 }
 
 fn projection_of(id: &str) -> String {
-    let entry = by_id(id).unwrap();
-    let text = formula_of(&entry).to_string();
-    let db = db_for_id(id);
-    let (result, trace) = compile_and_eval_traced(&text, &db, CompileOptions::default());
+    let f = formula_of(&by_id(id).unwrap_or_else(|| panic!("no corpus entry {id:?}")));
+    let text = f.to_string();
+    let db = random_db(&f, DB_SEED);
+    let (result, trace) = serve_traced(&text, &db, CompileOptions::default());
     result.unwrap_or_else(|e| panic!("{id} failed to compile+eval: {e}"));
     trace.deterministic()
 }
@@ -120,7 +108,7 @@ fn partitioned_projection_of_big_join() -> String {
         budget: Budget::new().with_partitions(4),
         ..CompileOptions::default()
     };
-    let (result, trace) = compile_and_eval_traced("A(x, y) & B(y, z)", &db, opts);
+    let (result, trace) = serve_traced("A(x, y) & B(y, z)", &db, opts);
     result.unwrap_or_else(|e| panic!("partitioned big join failed: {e}"));
     trace
         .root

@@ -6,7 +6,8 @@ mod common;
 use rcsafe::safety::corpus::{corpus, formula_of};
 use rcsafe::safety::dom_baseline::eval_brute_force;
 use rcsafe::safety::naive::{section2_formula, section2_naive};
-use rcsafe::{classify, compile, parse, Database, SafetyClass, Value};
+use rcsafe::safety::pipeline::compile_with;
+use rcsafe::{classify, parse, CompileOptions, Database, EvalCtx, SafetyClass, Value};
 
 /// Section 2: the QUEL anomaly, full scenario.
 #[test]
@@ -16,13 +17,18 @@ fn section_2_real_life_example() {
     db.declare("R3", 2);
 
     // QUEL-style: null answer.
-    let naive = rc_relalg::eval(&section2_naive().translate_naive(), &db).unwrap();
+    let naive = rc_relalg::eval(
+        &section2_naive().translate_naive(),
+        &db,
+        &mut EvalCtx::default(),
+    )
+    .unwrap();
     assert!(naive.is_empty());
 
     // Correct translation: the R1 ⋈ R2 matches.
     let f = section2_formula();
-    let c = compile(&f).unwrap();
-    let ours = c.run(&db).unwrap();
+    let c = compile_with(&f, CompileOptions::default()).unwrap();
+    let ours = c.run(&db, &mut EvalCtx::default()).unwrap();
     assert_eq!(ours.len(), 2);
     assert!(ours.contains(&[Value::str("alice")]));
     assert!(ours.contains(&[Value::str("bob")]));
@@ -41,27 +47,36 @@ fn example_92_translation_table() {
 
     // Row 1: P(x,y) ∧ (Q(x) ∨ R(y, x)) — adapted to binary R.
     let row1 = parse("P(x, y) & (Q(x) | R(y, x))").unwrap();
-    let c1 = compile(&row1).unwrap();
+    let c1 = compile_with(&row1, CompileOptions::default()).unwrap();
     assert_eq!(c1.class, SafetyClass::Allowed);
-    assert_eq!(c1.run(&db).unwrap(), eval_brute_force(&row1, &db));
+    assert_eq!(
+        c1.run(&db, &mut EvalCtx::default()).unwrap(),
+        eval_brute_force(&row1, &db)
+    );
 
     // Row 2: P(x) ∧ ∀y (¬Q(y) ∨ ∃z S(x,y,z)) — with unary P as Q here.
     let row2 = parse("Q(x) & forall y. (!Q(y) | exists z. S(x, y, z))").unwrap();
-    let c2 = compile(&row2).unwrap();
+    let c2 = compile_with(&row2, CompileOptions::default()).unwrap();
     let shown = c2.expr.to_string();
     assert!(shown.contains("diff"), "row 2 must use diff: {shown}");
-    assert_eq!(c2.run(&db).unwrap(), eval_brute_force(&row2, &db));
+    assert_eq!(
+        c2.run(&db, &mut EvalCtx::default()).unwrap(),
+        eval_brute_force(&row2, &db)
+    );
     // Semantics check by hand: x ∈ Q with S(x, y, ·) for every y ∈ Q.
     // Q = {1,2}; S(2,1,·) ✓ and S(2,2,·) ✓ so x=2 qualifies; S(1,1,·) ✓
     // but S(1,2,·) ✗.
-    let ans = c2.run(&db).unwrap();
+    let ans = c2.run(&db, &mut EvalCtx::default()).unwrap();
     assert_eq!(ans.len(), 1);
     assert!(ans.contains(&[Value::int(2)]));
 
     // Row 3: P(x,y) ∧ ∀z (¬R(x,z) ∨ S(y,z,z)).
     let row3 = parse("P(x, y) & forall z. (!R(x, z) | S(y, z, z))").unwrap();
-    let c3 = compile(&row3).unwrap();
-    assert_eq!(c3.run(&db).unwrap(), eval_brute_force(&row3, &db));
+    let c3 = compile_with(&row3, CompileOptions::default()).unwrap();
+    assert_eq!(
+        c3.run(&db, &mut EvalCtx::default()).unwrap(),
+        eval_brute_force(&row3, &db)
+    );
 }
 
 /// The corpus classification table agrees with the paper (already unit
@@ -77,7 +92,11 @@ fn corpus_safe_formulas_compile_and_answer_correctly() {
         let f = formula_of(&e);
         let class = classify(&f);
         if class == SafetyClass::NotRecognized {
-            assert!(compile(&f).is_err(), "{} should not compile", e.id);
+            assert!(
+                compile_with(&f, CompileOptions::default()).is_err(),
+                "{} should not compile",
+                e.id
+            );
             continue;
         }
         // Corpus predicates have varying arities across entries (P is
@@ -95,8 +114,9 @@ fn corpus_safe_formulas_compile_and_answer_correctly() {
                 }
             }
         }
-        let c = compile(&f).unwrap_or_else(|err| panic!("{} failed: {err}", e.id));
-        let ours = c.run(&per).unwrap();
+        let c = compile_with(&f, CompileOptions::default())
+            .unwrap_or_else(|err| panic!("{} failed: {err}", e.id));
+        let ours = c.run(&per, &mut EvalCtx::default()).unwrap();
         let oracle = eval_brute_force(&f, &per);
         assert_eq!(ours, oracle, "{}: {}", e.id, e.text);
     }
@@ -132,7 +152,7 @@ fn pipeline_is_dom_free() {
 
     for e in corpus() {
         let f = formula_of(&e);
-        if let Ok(c) = compile(&f) {
+        if let Ok(c) = compile_with(&f, CompileOptions::default()) {
             assert!(!scans_dom(&c.expr), "{}: {}", e.id, c.expr);
         }
         // The baseline uses Dom whenever negation/disjunction needs

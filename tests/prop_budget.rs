@@ -10,12 +10,14 @@ use rand::SeedableRng;
 use rcsafe::formula::generate::{random_allowed_formula, GenConfig};
 use rcsafe::formula::vars::rectified;
 use rcsafe::relalg::govern::{Resource, Stage};
-use rcsafe::relalg::EvalStats;
+use rcsafe::relalg::EvalCtx;
+use rcsafe::safety::corpus::random_db;
 use rcsafe::safety::genify::{genify_governed, GenifyError};
-use rcsafe::safety::pipeline::{compile, compile_and_eval, CompileOptions, PipelineError};
+use rcsafe::safety::pipeline::{compile_with, CompileOptions, PipelineError};
 use rcsafe::safety::ranf::{ranf, ranf_governed, RanfError};
 use rcsafe::safety::translate::{translate_governed, TranslateError};
-use rcsafe::{parse, Budget, Database, FaultInjector, Formula, Schema, Value, Var};
+use rcsafe::{parse, Budget, Database, FaultInjector, Formula, Var};
+use rcsafe::{serve, NoCache, Request};
 use std::time::{Duration, Instant};
 
 fn allowed_sample(seed: u64) -> Formula {
@@ -26,17 +28,6 @@ fn allowed_sample(seed: u64) -> Formula {
         &mut StdRng::seed_from_u64(seed),
         3,
     ))
-}
-
-fn random_db_for(f: &Formula, seed: u64) -> Database {
-    let schema = Schema::infer(f).expect("consistent");
-    let mut domain: Vec<Value> = (1..=4).map(Value::int).collect();
-    for c in f.constants() {
-        if !domain.contains(&c) {
-            domain.push(c);
-        }
-    }
-    Database::random(&schema, &domain, 6, &mut StdRng::seed_from_u64(seed))
 }
 
 proptest! {
@@ -50,12 +41,11 @@ proptest! {
         let cap = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 40;
         let f = allowed_sample(seed);
         prop_assume!(f.node_count() <= 60);
-        let c = compile(&f).expect("allowed formulas compile");
-        let db = random_db_for(&f, seed + 17);
-        let full = c.run(&db).expect("ungoverned evaluation succeeds");
+        let c = compile_with(&f, CompileOptions::default()).expect("allowed formulas compile");
+        let db = random_db(&f, seed + 17);
+        let full = c.run(&db, &mut EvalCtx::default()).expect("ungoverned evaluation succeeds");
         let budget = Budget::new().with_max_tuples(cap);
-        let mut stats = EvalStats::default();
-        match c.run_governed(&db, &mut stats, &budget) {
+        match c.run(&db, &mut EvalCtx::new(&budget)) {
             Ok(rel) => prop_assert_eq!(rel, full, "governed result differs: {}", &f),
             Err(e) => {
                 let b = match e {
@@ -73,7 +63,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The same property through the full `compile_and_eval` pipeline with
+    /// The same property through the full `serve` pipeline with
     /// a random node cap: exact agreement or a stage-attributed trip.
     #[test]
     fn governed_pipeline_is_exact_or_error(seed in 0u64..4_000) {
@@ -81,8 +71,8 @@ proptest! {
         let f = allowed_sample(seed);
         prop_assume!(f.node_count() <= 60);
         let text = f.to_string();
-        let db = random_db_for(&f, seed + 29);
-        let full = match compile_and_eval(&text, &db, CompileOptions::default()) {
+        let db = random_db(&f, seed + 29);
+        let full = match serve(&Request::new(&text, CompileOptions::default()), &db, NoCache) {
             Ok(out) => out.relation,
             Err(e) => return Err(TestCaseError::fail(format!("ungoverned failed: {e}"))),
         };
@@ -90,7 +80,7 @@ proptest! {
             budget: Budget::new().with_max_nodes(nodes),
             ..CompileOptions::default()
         };
-        match compile_and_eval(&text, &db, opts) {
+        match serve(&Request::new(&text, opts), &db, NoCache) {
             Ok(out) => prop_assert_eq!(out.relation, full, "budgeted result differs: {}", &f),
             Err(PipelineError::Budget(b)) => {
                 prop_assert_eq!(b.resource, Resource::Nodes);
@@ -113,14 +103,13 @@ proptest! {
     fn cancelled_eval_returns_promptly(seed in 0u64..2_000) {
         let f = allowed_sample(seed);
         prop_assume!(f.node_count() <= 60);
-        let c = compile(&f).expect("compiles");
-        let db = random_db_for(&f, seed + 41);
+        let c = compile_with(&f, CompileOptions::default()).expect("compiles");
+        let db = random_db(&f, seed + 41);
         let budget = Budget::new();
         budget.cancel_handle().cancel();
         let started = Instant::now();
-        let mut stats = EvalStats::default();
         let err = c
-            .run_governed(&db, &mut stats, &budget)
+            .run(&db, &mut EvalCtx::new(&budget))
             .expect_err("pre-cancelled run must not produce a relation");
         prop_assert!(started.elapsed() < Duration::from_secs(5));
         match err {
@@ -201,13 +190,12 @@ fn translate_budget_trips_with_stage_attribution() {
 #[test]
 fn eval_budget_trips_with_stage_attribution() {
     let db = Database::from_facts("P(1, 2)\nP(2, 3)\nP(3, 3)\nQ(2)\nQ(3)").unwrap();
-    let c = compile(&parse("P(x, y) & Q(y)").unwrap()).unwrap();
-    let full = c.run(&db).unwrap();
+    let c = compile_with(&parse("P(x, y) & Q(y)").unwrap(), CompileOptions::default()).unwrap();
+    let full = c.run(&db, &mut EvalCtx::default()).unwrap();
     assert!(!full.is_empty());
     let budget = Budget::new().with_max_tuples(1);
-    let mut stats = EvalStats::default();
     let err = c
-        .run_governed(&db, &mut stats, &budget)
+        .run(&db, &mut EvalCtx::new(&budget))
         .expect_err("a single-tuple budget must trip");
     match err {
         rcsafe::relalg::EvalError::Budget(b) => {
@@ -233,8 +221,8 @@ fn expired_deadline_trips_before_any_work() {
         budget,
         ..CompileOptions::default()
     };
-    let err =
-        compile_and_eval("P(x, y) & x != y", &db, opts).expect_err("expired deadline must trip");
+    let err = serve(&Request::new("P(x, y) & x != y", opts), &db, NoCache)
+        .expect_err("expired deadline must trip");
     let b = *err.budget().expect("a budget report");
     assert_eq!(b.resource, Resource::WallClock);
     assert_eq!(err.stage(), Stage::Genify, "first governed stage trips");
@@ -246,19 +234,20 @@ fn expired_deadline_trips_before_any_work() {
 #[test]
 fn mid_eval_cancellation_leaves_engine_usable() {
     let db = Database::from_facts("P(1, 2)\nP(2, 3)\nP(3, 3)\nQ(2)\nQ(3)").unwrap();
-    let c = compile(&parse("P(x, y) & Q(y)").unwrap()).unwrap();
+    let c = compile_with(&parse("P(x, y) & Q(y)").unwrap(), CompileOptions::default()).unwrap();
     let fault = FaultInjector::new();
     fault.cancel_after_checkpoints(0);
     let budget = Budget::new().with_fault_injector(fault);
-    let mut stats = EvalStats::default();
     let err = c
-        .run_governed(&db, &mut stats, &budget)
+        .run(&db, &mut EvalCtx::new(&budget))
         .expect_err("forced cancellation must trip");
     match err {
         rcsafe::relalg::EvalError::Budget(b) => assert_eq!(b.resource, Resource::Cancelled),
         other => panic!("expected a cancellation, got {other:?}"),
     }
     // Fresh budget: the same compiled query runs to completion.
-    let again = c.run(&db).expect("engine usable after cancellation");
+    let again = c
+        .run(&db, &mut EvalCtx::default())
+        .expect("engine usable after cancellation");
     assert!(!again.is_empty());
 }

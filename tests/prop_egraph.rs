@@ -18,35 +18,14 @@ use rand::SeedableRng;
 use rcsafe::formula::generate::{random_allowed_formula, GenConfig};
 use rcsafe::formula::vars::rectified;
 use rcsafe::relalg::{
-    eval, eval_governed, optimize, plan_hash, rules, saturate, saturate_governed, simplify,
-    Estimator, EvalStats, PlanCache, RaExpr, SelPred,
+    eval, optimize, plan_hash, rules, saturate, saturate_governed, simplify, Estimator, EvalCtx,
+    PlanCache, RaExpr, SelPred,
 };
-use rcsafe::safety::corpus::{corpus, formula_of};
+use rcsafe::safety::corpus::{corpus, formula_of, random_db};
 use rcsafe::safety::pipeline::{
     compile_and_eval_cached, compile_for, compile_with, CompileOptions, Compiled, PlannerMode,
 };
-use rcsafe::{Budget, Database, Schema, Term, Value, Var};
-
-/// A reproducible database over a formula's inferred schema. Seed 0 is the
-/// empty database, so vacuous plans stay covered.
-fn db_for(f: &rcsafe::Formula, seed: u64) -> Database {
-    let schema = Schema::infer(f).expect("consistent arities");
-    let mut domain: Vec<Value> = (1..=4).map(Value::int).collect();
-    for c in f.constants() {
-        if !domain.contains(&c) {
-            domain.push(c);
-        }
-    }
-    if seed == 0 {
-        let mut d = Database::new();
-        for (p, ar) in schema.predicates() {
-            d.declare(p, ar);
-        }
-        d
-    } else {
-        Database::random(&schema, &domain, 6, &mut StdRng::seed_from_u64(seed))
-    }
-}
+use rcsafe::{Budget, Database, Term, Value, Var};
 
 /// Compile `f` three ways: heuristic-only (no database statistics),
 /// cost-based against `db`, and equality-saturated against `db`.
@@ -70,9 +49,9 @@ fn three_plans(f: &rcsafe::Formula, db: &Database) -> Option<(Compiled, Compiled
 fn assert_three_way(h: &Compiled, c: &Compiled, s: &Compiled, db: &Database, ctx: &str) {
     assert_eq!(h.columns, c.columns, "{ctx}: cost planner changed columns");
     assert_eq!(h.columns, s.columns, "{ctx}: saturation changed columns");
-    let baseline = eval(&h.expr, db).expect("heuristic plan evaluates");
-    let costed = eval(&c.expr, db).expect("cost plan evaluates");
-    let saturated = eval(&s.expr, db).expect("saturated plan evaluates");
+    let baseline = eval(&h.expr, db, &mut EvalCtx::default()).expect("heuristic plan evaluates");
+    let costed = eval(&c.expr, db, &mut EvalCtx::default()).expect("cost plan evaluates");
+    let saturated = eval(&s.expr, db, &mut EvalCtx::default()).expect("saturated plan evaluates");
     assert_eq!(
         baseline, costed,
         "{ctx}: cost plan diverged\nheuristic: {}\ncost: {}",
@@ -93,7 +72,7 @@ fn corpus_saturated_plans_match_heuristic_and_cost_plans() {
     for entry in corpus().iter().filter(|e| e.wide_sense) {
         let f = formula_of(entry);
         for seed in [0u64, 1, 2, 7] {
-            let db = db_for(&f, seed);
+            let db = random_db(&f, seed);
             let Some((h, c, s)) = three_plans(&f, &db) else {
                 continue;
             };
@@ -117,15 +96,15 @@ fn corpus_saturated_plans_match_heuristic_and_cost_plans() {
 fn corpus_saturated_plans_survive_forced_partitioning() {
     for entry in corpus().iter().filter(|e| e.wide_sense) {
         let f = formula_of(entry);
-        let db = db_for(&f, 7);
+        let db = random_db(&f, 7);
         let Some((h, _, s)) = three_plans(&f, &db) else {
             continue;
         };
-        let baseline = eval(&h.expr, &db).expect("heuristic plan evaluates");
+        let baseline =
+            eval(&h.expr, &db, &mut EvalCtx::default()).expect("heuristic plan evaluates");
         for parts in 1..=4usize {
             let budget = Budget::new().with_partitions(parts);
-            let mut stats = EvalStats::default();
-            let out = eval_governed(&s.expr, &db, &mut stats, &budget)
+            let out = eval(&s.expr, &db, &mut EvalCtx::new(&budget))
                 .expect("saturated plan evaluates under forced partitioning");
             assert_eq!(
                 out, baseline,
@@ -143,7 +122,7 @@ fn corpus_saturated_plans_survive_forced_partitioning() {
 fn corpus_saturation_honors_cancelled_budgets() {
     for entry in corpus().iter().filter(|e| e.wide_sense).take(6) {
         let f = formula_of(entry);
-        let db = db_for(&f, 7);
+        let db = random_db(&f, 7);
         let budget = Budget::new();
         budget.cancel_handle().cancel();
         let out = compile_for(
@@ -233,15 +212,14 @@ fn check_generated_formula(seed: u64) {
         &mut StdRng::seed_from_u64(seed),
         3,
     ));
-    let db = db_for(&f, seed | 1);
+    let db = random_db(&f, seed | 1);
     let Some((h, c, s)) = three_plans(&f, &db) else {
         return;
     };
     assert_three_way(&h, &c, &s, &db, &format!("gen seed {seed}"));
-    let baseline = eval(&h.expr, &db).expect("heuristic plan evaluates");
+    let baseline = eval(&h.expr, &db, &mut EvalCtx::default()).expect("heuristic plan evaluates");
     let budget = Budget::new().with_partitions(1 + (seed as usize % 4));
-    let mut stats = EvalStats::default();
-    let partitioned = eval_governed(&s.expr, &db, &mut stats, &budget)
+    let partitioned = eval(&s.expr, &db, &mut EvalCtx::new(&budget))
         .expect("saturated plan evaluates partitioned");
     assert_eq!(
         partitioned, baseline,
@@ -264,8 +242,8 @@ fn check_never_costlier(seed: u64) {
         "saturate changed the column order of {e}"
     );
     assert_eq!(
-        eval(&s, &db).expect("saturated plan evaluates"),
-        eval(&e, &db).expect("raw plan evaluates"),
+        eval(&s, &db, &mut EvalCtx::default()).expect("saturated plan evaluates"),
+        eval(&e, &db, &mut EvalCtx::default()).expect("raw plan evaluates"),
         "saturation changed answers on {e}"
     );
     let est = Estimator::new(&db);
@@ -306,8 +284,8 @@ fn check_node_budget(seed: u64, max_nodes: u64) {
     match saturate_governed(&e, &db, &budget) {
         Err(_) => {} // seed plan alone exceeded the bound
         Ok((s, _)) => assert_eq!(
-            eval(&s, &db).expect("bounded saturated plan evaluates"),
-            eval(&e, &db).expect("raw plan evaluates"),
+            eval(&s, &db, &mut EvalCtx::default()).expect("bounded saturated plan evaluates"),
+            eval(&e, &db, &mut EvalCtx::default()).expect("raw plan evaluates"),
             "bounded saturation changed answers on {e}"
         ),
     }
@@ -365,8 +343,8 @@ fn assert_rule_sound(
             .1;
         fired_somewhere |= fired > 0;
         assert_eq!(
-            eval(&s, &db).expect("saturated plan evaluates"),
-            eval(plan, &db).expect("raw plan evaluates"),
+            eval(&s, &db, &mut EvalCtx::default()).expect("saturated plan evaluates"),
+            eval(plan, &db, &mut EvalCtx::default()).expect("raw plan evaluates"),
             "rule {rule}: saturation changed answers on {plan} (seed {seed})"
         );
     }
@@ -391,13 +369,13 @@ fn assert_rule_equivalence(
 ) {
     for seed in [1u64, 2, 5, 11] {
         let db = mk_db(seed);
-        let l = eval(lhs, &db).expect("lhs evaluates");
+        let l = eval(lhs, &db, &mut EvalCtx::default()).expect("lhs evaluates");
         let aligned = if rhs.cols() == lhs.cols() {
             rhs.clone()
         } else {
             RaExpr::project(rhs.clone(), lhs.cols())
         };
-        let r = eval(&aligned, &db).expect("rhs evaluates");
+        let r = eval(&aligned, &db, &mut EvalCtx::default()).expect("rhs evaluates");
         assert_eq!(l, r, "rule {rule}: {lhs} != {rhs} (seed {seed})");
     }
 }
@@ -471,8 +449,8 @@ fn rule_select_push_diff_is_sound() {
     let sound = RaExpr::select(RaExpr::diff(x(), b()), p);
     let unsound = RaExpr::diff(x(), RaExpr::select(b(), p));
     assert_ne!(
-        eval(&sound, &db).unwrap(),
-        eval(&unsound, &db).unwrap(),
+        eval(&sound, &db, &mut EvalCtx::default()).unwrap(),
+        eval(&unsound, &db, &mut EvalCtx::default()).unwrap(),
         "right-side diff pushdown must stay unregistered: it is not an equivalence"
     );
 }

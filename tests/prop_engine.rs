@@ -12,9 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rcsafe::formula::generate::{random_allowed_formula, GenConfig};
 use rcsafe::formula::vars::rectified;
-use rcsafe::relalg::{
-    eval, eval_baseline, eval_governed, eval_with_stats, EvalStats, RelationBuilder,
-};
+use rcsafe::relalg::{eval, eval_baseline, EvalCtx, RelationBuilder};
 use rcsafe::safety::pipeline::{compile_with, CompileOptions};
 use rcsafe::{Budget, Database, RaExpr, Term, Value, Var};
 use std::sync::Arc;
@@ -34,7 +32,7 @@ fn random_db(seed: u64, rows: usize, domain: i64) -> Database {
 
 /// Assert both engines produce the same relation, rendered identically.
 fn assert_engines_agree(e: &RaExpr, db: &Database) {
-    let fast = eval(e, db).expect("kernel eval");
+    let fast = eval(e, db, &mut EvalCtx::default()).expect("kernel eval");
     let slow = eval_baseline(e, db).expect("baseline eval");
     assert_eq!(fast, slow, "engines disagree on {e}");
     assert_eq!(
@@ -134,7 +132,7 @@ proptest! {
                 8,
                 &mut StdRng::seed_from_u64(seed ^ 0x5EED),
             );
-            let fast = eval(&c.expr, &db).expect("kernel eval");
+            let fast = eval(&c.expr, &db, &mut EvalCtx::default()).expect("kernel eval");
             let slow = eval_baseline(&c.expr, &db).expect("baseline eval");
             prop_assert_eq!(&fast, &slow, "engines disagree on {} (optimize={})", &f, optimize);
             prop_assert_eq!(
@@ -154,10 +152,10 @@ proptest! {
         let db = random_db(seed, 40, 9);
         let counts = [1usize, rng.gen_range(2..=7), 97];
         for e in synthetic_exprs() {
-            let want = eval(&e, &db).expect("auto-policy eval");
+            let want = eval(&e, &db, &mut EvalCtx::default()).expect("auto-policy eval");
             for &n in &counts {
                 let budget = Budget::new().with_partitions(n);
-                let got = eval_governed(&e, &db, &mut EvalStats::default(), &budget)
+                let got = eval(&e, &db, &mut EvalCtx::new(&budget))
                     .expect("partitioned eval");
                 prop_assert_eq!(&want, &got, "partitions={} on {}", n, &e);
                 prop_assert_eq!(
@@ -187,11 +185,11 @@ proptest! {
         let domain: Vec<Value> = (0..6).map(Value::int).collect();
         let db = Database::random(&schema, &domain, 10, &mut StdRng::seed_from_u64(seed ^ 0x5EED));
         let seq = Budget::new().with_partitions(1);
-        let want = eval_governed(&c.expr, &db, &mut EvalStats::default(), &seq)
+        let want = eval(&c.expr, &db, &mut EvalCtx::new(&seq))
             .expect("sequential eval");
         for n in [rng.gen_range(2..=8), 64usize] {
             let budget = Budget::new().with_partitions(n);
-            let got = eval_governed(&c.expr, &db, &mut EvalStats::default(), &budget)
+            let got = eval(&c.expr, &db, &mut EvalCtx::new(&budget))
                 .expect("partitioned eval");
             prop_assert_eq!(&want, &got, "partitions={} on {}", n, &f);
             prop_assert_eq!(
@@ -208,13 +206,12 @@ proptest! {
     fn evaluation_is_deterministic(seed in 0u64..10_000) {
         let db = random_db(seed, 30, 6);
         for e in synthetic_exprs() {
-            let mut s1 = EvalStats::default();
-            let mut s2 = EvalStats::default();
-            let r1 = eval_with_stats(&e, &db, &mut s1).expect("run 1");
-            let r2 = eval_with_stats(&e, &db, &mut s2).expect("run 2");
+            let (mut s1, mut s2) = (EvalCtx::default(), EvalCtx::default());
+            let r1 = eval(&e, &db, &mut s1).expect("run 1");
+            let r2 = eval(&e, &db, &mut s2).expect("run 2");
             prop_assert_eq!(&r1, &r2);
             prop_assert_eq!(r1.to_string(), r2.to_string(), "order differs on {}", &e);
-            prop_assert_eq!(s1, s2, "stats differ on {}", &e);
+            prop_assert_eq!(s1.stats, s2.stats, "stats differ on {}", &e);
         }
     }
 }
@@ -243,12 +240,12 @@ fn parallel_path_matches_baseline() {
         RaExpr::diff(scan_a.clone(), scan_b_xy),
         RaExpr::diff(scan_a, RaExpr::project(scan_b, vec![Var::new("y")])),
     ] {
-        let fast = eval(&e, &db).expect("parallel eval");
+        let fast = eval(&e, &db, &mut EvalCtx::default()).expect("parallel eval");
         let slow = eval_baseline(&e, &db).expect("baseline eval");
         assert_eq!(fast, slow, "parallel engine disagrees on {e}");
         assert_eq!(fast.to_string(), slow.to_string(), "order differs on {e}");
         // And a second run is identical (thread interleaving must not leak
         // into results).
-        assert_eq!(fast, eval(&e, &db).unwrap());
+        assert_eq!(fast, eval(&e, &db, &mut EvalCtx::default()).unwrap());
     }
 }

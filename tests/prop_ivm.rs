@@ -8,19 +8,26 @@
 //!
 //! Coverage: the whole paper corpus under randomized delta streams,
 //! generated allowed formulas under generated deltas, delete-then-reinsert
-//! round trips, empty deltas and deltas touching unreferenced tables, and
-//! randomized mutate/serve interleavings under forced partitions.
+//! round trips, and empty deltas and deltas touching unreferenced tables.
+//! Randomized mutate/serve interleavings (forced partitions, every store,
+//! both modes) live in the `serve_model` suite.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rcsafe::formula::generate::{random_allowed_formula, GenConfig};
 use rcsafe::formula::vars::rectified;
-use rcsafe::relalg::{eval_traced, materialize, refresh, EvalStats};
+use rcsafe::relalg::{eval, refresh, EvalCtx, EvalStats, MaintainedView};
 use rcsafe::safety::corpus::{corpus, formula_of};
-use rcsafe::safety::pipeline::{
-    compile_and_eval, compile_and_eval_cached, CompileOptions, Compiled, PipelineError,
+use rcsafe::safety::pipeline::{compile_and_eval_cached, CompileOptions, Compiled, PipelineError};
+use rcsafe::{
+    serve, Budget, Database, Formula, NoCache, PlanCache, RaExpr, Request, Schema, Served, Term,
+    Tracer, Value, Var,
 };
-use rcsafe::{Budget, Database, Formula, PlanCache, RaExpr, Schema, Term, Tracer, Value, Var};
+
+/// Uncached serving: the full compile-and-evaluate reference.
+fn uncached(text: &str, db: &Database, opts: CompileOptions) -> Result<Served, PipelineError> {
+    serve(&Request::new(text, opts), db, NoCache)
+}
 
 /// A reproducible non-empty database over a formula's inferred schema.
 fn db_for(f: &Formula, seed: u64) -> (Database, Schema, Vec<Value>) {
@@ -86,7 +93,7 @@ fn serve_and_check(
         Ok(out) => out,
         Err(_) => return None, // rejected formulas never enter the cache path
     };
-    let full = compile_and_eval(text, db, CompileOptions::default())
+    let full = uncached(text, db, CompileOptions::default())
         .unwrap_or_else(|e| panic!("{ctx}: cached path served {text:?} but full eval failed: {e}"));
     assert_eq!(
         cached.relation, full.relation,
@@ -263,7 +270,7 @@ fn budget_trips_agree_between_refresh_and_full_paths() {
         ..CompileOptions::default()
     };
     let via_refresh = compile_and_eval_cached(text, &db, tight.clone(), &mut cache);
-    let via_full = compile_and_eval(text, &db, tight);
+    let via_full = uncached(text, &db, tight);
     assert!(
         matches!(via_refresh, Err(PipelineError::Budget(_))),
         "refresh path must trip the tuple budget: {via_refresh:?}"
@@ -284,7 +291,7 @@ fn budget_trips_agree_between_refresh_and_full_paths() {
     assert!(ok.result_refreshed);
     assert_eq!(
         ok.relation,
-        compile_and_eval(text, &db, CompileOptions::default())
+        uncached(text, &db, CompileOptions::default())
             .unwrap()
             .relation
     );
@@ -299,16 +306,9 @@ fn refresh_traces_report_the_same_final_cardinality_as_full_eval() {
     let x = Term::var("x");
     let expr = RaExpr::join(RaExpr::scan("P", vec![x]), RaExpr::scan("Q", vec![x]));
     let budget = Budget::new();
-    let mut stats = EvalStats::default();
-    let (_, view) = materialize(
-        &expr,
-        &db,
-        db.version(),
-        &mut stats,
-        &budget,
-        &mut Tracer::off(),
-    )
-    .unwrap();
+    let mut cx = EvalCtx::new(&budget).memoized();
+    eval(&expr, &db, &mut cx).unwrap();
+    let view = MaintainedView::recorded(&mut cx, db.version()).unwrap();
 
     let delta = db.apply_delta("P(5)\n-Q(2)\nQ(3)").unwrap();
     let mut tr = Tracer::on();
@@ -317,10 +317,9 @@ fn refresh_traces_report_the_same_final_cardinality_as_full_eval() {
         refresh(&view, &delta, db.version(), &mut rstats, &budget, &mut tr).unwrap();
     let root = tr.finish().expect("refresh span tree");
 
-    let mut tr_full = Tracer::on();
-    let mut fstats = EvalStats::default();
-    let full = eval_traced(&expr, &db, &mut fstats, &budget, &mut tr_full).unwrap();
-    let full_root = tr_full.finish().expect("eval span tree");
+    let mut full_cx = EvalCtx::new(&budget).with_tracer(Tracer::on());
+    let full = eval(&expr, &db, &mut full_cx).unwrap();
+    let full_root = full_cx.tracer.finish().expect("eval span tree");
 
     assert_eq!(refreshed, full, "refreshed relation ≠ full re-evaluation");
     assert_eq!(view2.result(), &full);
@@ -334,69 +333,4 @@ fn refresh_traces_report_the_same_final_cardinality_as_full_eval() {
         .as_ref()
         .expect("refresh root span carries an ivm note");
     assert_eq!(note.mode, "refresh");
-}
-
-/// Randomized mutate/serve interleavings under forced partitions: three
-/// query texts share one cache while deltas land between serves in a
-/// random order, every serve governed by a 3-way partitioned budget. Each
-/// answer must equal a from-scratch evaluation under the same budget, and
-/// across all seeds the stream must hit verbatim serves, refreshes, and
-/// fallback recomputations alike.
-#[test]
-fn randomized_interleavings_under_forced_partitions() {
-    let texts = ["P(x, y) & Q(y)", "P(x, y) & !Q(x)", "Q(x) | P(x, x)"];
-    let schema = {
-        let mut s = Schema::new();
-        s.declare("P", 2);
-        s.declare("Q", 1);
-        s
-    };
-    let domain: Vec<Value> = (1..=5).map(Value::int).collect();
-    let mut refreshed = 0u64;
-    let mut verbatim = 0u64;
-    let mut recomputed = 0u64;
-    for seed in 0..20u64 {
-        let mut rng = StdRng::seed_from_u64(0x9a37 ^ seed);
-        let mut db = Database::random(&schema, &domain, 6, &mut rng);
-        let mut cache: PlanCache<Compiled> = PlanCache::new();
-        let opts = || CompileOptions {
-            budget: Budget::new().with_partitions(3),
-            ..CompileOptions::default()
-        };
-        for step in 0..24 {
-            if rng.gen_bool(0.35) {
-                let delta = random_delta(&db, &schema, &domain, &mut rng);
-                db.apply_delta(&delta).expect("well-formed delta");
-                continue;
-            }
-            let text = texts[rng.gen_range(0..texts.len())];
-            let out = compile_and_eval_cached(text, &db, opts(), &mut cache)
-                .unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}"));
-            let full = compile_and_eval(text, &db, opts())
-                .unwrap_or_else(|e| panic!("seed {seed} step {step} full: {e}"));
-            assert_eq!(
-                out.relation, full.relation,
-                "seed {seed} step {step}: {text:?} diverged under partitions"
-            );
-            match (out.result_refreshed, out.result_cached) {
-                (true, _) => refreshed += 1,
-                (false, true) => verbatim += 1,
-                (false, false) => recomputed += 1,
-            }
-        }
-        let stats = cache.stats();
-        assert!(
-            stats.refreshed_results <= stats.stale_results,
-            "seed {seed}: {stats:?}"
-        );
-    }
-    assert!(
-        refreshed >= 20,
-        "interleavings must refresh (got {refreshed})"
-    );
-    assert!(
-        verbatim >= 20,
-        "interleavings must hit verbatim (got {verbatim})"
-    );
-    assert!(recomputed >= 3, "cold serves must occur (got {recomputed})");
 }

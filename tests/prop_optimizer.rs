@@ -14,35 +14,12 @@ use rand::Rng;
 use rand::SeedableRng;
 use rcsafe::formula::generate::{random_allowed_formula, GenConfig};
 use rcsafe::formula::vars::rectified;
-use rcsafe::relalg::{
-    eval, eval_governed, optimize, plan_hash, simplify, EvalStats, PlanCache, RaExpr, SelPred,
-};
-use rcsafe::safety::corpus::{corpus, formula_of};
+use rcsafe::relalg::{eval, optimize, plan_hash, simplify, EvalCtx, PlanCache, RaExpr, SelPred};
+use rcsafe::safety::corpus::{corpus, formula_of, random_db};
 use rcsafe::safety::pipeline::{
     compile_and_eval_cached, compile_for, compile_with, CompileOptions, Compiled,
 };
-use rcsafe::{Budget, Database, Schema, Term, Value, Var};
-
-/// A reproducible database over a formula's inferred schema. Seed 0 is the
-/// empty database, so vacuous plans stay covered.
-fn db_for(f: &rcsafe::Formula, seed: u64) -> Database {
-    let schema = Schema::infer(f).expect("consistent arities");
-    let mut domain: Vec<Value> = (1..=4).map(Value::int).collect();
-    for c in f.constants() {
-        if !domain.contains(&c) {
-            domain.push(c);
-        }
-    }
-    if seed == 0 {
-        let mut d = Database::new();
-        for (p, ar) in schema.predicates() {
-            d.declare(p, ar);
-        }
-        d
-    } else {
-        Database::random(&schema, &domain, 6, &mut StdRng::seed_from_u64(seed))
-    }
-}
+use rcsafe::{Budget, Database, Term, Value, Var};
 
 /// Compile `f` both ways: heuristic-only (no database statistics) and
 /// cost-based against `db`.
@@ -75,17 +52,16 @@ fn assert_equivalent(heuristic: &Compiled, optimized: &Compiled, db: &Database, 
         heuristic.columns, optimized.columns,
         "{ctx}: planner changed the answer columns"
     );
-    let mut hs = EvalStats::default();
-    let mut os = EvalStats::default();
-    let budget = Budget::unlimited();
-    let h = eval_governed(&heuristic.expr, db, &mut hs, budget).expect("heuristic plan evaluates");
-    let o = eval_governed(&optimized.expr, db, &mut os, budget).expect("optimized plan evaluates");
+    let mut hs = EvalCtx::default();
+    let mut os = EvalCtx::default();
+    let h = eval(&heuristic.expr, db, &mut hs).expect("heuristic plan evaluates");
+    let o = eval(&optimized.expr, db, &mut os).expect("optimized plan evaluates");
     assert_eq!(
         h, o,
         "{ctx}: optimized plan diverged\nheuristic: {}\noptimized: {}",
         heuristic.expr, optimized.expr
     );
-    for (name, s) in [("heuristic", &hs), ("optimized", &os)] {
+    for (name, s) in [("heuristic", &hs.stats), ("optimized", &os.stats)] {
         assert!(s.operators > 0, "{ctx}: {name} evaluated no operators");
         assert!(
             s.max_intermediate as u64 <= s.tuples_produced,
@@ -105,7 +81,7 @@ fn corpus_optimized_plans_match_heuristic_plans() {
     for entry in corpus().iter().filter(|e| e.wide_sense) {
         let f = formula_of(entry);
         for seed in [0u64, 1, 2, 7] {
-            let db = db_for(&f, seed);
+            let db = random_db(&f, seed);
             let Some((heuristic, optimized)) = both_plans(&f, &db) else {
                 continue;
             };
@@ -126,15 +102,15 @@ fn corpus_optimized_plans_match_heuristic_plans() {
 fn corpus_optimized_plans_survive_forced_partitioning() {
     for entry in corpus().iter().filter(|e| e.wide_sense) {
         let f = formula_of(entry);
-        let db = db_for(&f, 7);
+        let db = random_db(&f, 7);
         let Some((heuristic, optimized)) = both_plans(&f, &db) else {
             continue;
         };
-        let baseline = eval(&heuristic.expr, &db).expect("heuristic plan evaluates");
+        let baseline =
+            eval(&heuristic.expr, &db, &mut EvalCtx::default()).expect("heuristic plan evaluates");
         for parts in 1..=4usize {
             let budget = Budget::new().with_partitions(parts);
-            let mut stats = EvalStats::default();
-            let out = eval_governed(&optimized.expr, &db, &mut stats, &budget)
+            let out = eval(&optimized.expr, &db, &mut EvalCtx::new(&budget))
                 .expect("optimized plan evaluates under forced partitioning");
             assert_eq!(
                 out, baseline,
@@ -152,15 +128,14 @@ fn corpus_optimized_plans_survive_forced_partitioning() {
 fn corpus_optimized_plans_honor_cancelled_budgets() {
     for entry in corpus().iter().filter(|e| e.wide_sense) {
         let f = formula_of(entry);
-        let db = db_for(&f, 7);
+        let db = random_db(&f, 7);
         let Some((heuristic, optimized)) = both_plans(&f, &db) else {
             continue;
         };
         let budget = Budget::new();
         budget.cancel_handle().cancel();
         for (name, compiled) in [("heuristic", &heuristic), ("optimized", &optimized)] {
-            let mut stats = EvalStats::default();
-            let out = eval_governed(&compiled.expr, &db, &mut stats, &budget);
+            let out = eval(&compiled.expr, &db, &mut EvalCtx::new(&budget));
             assert!(
                 out.is_err(),
                 "{}: {name} plan ignored a pre-cancelled budget",
@@ -243,15 +218,14 @@ proptest! {
             &mut StdRng::seed_from_u64(seed),
             3,
         ));
-        let db = db_for(&f, seed | 1);
+        let db = random_db(&f, seed | 1);
         let Some((heuristic, optimized)) = both_plans(&f, &db) else {
             return Ok(());
         };
         assert_equivalent(&heuristic, &optimized, &db, &format!("gen seed {seed}"));
-        let baseline = eval(&heuristic.expr, &db).expect("heuristic plan evaluates");
+        let baseline = eval(&heuristic.expr, &db, &mut EvalCtx::default()).expect("heuristic plan evaluates");
         let budget = Budget::new().with_partitions(1 + (seed as usize % 4));
-        let mut stats = EvalStats::default();
-        let partitioned = eval_governed(&optimized.expr, &db, &mut stats, &budget)
+        let partitioned = eval(&optimized.expr, &db, &mut EvalCtx::new(&budget))
             .expect("optimized plan evaluates partitioned");
         prop_assert_eq!(partitioned, baseline);
     }
@@ -285,8 +259,8 @@ proptest! {
         // And the chosen plan still means the same thing as the input.
         let aligned = RaExpr::project(once.clone(), e.cols());
         prop_assert_eq!(
-            eval(&aligned, &db).expect("optimized plan evaluates"),
-            eval(&e, &db).expect("raw plan evaluates"),
+            eval(&aligned, &db, &mut EvalCtx::default()).expect("optimized plan evaluates"),
+            eval(&e, &db, &mut EvalCtx::default()).expect("raw plan evaluates"),
             "optimizer changed answers on {}",
             e
         );

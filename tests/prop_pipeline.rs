@@ -10,9 +10,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rcsafe::formula::generate::{random_allowed_formula, random_formula, GenConfig};
 use rcsafe::formula::vars::{free_vars, rectified, FreshVars};
+use rcsafe::safety::corpus::random_db;
 use rcsafe::safety::dom_baseline::{eval_brute_force, eval_dom};
-use rcsafe::safety::pipeline::{compile, compile_with, CompileOptions};
-use rcsafe::{is_allowed, is_evaluable, is_ranf, Database, Formula, Schema, Value, Var};
+use rcsafe::safety::pipeline::{compile_with, CompileOptions};
+use rcsafe::EvalCtx;
+use rcsafe::{is_allowed, is_evaluable, is_ranf, Formula, Var};
 
 fn allowed_sample(seed: u64) -> Formula {
     let cfg = GenConfig::default();
@@ -48,18 +50,6 @@ fn evaluable_sample(seed: u64) -> Formula {
     rectified(&f)
 }
 
-fn random_db_for(f: &Formula, seed: u64) -> (Database, Vec<Value>) {
-    let schema = Schema::infer(f).expect("consistent");
-    let mut domain: Vec<Value> = (1..=4).map(Value::int).collect();
-    for c in f.constants() {
-        if !domain.contains(&c) {
-            domain.push(c);
-        }
-    }
-    let db = Database::random(&schema, &domain, 6, &mut StdRng::seed_from_u64(seed));
-    (db, domain)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -71,11 +61,11 @@ proptest! {
         let f = allowed_sample(seed);
         prop_assume!(is_allowed(&f));
         prop_assume!(f.node_count() <= 60);
-        let c = compile(&f).expect("allowed formulas compile");
+        let c = compile_with(&f, CompileOptions::default()).expect("allowed formulas compile");
         prop_assert!(is_ranf(&c.ranf_form), "not RANF: {}", c.ranf_form);
         for trial in 0..3u64 {
-            let (db, _) = random_db_for(&f, seed * 7 + trial);
-            let ours = c.run(&db).expect("evaluates");
+            let db = random_db(&f, seed * 7 + trial);
+            let ours = c.run(&db, &mut EvalCtx::default()).expect("evaluates");
             let oracle = eval_brute_force(&f, &db);
             prop_assert_eq!(&ours, &oracle, "seed {} trial {}: {}", seed, trial, &f);
         }
@@ -88,13 +78,13 @@ proptest! {
         let f = evaluable_sample(seed);
         prop_assume!(is_evaluable(&f));
         prop_assume!(f.node_count() <= 80);
-        let c = match compile(&f) {
+        let c = match compile_with(&f, CompileOptions::default()) {
             Ok(c) => c,
             Err(e) => return Err(TestCaseError::fail(format!("{f}: {e}"))),
         };
         for trial in 0..2u64 {
-            let (db, _) = random_db_for(&f, seed * 13 + trial);
-            let ours = c.run(&db).expect("evaluates");
+            let db = random_db(&f, seed * 13 + trial);
+            let ours = c.run(&db, &mut EvalCtx::default()).expect("evaluates");
             let oracle = eval_brute_force(&f, &db);
             prop_assert_eq!(&ours, &oracle, "seed {} trial {}: {}", seed, trial, &f);
         }
@@ -109,10 +99,10 @@ proptest! {
             .expect("compiles");
         let opt = compile_with(&f, CompileOptions { optimize: true, ..CompileOptions::default() })
             .expect("compiles");
-        let (db, _) = random_db_for(&f, seed + 1);
+        let db = random_db(&f, seed + 1);
         prop_assert_eq!(
-            raw.run(&db).expect("raw"),
-            opt.run(&db).expect("opt"),
+            raw.run(&db, &mut EvalCtx::default()).expect("raw"),
+            opt.run(&db, &mut EvalCtx::default()).expect("opt"),
             "simplifier changed answers for {}", &f
         );
     }
@@ -123,10 +113,10 @@ proptest! {
     fn dom_baseline_agrees(seed in 0u64..4_000) {
         let f = allowed_sample(seed);
         prop_assume!(is_allowed(&f) && f.node_count() <= 50);
-        let c = compile(&f).expect("compiles");
-        let (db, _) = random_db_for(&f, seed + 2);
+        let c = compile_with(&f, CompileOptions::default()).expect("compiles");
+        let db = random_db(&f, seed + 2);
         let dom = eval_dom(&f, &db).expect("dom eval");
-        let ours = c.run(&db).expect("ours");
+        let ours = c.run(&db, &mut EvalCtx::default()).expect("ours");
         prop_assert_eq!(ours, dom, "{}", &f);
     }
 
@@ -138,7 +128,7 @@ proptest! {
         let cfg = GenConfig { max_depth: 3, ..GenConfig::default() };
         let f = rectified(&random_formula(&cfg, &mut StdRng::seed_from_u64(seed)));
         prop_assume!(f.node_count() <= 40);
-        if compile(&f).is_ok() {
+        if compile_with(&f, CompileOptions::default()).is_ok() {
             let verdict = empirically_definite(&f, &DefiniteTest {
                 trials: 8,
                 ..DefiniteTest::default()
@@ -164,10 +154,10 @@ fn wide_sense_pipeline_matches_oracle() {
     .enumerate()
     {
         let f = rcsafe::parse(s).unwrap();
-        let c = compile(&f).expect("wide-sense formulas compile");
+        let c = compile_with(&f, CompileOptions::default()).expect("wide-sense formulas compile");
         for trial in 0..4u64 {
-            let (db, _) = random_db_for(&f, i as u64 * 100 + trial);
-            let ours = c.run(&db).expect("evaluates");
+            let db = random_db(&f, i as u64 * 100 + trial);
+            let ours = c.run(&db, &mut EvalCtx::default()).expect("evaluates");
             let oracle = eval_brute_force(&f, &db);
             assert_eq!(ours, oracle, "{s}");
         }
@@ -184,7 +174,7 @@ fn column_order_is_stable() {
         "exists w. S(z, w, a) & P(a)",
     ] {
         let f = rcsafe::parse(s).unwrap();
-        let c = compile(&f).unwrap();
+        let c = compile_with(&f, CompileOptions::default()).unwrap();
         assert_eq!(c.columns, free_vars(&f), "{s}");
         assert_eq!(c.expr.cols(), free_vars(&f), "{s}");
     }

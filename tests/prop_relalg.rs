@@ -10,9 +10,9 @@ use rand::Rng;
 use rand::SeedableRng;
 use rcsafe::formula::generate::{random_allowed_formula, GenConfig};
 use rcsafe::formula::vars::rectified;
-use rcsafe::relalg::{eval, eval_shared, simplify, EvalStats, RaExpr, Relation, SelPred};
+use rcsafe::relalg::{eval, simplify, EvalCtx, RaExpr, Relation, SelPred};
 use rcsafe::safety::pipeline::{compile_with, CompileOptions};
-use rcsafe::{Budget, Database, Term, Tracer, Value, Var};
+use rcsafe::{Database, Term, Value, Var};
 
 fn random_db(seed: u64, rows: usize) -> Database {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -103,10 +103,10 @@ fn random_diff_plan(rng: &mut StdRng, depth: usize) -> RaExpr {
 /// Compare two expressions' results modulo column order (reorder the
 /// second's columns to the first's).
 fn same_answers(e1: &RaExpr, e2: &RaExpr, db: &Database) -> bool {
-    let r1 = eval(e1, db).expect("e1 evaluates");
+    let r1 = eval(e1, db, &mut EvalCtx::default()).expect("e1 evaluates");
     let cols1 = e1.cols();
     let aligned = RaExpr::project(e2.clone(), cols1);
-    let r2 = eval(&aligned, db).expect("e2 evaluates");
+    let r2 = eval(&aligned, db, &mut EvalCtx::default()).expect("e2 evaluates");
     r1 == r2
 }
 
@@ -155,9 +155,9 @@ proptest! {
     fn diff_same_arity_is_minus(seed in 0u64..10_000) {
         let db = random_db(seed, 20);
         let e = RaExpr::diff(scan_a(), scan_b_xy());
-        let r = eval(&e, &db).unwrap();
-        let a = eval(&scan_a(), &db).unwrap();
-        let b = eval(&scan_b_xy(), &db).unwrap();
+        let r = eval(&e, &db, &mut EvalCtx::default()).unwrap();
+        let a = eval(&scan_a(), &db, &mut EvalCtx::default()).unwrap();
+        let b = eval(&scan_b_xy(), &db, &mut EvalCtx::default()).unwrap();
         prop_assert_eq!(r, a.minus(&b));
     }
 
@@ -222,14 +222,13 @@ proptest! {
             random_diff_plan(&mut rng, 3),
             SelPred::NeqConst(Var::new("x"), Value::int(rng.gen_range(0..6))),
         );
-        let raw = eval(&e, &db).expect("raw plan evaluates");
+        let raw = eval(&e, &db, &mut EvalCtx::default()).expect("raw plan evaluates");
         let slim = simplify(&e);
         prop_assert!(
             same_answers(&e, &slim, &db),
             "optimizer changed answers on {e} -> {slim}"
         );
-        let mut stats = EvalStats::default();
-        let shared = eval_shared(&e, &db, &mut stats, Budget::unlimited(), &mut Tracer::off())
+        let shared = eval(&e, &db, &mut EvalCtx::default().memoized())
             .expect("shared eval evaluates");
         prop_assert_eq!(shared, raw, "memoized DAG eval diverged on {}", e);
     }
@@ -260,37 +259,57 @@ fn nullary_boolean_algebra() {
     let f = RaExpr::scan("F", vec![]);
     // Join = conjunction.
     assert_eq!(
-        eval(&RaExpr::join(t.clone(), t.clone()), &db)
-            .unwrap()
-            .as_bool(),
+        eval(
+            &RaExpr::join(t.clone(), t.clone()),
+            &db,
+            &mut EvalCtx::default()
+        )
+        .unwrap()
+        .as_bool(),
         Some(true)
     );
     assert_eq!(
-        eval(&RaExpr::join(t.clone(), f.clone()), &db)
-            .unwrap()
-            .as_bool(),
+        eval(
+            &RaExpr::join(t.clone(), f.clone()),
+            &db,
+            &mut EvalCtx::default()
+        )
+        .unwrap()
+        .as_bool(),
         Some(false)
     );
     // Union = disjunction.
     assert_eq!(
-        eval(&RaExpr::union(f.clone(), t.clone()), &db)
-            .unwrap()
-            .as_bool(),
+        eval(
+            &RaExpr::union(f.clone(), t.clone()),
+            &db,
+            &mut EvalCtx::default()
+        )
+        .unwrap()
+        .as_bool(),
         Some(true)
     );
     // Diff = and-not.
     assert_eq!(
-        eval(&RaExpr::diff(t.clone(), f.clone()), &db)
-            .unwrap()
-            .as_bool(),
+        eval(
+            &RaExpr::diff(t.clone(), f.clone()),
+            &db,
+            &mut EvalCtx::default()
+        )
+        .unwrap()
+        .as_bool(),
         Some(true)
     );
     assert_eq!(
-        eval(&RaExpr::diff(t.clone(), t), &db).unwrap().as_bool(),
+        eval(&RaExpr::diff(t.clone(), t), &db, &mut EvalCtx::default())
+            .unwrap()
+            .as_bool(),
         Some(false)
     );
     assert_eq!(
-        eval(&RaExpr::diff(f.clone(), f), &db).unwrap().as_bool(),
+        eval(&RaExpr::diff(f.clone(), f), &db, &mut EvalCtx::default())
+            .unwrap()
+            .as_bool(),
         Some(false)
     );
 }

@@ -17,9 +17,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rcsafe::formula::generate::{random_allowed_formula, GenConfig};
 use rcsafe::formula::vars::rectified;
-use rcsafe::relalg::{eval_traced, EvalStats, OpSpan, Tracer};
-use rcsafe::safety::pipeline::compile;
-use rcsafe::{Budget, Database, FaultInjector, Formula, RaExpr, Schema, Value, Var};
+use rcsafe::relalg::{eval, EvalCtx, OpSpan, Tracer};
+use rcsafe::safety::corpus::random_db;
+use rcsafe::safety::pipeline::{compile_with, CompileOptions};
+use rcsafe::{Budget, Database, FaultInjector, Formula, RaExpr, Var};
 
 fn allowed_sample(seed: u64) -> Formula {
     let cfg = GenConfig::default();
@@ -31,17 +32,6 @@ fn allowed_sample(seed: u64) -> Formula {
     ))
 }
 
-fn random_db_for(f: &Formula, seed: u64) -> Database {
-    let schema = Schema::infer(f).expect("consistent");
-    let mut domain: Vec<Value> = (1..=4).map(Value::int).collect();
-    for c in f.constants() {
-        if !domain.contains(&c) {
-            domain.push(c);
-        }
-    }
-    Database::random(&schema, &domain, 6, &mut StdRng::seed_from_u64(seed))
-}
-
 /// Walk the span tree and the expression tree in lockstep (they mirror by
 /// construction) asserting each span's `rows_out` equals the cardinality
 /// of the relation its subtree evaluates to.
@@ -50,15 +40,7 @@ fn check_span_cardinalities(
     expr: &RaExpr,
     db: &Database,
 ) -> Result<(), TestCaseError> {
-    let mut stats = EvalStats::default();
-    let rel = eval_traced(
-        expr,
-        db,
-        &mut stats,
-        Budget::unlimited(),
-        &mut Tracer::off(),
-    )
-    .expect("subtree evaluates");
+    let rel = eval(expr, db, &mut EvalCtx::default()).expect("subtree evaluates");
     prop_assert!(span.completed, "span {} incomplete on a clean run", span.op);
     prop_assert_eq!(
         span.rows_out,
@@ -91,23 +73,20 @@ proptest! {
     fn traced_and_untraced_agree(seed in 0u64..4_000) {
         let f = allowed_sample(seed);
         prop_assume!(f.node_count() <= 60);
-        let c = compile(&f).expect("allowed formulas compile");
-        let db = random_db_for(&f, seed + 11);
-        let mut plain_stats = EvalStats::default();
-        let plain = c
-            .run_with_stats(&db, &mut plain_stats)
-            .expect("untraced evaluation succeeds");
-        let mut traced_stats = EvalStats::default();
-        let mut tracer = Tracer::on();
-        let traced = c
-            .run_traced(&db, &mut traced_stats, Budget::unlimited(), &mut tracer)
-            .expect("traced evaluation succeeds");
+        let c = compile_with(&f, CompileOptions::default()).expect("allowed formulas compile");
+        let db = random_db(&f, seed + 11);
+        let mut plain_cx = EvalCtx::default();
+        let plain = c.run(&db, &mut plain_cx).expect("untraced evaluation succeeds");
+        let plain_stats = plain_cx.stats;
+        let mut cx = EvalCtx::default().with_tracer(Tracer::on());
+        let traced = c.run(&db, &mut cx).expect("traced evaluation succeeds");
+        let traced_stats = cx.stats;
         prop_assert_eq!(&traced, &plain, "traced relation differs: {}", &f);
         prop_assert_eq!(traced.to_string(), plain.to_string());
         prop_assert_eq!(traced_stats, plain_stats, "stats differ: {}", &f);
 
         // The span tree totals reconcile with the stats counters.
-        let root = tracer.finish().expect("traced run leaves a root span");
+        let root = cx.tracer.finish().expect("traced run leaves a root span");
         prop_assert_eq!(root.total_rows_out(), traced_stats.tuples_produced, "{}", &f);
         prop_assert_eq!(root.span_count() as u64, traced_stats.operators, "{}", &f);
         prop_assert_eq!(root.rows_out, plain.len(), "root cardinality: {}", &f);
@@ -124,19 +103,17 @@ proptest! {
     fn span_cardinalities_are_true(seed in 0u64..2_000) {
         let f = allowed_sample(seed);
         prop_assume!(f.node_count() <= 40);
-        let c = compile(&f).expect("compiles");
-        let db = random_db_for(&f, seed + 23);
+        let c = compile_with(&f, CompileOptions::default()).expect("compiles");
+        let db = random_db(&f, seed + 23);
         // Evaluate against the prepared database (missing predicates
-        // declared) exactly as run_traced does internally.
+        // declared) exactly as Compiled::run does internally.
         let mut prepared = db.clone();
         for (p, arity) in c.original.predicates() {
             prepared.declare(p, arity);
         }
-        let mut stats = EvalStats::default();
-        let mut tracer = Tracer::on();
-        eval_traced(&c.expr, &prepared, &mut stats, Budget::unlimited(), &mut tracer)
-            .expect("evaluates");
-        let root = tracer.finish().expect("root span");
+        let mut cx = EvalCtx::default().with_tracer(Tracer::on());
+        eval(&c.expr, &prepared, &mut cx).expect("evaluates");
+        let root = cx.tracer.finish().expect("root span");
         check_span_cardinalities(&root, &c.expr, &prepared)?;
     }
 }
@@ -151,28 +128,22 @@ proptest! {
     fn projection_is_parallel_invariant(seed in 0u64..2_000) {
         let f = allowed_sample(seed);
         prop_assume!(f.node_count() <= 60);
-        let c = compile(&f).expect("compiles");
-        let db = random_db_for(&f, seed + 31);
+        let c = compile_with(&f, CompileOptions::default()).expect("compiles");
+        let db = random_db(&f, seed + 31);
 
-        let mut par_stats = EvalStats::default();
-        let mut par_tr = Tracer::on();
-        let par = c
-            .run_traced(&db, &mut par_stats, Budget::unlimited(), &mut par_tr)
-            .expect("parallel-capable run succeeds");
+        let mut par_cx = EvalCtx::default().with_tracer(Tracer::on());
+        let par = c.run(&db, &mut par_cx).expect("parallel-capable run succeeds");
 
         let fault = FaultInjector::new();
         fault.deny_thread_spawn(true);
         let budget = Budget::new().with_fault_injector(fault);
-        let mut seq_stats = EvalStats::default();
-        let mut seq_tr = Tracer::on();
-        let seq = c
-            .run_traced(&db, &mut seq_stats, &budget, &mut seq_tr)
-            .expect("sequential run succeeds");
+        let mut seq_cx = EvalCtx::new(&budget).with_tracer(Tracer::on());
+        let seq = c.run(&db, &mut seq_cx).expect("sequential run succeeds");
 
         prop_assert_eq!(par, seq, "relations differ: {}", &f);
-        prop_assert_eq!(par_stats, seq_stats, "stats differ: {}", &f);
-        let par_proj = span_projection(&par_tr.finish().unwrap());
-        let seq_proj = span_projection(&seq_tr.finish().unwrap());
+        prop_assert_eq!(par_cx.stats, seq_cx.stats, "stats differ: {}", &f);
+        let par_proj = span_projection(&par_cx.tracer.finish().unwrap());
+        let seq_proj = span_projection(&seq_cx.tracer.finish().unwrap());
         prop_assert_eq!(par_proj, seq_proj, "projections differ: {}", &f);
     }
 }

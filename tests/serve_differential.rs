@@ -4,8 +4,7 @@
 //! JSON, and error attribution alike — over the whole paper corpus.
 //!
 //! The identity holds by construction (server and local callers share one
-//! serving path, [`compile_and_eval_shared`] / [`compile_and_eval_cached`]
-//! through `compile_and_eval_in`, and [`Response::encode`] is canonical);
+//! serving path, `serve`, and [`Response::encode`] is canonical);
 //! these tests keep that construction honest end to end, TCP included.
 //!
 //! Setup invariant the suite leans on: `Server::start(db.clone(), ..)`
@@ -13,41 +12,17 @@
 //! so the server's snapshot *is* the test's database for response
 //! purposes.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+mod common;
+
+use common::serve_traced;
 use rc_serve::{
     Client, QueryOk, Request, Response, Server, ServerConfig, WireError, WireLimits, WireStats,
 };
 use rcsafe::relalg::govern::Resource;
-use rcsafe::safety::anyrc::compile_and_eval_any_cached;
-use rcsafe::safety::corpus::{corpus, formula_of, PaperFormula};
+use rcsafe::safety::corpus::{corpus, formula_of, random_db};
 use rcsafe::safety::dom_baseline::eval_brute_force;
-use rcsafe::safety::pipeline::{
-    compile_and_eval_cached, compile_and_eval_traced, CompileOptions, Compiled,
-};
-use rcsafe::{Budget, Database, PipelineError, PlanCache, Schema, Value};
-
-/// A reproducible database over an entry's inferred schema (seed 0 is the
-/// empty database, so boolean/vacuous answers exercise the arity-0 codec).
-fn db_for(entry: &PaperFormula, seed: u64) -> Database {
-    let f = formula_of(entry);
-    let schema = Schema::infer(&f).expect("corpus formulas have consistent arities");
-    let mut domain: Vec<Value> = (1..=4).map(Value::int).collect();
-    for c in f.constants() {
-        if !domain.contains(&c) {
-            domain.push(c);
-        }
-    }
-    if seed == 0 {
-        let mut d = Database::new();
-        for (p, ar) in schema.predicates() {
-            d.declare(p, ar);
-        }
-        d
-    } else {
-        Database::random(&schema, &domain, 6, &mut StdRng::seed_from_u64(seed))
-    }
-}
+use rcsafe::safety::pipeline::{compile_and_eval_cached, CompileOptions, Compiled};
+use rcsafe::{serve, Budget, Database, Mode, PipelineError, PlanCache};
 
 /// Start a server on the given database (shared version + stats store)
 /// and connect one client to it.
@@ -57,52 +32,35 @@ fn start(db: &Database) -> (Server, Client) {
     (server, client)
 }
 
-/// The response the server *must* produce for a `query` verb, assembled
-/// from the in-process cached serving path.
-fn expected_query(
+/// The response the server *must* produce for a `query` (`Mode::Safe`)
+/// or `any` (`Mode::Any`) verb, assembled from in-process cached serving.
+fn expected(
     text: &str,
     db: &Database,
+    mode: Mode,
     opts: CompileOptions,
     cache: &mut PlanCache<Compiled>,
 ) -> Response {
-    match compile_and_eval_cached(text, db, opts, cache) {
-        Ok(out) => Response::Query(QueryOk {
-            version: db.version(),
-            plan_cached: out.plan_cached,
-            result_cached: out.result_cached,
-            result_refreshed: out.result_refreshed,
-            stats: WireStats::from(&out.stats),
-            columns: out.compiled.columns.iter().map(|v| v.to_string()).collect(),
-            relation: out.relation,
-            trace_json: None,
-            any_infinite: None,
-            any_infinite_vars: None,
-        }),
-        Err(e) => Response::Error(WireError::from_pipeline(&e)),
-    }
-}
-
-/// The response the server *must* produce for an `any` verb, assembled
-/// from the in-process cached safe-pair serving path.
-fn expected_any(
-    text: &str,
-    db: &Database,
-    opts: CompileOptions,
-    cache: &mut PlanCache<Compiled>,
-) -> Response {
-    match compile_and_eval_any_cached(text, db, opts, cache) {
-        Ok(out) => Response::Query(QueryOk {
-            version: db.version(),
-            plan_cached: out.plan_cached,
-            result_cached: out.result_cached,
-            result_refreshed: out.result_refreshed,
-            stats: WireStats::from(&out.answer.stats),
-            columns: out.answer.columns.iter().map(|v| v.to_string()).collect(),
-            relation: out.answer.finite,
-            trace_json: None,
-            any_infinite: Some(out.answer.maybe_infinite),
-            any_infinite_vars: Some(out.answer.per_variable),
-        }),
+    let req = rcsafe::Request {
+        mode,
+        ..rcsafe::Request::new(text, opts)
+    };
+    match serve(&req, db, &*cache) {
+        Ok(out) => {
+            let any = mode == Mode::Any;
+            Response::Query(QueryOk {
+                version: db.version(),
+                plan_cached: out.plan_cached,
+                result_cached: out.result_cached,
+                result_refreshed: out.result_refreshed,
+                stats: WireStats::from(&out.stats),
+                columns: out.compiled.columns.iter().map(|v| v.to_string()).collect(),
+                trace_json: None,
+                any_infinite: any.then(|| out.maybe_infinite()),
+                any_infinite_vars: any.then_some(out.per_variable),
+                relation: out.relation,
+            })
+        }
         Err(e) => Response::Error(WireError::from_pipeline(&e)),
     }
 }
@@ -117,14 +75,19 @@ fn served_query_responses_are_byte_identical_across_the_corpus() {
     let mut served_err = 0;
     for entry in corpus() {
         for seed in [0u64, 3] {
-            let db = db_for(&entry, seed);
+            let db = random_db(&formula_of(&entry), seed);
             let (_server, mut client) = start(&db);
             // A fresh local cache mirrors the server's fresh shared cache:
             // both are cold on the first round, warm on the second.
             let mut cache: PlanCache<Compiled> = PlanCache::new();
             for round in ["cold", "warm"] {
-                let expected =
-                    expected_query(entry.text, &db, CompileOptions::default(), &mut cache);
+                let expected = expected(
+                    entry.text,
+                    &db,
+                    Mode::Safe,
+                    CompileOptions::default(),
+                    &mut cache,
+                );
                 let got = client
                     .query(entry.text)
                     .unwrap_or_else(|e| panic!("{}: transport failure: {e}", entry.id));
@@ -161,11 +124,11 @@ fn served_query_responses_are_byte_identical_across_the_corpus() {
 fn served_analyze_responses_match_in_process_traced_runs() {
     let mut compared = 0;
     for entry in corpus() {
-        let db = db_for(&entry, 7);
+        let db = random_db(&formula_of(&entry), 7);
         // Run 1 harvests observed cardinalities into the shared stats
         // store; run 2 is the converged reference the server must match.
-        let _ = compile_and_eval_traced(entry.text, &db, CompileOptions::default());
-        let (result, trace) = compile_and_eval_traced(entry.text, &db, CompileOptions::default());
+        let _ = serve_traced(entry.text, &db, CompileOptions::default());
+        let (result, trace) = serve_traced(entry.text, &db, CompileOptions::default());
         let expected = match result {
             Ok(out) => Response::Query(QueryOk {
                 version: db.version(),
@@ -215,11 +178,17 @@ fn served_any_responses_are_byte_identical_and_match_the_oracle() {
     let mut flagged_infinite = 0;
     for entry in corpus() {
         for seed in [0u64, 3] {
-            let db = db_for(&entry, seed);
+            let db = random_db(&formula_of(&entry), seed);
             let (_server, mut client) = start(&db);
             let mut cache: PlanCache<Compiled> = PlanCache::new();
             for round in ["cold", "warm"] {
-                let expected = expected_any(entry.text, &db, CompileOptions::default(), &mut cache);
+                let expected = expected(
+                    entry.text,
+                    &db,
+                    Mode::Any,
+                    CompileOptions::default(),
+                    &mut cache,
+                );
                 let got = client
                     .any(entry.text)
                     .unwrap_or_else(|e| panic!("{}: transport failure: {e}", entry.id));
@@ -398,7 +367,7 @@ fn the_shared_cache_spans_connections() {
         .into_iter()
         .find(|e| e.wide_sense)
         .expect("the corpus has servable entries");
-    let db = db_for(&entry, 11);
+    let db = random_db(&formula_of(&entry), 11);
     let text = entry.text;
     let (server, mut first) = start(&db);
 

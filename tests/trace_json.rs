@@ -2,16 +2,20 @@
 //!
 //! The workspace is dependency-free, so `PipelineTrace::to_json` and the
 //! bench emitters build JSON by hand. These tests feed their output — and
-//! the committed `TRACE_corpus.json` artifact — through a strict
+//! the `TRACE_corpus.json` document `trace_export` writes — through a strict
 //! recursive-descent JSON parser that rejects unescaped control
 //! characters, bad escapes, trailing garbage, and unbalanced structure.
 //! Operator labels embed `Symbol` names, so predicates named with quotes,
 //! backslashes, and control characters must survive the trip.
 
 use rcsafe::relalg::trace::json_str;
-use rcsafe::relalg::{eval_traced, EvalStats, Tracer};
-use rcsafe::safety::pipeline::{compile_and_eval_traced, CompileOptions};
-use rcsafe::{Budget, Database, RaExpr, Relation, Term};
+mod common;
+
+use common::serve_traced;
+use rcsafe::relalg::{eval, EvalCtx, Tracer};
+use rcsafe::safety::corpus::trace_export;
+use rcsafe::safety::pipeline::CompileOptions;
+use rcsafe::{Database, RaExpr, Relation, Term};
 use std::collections::BTreeMap;
 
 // ------------------------------------------------- a strict JSON parser --
@@ -287,10 +291,9 @@ fn traced_eval_with_hostile_symbols_exports_valid_json() {
     db.insert_relation(nasty, rel);
     let expr = RaExpr::scan(nasty, vec![Term::var("x")]);
 
-    let mut stats = EvalStats::default();
-    let mut tracer = Tracer::on();
-    eval_traced(&expr, &db, &mut stats, Budget::unlimited(), &mut tracer).unwrap();
-    let root = tracer.finish().expect("root span");
+    let mut cx = EvalCtx::default().with_tracer(Tracer::on());
+    eval(&expr, &db, &mut cx).unwrap();
+    let root = cx.tracer.finish().expect("root span");
     let trace = rcsafe::relalg::PipelineTrace {
         stages: Vec::new(),
         root: Some(root),
@@ -306,7 +309,7 @@ fn traced_eval_with_hostile_symbols_exports_valid_json() {
 #[test]
 fn pipeline_trace_json_parses_strictly() {
     let db = Database::from_facts("Part('bolt')\nSupplies('acme', 'bolt')").unwrap();
-    let (result, trace) = compile_and_eval_traced(
+    let (result, trace) = serve_traced(
         "exists y. forall x. (!Part(x) | Supplies(y, x))",
         &db,
         CompileOptions::default(),
@@ -331,11 +334,12 @@ fn pipeline_trace_json_parses_strictly() {
     check_span(parsed.get("eval").unwrap());
 }
 
-/// The committed `TRACE_corpus.json` artifact must stay strictly valid.
+/// The `TRACE_corpus.json` document `trace_export` writes (the artifact CI
+/// uploads) must stay strictly valid — generated here in process, with the
+/// binary's default corpus entry and seed.
 #[test]
 fn committed_trace_corpus_parses_strictly() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/TRACE_corpus.json");
-    let text = std::fs::read_to_string(path).expect("TRACE_corpus.json exists at the repo root");
+    let text = trace_export("ex9.2-row2", 7).expect("default corpus entry exists");
     let parsed = parse_json(&text).expect("strict parse of TRACE_corpus.json");
     for key in ["corpus_id", "seed", "ok", "trace"] {
         assert!(parsed.get(key).is_some(), "missing {key}");
