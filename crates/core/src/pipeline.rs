@@ -93,47 +93,6 @@ pub fn classify(f: &Formula) -> SafetyClass {
     }
 }
 
-/// Which planner runs in the Optimize stage when `optimize` is on and a
-/// database is available.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum PlannerMode {
-    /// The cost-based pass ([`rc_relalg::optimize()`]): simplification,
-    /// DP/greedy join reordering, cost-gated projection placement.
-    #[default]
-    Cost,
-    /// Equality saturation ([`rc_relalg::saturate_governed`]) on top of
-    /// the cost-based pass: the plan is loaded into an e-graph, enriched
-    /// by the documented rewrite-rule registry (`docs/REWRITES.md`), and
-    /// the cheapest equivalent is extracted — never costlier than what
-    /// [`PlannerMode::Cost`] would have chosen.
-    Saturate,
-}
-
-impl PlannerMode {
-    /// The wire/REPL token naming this mode (`cost` / `saturate`).
-    pub fn token(self) -> &'static str {
-        match self {
-            PlannerMode::Cost => "cost",
-            PlannerMode::Saturate => "saturate",
-        }
-    }
-
-    /// Parse a wire/REPL token back into a mode.
-    pub fn parse(s: &str) -> Option<PlannerMode> {
-        match s {
-            "cost" => Some(PlannerMode::Cost),
-            "saturate" => Some(PlannerMode::Saturate),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for PlannerMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.token())
-    }
-}
-
 /// Options for [`compile_with`] and [`serve`].
 #[derive(Clone, Debug)]
 pub struct CompileOptions {
@@ -149,8 +108,6 @@ pub struct CompileOptions {
     pub budget: Budget,
     /// Resolution of the Fig. 5 conjunction nondeterminism in `genify`.
     pub generator_choice: ConjunctChoice,
-    /// Which planner runs when `optimize` is on and a database is present.
-    pub planner: PlannerMode,
 }
 
 impl Default for CompileOptions {
@@ -160,7 +117,6 @@ impl Default for CompileOptions {
             optimize: true,
             budget: Budget::new(),
             generator_choice: ConjunctChoice::Smallest,
-            planner: PlannerMode::Cost,
         }
     }
 }
@@ -178,10 +134,6 @@ impl CompileOptions {
         match self.generator_choice {
             ConjunctChoice::Smallest => 0u8.hash(&mut h),
             ConjunctChoice::First => 1u8.hash(&mut h),
-        }
-        match self.planner {
-            PlannerMode::Cost => 0u8.hash(&mut h),
-            PlannerMode::Saturate => 1u8.hash(&mut h),
         }
         h.finish()
     }
@@ -360,23 +312,15 @@ pub fn compile_traced_for(
     // and how many tree nodes the interner folded away).
     st.begin(Stage::Optimize, raw.node_count() as u64);
     let expr = impose_columns(raw, &columns, &ranf_form)?;
-    let (expr, planner, detail) = match (opts.optimize, db) {
-        (true, Some(db)) if opts.planner == PlannerMode::Saturate => {
-            let (expr, report) = rc_relalg::saturate_governed(&expr, db, &opts.budget)
-                .map_err(CompileError::Budget)?;
-            (expr, "saturate", format!(" egraph={report}"))
-        }
-        (true, Some(db)) => (rc_relalg::optimize(&expr, db), "cost", String::new()),
-        (true, None) => (rc_relalg::simplify(&expr), "simplify", String::new()),
-        (false, _) => (expr, "off", String::new()),
+    let (expr, planner) = match (opts.optimize, db) {
+        (true, Some(db)) => (rc_relalg::optimize(&expr, db), "cost"),
+        (true, None) => (rc_relalg::simplify(&expr), "simplify"),
+        (false, _) => (expr, "off"),
     };
     let (expr, intern_stats) = rc_relalg::intern(&expr);
     st.end(
         expr.node_count() as u64,
-        format!(
-            "planner={planner} shared={}{detail}",
-            intern_stats.shared_nodes()
-        ),
+        format!("planner={planner} shared={}", intern_stats.shared_nodes()),
     );
 
     Ok(Compiled {

@@ -35,11 +35,8 @@
 //!   the trace-fed feedback store behind the cost-based planner;
 //! * [`optimize::simplify`] — semantics-preserving cleanup — and
 //!   [`optimize::optimize`], the cost-based pass on top of it
-//!   (join reordering, cost-gated projection placement);
-//! * [`egraph`] — equality saturation over plans: e-classes with
-//!   union-find merging, a documented registry of soundness-proven
-//!   rewrites (`docs/REWRITES.md`), budget-bounded saturation, and
-//!   cost-based extraction that is never costlier than the input;
+//!   (join reordering, cost-gated projection placement, factoring a
+//!   shared join leg or `diff` operand out of a union);
 //! * display impls that mimic the paper's `π/σ/⋈/∪/diff` notation;
 //! * [`io`] — fact-text and TSV import/export.
 
@@ -49,7 +46,6 @@ pub mod baseline;
 pub mod cache;
 pub mod database;
 pub mod display;
-pub mod egraph;
 pub mod eval;
 pub mod expr;
 pub mod govern;
@@ -64,7 +60,6 @@ pub mod trace;
 pub use baseline::eval_baseline;
 pub use cache::{CacheStats, NoCache, PlanCache, PlanStore, SharedPlanCache, CACHE_SHARDS};
 pub use database::Database;
-pub use egraph::{rules, saturate, saturate_governed, RewriteRule, SaturationReport};
 pub use eval::{eval, EvalCtx, EvalError, EvalStats};
 pub use expr::{RaExpr, SelPred};
 pub use govern::{Budget, BudgetExceeded, CancelHandle, FaultInjector, Governor, Resource, Stage};

@@ -27,11 +27,29 @@
 //! model: a selection never grows rows, so filtering earlier can only
 //! shrink every operator above it.
 //!
+//! The cost pass also **factors a shared leg out of a union**, under the
+//! same strict cost gate:
+//!
+//! * `(A ⋈ C) ∪ (B ⋈ C) → (A ∪ B) ⋈ C`, with the common-left form
+//!   `(C ⋈ A) ∪ (C ⋈ B)` and the two commuted forms, when
+//!   `cols(A) = cols(B)` as sets;
+//! * `(A − W) ∪ (B − W) → (A ∪ B) − W`, when `cols(A) = cols(B)` as sets.
+//!
+//! The shared leg is scanned, hashed and probed once instead of once per
+//! branch. Both rewrites run once per union node, bottom-up, with no
+//! search: the legs are compared by pointer first (a cloned subplan shares
+//! them physically) and by structural equality second, which stops at the
+//! first differing node, and the column sets and prices are only computed
+//! for a pair that matches.
+//!
 //! Join reordering changes the natural join's *output column order* (left
 //! columns first); the pass restores the original order with a projection,
 //! so a reordered plan is column-for-column interchangeable with the
 //! original — parents (unions, diffs, the answer projection) never see a
-//! difference.
+//! difference. Factoring needs no such projection: the shared leg keeps the
+//! side it had in the union's *left* branch, and `A ∪ B` presents `A`'s
+//! column order, so the factored plan's columns are the left branch's —
+//! which are the union's.
 //!
 //! Simplification is purely *plan-shaping*: it runs before any execution
 //! policy is chosen, so it neither sees nor influences how the kernels
@@ -55,12 +73,35 @@
 //! below and the Diff-heavy property suite in `tests/prop_relalg.rs` pin
 //! this.
 //!
+//! ## Factoring a shared leg — soundness
+//!
+//! **Join over union.** The natural join distributes over union: a named
+//! row is in `(A ∪ B) ⋈ C` iff it splits into a `C`-row and an
+//! `(A ∪ B)`-row agreeing on the shared columns, iff it is in `A ⋈ C` or in
+//! `B ⋈ C`. The side condition `cols(A) = cols(B)` makes `A ∪ B`
+//! well-formed *and* pins both joins to the same shared-column set with
+//! `C`, so "agreeing on the shared columns" means the same thing on both
+//! sides of the equation. Without it the rewrite is not even well-typed:
+//! with `cols(A) = {x, y}`, `cols(B) = {x}` and `cols(C) = {y}` both
+//! branches have columns `{x, y}` but `A ∪ B` does not exist. The natural
+//! join matches by column *name*, so operand order does not matter, which
+//! covers the common-left and commuted forms.
+//!
+//! **Difference over union.** The generalized difference is a per-row
+//! filter on its left operand: keep `t` iff `t`'s projection onto
+//! `cols(W)` is absent from `W`. A per-row filter distributes over set
+//! union, so `(A − W) ∪ (B − W) = (A ∪ B) − W`. `cols(A) = cols(B)` makes
+//! `A ∪ B` well-formed, and `cols(W) ⊆ cols(A)` already holds because
+//! `A − W` was valid. The right operand must be the *same* `W` in both
+//! branches: `(A − W₁) ∪ (B − W₂)` has no factored form.
+//!
 //! Simplification is semantics-preserving; a property test in the workspace
 //! integration suite evaluates optimized and raw expressions side by side.
 
 use crate::database::Database;
 use crate::expr::{RaExpr, SelPred};
 use crate::stats::{CardEst, Estimator};
+use rc_formula::fxhash::FxHashMap;
 use rc_formula::Var;
 use std::sync::Arc;
 
@@ -272,7 +313,9 @@ fn push_select(input: &RaExpr, pred: SelPred) -> Option<RaExpr> {
 /// idempotent — re-optimizing its own output returns it unchanged, so the
 /// plan hash is stable. Each cost-gated change strictly lowers estimated
 /// cost and each simplifier change shrinks the plan, so the loop
-/// terminates; the iteration cap is a safety net, not a tuning knob.
+/// terminates; the iteration cap is a safety net, not a tuning knob. The
+/// result is never priced above `simplify(e)`: when it would be, the
+/// simplified plan is returned instead.
 ///
 /// ```
 /// use rc_formula::Term;
@@ -292,67 +335,143 @@ fn push_select(input: &RaExpr, pred: SelPred) -> Option<RaExpr> {
 /// assert!(est.cost(&planned) <= est.cost(&plan));
 /// ```
 pub fn optimize(e: &RaExpr, db: &Database) -> RaExpr {
-    let est = Estimator::new(db);
-    let mut cur = simplify(e);
+    let mut pass = CostPass {
+        est: Estimator::new(db),
+        orders: FxHashMap::default(),
+    };
+    let heuristic = simplify(e);
+    let mut cur = heuristic.clone();
     for _ in 0..8 {
-        let next = simplify(&cost_pass(&cur, &est));
+        let next = simplify(&pass.run(&cur));
         if next == cur {
             break;
         }
         cur = next;
     }
-    cur
+    // Each rewrite is gated on its own subtree's price, but it also moves
+    // that subtree's row estimate, which can raise the price of operators
+    // above it. Keep the heuristic plan whenever the whole optimized plan
+    // prices higher.
+    if pass.est.cost(&cur) > pass.est.cost(&heuristic) {
+        heuristic
+    } else {
+        cur
+    }
 }
 
-/// Bottom-up cost-gated rewriting of an already-simplified expression.
-fn cost_pass(e: &RaExpr, est: &Estimator) -> RaExpr {
-    match e {
-        RaExpr::Scan { .. } | RaExpr::Single { .. } | RaExpr::Unit | RaExpr::Empty { .. } => {
-            e.clone()
+/// The cost-gated rewriting state of one [`optimize`] call: the estimator
+/// and the join orders already searched. The join-order search dominates
+/// the pass, and the same leaf lists recur — in duplicated subplans and in
+/// every fixpoint iteration after the first — so each list is searched
+/// once.
+struct CostPass<'a> {
+    est: Estimator<'a>,
+    orders: FxHashMap<Vec<RaExpr>, RaExpr>,
+}
+
+impl CostPass<'_> {
+    /// Bottom-up cost-gated rewriting of an already-simplified expression.
+    fn run(&mut self, e: &RaExpr) -> RaExpr {
+        match e {
+            RaExpr::Scan { .. } | RaExpr::Single { .. } | RaExpr::Unit | RaExpr::Empty { .. } => {
+                e.clone()
+            }
+            RaExpr::Join(..) => {
+                let mut raw_leaves = Vec::new();
+                collect_join_leaves(e, &mut raw_leaves);
+                let leaves: Vec<RaExpr> = raw_leaves.into_iter().map(|l| self.run(l)).collect();
+                // The original join shape with optimized leaves is the
+                // baseline the reordered candidate must strictly beat.
+                let mut it = leaves.iter();
+                let baseline = rebuild_join_shape(e, &mut it);
+                let reordered = match self.orders.get(&leaves) {
+                    Some(order) => order.clone(),
+                    None => {
+                        let order = order_join(&leaves, &self.est);
+                        self.orders.insert(leaves, order.clone());
+                        order
+                    }
+                };
+                let candidate = restore_columns(reordered, baseline.cols());
+                self.cheaper(candidate, baseline)
+            }
+            RaExpr::Union(l, r) => {
+                let (l, r) = (Arc::new(self.run(l)), Arc::new(self.run(r)));
+                match factor_shared_leg(&l, &r) {
+                    Some(candidate) => self.cheaper(candidate, RaExpr::Union(l, r)),
+                    None => RaExpr::Union(l, r),
+                }
+            }
+            RaExpr::Diff(l, r) => RaExpr::Diff(Arc::new(self.run(l)), Arc::new(self.run(r))),
+            RaExpr::Project { input, cols } => {
+                let input = self.run(input);
+                // Re-simplify the rebuilt node: a reordered child may have
+                // gained a column-restoring projection that cascades with
+                // this one.
+                let baseline = simplify(&RaExpr::Project {
+                    input: Arc::new(input),
+                    cols: cols.clone(),
+                });
+                try_early_project(baseline, &self.est)
+            }
+            RaExpr::Select { input, pred } => RaExpr::Select {
+                input: Arc::new(self.run(input)),
+                pred: *pred,
+            },
+            RaExpr::Duplicate { input, src, dst } => RaExpr::Duplicate {
+                input: Arc::new(self.run(input)),
+                src: *src,
+                dst: *dst,
+            },
         }
-        RaExpr::Join(..) => {
-            let mut raw_leaves = Vec::new();
-            collect_join_leaves(e, &mut raw_leaves);
-            let leaves: Vec<RaExpr> = raw_leaves.into_iter().map(|l| cost_pass(l, est)).collect();
-            // The original join shape with optimized leaves is the
-            // baseline the reordered candidate must strictly beat.
-            let mut it = leaves.iter();
-            let baseline = rebuild_join_shape(e, &mut it);
-            let reordered = order_join(&leaves, est);
-            let candidate = restore_columns(reordered, baseline.cols());
-            if est.cost(&candidate) < est.cost(&baseline) {
-                candidate
+    }
+
+    /// The cost gate: `candidate` iff it prices strictly below `baseline`.
+    fn cheaper(&self, candidate: RaExpr, baseline: RaExpr) -> RaExpr {
+        if self.est.cost(&candidate) < self.est.cost(&baseline) {
+            candidate
+        } else {
+            baseline
+        }
+    }
+}
+
+/// The factored form of `l ∪ r` when both branches share a join leg or a
+/// `diff` right operand and the other operands have equal column sets (see
+/// the module docs). The shared leg keeps the side it has in `l`, so the
+/// result's column order is `l`'s. `Arc` equality compares pointers before
+/// structure, so a physically shared leg matches in O(1).
+fn factor_shared_leg(l: &RaExpr, r: &RaExpr) -> Option<RaExpr> {
+    let union = |a: &Arc<RaExpr>, b: &Arc<RaExpr>| Arc::new(RaExpr::Union(a.clone(), b.clone()));
+    let factored = match (l, r) {
+        (RaExpr::Join(a, c), RaExpr::Join(p, q)) => {
+            if c == q && same_col_set(a, p) {
+                RaExpr::Join(union(a, p), c.clone())
+            } else if c == p && same_col_set(a, q) {
+                RaExpr::Join(union(a, q), c.clone())
+            } else if a == p && same_col_set(c, q) {
+                RaExpr::Join(a.clone(), union(c, q))
+            } else if a == q && same_col_set(c, p) {
+                RaExpr::Join(a.clone(), union(c, p))
             } else {
-                baseline
+                return None;
             }
         }
-        RaExpr::Union(l, r) => {
-            RaExpr::Union(Arc::new(cost_pass(l, est)), Arc::new(cost_pass(r, est)))
+        (RaExpr::Diff(a, w), RaExpr::Diff(b, w2)) if w == w2 && same_col_set(a, b) => {
+            RaExpr::Diff(union(a, b), w.clone())
         }
-        RaExpr::Diff(l, r) => {
-            RaExpr::Diff(Arc::new(cost_pass(l, est)), Arc::new(cost_pass(r, est)))
-        }
-        RaExpr::Project { input, cols } => {
-            let input = cost_pass(input, est);
-            // Re-simplify the rebuilt node: a reordered child may have
-            // gained a column-restoring projection that cascades with
-            // this one.
-            let baseline = simplify(&RaExpr::Project {
-                input: Arc::new(input),
-                cols: cols.clone(),
-            });
-            try_early_project(baseline, est)
-        }
-        RaExpr::Select { input, pred } => RaExpr::Select {
-            input: Arc::new(cost_pass(input, est)),
-            pred: *pred,
-        },
-        RaExpr::Duplicate { input, src, dst } => RaExpr::Duplicate {
-            input: Arc::new(cost_pass(input, est)),
-            src: *src,
-            dst: *dst,
-        },
-    }
+        _ => return None,
+    };
+    debug_assert_eq!(factored.cols(), l.cols(), "factoring keeps column order");
+    Some(factored)
+}
+
+/// Do `a` and `b` have the same columns, in any order?
+fn same_col_set(a: &RaExpr, b: &RaExpr) -> bool {
+    let (mut ca, mut cb) = (a.cols(), b.cols());
+    ca.sort_unstable();
+    cb.sort_unstable();
+    ca == cb
 }
 
 /// Flatten a nested join tree into its non-join leaves, left to right.
@@ -437,39 +556,43 @@ fn join_planned(l: &Planned, r: &Planned, est: &Estimator) -> Planned {
     }
 }
 
-/// Do the two leaf sets share at least one column name (an equijoin
-/// predicate) — i.e. is joining them *not* a cross product?
-fn masks_connected(s: usize, t: usize, col_sets: &[Vec<Var>]) -> bool {
-    for (i, ci) in col_sets.iter().enumerate() {
-        if s & (1 << i) == 0 {
-            continue;
-        }
-        for (j, cj) in col_sets.iter().enumerate() {
-            if t & (1 << j) == 0 {
-                continue;
-            }
-            if ci.iter().any(|v| cj.contains(v)) {
-                return true;
-            }
-        }
-    }
-    false
-}
-
 /// Selinger-style dynamic programming over leaf subsets. Splits are
 /// enumerated deterministically (canonical orientation: the side holding
 /// the lowest leaf index is the left operand), cross-product splits are
 /// skipped whenever a connected split exists, and ties keep the first
 /// candidate found — so the result is a deterministic function of the
-/// leaves and the statistics.
+/// leaves and the statistics. The table keeps each subset's estimate,
+/// cost and winning split; only the final plan is built as an expression.
 fn dp_join(leaves: &[RaExpr], est: &Estimator) -> RaExpr {
+    struct Best {
+        est: CardEst,
+        cost: f64,
+        /// The left operand's leaf mask (0 for a single leaf).
+        split: usize,
+    }
     let n = leaves.len();
     let full: usize = (1 << n) - 1;
     let col_sets: Vec<Vec<Var>> = leaves.iter().map(RaExpr::cols).collect();
-    let mut best: Vec<Option<Planned>> = Vec::with_capacity(full + 1);
+    // adj[i]: the leaves sharing a column name with leaf i.
+    let adj: Vec<usize> = (0..n)
+        .map(|i| {
+            (0..n)
+                .filter(|&j| j != i && col_sets[i].iter().any(|v| col_sets[j].contains(v)))
+                .fold(0, |m, j| m | 1 << j)
+        })
+        .collect();
+    // Is joining the two leaf sets *not* a cross product (an equijoin
+    // predicate exists)?
+    let connected = |s: usize, t: usize| (0..n).any(|i| s & (1 << i) != 0 && adj[i] & t != 0);
+    let mut best: Vec<Option<Best>> = Vec::with_capacity(full + 1);
     best.resize_with(full + 1, || None);
     for (i, l) in leaves.iter().enumerate() {
-        best[1 << i] = Some(planned_leaf(l, est));
+        let (cost, est) = est.cost_and_estimate(l);
+        best[1 << i] = Some(Best {
+            est,
+            cost,
+            split: 0,
+        });
     }
     for mask in 3..=full {
         if (mask as u32).count_ones() < 2 {
@@ -480,31 +603,42 @@ fn dp_join(leaves: &[RaExpr], est: &Estimator) -> RaExpr {
         let mut any_connected = false;
         let mut s = (mask - 1) & mask;
         while s > 0 {
-            if s & lowest != 0 && masks_connected(s, mask ^ s, &col_sets) {
+            if s & lowest != 0 && connected(s, mask ^ s) {
                 any_connected = true;
                 break;
             }
             s = (s - 1) & mask;
         }
-        let mut chosen: Option<Planned> = None;
+        let mut chosen: Option<Best> = None;
         let mut s = (mask - 1) & mask;
         while s > 0 {
             let t = mask ^ s;
-            if s & lowest != 0 && (!any_connected || masks_connected(s, t, &col_sets)) {
+            if s & lowest != 0 && (!any_connected || connected(s, t)) {
                 let (l, r) = (
                     best[s].as_ref().expect("smaller mask planned"),
                     best[t].as_ref().expect("smaller mask planned"),
                 );
-                let cand = join_planned(l, r, est);
-                if chosen.as_ref().is_none_or(|c| cand.cost < c.cost) {
-                    chosen = Some(cand);
+                let card = est.join_cardinality(&l.est, &r.est);
+                let cost = l.cost + r.cost + Estimator::join_step_cost(&l.est, &r.est, &card);
+                if chosen.as_ref().is_none_or(|c| cost < c.cost) {
+                    chosen = Some(Best {
+                        est: card,
+                        cost,
+                        split: s,
+                    });
                 }
             }
             s = (s - 1) & mask;
         }
         best[mask] = chosen;
     }
-    best[full].take().expect("full mask planned").expr
+    fn build(mask: usize, best: &[Option<Best>], leaves: &[RaExpr]) -> RaExpr {
+        match best[mask].as_ref().expect("mask planned").split {
+            0 => leaves[mask.trailing_zeros() as usize].clone(),
+            s => RaExpr::join(build(s, best, leaves), build(mask ^ s, best, leaves)),
+        }
+    }
+    build(full, &best, leaves)
 }
 
 /// Greedy fallback for > 8 leaves: repeatedly join the (connected, if

@@ -33,7 +33,7 @@
 use rc_relalg::govern::{BudgetExceeded, Resource, Stage};
 use rc_relalg::io::{parse_tsv_cell, write_tsv};
 use rc_relalg::{EvalStats, Relation, RelationBuilder};
-use rc_safety::pipeline::{PipelineError, PlannerMode};
+use rc_safety::pipeline::PipelineError;
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -242,11 +242,6 @@ pub struct Request {
     pub optimize: bool,
     /// Attempt equality reduction for wide-sense-evaluable formulas.
     pub eqreduce: bool,
-    /// Which planner runs when the optimizer is on (`cost` default,
-    /// `saturate` for the equality-saturation layer). Carried as a
-    /// `planner` header; the default is omitted from the canonical
-    /// encoding.
-    pub planner: PlannerMode,
     /// Query text, fact text, or empty (ping/stats).
     pub body: String,
 }
@@ -260,7 +255,6 @@ impl Request {
             limits: WireLimits::default(),
             optimize: true,
             eqreduce: true,
-            planner: PlannerMode::Cost,
             body: text.into(),
         }
     }
@@ -325,9 +319,6 @@ impl Request {
         if !self.eqreduce {
             out.push_str("eqreduce off\n");
         }
-        if self.planner != PlannerMode::Cost {
-            let _ = writeln!(out, "planner {}", self.planner.token());
-        }
         out.push_str(".\n");
         out.push_str(&self.body);
         out.into_bytes()
@@ -359,10 +350,6 @@ impl Request {
                 }
                 "optimize" => req.optimize = parse_on_off(key, value)?,
                 "eqreduce" => req.eqreduce = parse_on_off(key, value)?,
-                "planner" => {
-                    req.planner = PlannerMode::parse(value)
-                        .ok_or_else(|| ProtoError::BadHeader(format!("planner {value}")))?
-                }
                 other => return Err(ProtoError::BadHeader(other.into())),
             }
         }
@@ -982,7 +969,6 @@ mod tests {
             },
             optimize: false,
             eqreduce: false,
-            planner: PlannerMode::Saturate,
             body: "P(x) & Q(x, y)\nsecond line".to_string(),
         };
         assert_eq!(Request::parse(&req.encode()).unwrap(), req);
@@ -991,25 +977,12 @@ mod tests {
     }
 
     #[test]
-    fn planner_header_roundtrips_and_rejects_unknown_modes() {
-        // The default mode is omitted from the canonical encoding.
-        let plain = Request::query("P(x)");
-        assert!(!String::from_utf8(plain.encode())
-            .unwrap()
-            .contains("planner"));
-        let sat = Request {
-            planner: PlannerMode::Saturate,
-            ..Request::query("P(x)")
-        };
-        let bytes = sat.encode();
-        assert!(String::from_utf8(bytes.clone())
-            .unwrap()
-            .contains("planner saturate\n"));
-        assert_eq!(Request::parse(&bytes).unwrap(), sat);
-        assert!(matches!(
-            Request::parse(b"rc1 query\nplanner quantum\n.\nP(x)"),
-            Err(ProtoError::BadHeader(_))
-        ));
+    fn planner_header_is_no_longer_accepted() {
+        // No planner is selectable: `planner` is an unknown header.
+        assert_eq!(
+            Request::parse(b"rc1 query\nplanner cost\n.\nP(x)"),
+            Err(ProtoError::BadHeader("planner".into()))
+        );
     }
 
     #[test]

@@ -19,10 +19,6 @@
 //! * `partitions <n>` / `partitions auto` — force every partitionable
 //!   operator kernel to exactly `n` partitions (1 = sequential kernels) /
 //!   return to the cardinality-and-cores heuristic
-//! * `planner cost` / `planner saturate` — choose the optimizer: the
-//!   cost-based pass alone, or equality saturation on top of it (the
-//!   e-graph rewrite layer of `docs/REWRITES.md`; `explain` shows the
-//!   extracted plan) — `planner` alone shows the current mode
 //! * `cache` / `cache clear` — show plan/result cache statistics / drop
 //!   all cached entries (inserting a fact never serves stale answers: the
 //!   database version bump invalidates results automatically)
@@ -52,15 +48,15 @@
 //! evaluation, `query any` sends the safe-pair `any` verb (the response
 //! carries the infiniteness flags), and plain formulas are served through
 //! the server's shared plan cache. Budget and partition commands translate
-//! to per-request wire limits and `planner saturate` to the `planner`
-//! header. Start a server with `cargo run -p rc-serve --bin rc_serve`.
+//! to per-request wire limits. Start a server with
+//! `cargo run -p rc-serve --bin rc_serve`.
 
 use rcsafe::formula::vars::rectified;
 use rcsafe::relalg::trace::{render_analyze, render_plan};
 use rcsafe::safety::check_evaluable;
 use rcsafe::{
     classify, parse, serve, Budget, CompileOptions, Compiled, Database, NoCache, PipelineError,
-    PlanCache, PlannerMode, Relation, Request, SafetyClass,
+    PlanCache, Relation, Request, SafetyClass,
 };
 use std::cell::RefCell;
 use std::io::{self, BufRead, Write};
@@ -177,26 +173,6 @@ fn budget_command(args: &str, mut limits: Limits) -> Limits {
     limits
 }
 
-/// Handle a `planner …` command line; returns the updated mode.
-fn planner_command(args: &str, planner: PlannerMode) -> PlannerMode {
-    match args.trim() {
-        "" => {
-            println!("  planner: {planner}");
-            planner
-        }
-        token => match PlannerMode::parse(token) {
-            Some(mode) => {
-                println!("  planner: {mode}");
-                mode
-            }
-            None => {
-                println!("  usage: planner [cost | saturate]");
-                planner
-            }
-        },
-    }
-}
-
 /// The `--connect` client loop: the same console surface, served over one
 /// `rc_serve` connection instead of an in-process database.
 fn client_main(addr: &str) {
@@ -210,11 +186,9 @@ fn client_main(addr: &str) {
         }
     };
     let mut limits = Limits::default();
-    let mut planner = PlannerMode::default();
     println!("rcsafe console — connected to {addr}");
     println!(
-        "Commands: fact, stats, budget, partitions, planner, explain analyze, query any, \
-         <formula>, quit.\n"
+        "Commands: fact, stats, budget, partitions, explain analyze, query any, <formula>, quit.\n"
     );
 
     let stdin = io::stdin();
@@ -255,14 +229,6 @@ fn client_main(addr: &str) {
             println!("  budget: {}", limits.describe());
             continue;
         }
-        if line == "planner" {
-            planner = planner_command("", planner);
-            continue;
-        }
-        if let Some(args) = line.strip_prefix("planner ") {
-            planner = planner_command(args, planner);
-            continue;
-        }
         if line == "stats" {
             match client.stats() {
                 Ok(pairs) => {
@@ -285,13 +251,11 @@ fn client_main(addr: &str) {
         } else if let Some(text) = line.strip_prefix("explain analyze ") {
             Request {
                 limits: wire_limits,
-                planner,
                 ..Request::analyze(text)
             }
         } else if let Some(text) = line.strip_prefix("query any ") {
             Request {
                 limits: wire_limits,
-                planner,
                 ..Request::any(text)
             }
         } else {
@@ -299,7 +263,6 @@ fn client_main(addr: &str) {
                 verb: Verb::Query,
                 priority: Priority::Normal,
                 limits: wire_limits,
-                planner,
                 ..Request::query(line)
             }
         };
@@ -369,7 +332,6 @@ fn main() {
     )
     .unwrap();
     let mut limits = Limits::default();
-    let mut planner = PlannerMode::default();
     let cache: PlanCache<Compiled> = PlanCache::new();
 
     println!("rcsafe console — relational calculus with safe translation");
@@ -402,9 +364,6 @@ fn main() {
                 println!("  budget off         remove all limits (budget: show them)");
                 println!("  partitions <n>     force n-way partitioned kernels (1 = sequential)");
                 println!("  partitions auto    partition by cardinality and cores (default)");
-                println!("  planner cost       cost-based planner only (default)");
-                println!("  planner saturate   equality-saturation rewriting on top of it");
-                println!("                     (planner: show the current mode)");
                 println!("  cache              show plan/result cache statistics");
                 println!("  cache clear        drop all cached plans and results");
                 println!("  stats              show planner statistics (rows, distincts, epoch)");
@@ -504,14 +463,6 @@ fn main() {
             }
             continue;
         }
-        if line == "planner" {
-            planner = planner_command("", planner);
-            continue;
-        }
-        if let Some(args) = line.strip_prefix("planner ") {
-            planner = planner_command(args, planner);
-            continue;
-        }
         #[derive(PartialEq)]
         enum Mode {
             Plain,
@@ -545,7 +496,6 @@ fn main() {
         }
         let opts = CompileOptions {
             budget: limits.arm(),
-            planner,
             ..CompileOptions::default()
         };
         // Plain queries are served through the cross-run cache; `explain`

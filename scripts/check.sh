@@ -24,50 +24,8 @@ echo "==> example smoke tests"
 cargo run -q --example quickstart > /dev/null
 cargo run -q --example suppliers_parts > /dev/null
 
-echo "==> trace overhead gate (tracing off must cost < 1% median, paired)"
-TRACE_GATE=1 cargo run -q --release -p rc-bench --bin bench_eval
-
-echo "==> cache gate (warm serves must hit; median repeated-query speedup >= 5x)"
-CACHE_GATE=1 cargo run -q --release -p rc-bench --bin bench_eval
-
-echo "==> partition gate (bit-identical results, fallback < 2%; 2x speedup at >= 8 cores)"
-PAR_GATE=1 cargo run -q --release -p rc-bench --bin bench_eval
-
-echo "==> optimizer gate (median multi_join speedup >= 2x; no family regresses > 5%)"
-OPT_GATE=1 cargo run -q --release -p rc-bench --bin bench_eval
-
-echo "==> IVM gate (every trickle re-serve refreshes; median speedup over full re-eval >= 10x)"
-IVM_GATE=1 cargo run -q --release -p rc-bench --bin bench_eval
-
-echo "==> any gate (every corpus formula — rejected included — serves via the safe pair, byte-identical to the oracle, flags surviving the wire)"
-ANY_GATE=1 cargo run -q --release -p rc-bench --bin bench_eval
-
-echo "==> egraph gate (corpus bit-identical across planner modes; saturated plans never priced above cost plans; median rewrite speedup >= 1.2x; no workload regresses >= 5%)"
-EGRAPH_GATE=1 cargo run -q --release -p rc-bench --bin bench_eval
-
-echo "==> rewrite catalog <-> registry drift check"
-# Every rule registered in the e-graph must have a catalog section in
-# docs/REWRITES.md, and every catalog section must name a registered
-# rule. Both files change in the same commit or this gate fails.
-registry_rules=$(sed -n 's/.*name: "\([a-z-]*\)".*/\1/p' crates/relalg/src/egraph.rs | sort -u)
-catalog_rules=$(sed -n 's/^### `\([a-z-]*\)`$/\1/p' docs/REWRITES.md | sort -u)
-if [ -z "$registry_rules" ]; then
-  echo "error: no rules extracted from crates/relalg/src/egraph.rs (drift check pattern broke?)" >&2
-  exit 1
-fi
-for r in $registry_rules; do
-  if ! printf '%s\n' "$catalog_rules" | grep -qx "$r"; then
-    echo "error: rule '$r' is registered in egraph.rs but has no '### \`$r\`' section in docs/REWRITES.md" >&2
-    exit 1
-  fi
-done
-for r in $catalog_rules; do
-  if ! printf '%s\n' "$registry_rules" | grep -qx "$r"; then
-    echo "error: docs/REWRITES.md documents rule '$r' but egraph.rs does not register it" >&2
-    exit 1
-  fi
-done
-echo "    $(printf '%s\n' "$registry_rules" | wc -l) rules in sync"
+echo "==> bench_eval gates (trace, cache, partition, optimizer, IVM, any; all verdicts, then fail)"
+cargo run -q --release -p rc-bench --bin bench_eval -- --gates
 
 echo "==> serve gate (100 concurrent clients complete, zero errors, p99 bounded; 5x throughput at >= 8 cores)"
 SERVE_GATE=1 cargo run -q --release -p rc-bench --bin bench_serve

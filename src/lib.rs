@@ -39,8 +39,7 @@ pub use rc_relalg::{
 };
 pub use rc_safety::anyrc::AnyAnswer;
 pub use rc_safety::pipeline::{
-    classify, serve, CompileOptions, Compiled, Mode, PipelineError, PlannerMode, Request,
-    SafetyClass, Served,
+    classify, serve, CompileOptions, Compiled, Mode, PipelineError, Request, SafetyClass, Served,
 };
 pub use rc_safety::{
     equality_reduce, genify, is_allowed, is_evaluable, is_ranf, is_wide_sense_evaluable, ranf,

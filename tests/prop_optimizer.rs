@@ -2,9 +2,14 @@
 //! be *observationally identical* to the heuristic plan — same relation,
 //! same answer-column order, sane [`EvalStats`] — across the paper corpus
 //! and generated allowed formulas, including under forced partitioning and
-//! budget cancellation. Plus the optimizer-idempotence properties: the
-//! rewrite simplifier is a fixpoint after one pass, and re-running the
-//! cost-based planner on its own output never changes the plan hash.
+//! budget cancellation. Plus properties over random plans: the rewrite
+//! simplifier is a fixpoint after one pass; the cost-based planner agrees
+//! with the reference evaluator, never prices above the simplifier, and
+//! never changes the plan hash when re-run on its own output. The random
+//! plans include unions whose branches share a join leg or a `diff` right
+//! operand, so the cost pass's union factoring is exercised — and
+//! near-misses it must leave alone. Per-rule soundness tests pin the two
+//! factoring identities directly.
 
 mod common;
 
@@ -14,7 +19,10 @@ use rand::Rng;
 use rand::SeedableRng;
 use rcsafe::formula::generate::{random_allowed_formula, GenConfig};
 use rcsafe::formula::vars::rectified;
-use rcsafe::relalg::{eval, optimize, plan_hash, simplify, EvalCtx, PlanCache, RaExpr, SelPred};
+use rcsafe::relalg::{
+    eval, eval_baseline, optimize, plan_hash, simplify, Estimator, EvalCtx, PlanCache, RaExpr,
+    SelPred,
+};
 use rcsafe::safety::corpus::{corpus, formula_of, random_db};
 use rcsafe::safety::pipeline::{
     compile_and_eval_cached, compile_for, compile_with, CompileOptions, Compiled,
@@ -145,22 +153,25 @@ fn corpus_optimized_plans_honor_cancelled_budgets() {
     }
 }
 
-/// A random plan mixing every operator, for the idempotence properties.
-/// Invariant: every subplan has columns exactly `[x, y]`, so unions stay
-/// arity-aligned, selections always see their column, and diff right
-/// sides are the narrower/equal operands the evaluator accepts.
+/// A random plan mixing every operator, for the planner properties.
+/// Invariant: every subplan has the column *set* `{x, y}` (in either
+/// order), so unions stay arity-aligned, selections always see their
+/// column, and diff right sides are the narrower/equal operands the
+/// evaluator accepts.
 fn random_plan(rng: &mut StdRng, depth: usize) -> RaExpr {
     let scan_a = || RaExpr::scan("A", vec![Term::var("x"), Term::var("y")]);
     let scan_b = || RaExpr::scan("B", vec![Term::var("x"), Term::var("y")]);
     let scan_c = || RaExpr::scan("C", vec![Term::var("y")]);
     if depth == 0 {
-        return match rng.gen_range(0..3) {
+        return match rng.gen_range(0..4) {
             0 => scan_a(),
             1 => scan_b(),
+            // Same columns, other order: factoring must keep the union's.
+            2 => RaExpr::scan("B", vec![Term::var("y"), Term::var("x")]),
             _ => RaExpr::join(scan_a(), scan_c()),
         };
     }
-    match rng.gen_range(0..8) {
+    match rng.gen_range(0..10) {
         0 => RaExpr::join(random_plan(rng, depth - 1), random_plan(rng, depth - 1)),
         1 => RaExpr::union(random_plan(rng, depth - 1), random_plan(rng, depth - 1)),
         2 => RaExpr::diff(random_plan(rng, depth - 1), scan_c()),
@@ -183,8 +194,59 @@ fn random_plan(rng: &mut StdRng, depth: usize) -> RaExpr {
                 cols: vec![Var::new("x"), Var::new("y")],
             },
         ),
+        7 => factorable_join_union(rng, depth - 1),
+        8 => {
+            // (A − W) ∪ (B − W), or a near-miss with two different right
+            // operands that must not factor.
+            let w = random_diff_rhs(rng, depth - 1);
+            let w2 = if rng.gen_bool(0.25) {
+                random_diff_rhs(rng, depth - 1)
+            } else {
+                w.clone()
+            };
+            RaExpr::union(
+                RaExpr::diff(random_plan(rng, depth - 1), w),
+                RaExpr::diff(random_plan(rng, depth - 1), w2),
+            )
+        }
         _ => RaExpr::join(random_plan(rng, depth - 1), scan_c()),
     }
+}
+
+/// A right operand for `diff` under [`random_plan`]'s invariant.
+fn random_diff_rhs(rng: &mut StdRng, depth: usize) -> RaExpr {
+    match rng.gen_range(0..3) {
+        0 => RaExpr::scan("C", vec![Term::var("y")]),
+        1 => RaExpr::project(random_plan(rng, depth), vec![Var::new("y")]),
+        _ => random_plan(rng, depth),
+    }
+}
+
+/// A union of two joins sharing one leg — on the right, on the left, or
+/// on opposite sides — or a near-miss whose other operands have unequal
+/// column sets (`{x, y}` against `{x}`), where factoring is not even
+/// well-formed.
+fn factorable_join_union(rng: &mut StdRng, depth: usize) -> RaExpr {
+    let leg = if rng.gen_bool(0.5) {
+        RaExpr::scan("C", vec![Term::var("y")])
+    } else {
+        random_plan(rng, depth)
+    };
+    let a = random_plan(rng, depth);
+    let b = if rng.gen_bool(0.25) {
+        // Near-miss: with `cols(B) = {x}` the branch `B ⋈ leg` still has
+        // columns {x, y}, but `A ∪ B` is ill-formed.
+        RaExpr::project(random_plan(rng, depth), vec![Var::new("x")])
+    } else {
+        random_plan(rng, depth)
+    };
+    let (l, r) = match rng.gen_range(0..4) {
+        0 => (RaExpr::join(a, leg.clone()), RaExpr::join(b, leg)),
+        1 => (RaExpr::join(leg.clone(), a), RaExpr::join(leg, b)),
+        2 => (RaExpr::join(a, leg.clone()), RaExpr::join(leg, b)),
+        _ => (RaExpr::join(leg.clone(), a), RaExpr::join(b, leg)),
+    };
+    RaExpr::union(l, r)
 }
 
 /// A small skewed fixture database so the cost model has real statistics
@@ -237,6 +299,44 @@ proptest! {
         let e = random_plan(&mut rng, 4);
         let once = simplify(&e);
         prop_assert_eq!(&simplify(&once), &once, "simplify not idempotent on {}", e);
+    }
+
+    /// The cost-based plan keeps the simplifier's column order and answers
+    /// exactly like the reference evaluator (`relalg::baseline`) run on the
+    /// simplifier's plan.
+    #[test]
+    fn optimized_random_plans_match_the_baseline(seed in 0u64..10_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let e = random_plan(&mut rng, 4);
+        let db = stats_db(seed);
+        let (heuristic, optimized) = (simplify(&e), optimize(&e, &db));
+        prop_assert_eq!(optimized.cols(), heuristic.cols(), "column order moved on {}", e);
+        prop_assert_eq!(
+            eval(&optimized, &db, &mut EvalCtx::default()).expect("optimized plan evaluates"),
+            eval_baseline(&heuristic, &db).expect("baseline evaluates"),
+            "optimizer changed answers on {}\noptimized: {}",
+            e,
+            optimized
+        );
+    }
+
+    /// Every cost-gated rewrite strictly lowers the estimated price, so the
+    /// optimized plan is never priced above the simplifier's.
+    #[test]
+    fn optimize_never_prices_above_simplify(seed in 0u64..10_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let e = random_plan(&mut rng, 4);
+        let db = stats_db(seed);
+        let est = Estimator::new(&db);
+        let (heuristic, optimized) = (simplify(&e), optimize(&e, &db));
+        prop_assert!(
+            est.cost(&optimized) <= est.cost(&heuristic),
+            "optimized plan priced {} above the heuristic {} on {}\noptimized: {}",
+            est.cost(&optimized),
+            est.cost(&heuristic),
+            e,
+            optimized
+        );
     }
 
     /// Re-running the cost-based planner on its own output is a no-op: the
@@ -310,4 +410,112 @@ fn feedback_epoch_fragments_plan_cache_but_not_answers() {
         "optimizer-off plans must ignore the statistics epoch"
     );
     assert_eq!(cold.relation, replanned.relation);
+}
+
+// ------------------------------------------------ union factoring rules --
+
+/// A fixture where factoring pays: the shared leg `C` is twice the size of
+/// either branch operand.
+fn rule_db(seed: u64) -> Database {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut facts = String::new();
+    for _ in 0..15 {
+        facts.push_str(&format!(
+            "A({}, {})\n",
+            rng.gen_range(0..6),
+            rng.gen_range(0..4)
+        ));
+        facts.push_str(&format!(
+            "B({}, {})\n",
+            rng.gen_range(0..6),
+            rng.gen_range(0..4)
+        ));
+    }
+    for _ in 0..30 {
+        facts.push_str(&format!(
+            "C({}, {})\n",
+            rng.gen_range(0..4),
+            rng.gen_range(0..9)
+        ));
+    }
+    Database::from_facts(&facts).expect("rule fixture facts load")
+}
+
+fn xy(p: &str) -> RaExpr {
+    RaExpr::scan(p, vec![Term::var("x"), Term::var("y")])
+}
+
+fn yx(p: &str) -> RaExpr {
+    RaExpr::scan(p, vec![Term::var("y"), Term::var("x")])
+}
+
+fn yz(p: &str) -> RaExpr {
+    RaExpr::scan(p, vec![Term::var("y"), Term::var("z")])
+}
+
+/// Each distributed form equals its hand-built factored form on random
+/// databases, and `optimize` turns it into exactly that factored form,
+/// with the same rows in the same column order.
+fn assert_factors(distributed: &RaExpr, factored: &RaExpr) {
+    for seed in [1u64, 2, 5, 11] {
+        let db = rule_db(seed);
+        let want = eval(distributed, &db, &mut EvalCtx::default()).expect("lhs evaluates");
+        let got = eval(factored, &db, &mut EvalCtx::default()).expect("rhs evaluates");
+        assert_eq!(want, got, "{distributed} != {factored} (seed {seed})");
+        let optimized = optimize(distributed, &db);
+        assert_eq!(
+            &optimized, factored,
+            "optimize did not factor {distributed} (seed {seed})"
+        );
+        assert_eq!(optimized.cols(), distributed.cols());
+    }
+}
+
+#[test]
+fn rule_union_factor_is_sound() {
+    let join = RaExpr::join;
+    let ab = || RaExpr::union(xy("A"), xy("B"));
+    // Common right leg, with B's columns in the other order.
+    assert_factors(
+        &RaExpr::union(join(xy("A"), yz("C")), join(yx("B"), yz("C"))),
+        &join(RaExpr::union(xy("A"), yx("B")), yz("C")),
+    );
+    // Common left leg.
+    assert_factors(
+        &RaExpr::union(join(yz("C"), xy("A")), join(yz("C"), xy("B"))),
+        &join(yz("C"), ab()),
+    );
+    // Commuted: the shared leg sits on opposite sides of the branches and
+    // keeps the side it has in the left one.
+    assert_factors(
+        &RaExpr::union(join(xy("A"), yz("C")), join(yz("C"), xy("B"))),
+        &join(ab(), yz("C")),
+    );
+    assert_factors(
+        &RaExpr::union(join(yz("C"), xy("A")), join(xy("B"), yz("C"))),
+        &join(yz("C"), ab()),
+    );
+    // cols(A) = {x, y} but cols(π[x](B)) = {x}: both branches have columns
+    // {x, y, z}, yet A ∪ π[x](B) does not exist, so nothing may factor.
+    let b_x = RaExpr::project(xy("B"), vec![Var::new("x")]);
+    let e = RaExpr::union(join(xy("A"), yz("C")), join(b_x, yz("C")));
+    assert!(matches!(optimize(&e, &rule_db(3)), RaExpr::Union(..)));
+}
+
+#[test]
+fn rule_diff_distribute_is_sound() {
+    let w = || RaExpr::scan("C", vec![Term::var("x"), Term::var("y")]);
+    assert_factors(
+        &RaExpr::union(RaExpr::diff(xy("A"), w()), RaExpr::diff(yx("B"), w())),
+        &RaExpr::diff(RaExpr::union(xy("A"), yx("B")), w()),
+    );
+    // Different right operands have no factored form.
+    let e = RaExpr::union(
+        RaExpr::diff(xy("A"), w()),
+        RaExpr::diff(
+            xy("B"),
+            RaExpr::scan("C", vec![Term::var("y"), Term::var("x")]),
+        ),
+    );
+    assert!(matches!(optimize(&e, &rule_db(1)), RaExpr::Union(..)));
 }

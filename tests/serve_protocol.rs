@@ -15,7 +15,7 @@ use rc_serve::{
     Request, Response, Server, ServerConfig, Verb, WireLimits, WireStats, MAX_REQUEST_FRAME,
 };
 use rcsafe::relalg::RelationBuilder;
-use rcsafe::{Database, PlannerMode, Relation, Value};
+use rcsafe::{Database, Relation, Value};
 use std::time::Duration;
 
 fn test_server() -> (Server, std::net::SocketAddr) {
@@ -215,7 +215,6 @@ proptest! {
             },
             optimize: rng.gen_bool(0.5),
             eqreduce: rng.gen_bool(0.5),
-            planner: if rng.gen_bool(0.5) { PlannerMode::Saturate } else { PlannerMode::Cost },
             body,
         };
         let parsed = Request::parse(&req.encode());
