@@ -20,6 +20,11 @@ echo "==> cargo test (workspace)"
 #   BLESS=1 cargo test --test golden_trace
 cargo test -q --workspace
 
+echo "==> rcbench (its own package) builds and passes its tests against this tree"
+# The determinism test pins protocol.response_bytes, so a codec or API
+# change that breaks the benchmark fails here rather than in a bench run.
+cargo test -q --release --offline --manifest-path rcbench/Cargo.toml
+
 echo "==> example smoke tests"
 cargo run -q --example quickstart > /dev/null
 cargo run -q --example suppliers_parts > /dev/null

@@ -245,56 +245,204 @@ proptest! {
 
     /// Query responses round-trip: parse(encode(resp)) == resp for
     /// randomized stats, columns, relations (including the arity-0
-    /// boolean codec), and trace payloads.
+    /// boolean codec, full-range ints, strings that need quotes or
+    /// escapes, and bodies of hundreds of rows), and trace payloads.
     #[test]
     fn query_responses_roundtrip(seed in 0u64..10_000) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let arity = rng.gen_range(0usize..=3);
-        let relation = if arity == 0 {
-            if rng.gen_bool(0.5) { Relation::unit() } else { Relation::empty_nullary() }
-        } else {
-            let rows = rng.gen_range(0usize..=6);
-            let mut b = RelationBuilder::new(arity);
-            for _ in 0..rows {
-                let row: Vec<Value> = (0..arity)
-                    .map(|_| {
-                        if rng.gen_bool(0.5) {
-                            Value::int(rng.gen_range(-100i64..100))
-                        } else {
-                            let tag = rng.gen_range(0u64..8);
-                            Value::str(&format!("s{tag}"))
-                        }
-                    })
-                    .collect();
-                b.push_row(&row);
-            }
-            b.finish()
-        };
-        let columns: Vec<String> = (0..arity).map(|i| format!("c{i}")).collect();
-        let resp = Response::Query(QueryOk {
-            version: rng.gen_range(0u64..1 << 50),
-            plan_cached: rng.gen_bool(0.5),
-            result_cached: rng.gen_bool(0.5),
-            result_refreshed: rng.gen_bool(0.5),
-            stats: WireStats {
-                operators: rng.gen_range(0u64..1 << 30),
-                tuples_produced: rng.gen_range(0u64..1 << 30),
-                max_intermediate: rng.gen_range(0u64..1 << 30),
-                budget_checks: rng.gen_range(0u64..1 << 30),
-                memo_hits: rng.gen_range(0u64..1 << 30),
-            },
-            columns,
-            relation,
-            trace_json: rng
-                .gen_bool(0.5)
-                .then(|| format!("{{\"stages\":[],\"seed\":{seed}}}")),
-            any_infinite: rng.gen_bool(0.5).then(|| rng.gen_bool(0.5)),
-            any_infinite_vars: rng
-                .gen_bool(0.5)
-                .then(|| (0..arity).map(|_| rng.gen_bool(0.5)).collect()),
-        });
+        let resp = Response::Query(random_query_ok(&mut rng, true));
         let parsed = Response::parse(&resp.encode());
         prop_assert_eq!(parsed.as_ref().ok(), Some(&resp));
+    }
+
+    /// The codec writes the same bytes as the per-cell reference encoder
+    /// below for every answer without control characters or backslashes.
+    #[test]
+    fn query_encoding_matches_the_reference_encoder(seed in 0u64..10_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ok = random_query_ok(&mut rng, false);
+        prop_assert_eq!(Response::Query(ok.clone()).encode(), reference_encode(&ok));
+    }
+}
+
+/// One random cell value. With `escapes` off the pool holds no control
+/// character or backslash, so the reference encoder agrees on it.
+fn random_value(rng: &mut StdRng, escapes: bool) -> Value {
+    const INTS: [i64; 6] = [
+        i64::MIN,
+        i64::MIN + 1,
+        i64::MAX,
+        -1_000_000_000_000_000_000,
+        1_000_000_000_000_000_000,
+        0,
+    ];
+    const STRINGS: [&str; 18] = [
+        "42",
+        "-7",
+        "+5",
+        "007",
+        " lead",
+        "trail ",
+        " both ",
+        "'quote",
+        "'",
+        "''",
+        "",
+        "naïve",
+        "日本語",
+        "\u{a0}nbsp",
+        "#hash",
+        "9223372036854775808",
+        "s0",
+        "s1",
+    ];
+    const ESCAPED: [&str; 9] = [
+        "a\tb",
+        "line\nbreak",
+        "cr\rhere",
+        "back\\slash",
+        "end\\",
+        "\\",
+        "\t",
+        "'\\t'",
+        " \\n ",
+    ];
+    match rng.gen_range(0u32..6) {
+        0 => Value::int(rng.gen_range(i64::MIN..=i64::MAX)),
+        1 => Value::int(INTS[rng.gen_range(0..INTS.len())]),
+        2 => Value::int(rng.gen_range(-100i64..100)),
+        3 if escapes => Value::str(ESCAPED[rng.gen_range(0..ESCAPED.len())]),
+        _ => Value::str(STRINGS[rng.gen_range(0..STRINGS.len())]),
+    }
+}
+
+fn random_query_ok(rng: &mut StdRng, escapes: bool) -> QueryOk {
+    let arity = rng.gen_range(0usize..=3);
+    let relation = if arity == 0 {
+        if rng.gen_bool(0.5) {
+            Relation::unit()
+        } else {
+            Relation::empty_nullary()
+        }
+    } else {
+        let rows = if rng.gen_bool(0.2) {
+            rng.gen_range(100usize..=400)
+        } else {
+            rng.gen_range(0usize..=6)
+        };
+        let mut b = RelationBuilder::new(arity);
+        for _ in 0..rows {
+            let row: Vec<Value> = (0..arity).map(|_| random_value(rng, escapes)).collect();
+            b.push_row(&row);
+        }
+        b.finish()
+    };
+    QueryOk {
+        version: rng.gen_range(0u64..1 << 50),
+        plan_cached: rng.gen_bool(0.5),
+        result_cached: rng.gen_bool(0.5),
+        result_refreshed: rng.gen_bool(0.5),
+        stats: WireStats {
+            operators: rng.gen_range(0u64..1 << 30),
+            tuples_produced: rng.gen_range(0u64..1 << 30),
+            max_intermediate: rng.gen_range(0u64..1 << 30),
+            budget_checks: rng.gen_range(0u64..1 << 30),
+            memo_hits: rng.gen_range(0u64..1 << 30),
+        },
+        columns: (0..arity).map(|i| format!("c{i}")).collect(),
+        relation,
+        trace_json: rng
+            .gen_bool(0.5)
+            .then(|| format!("{{\"stages\":[],\"n\":{}}}", rng.gen_range(0u64..1000))),
+        any_infinite: rng.gen_bool(0.5).then(|| rng.gen_bool(0.5)),
+        any_infinite_vars: rng
+            .gen_bool(0.5)
+            .then(|| (0..arity).map(|_| rng.gen_bool(0.5)).collect()),
+    }
+}
+
+/// A query response encoded cell by cell: every value formatted into its
+/// own `String`, rows joined with tabs. The codec must match it byte for
+/// byte wherever no value needs an escape.
+fn reference_encode(ok: &QueryOk) -> Vec<u8> {
+    use std::fmt::Write as _;
+    fn cell(v: &Value) -> String {
+        match v {
+            Value::Int(i) => i.to_string(),
+            Value::Str(s) => {
+                let s = s.as_str();
+                if s.parse::<i64>().is_ok()
+                    || s.starts_with('\'')
+                    || s.contains('\t')
+                    || s != s.trim()
+                {
+                    format!("'{s}'")
+                } else {
+                    s.to_string()
+                }
+            }
+        }
+    }
+    let flag = |b: bool| u8::from(b);
+    let mut out = String::new();
+    let _ = writeln!(out, "rc1 ok query");
+    let _ = writeln!(out, "version {}", ok.version);
+    let _ = writeln!(out, "plan_cached {}", flag(ok.plan_cached));
+    let _ = writeln!(out, "result_cached {}", flag(ok.result_cached));
+    let _ = writeln!(out, "result_refreshed {}", flag(ok.result_refreshed));
+    let _ = writeln!(out, "operators {}", ok.stats.operators);
+    let _ = writeln!(out, "tuples_produced {}", ok.stats.tuples_produced);
+    let _ = writeln!(out, "max_intermediate {}", ok.stats.max_intermediate);
+    let _ = writeln!(out, "budget_checks {}", ok.stats.budget_checks);
+    let _ = writeln!(out, "memo_hits {}", ok.stats.memo_hits);
+    if let Some(inf) = ok.any_infinite {
+        let _ = writeln!(out, "any_infinite {}", flag(inf));
+    }
+    let list = |items: Vec<String>| {
+        if items.is_empty() {
+            "-".to_string()
+        } else {
+            items.join(",")
+        }
+    };
+    if let Some(mask) = &ok.any_infinite_vars {
+        let bits = mask.iter().map(|&b| flag(b).to_string()).collect();
+        let _ = writeln!(out, "any_infinite_vars {}", list(bits));
+    }
+    let _ = writeln!(out, "columns {}", list(ok.columns.clone()));
+    let _ = writeln!(out, "arity {}", ok.relation.arity());
+    let _ = writeln!(out, "rows {}", ok.relation.len());
+    out.push_str(".\n");
+    if ok.relation.arity() > 0 {
+        for row in ok.relation.iter() {
+            let cells: Vec<String> = row.iter().map(cell).collect();
+            let _ = writeln!(out, "{}", cells.join("\t"));
+        }
+    }
+    if let Some(trace) = &ok.trace_json {
+        let _ = writeln!(out, "{trace}");
+    }
+    out.into_bytes()
+}
+
+/// String values holding a tab, carriage return or backslash, loaded
+/// through `mutate`, come back intact from a `query` on a live server.
+#[test]
+fn string_cells_with_delimiters_roundtrip_over_the_wire() {
+    let (_server, addr) = test_server();
+    let mut c = connect(addr);
+    let values = ["a\tb", "x\ry", "c\\d", "\\t", " pad ", "42"];
+    let facts: Vec<String> = values.iter().map(|v| format!("Tag('{v}')")).collect();
+    match c.mutate(&facts.join("\n")).expect("mutate") {
+        Response::Mutate { delta, .. } => assert_eq!(delta[0].inserted, values.len() as u64),
+        other => panic!("expected a mutate response, got {other:?}"),
+    }
+    match c.query("Tag(x)").expect("query") {
+        Response::Query(ok) => {
+            let want = Relation::from_rows(1, values.iter().map(|v| vec![Value::str(v)].into()));
+            assert_eq!(ok.relation, want);
+        }
+        other => panic!("expected a query response, got {other:?}"),
     }
 }
 
