@@ -30,22 +30,36 @@
 //!
 //! # Partition-parallel kernels
 //!
-//! On top of subtree parallelism, the *kernels themselves* run
-//! partition-parallel when an operator's input is large enough
-//! ([`partition_count`] decides, or [`Budget::with_partitions`] forces a
-//! count): joins co-partition both sides by hashing the shared key columns
-//! (so matching rows meet in the same partition — the `hash_cols` helper is shared
-//! with [`Relation::partition_by`] exactly for this), order-preserving
-//! kernels (select, semijoin, anti-join, cross product) split the input
-//! into balanced chunks whose outputs concatenate back in canonical order,
-//! and sorted-merge union/difference split *both* sides at matching key
-//! boundaries found by binary search. Every worker runs its own
-//! [`Governor`] against the shared [`Budget`], so cancellation and tuple
-//! caps stop a partitioned kernel mid-flight exactly like a sequential
-//! one; workers are joined in partition order, making results, trace
-//! spans, and the first error deterministic. When the budget denies
-//! thread spawns the kernels fall back to the sequential paths, which
-//! produce bit-identical relations.
+//! Each operator's row loop is written once, in this module, as a method
+//! of the crate-internal `Lanes` over a row range and a [`Governor`] (the
+//! sorted-merge union and difference loops live in [`crate::relation`],
+//! behind [`Relation::union_governed`] and [`Relation::minus_governed`]).
+//! Three callers share every loop:
+//!
+//! * **sequential** — one lane: the loop runs inline over all rows on the
+//!   operator's own governor, with no spawn and no concatenation copy;
+//! * **partition-parallel** — when an operator's input is large enough
+//!   ([`partition_count`] decides, or [`Budget::with_partitions`] forces a
+//!   count), the same loop runs once per lane on scoped workers.
+//!   Order-preserving kernels (select, semijoin, anti-join, cross product)
+//!   split the input into balanced chunks whose outputs concatenate back
+//!   in canonical order; projection merges its chunk outputs sorted;
+//!   sorted-merge union/difference split *both* sides at matching key
+//!   boundaries found by binary search; hash joins co-partition both sides
+//!   by hashing the shared key columns (so matching rows meet in the same
+//!   partition — the `hash_cols` helper is shared with
+//!   [`Relation::partition_by`] exactly for this) and merge the
+//!   per-partition results;
+//! * **incremental** — the IVM Δ-rules ([`crate::ivm`]) run the same
+//!   kernels on one lane over delta relations, under a
+//!   [`Stage::Maintain`] governor.
+//!
+//! Every worker runs its own [`Governor`] against the shared [`Budget`],
+//! so cancellation and tuple caps stop a partitioned kernel mid-flight
+//! exactly like a sequential one; workers are joined in partition order,
+//! making results, trace spans, and the first error deterministic. When
+//! the budget denies thread spawns every kernel runs on one lane, which
+//! produces bit-identical relations.
 //!
 //! [`EvalStats`] records operator counts and intermediate cardinalities so
 //! the benchmark harness can compare the Dom-free pipeline against the
@@ -55,14 +69,14 @@ use crate::database::Database;
 use crate::expr::{ExprError, RaExpr, SelPred};
 use crate::govern::{Budget, BudgetExceeded, Governor, Stage};
 use crate::relation::{
-    cmp_rows, hash_cols, merge_sorted, partition_count, PartitionedRelation, Relation,
-    RelationBuilder,
+    hash_cols, merge_sorted, minus_rows, partition_count, union_rows, PartitionedRelation,
+    Relation, RelationBuilder,
 };
 use crate::trace::Tracer;
 use rc_formula::fxhash::FxHashMap;
 use rc_formula::{symbol_order, Symbol, Term, Value, Var};
-use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Counters accumulated during evaluation.
@@ -362,18 +376,46 @@ pub(crate) fn positions(haystack: &[Var], needles: &[Var]) -> Vec<usize> {
         .collect()
 }
 
-pub(crate) const NIL: u32 = u32::MAX;
+/// Does `cols` list the columns `0..arity` in order?
+fn is_identity(cols: &[usize], arity: usize) -> bool {
+    cols.iter().copied().eq(0..arity)
+}
 
-/// A compiled row predicate for `Select` (`Sync` so the partitioned filter
-/// can probe it from worker threads).
-type RowPred = Box<dyn Fn(&[Value]) -> bool + Sync>;
+const NIL: u32 = u32::MAX;
+
+/// A compiled `Select` predicate (`Sync` so partition workers can share
+/// it).
+pub(crate) type RowPred = Box<dyn Fn(&[Value]) -> bool + Sync>;
+
+/// Compile a `Select` predicate against its input's columns `icols`.
+pub(crate) fn select_pred(pred: SelPred, icols: &[Var]) -> RowPred {
+    let at = |v: Var| positions(icols, &[v])[0];
+    match pred {
+        SelPred::EqCols(a, b) => {
+            let (i, j) = (at(a), at(b));
+            Box::new(move |t: &[Value]| t[i] == t[j])
+        }
+        SelPred::NeqCols(a, b) => {
+            let (i, j) = (at(a), at(b));
+            Box::new(move |t: &[Value]| t[i] != t[j])
+        }
+        SelPred::EqConst(a, c) => {
+            let i = at(a);
+            Box::new(move |t: &[Value]| t[i] == c)
+        }
+        SelPred::NeqConst(a, c) => {
+            let i = at(a);
+            Box::new(move |t: &[Value]| t[i] != c)
+        }
+    }
+}
 
 /// A chained-array hash table over the rows of a relation: `heads[bucket]`
 /// is the first row index in the bucket, `next[row]` the following one.
 /// Two flat `u32` vectors — no per-row allocation, cache-friendly build.
 pub(crate) struct RowTable {
     heads: Vec<u32>,
-    pub(crate) next: Vec<u32>,
+    next: Vec<u32>,
     mask: usize,
 }
 
@@ -392,222 +434,119 @@ impl RowTable {
         RowTable { heads, next, mask }
     }
 
-    /// First candidate row index for a probe hash.
+    /// The existence probe: does some row of `rel` — the relation this
+    /// table was built over, keyed on `cols` — match `row`'s key on
+    /// `row_cols`?
     #[inline]
-    pub(crate) fn first(&self, hash: u64) -> u32 {
-        self.heads[(hash as usize) & self.mask]
+    fn has_partner(
+        &self,
+        rel: &Relation,
+        cols: &[usize],
+        row: &[Value],
+        row_cols: &[usize],
+    ) -> bool {
+        let mut cur = self.first(row, row_cols);
+        while cur != NIL {
+            if keys_match(row, row_cols, rel.row(cur as usize), cols) {
+                return true;
+            }
+            cur = self.next[cur as usize];
+        }
+        false
+    }
+
+    /// The first row in the bucket `row`'s key on `row_cols` hashes to;
+    /// `next` chains the rest of the bucket.
+    #[inline]
+    fn first(&self, row: &[Value], row_cols: &[usize]) -> u32 {
+        self.heads[(hash_cols(row, row_cols) as usize) & self.mask]
     }
 }
 
 #[inline]
-pub(crate) fn keys_match(a: &[Value], a_cols: &[usize], b: &[Value], b_cols: &[usize]) -> bool {
-    a_cols
-        .iter()
-        .zip(b_cols.iter())
-        .all(|(&i, &j)| a[i] == b[j])
+fn keys_match(a: &[Value], a_cols: &[usize], b: &[Value], b_cols: &[usize]) -> bool {
+    a_cols.iter().zip(b_cols).all(|(&i, &j)| a[i] == b[j])
 }
 
-/// Join kernel: `lcols ++ r_extra` output. Builds the hash table on the
-/// smaller side, probes with the larger, assembles rows straight into a
-/// flat builder. `raw` receives the pre-dedup row count on the paths that
-/// push through a builder (cross product, hash join) and is left untouched
-/// on the order-preserving semijoin path — callers report it to the tracer
-/// when nonzero. An out-param rather than a [`Tracer`] borrow so the
-/// partition-parallel join can run this kernel on worker threads.
-pub(crate) fn join_kernel(
+/// The column layout of a natural join `l ⋈ r`, and of the difference
+/// `l diff r` (whose right columns are all shared): where the shared
+/// columns sit on each side, and which right columns the join appends
+/// after the left row.
+pub(crate) struct JoinLayout {
+    pub(crate) l_shared: Vec<usize>,
+    pub(crate) r_shared: Vec<usize>,
+    r_extra: Vec<usize>,
+}
+
+impl JoinLayout {
+    pub(crate) fn new(lcols: &[Var], rcols: &[Var]) -> JoinLayout {
+        let (r_shared, r_extra): (Vec<usize>, Vec<usize>) =
+            (0..rcols.len()).partition(|&i| lcols.contains(&rcols[i]));
+        let shared: Vec<Var> = r_shared.iter().map(|&i| rcols[i]).collect();
+        JoinLayout {
+            l_shared: positions(lcols, &shared),
+            r_shared,
+            r_extra,
+        }
+    }
+
+    fn arity(&self, lrel: &Relation) -> usize {
+        lrel.arity() + self.r_extra.len()
+    }
+}
+
+/// Hash join of `lrel` and `rrel` under `layout` (shared columns
+/// non-empty): rows `lrow ++ rrow[r_extra]`. Builds a table on the smaller
+/// side, or takes the caller's `r_table` over `rrel`'s shared columns, and
+/// probes it with the other side. The builder's canonicalizing `finish`
+/// makes the output independent of which side was built.
+fn hash_join(
     lrel: &Relation,
     rrel: &Relation,
-    l_shared: &[usize],
-    r_shared: &[usize],
-    r_extra: &[usize],
+    layout: &JoinLayout,
+    r_table: Option<&RowTable>,
     gov: &mut Governor<'_>,
-    raw: &mut u64,
 ) -> Result<Relation, BudgetExceeded> {
-    let out_arity = lrel.arity() + r_extra.len();
     if lrel.is_empty() || rrel.is_empty() {
-        return Ok(Relation::new(out_arity));
+        return Ok(Relation::new(layout.arity(lrel)));
     }
-    if r_extra.is_empty() {
-        // Semijoin: keep each left row with at least one partner. Order-
-        // preserving, so the output is canonical by construction.
-        let table = RowTable::build(rrel, r_shared);
-        let mut kept: Vec<Value> = Vec::new();
-        let mut n = 0usize;
-        for lrow in lrel.iter() {
-            gov.tick(n)?;
-            let mut cur = table.first(hash_cols(lrow, l_shared));
-            while cur != NIL {
-                if keys_match(lrow, l_shared, rrel.row(cur as usize), r_shared) {
-                    kept.extend_from_slice(lrow);
-                    n += 1;
-                    break;
-                }
-                cur = table.next[cur as usize];
-            }
-        }
-        return Ok(Relation::from_canonical(out_arity, n, kept));
-    }
-    let mut out = RelationBuilder::with_capacity(out_arity, lrel.len().max(rrel.len()));
-    if l_shared.is_empty() {
-        // Cross product: both inputs canonical, so l-major enumeration is
-        // already sorted — the builder's linear scan will notice.
-        for lrow in lrel.iter() {
-            for rrow in rrel.iter() {
-                gov.tick(out.len())?;
-                out.push_row_from(lrow.iter().copied().chain(r_extra.iter().map(|&i| rrow[i])));
-            }
-        }
-        *raw = out.len() as u64;
-        return Ok(out.finish());
-    }
-    // Build on the smaller input, probe with the larger.
-    if rrel.len() <= lrel.len() {
-        let table = RowTable::build(rrel, r_shared);
-        for lrow in lrel.iter() {
-            gov.tick(out.len())?;
-            let mut cur = table.first(hash_cols(lrow, l_shared));
-            while cur != NIL {
-                let rrow = rrel.row(cur as usize);
-                if keys_match(lrow, l_shared, rrow, r_shared) {
-                    gov.tick(out.len())?;
-                    out.push_row_from(lrow.iter().copied().chain(r_extra.iter().map(|&i| rrow[i])));
-                }
-                cur = table.next[cur as usize];
-            }
-        }
+    let build_left = r_table.is_none() && rrel.len() > lrel.len();
+    let (probe, p_cols, build, b_cols) = if build_left {
+        (rrel, &layout.r_shared, lrel, &layout.l_shared)
     } else {
-        let table = RowTable::build(lrel, l_shared);
-        for rrow in rrel.iter() {
-            gov.tick(out.len())?;
-            let mut cur = table.first(hash_cols(rrow, r_shared));
-            while cur != NIL {
-                let lrow = lrel.row(cur as usize);
-                if keys_match(lrow, l_shared, rrow, r_shared) {
-                    gov.tick(out.len())?;
-                    out.push_row_from(lrow.iter().copied().chain(r_extra.iter().map(|&i| rrow[i])));
-                }
-                cur = table.next[cur as usize];
-            }
+        (lrel, &layout.l_shared, rrel, &layout.r_shared)
+    };
+    let built;
+    let table = match r_table {
+        Some(table) => table,
+        None => {
+            built = RowTable::build(build, b_cols);
+            &built
         }
-    }
-    *raw = out.len() as u64;
-    Ok(out.finish())
-}
-
-/// Anti-join kernel for the generalized difference (Def. 9.3): keep the
-/// left rows whose projection onto the right's columns has no partner.
-/// Order-preserving over the left input.
-pub(crate) fn antijoin_kernel(
-    lrel: &Relation,
-    rrel: &Relation,
-    proj: &[usize],
-    gov: &mut Governor<'_>,
-) -> Result<Relation, BudgetExceeded> {
-    if rrel.is_empty() {
-        return Ok(lrel.clone());
-    }
-    if lrel.is_empty() {
-        return Ok(Relation::new(lrel.arity()));
-    }
-    let r_all: Vec<usize> = (0..rrel.arity()).collect();
-    let table = RowTable::build(rrel, &r_all);
-    let mut kept: Vec<Value> = Vec::new();
-    let mut n = 0usize;
-    for lrow in lrel.iter() {
-        gov.tick(n)?;
-        let mut cur = table.first(hash_cols(lrow, proj));
-        let mut hit = false;
-        while cur != NIL {
-            if keys_match(lrow, proj, rrel.row(cur as usize), &r_all) {
-                hit = true;
-                break;
-            }
-            cur = table.next[cur as usize];
-        }
-        if !hit {
-            kept.extend_from_slice(lrow);
-            n += 1;
-        }
-    }
-    Ok(Relation::from_canonical(lrel.arity(), n, kept))
-}
-
-/// Hash-join probe against a caller-supplied [`RowTable`] over `rrel`'s
-/// `r_shared` columns — the build-on-right branch of [`join_kernel`]
-/// with the build hoisted out. The IVM refresh path keeps per-node
-/// tables alive across refreshes (`ivm::JoinIndex`), so probing a
-/// small delta does not pay an `O(|rrel|)` rebuild every serve. The
-/// builder's canonicalizing `finish` makes the output identical to
-/// [`join_kernel`]'s regardless of which side the table covers.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn join_probe_prebuilt(
-    lrel: &Relation,
-    rrel: &Relation,
-    l_shared: &[usize],
-    r_shared: &[usize],
-    r_extra: &[usize],
-    table: &RowTable,
-    gov: &mut Governor<'_>,
-    raw: &mut u64,
-) -> Result<Relation, BudgetExceeded> {
-    let out_arity = lrel.arity() + r_extra.len();
-    if lrel.is_empty() || rrel.is_empty() {
-        return Ok(Relation::new(out_arity));
-    }
-    let mut out = RelationBuilder::with_capacity(out_arity, lrel.len());
-    for lrow in lrel.iter() {
+    };
+    let mut out = RelationBuilder::with_capacity(layout.arity(lrel), probe.len());
+    for prow in probe.iter() {
         gov.tick(out.len())?;
-        let mut cur = table.first(hash_cols(lrow, l_shared));
+        let mut cur = table.first(prow, p_cols);
         while cur != NIL {
-            let rrow = rrel.row(cur as usize);
-            if keys_match(lrow, l_shared, rrow, r_shared) {
+            let brow = build.row(cur as usize);
+            if keys_match(prow, p_cols, brow, b_cols) {
                 gov.tick(out.len())?;
-                out.push_row_from(lrow.iter().copied().chain(r_extra.iter().map(|&i| rrow[i])));
+                let (lrow, rrow) = if build_left {
+                    (brow, prow)
+                } else {
+                    (prow, brow)
+                };
+                out.push_row_from(
+                    lrow.iter()
+                        .copied()
+                        .chain(layout.r_extra.iter().map(|&i| rrow[i])),
+                );
             }
             cur = table.next[cur as usize];
         }
     }
-    *raw = out.len() as u64;
     Ok(out.finish())
-}
-
-/// Anti-join probe against a caller-supplied [`RowTable`] over **all**
-/// of `rrel`'s columns — [`antijoin_kernel`] with the build hoisted out,
-/// for the same reuse-across-refreshes purpose as
-/// [`join_probe_prebuilt`].
-pub(crate) fn antijoin_probe_prebuilt(
-    lrel: &Relation,
-    rrel: &Relation,
-    proj: &[usize],
-    table: &RowTable,
-    gov: &mut Governor<'_>,
-) -> Result<Relation, BudgetExceeded> {
-    if rrel.is_empty() {
-        return Ok(lrel.clone());
-    }
-    if lrel.is_empty() {
-        return Ok(Relation::new(lrel.arity()));
-    }
-    let r_all: Vec<usize> = (0..rrel.arity()).collect();
-    let mut kept: Vec<Value> = Vec::new();
-    let mut n = 0usize;
-    for lrow in lrel.iter() {
-        gov.tick(n)?;
-        let mut cur = table.first(hash_cols(lrow, proj));
-        let mut hit = false;
-        while cur != NIL {
-            if keys_match(lrow, proj, rrel.row(cur as usize), &r_all) {
-                hit = true;
-                break;
-            }
-            cur = table.next[cur as usize];
-        }
-        if !hit {
-            kept.extend_from_slice(lrow);
-            n += 1;
-        }
-    }
-    Ok(Relation::from_canonical(lrel.arity(), n, kept))
 }
 
 /// Number of partitions a kernel over `input_rows` rows should use: the
@@ -626,110 +565,32 @@ fn partition_plan(input_rows: usize, budget: &Budget) -> usize {
 
 /// Row range of chunk `k` of `n` over `rows` rows: balanced, in order,
 /// covering `0..rows` exactly.
-fn chunk_bounds(rows: usize, k: usize, n: usize) -> (usize, usize) {
-    (rows * k / n, rows * (k + 1) / n)
+fn chunk_bounds(rows: usize, k: usize, n: usize) -> Range<usize> {
+    rows * k / n..rows * (k + 1) / n
 }
 
-/// Run `f(k, gov)` for every partition `0..n`, partitions `1..n` on scoped
-/// worker threads and partition 0 on the calling thread. Results are
-/// collected **in partition order**, so outputs — and the first error,
-/// chosen by lowest partition index — are deterministic regardless of
-/// which worker finishes first. Each worker ticks its own [`Governor`]
-/// against the shared [`Budget`]; a budget trip in one worker is observed
-/// by the others at their next check, and the scope joins every worker
-/// before the error propagates, so no thread outlives the call and no
-/// state is poisoned. Worker tick/check counters fold into
-/// `ticks`/`checks` in partition order, keeping
-/// [`EvalStats::budget_checks`] reproducible for a fixed partition count.
-fn run_partitioned<T: Send>(
-    n: usize,
-    budget: &Budget,
-    checks: &mut u64,
-    ticks: &mut usize,
-    f: impl Fn(usize, &mut Governor<'_>) -> Result<T, BudgetExceeded> + Sync,
-) -> Result<Vec<T>, BudgetExceeded> {
-    type Report<T> = (Result<T, BudgetExceeded>, u64, usize);
-    let reports: Vec<Report<T>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (1..n)
-            .map(|k| {
-                let f = &f;
-                s.spawn(move || {
-                    let mut gov = Governor::new(budget, Stage::Eval);
-                    let out = f(k, &mut gov);
-                    (out, gov.checks(), gov.ticks())
-                })
-            })
-            .collect();
-        let mut gov = Governor::new(budget, Stage::Eval);
-        let first = (f(0, &mut gov), gov.checks(), gov.ticks());
-        let mut all = Vec::with_capacity(n);
-        all.push(first);
-        all.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("partition worker panicked")),
-        );
-        all
-    });
-    let mut outs = Vec::with_capacity(n);
-    let mut first_err: Option<BudgetExceeded> = None;
-    for (res, c, t) in reports {
-        *checks += c;
-        *ticks += t;
-        match res {
-            Ok(v) => outs.push(v),
-            Err(e) => first_err = first_err.or(Some(e)),
-        }
+/// Right-side row boundaries aligned with the left side's chunk
+/// boundaries: `rb[k]` is the first right row not below the left row that
+/// opens chunk `k`, found by binary search. Splitting both sorted inputs
+/// at these boundaries lets each range pair merge independently — every
+/// output row of range `k` sorts strictly below every output row of range
+/// `k + 1`, so the concatenation is canonical with no cross-range
+/// duplicates, and every right row equal to a left row of chunk `k` falls
+/// inside its aligned range.
+fn aligned_bounds(l: &Relation, r: &Relation, parts: usize) -> Vec<usize> {
+    let order = symbol_order();
+    let mut rb = Vec::with_capacity(parts + 1);
+    rb.push(0usize);
+    for k in 1..parts {
+        let lo = chunk_bounds(l.len(), k, parts).start;
+        rb.push(if lo < l.len() {
+            r.lower_bound(l.row(lo), &order)
+        } else {
+            r.len()
+        });
     }
-    match first_err {
-        None => Ok(outs),
-        Some(e) => Err(e),
-    }
-}
-
-/// Concatenate per-chunk outputs of an order-preserving kernel into one
-/// canonical relation, returning the per-chunk cardinalities alongside.
-/// Sound only when the chunks cover a canonical input in row order — the
-/// result is then a strictly ascending concatenation, which
-/// `from_canonical` debug-asserts.
-fn concat_canonical(arity: usize, chunks: Vec<(Vec<Value>, usize)>) -> (Relation, Vec<u64>) {
-    let sizes: Vec<u64> = chunks.iter().map(|(_, m)| *m as u64).collect();
-    let total: usize = chunks.iter().map(|(d, _)| d.len()).sum();
-    let mut data = Vec::with_capacity(total);
-    let mut n = 0usize;
-    for (chunk, m) in chunks {
-        data.extend_from_slice(&chunk);
-        n += m;
-    }
-    (Relation::from_canonical(arity, n, data), sizes)
-}
-
-/// Order-preserving filter over `rel`, split into `n` balanced chunks with
-/// one worker per chunk. Canonical by construction: filtering a canonical
-/// relation chunk-wise preserves its global row order.
-fn filter_partitioned(
-    rel: &Relation,
-    n: usize,
-    budget: &Budget,
-    checks: &mut u64,
-    ticks: &mut usize,
-    keep: impl Fn(&[Value]) -> bool + Sync,
-) -> Result<(Relation, Vec<u64>), BudgetExceeded> {
-    let chunks = run_partitioned(n, budget, checks, ticks, |k, gov| {
-        let (lo, hi) = chunk_bounds(rel.len(), k, n);
-        let mut kept: Vec<Value> = Vec::new();
-        let mut m = 0usize;
-        for i in lo..hi {
-            gov.tick(m)?;
-            let row = rel.row(i);
-            if keep(row) {
-                kept.extend_from_slice(row);
-                m += 1;
-            }
-        }
-        Ok((kept, m))
-    })?;
-    Ok(concat_canonical(rel.arity(), chunks))
+    rb.push(r.len());
+    rb
 }
 
 /// Partition a join input on its shared-key columns, serving the layout
@@ -751,245 +612,337 @@ fn co_partition(
     Arc::new(rel.partition_by(key, n))
 }
 
-/// Partition-parallel join: the same output as [`join_kernel`], computed
-/// by chunking the probe side (semijoin), chunking the left side (cross
-/// product — sound because with no shared columns `r_extra` is all of the
-/// right's columns, so each chunk's l-major enumeration is canonical), or
-/// co-partitioning both sides on the shared key so matching rows meet in
-/// the same partition and the per-partition results merge sorted.
-///
-/// Returns the result, the per-partition output cardinalities for the
-/// trace span, and the total pre-dedup row count when the underlying
-/// kernel path reports one. The pre-dedup count equals the sequential
-/// kernel's: the number of matching row pairs is independent of both the
-/// partitioning and the per-partition build-side choice.
-#[allow(clippy::too_many_arguments)]
-fn join_partitioned(
-    l: &RaExpr,
-    r: &RaExpr,
-    lrel: &Relation,
-    rrel: &Relation,
-    l_shared: &[usize],
-    r_shared: &[usize],
-    r_extra: &[usize],
+/// Where one operator's row loops run. Each operator's loop is written
+/// once, over a row range (or a relation) and a [`Governor`]. With one
+/// lane — the sequential evaluator and IVM's Δ-rules — it runs inline on
+/// the operator's own governor over every row. Split `parts` ways, it runs
+/// once per balanced chunk (or hash partition) on scoped workers (see
+/// [`Lanes::run`]), and the chunk outputs concatenate or merge back into
+/// one canonical relation.
+pub(crate) struct Lanes<'b> {
+    /// The operator's governor; split lanes run fresh ones on its budget.
+    pub(crate) gov: Governor<'b>,
     parts: usize,
-    db: &Database,
-    budget: &Budget,
-    gov: &mut Governor<'_>,
-    checks: &mut u64,
-    ticks: &mut usize,
-) -> Result<(Relation, Vec<u64>, Option<u64>), BudgetExceeded> {
-    let out_arity = lrel.arity() + r_extra.len();
-    if r_extra.is_empty() {
-        // Semijoin: one shared hash table, probed by chunk workers.
-        let table = RowTable::build(rrel, r_shared);
-        let (out, sizes) = filter_partitioned(lrel, parts, budget, checks, ticks, |lrow| {
-            let mut cur = table.first(hash_cols(lrow, l_shared));
-            while cur != NIL {
-                if keys_match(lrow, l_shared, rrel.row(cur as usize), r_shared) {
-                    return true;
-                }
-                cur = table.next[cur as usize];
-            }
-            false
-        })?;
-        return Ok((out, sizes, None));
-    }
-    if l_shared.is_empty() {
-        // Cross product over left-side chunks.
-        let chunks = run_partitioned(parts, budget, checks, ticks, |k, gov| {
-            let (lo, hi) = chunk_bounds(lrel.len(), k, parts);
-            let mut data: Vec<Value> = Vec::with_capacity((hi - lo) * rrel.len() * out_arity);
-            let mut m = 0usize;
-            for i in lo..hi {
-                let lrow = lrel.row(i);
-                for rrow in rrel.iter() {
-                    gov.tick(m)?;
-                    data.extend(lrow.iter().copied().chain(r_extra.iter().map(|&j| rrow[j])));
-                    m += 1;
-                }
-            }
-            Ok((data, m))
-        })?;
-        let (out, sizes) = concat_canonical(out_arity, chunks);
-        let raw = out.len() as u64;
-        return Ok((out, sizes, Some(raw)));
-    }
-    // General hash join: co-partition both sides on the shared key.
-    let lparts = co_partition(l, lrel, l_shared, parts, db);
-    let rparts = co_partition(r, rrel, r_shared, parts, db);
-    let joined = run_partitioned(parts, budget, checks, ticks, |k, gov| {
-        let mut raw = 0u64;
-        let rel = join_kernel(
-            &lparts.parts()[k],
-            &rparts.parts()[k],
-            l_shared,
-            r_shared,
-            r_extra,
-            gov,
-            &mut raw,
-        )?;
-        Ok((rel, raw))
-    })?;
-    let mut sizes = Vec::with_capacity(parts);
-    let mut rels = Vec::with_capacity(parts);
-    let mut raw_total = 0u64;
-    for (rel, raw) in joined {
-        sizes.push(rel.len() as u64);
-        raw_total += raw;
-        rels.push(rel);
-    }
-    let out = merge_sorted(rels, out_arity, gov)?;
-    Ok((out, sizes, Some(raw_total)))
+    worker_checks: u64,
+    worker_ticks: usize,
+    /// Per-lane output cardinalities of a split kernel (for the span).
+    sizes: Vec<u64>,
 }
 
-/// Right-side row boundaries aligned with the left side's chunk
-/// boundaries: `rb[k]` is the first right row not below the left row that
-/// opens chunk `k`, found by binary search. Splitting both sorted inputs
-/// at these boundaries lets each range pair merge independently — every
-/// output row of range `k` sorts strictly below every output row of range
-/// `k + 1`, so the concatenation is canonical with no cross-range
-/// duplicates.
-fn aligned_bounds(l: &Relation, r: &Relation, parts: usize) -> Vec<usize> {
-    let order = symbol_order();
-    let mut rb = Vec::with_capacity(parts + 1);
-    rb.push(0usize);
-    for k in 1..parts {
-        let (lo, _) = chunk_bounds(l.len(), k, parts);
-        rb.push(if lo < l.len() {
-            r.lower_bound(l.row(lo), &order)
-        } else {
-            r.len()
+impl<'b> Lanes<'b> {
+    /// One lane on `budget`, charging trips to `stage`.
+    pub(crate) fn new(budget: &'b Budget, stage: Stage) -> Lanes<'b> {
+        Lanes {
+            gov: Governor::new(budget, stage),
+            parts: 1,
+            worker_checks: 0,
+            worker_ticks: 0,
+            sizes: Vec::new(),
+        }
+    }
+
+    /// Checkpoints run by the operator's governor and every worker.
+    pub(crate) fn checks(&self) -> u64 {
+        self.gov.checks() + self.worker_checks
+    }
+
+    /// Loop iterations ticked by the operator's governor and every worker.
+    pub(crate) fn ticks(&self) -> usize {
+        self.gov.ticks() + self.worker_ticks
+    }
+
+    /// Run `f(k, gov)` for every lane `k`. One lane runs inline on the
+    /// operator's governor: no spawn. Split, lanes `1..parts` run on scoped
+    /// worker threads and lane 0 on the calling thread, each ticking its
+    /// own governor against the shared budget; a trip in one worker is
+    /// observed by the others at their next check, and the scope joins
+    /// every worker before the error propagates, so no thread outlives the
+    /// call. Results, worker counters and the first error (by lowest lane)
+    /// are collected **in lane order**, so outputs and
+    /// [`EvalStats::budget_checks`] are deterministic for a fixed count.
+    fn run<T: Send>(
+        &mut self,
+        f: impl Fn(usize, &mut Governor<'b>) -> Result<T, BudgetExceeded> + Sync,
+    ) -> Result<Vec<T>, BudgetExceeded> {
+        if self.parts == 1 {
+            return Ok(vec![f(0, &mut self.gov)?]);
+        }
+        let lane = |k: usize, mut gov: Governor<'b>| (f(k, &mut gov), gov.checks(), gov.ticks());
+        let reports: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (1..self.parts)
+                .map(|k| {
+                    let (lane, gov) = (&lane, self.gov.worker());
+                    s.spawn(move || lane(k, gov))
+                })
+                .collect();
+            let mut all = vec![lane(0, self.gov.worker())];
+            all.extend(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("partition worker panicked")),
+            );
+            all
         });
+        for (_, checks, ticks) in &reports {
+            self.worker_checks += checks;
+            self.worker_ticks += ticks;
+        }
+        reports.into_iter().map(|(res, _, _)| res).collect()
     }
-    rb.push(r.len());
-    rb
-}
 
-/// Partition-parallel sorted-merge union for same-column-order inputs
-/// (the fast path of `Union`); see [`aligned_bounds`] for why the ranges
-/// are independent.
-fn union_partitioned(
-    l: &Relation,
-    r: &Relation,
-    parts: usize,
-    budget: &Budget,
-    checks: &mut u64,
-    ticks: &mut usize,
-) -> Result<(Relation, Vec<u64>), BudgetExceeded> {
-    let order = symbol_order();
-    let arity = l.arity();
-    let rb = aligned_bounds(l, r, parts);
-    let chunks = run_partitioned(parts, budget, checks, ticks, |k, gov| {
-        let (llo, lhi) = chunk_bounds(l.len(), k, parts);
-        let (rlo, rhi) = (rb[k], rb[k + 1]);
-        let mut out: Vec<Value> = Vec::with_capacity((lhi - llo + rhi - rlo) * arity);
-        let (mut i, mut j) = (llo, rlo);
-        let mut n = 0usize;
-        while i < lhi && j < rhi {
-            gov.tick(n)?;
-            match cmp_rows(l.row(i), r.row(j), &order) {
-                Ordering::Less => {
-                    out.extend_from_slice(l.row(i));
-                    i += 1;
-                }
-                Ordering::Greater => {
-                    out.extend_from_slice(r.row(j));
-                    j += 1;
-                }
-                Ordering::Equal => {
-                    out.extend_from_slice(l.row(i));
-                    i += 1;
-                    j += 1;
-                }
-            }
-            n += 1;
+    /// Concatenate the per-lane outputs of an order-preserving loop.
+    /// Sound because the lanes cover a canonical input in row order: the
+    /// result is strictly ascending, which `from_canonical`
+    /// debug-asserts. One lane's buffer becomes the relation as it is.
+    fn concat(&mut self, arity: usize, mut chunks: Vec<(Vec<Value>, usize)>) -> Relation {
+        if self.parts == 1 {
+            let (data, n) = chunks.pop().expect("one lane");
+            return Relation::from_canonical(arity, n, data);
         }
-        if i < lhi {
-            out.extend_from_slice(&l.flat()[i * arity..lhi * arity]);
-            n += lhi - i;
+        self.sizes = chunks.iter().map(|(_, n)| *n as u64).collect();
+        let mut data = Vec::with_capacity(chunks.iter().map(|(d, _)| d.len()).sum());
+        for (chunk, _) in &chunks {
+            data.extend_from_slice(chunk);
         }
-        if j < rhi {
-            out.extend_from_slice(&r.flat()[j * arity..rhi * arity]);
-            n += rhi - j;
-        }
-        Ok((out, n))
-    })?;
-    Ok(concat_canonical(arity, chunks))
-}
+        let n = chunks.iter().map(|(_, n)| n).sum();
+        Relation::from_canonical(arity, n, data)
+    }
 
-/// Partition-parallel sorted-merge difference for same-column-order
-/// inputs (the fast path of `Diff`). Every right row equal to a left row
-/// of chunk `k` falls inside the aligned right range, so each chunk sees
-/// all its potential subtrahends.
-fn minus_partitioned(
-    l: &Relation,
-    r: &Relation,
-    parts: usize,
-    budget: &Budget,
-    checks: &mut u64,
-    ticks: &mut usize,
-) -> Result<(Relation, Vec<u64>), BudgetExceeded> {
-    let order = symbol_order();
-    let arity = l.arity();
-    let rb = aligned_bounds(l, r, parts);
-    let chunks = run_partitioned(parts, budget, checks, ticks, |k, gov| {
-        let (llo, lhi) = chunk_bounds(l.len(), k, parts);
-        let rhi = rb[k + 1];
-        let mut out: Vec<Value> = Vec::new();
-        let mut n = 0usize;
-        let mut j = rb[k];
-        for i in llo..lhi {
-            gov.tick(i - llo)?;
-            let row = l.row(i);
-            let mut keep = true;
-            while j < rhi {
-                match cmp_rows(r.row(j), row, &order) {
-                    Ordering::Less => j += 1,
-                    Ordering::Equal => {
-                        keep = false;
-                        break;
-                    }
-                    Ordering::Greater => break,
-                }
-            }
-            if keep {
-                out.extend_from_slice(row);
-                n += 1;
-            }
+    /// Merge per-lane canonical outputs sorted, under the operator's
+    /// governor.
+    fn merge(&mut self, arity: usize, rels: Vec<Relation>) -> Result<Relation, BudgetExceeded> {
+        if self.parts > 1 {
+            self.sizes = rels.iter().map(|r| r.len() as u64).collect();
         }
-        Ok((out, n))
-    })?;
-    Ok(concat_canonical(arity, chunks))
-}
+        merge_sorted(rels, arity, &mut self.gov)
+    }
 
-/// Partition-parallel projection: each chunk projects through its own
-/// [`RelationBuilder`] (chunk outputs may be unsorted and may carry
-/// duplicates), then the per-chunk canonical results merge sorted under
-/// the operator's governor.
-#[allow(clippy::too_many_arguments)]
-fn project_partitioned(
-    rel: &Relation,
-    proj: &[usize],
-    out_arity: usize,
-    parts: usize,
-    budget: &Budget,
-    gov: &mut Governor<'_>,
-    checks: &mut u64,
-    ticks: &mut usize,
-) -> Result<(Relation, Vec<u64>), BudgetExceeded> {
-    let rels = run_partitioned(parts, budget, checks, ticks, |k, worker| {
-        let (lo, hi) = chunk_bounds(rel.len(), k, parts);
-        let mut out = RelationBuilder::with_capacity(out_arity, hi - lo);
-        for i in lo..hi {
-            worker.tick(out.len())?;
-            out.push_row_from(proj.iter().map(|&c| rel.row(i)[c]));
+    /// Scan kernel (never split): `base` restricted by the pattern's
+    /// constants and repeated variables, each passing row projected onto
+    /// the first occurrence of every variable (`cols`). The projection is
+    /// injective on passing rows, so table deltas transfer through it too.
+    /// A pattern of distinct variables is `base` itself, in O(1).
+    pub(crate) fn scan(
+        &mut self,
+        base: &Relation,
+        pattern: &[Term],
+        cols: &[Var],
+    ) -> Result<Relation, BudgetExceeded> {
+        if cols.len() == pattern.len() {
+            return Ok(base.clone());
+        }
+        let first: Vec<usize> = cols
+            .iter()
+            .map(|v| {
+                pattern
+                    .iter()
+                    .position(|t| *t == Term::Var(*v))
+                    .expect("column came from pattern")
+            })
+            .collect();
+        // Every other position must equal a constant or the first
+        // occurrence of its variable.
+        enum Check {
+            Const(Value),
+            SameAs(usize),
+        }
+        let checks: Vec<(usize, Check)> = pattern
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| match t {
+                Term::Const(c) => Some((i, Check::Const(*c))),
+                Term::Var(_) => {
+                    let at = pattern.iter().position(|u| u == t).expect("t occurs");
+                    (at != i).then_some((i, Check::SameAs(at)))
+                }
+            })
+            .collect();
+        let mut out = RelationBuilder::with_capacity(cols.len(), base.len());
+        for row in base.iter() {
+            self.gov.tick(out.len())?;
+            if checks.iter().all(|(i, check)| match check {
+                Check::Const(c) => row[*i] == *c,
+                Check::SameAs(j) => row[*i] == row[*j],
+            }) {
+                out.push_row_from(first.iter().map(|&i| row[i]));
+            }
         }
         Ok(out.finish())
-    })?;
-    let sizes: Vec<u64> = rels.iter().map(|p| p.len() as u64).collect();
-    let out = merge_sorted(rels, out_arity, gov)?;
-    Ok((out, sizes))
+    }
+
+    /// Order-preserving filter: the rows of `rel` that pass `keep`, one
+    /// lane per chunk of rows.
+    pub(crate) fn filter(
+        &mut self,
+        rel: &Relation,
+        keep: impl Fn(&[Value]) -> bool + Sync,
+    ) -> Result<Relation, BudgetExceeded> {
+        let parts = self.parts;
+        let chunks = self.run(|k, gov| {
+            let mut kept: Vec<Value> = Vec::new();
+            let mut n = 0usize;
+            for row in rel.rows(chunk_bounds(rel.len(), k, parts)) {
+                gov.tick(n)?;
+                if keep(row) {
+                    kept.extend_from_slice(row);
+                    n += 1;
+                }
+            }
+            Ok((kept, n))
+        })?;
+        Ok(self.concat(rel.arity(), chunks))
+    }
+
+    /// Projection of every row onto the column list `proj`, deduplicated;
+    /// any list, so it also permutes and duplicates columns. Each lane
+    /// projects its chunk through its own builder and the lanes merge
+    /// sorted. The identity projection is `rel` itself, in O(1).
+    pub(crate) fn project(
+        &mut self,
+        rel: &Relation,
+        proj: &[usize],
+    ) -> Result<Relation, BudgetExceeded> {
+        if is_identity(proj, rel.arity()) {
+            return Ok(rel.clone());
+        }
+        let parts = self.parts;
+        let rels = self.run(|k, gov| {
+            let rows = chunk_bounds(rel.len(), k, parts);
+            let mut out = RelationBuilder::with_capacity(proj.len(), rows.len());
+            for row in rel.rows(rows) {
+                gov.tick(out.len())?;
+                out.push_row_from(proj.iter().map(|&c| row[c]));
+            }
+            Ok(out.finish())
+        })?;
+        self.merge(proj.len(), rels)
+    }
+
+    /// Natural join `lrel ⋈ rrel` under `layout`: rows
+    /// `lrow ++ rrow[r_extra]`. With no right-only columns it is a
+    /// semijoin, with no shared columns a cross product; both preserve the
+    /// left order and run one lane per left chunk. Otherwise it is a
+    /// [`hash_join`] on the operator's governor; the evaluator splits hash
+    /// joins by co-partitioning both sides instead. `r_table`, when given,
+    /// is a table over `rrel`'s shared columns to probe instead of
+    /// building one.
+    pub(crate) fn join(
+        &mut self,
+        lrel: &Relation,
+        rrel: &Relation,
+        layout: &JoinLayout,
+        r_table: Option<&RowTable>,
+    ) -> Result<Relation, BudgetExceeded> {
+        if lrel.is_empty() || rrel.is_empty() {
+            return Ok(Relation::new(layout.arity(lrel)));
+        }
+        if layout.r_extra.is_empty() {
+            return self.probe_filter(lrel, rrel, layout, r_table, true);
+        }
+        if !layout.l_shared.is_empty() {
+            return hash_join(lrel, rrel, layout, r_table, &mut self.gov);
+        }
+        // Cross product: with no shared columns `r_extra` is every right
+        // column in order, so each chunk's l-major enumeration is
+        // canonical.
+        let parts = self.parts;
+        let chunks = self.run(|k, gov| {
+            let rows = chunk_bounds(lrel.len(), k, parts);
+            // Sized like the inputs, not the product: a tuple cap must be
+            // able to trip before a huge product is allocated.
+            let mut data = Vec::with_capacity(rows.len().max(rrel.len()) * layout.arity(lrel));
+            let mut n = 0usize;
+            for lrow in lrel.rows(rows) {
+                for rrow in rrel.iter() {
+                    gov.tick(n)?;
+                    data.extend_from_slice(lrow);
+                    data.extend_from_slice(rrow);
+                    n += 1;
+                }
+            }
+            Ok((data, n))
+        })?;
+        Ok(self.concat(layout.arity(lrel), chunks))
+    }
+
+    /// Anti-join for the generalized difference (Def. 9.3): the rows of
+    /// `lrel` whose projection onto the right's columns
+    /// (`layout.l_shared`) is not a row of `rrel`. `r_table` as in
+    /// [`Lanes::join`].
+    pub(crate) fn antijoin(
+        &mut self,
+        lrel: &Relation,
+        rrel: &Relation,
+        layout: &JoinLayout,
+        r_table: Option<&RowTable>,
+    ) -> Result<Relation, BudgetExceeded> {
+        if lrel.is_empty() || rrel.is_empty() {
+            return Ok(lrel.clone());
+        }
+        self.probe_filter(lrel, rrel, layout, r_table, false)
+    }
+
+    /// The left rows that have (`hit`) or lack (`!hit`) a partner in
+    /// `rrel` on the shared columns: semijoin and anti-join, filtering
+    /// left chunks against one table.
+    fn probe_filter(
+        &mut self,
+        lrel: &Relation,
+        rrel: &Relation,
+        layout: &JoinLayout,
+        r_table: Option<&RowTable>,
+        hit: bool,
+    ) -> Result<Relation, BudgetExceeded> {
+        let built;
+        let table = match r_table {
+            Some(table) => table,
+            None => {
+                built = RowTable::build(rrel, &layout.r_shared);
+                &built
+            }
+        };
+        self.filter(lrel, |lrow| {
+            table.has_partner(rrel, &layout.r_shared, lrow, &layout.l_shared) == hit
+        })
+    }
+
+    /// Sorted-merge union of two relations in the same column order.
+    pub(crate) fn union(&mut self, l: &Relation, r: &Relation) -> Result<Relation, BudgetExceeded> {
+        self.sorted_merge(l, r, Relation::union_governed, union_rows)
+    }
+
+    /// Sorted-merge difference of two relations in the same column order.
+    fn minus(&mut self, l: &Relation, r: &Relation) -> Result<Relation, BudgetExceeded> {
+        self.sorted_merge(l, r, Relation::minus_governed, minus_rows)
+    }
+
+    /// One lane runs the `whole`-relation merge (with its stitch path for
+    /// a tiny side). Split, both sides are cut at aligned key boundaries
+    /// ([`aligned_bounds`]) and each range pair runs the same `ranged`
+    /// merge loop on its own lane.
+    fn sorted_merge(
+        &mut self,
+        l: &Relation,
+        r: &Relation,
+        whole: impl FnOnce(&Relation, &Relation, &mut Governor<'b>) -> Result<Relation, BudgetExceeded>,
+        ranged: impl Fn(
+                &Relation,
+                Range<usize>,
+                &Relation,
+                Range<usize>,
+                &mut Governor<'b>,
+            ) -> Result<(Vec<Value>, usize), BudgetExceeded>
+            + Sync,
+    ) -> Result<Relation, BudgetExceeded> {
+        if self.parts == 1 {
+            return whole(l, r, &mut self.gov);
+        }
+        let parts = self.parts;
+        let rb = aligned_bounds(l, r, parts);
+        let chunks = self
+            .run(|k, gov| ranged(l, chunk_bounds(l.len(), k, parts), r, rb[k]..rb[k + 1], gov))?;
+        Ok(self.concat(l.arity(), chunks))
+    }
 }
 
 /// Total base tuples scanned by a subtree — the cost signal deciding
@@ -1067,11 +1020,7 @@ fn eval_span(expr: &RaExpr, db: &Database, cx: &mut EvalCtx<'_>) -> Result<Relat
 
 fn eval_node(expr: &RaExpr, db: &Database, cx: &mut EvalCtx<'_>) -> Result<Relation, EvalError> {
     let budget = cx.budget;
-    let mut gov = Governor::new(budget, Stage::Eval);
-    // Tick/check counters contributed by partitioned-kernel workers; folded
-    // into the operator's totals alongside the sequential governor's.
-    let mut part_checks: u64 = 0;
-    let mut part_ticks: usize = 0;
+    let mut lanes = Lanes::new(budget, Stage::Eval);
     let out = match expr {
         RaExpr::Scan { pred, pattern } => {
             let base = db
@@ -1085,69 +1034,7 @@ fn eval_node(expr: &RaExpr, db: &Database, cx: &mut EvalCtx<'_>) -> Result<Relat
                 });
             }
             cx.tracer.note_input(base.len());
-            let cols = expr.cols();
-            // Plain scan — all-distinct variable pattern: the stored
-            // relation IS the answer, and cloning it is O(1).
-            if cols.len() == pattern.len() {
-                base.clone()
-            } else {
-                // Constants select, repeated variables select a diagonal,
-                // and the output keeps the first occurrence of each
-                // variable.
-                let first_pos: Vec<usize> = cols
-                    .iter()
-                    .map(|v| {
-                        pattern
-                            .iter()
-                            .position(|t| *t == Term::Var(*v))
-                            .expect("column came from pattern")
-                    })
-                    .collect();
-                // For each pattern position: the check it must pass.
-                enum Check {
-                    Const(Value),
-                    SameAs(usize),
-                    Free,
-                }
-                let checks: Vec<Check> = pattern
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| match t {
-                        Term::Const(c) => Check::Const(*c),
-                        Term::Var(v) => {
-                            let fp =
-                                first_pos[cols.iter().position(|w| w == v).expect("var in cols")];
-                            if fp == i {
-                                Check::Free
-                            } else {
-                                Check::SameAs(fp)
-                            }
-                        }
-                    })
-                    .collect();
-                let mut out = RelationBuilder::with_capacity(cols.len(), base.len());
-                'rows: for row in base.iter() {
-                    gov.tick(out.len())?;
-                    for (i, chk) in checks.iter().enumerate() {
-                        match chk {
-                            Check::Const(c) => {
-                                if row[i] != *c {
-                                    continue 'rows;
-                                }
-                            }
-                            Check::SameAs(fp) => {
-                                if row[i] != row[*fp] {
-                                    continue 'rows;
-                                }
-                            }
-                            Check::Free => {}
-                        }
-                    }
-                    out.push_row_from(first_pos.iter().map(|&i| row[i]));
-                }
-                cx.tracer.note_raw(out.len() as u64);
-                out.finish()
-            }
+            lanes.scan(base, pattern, &expr.cols())?
         }
         RaExpr::Single { value, .. } => Relation::singleton(vec![*value].into_boxed_slice()),
         RaExpr::Unit => Relation::unit(),
@@ -1156,53 +1043,21 @@ fn eval_node(expr: &RaExpr, db: &Database, cx: &mut EvalCtx<'_>) -> Result<Relat
             let (lrel, rrel) = eval_pair(l, r, db, cx)?;
             cx.tracer.note_input(lrel.len());
             cx.tracer.note_input(rrel.len());
-            let lcols = l.cols();
-            let rcols = r.cols();
-            let shared: Vec<Var> = rcols
-                .iter()
-                .filter(|v| lcols.contains(v))
-                .copied()
-                .collect();
-            let l_shared = positions(&lcols, &shared);
-            let r_shared = positions(&rcols, &shared);
-            let r_extra: Vec<usize> = rcols
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| !lcols.contains(v))
-                .map(|(i, _)| i)
-                .collect();
-            let parts = partition_plan(lrel.len().max(rrel.len()), budget);
-            if parts > 1 && !lrel.is_empty() && !rrel.is_empty() {
-                let (out, sizes, raw) = join_partitioned(
-                    l,
-                    r,
-                    &lrel,
-                    &rrel,
-                    &l_shared,
-                    &r_shared,
-                    &r_extra,
-                    parts,
-                    db,
-                    budget,
-                    &mut gov,
-                    &mut part_checks,
-                    &mut part_ticks,
-                )?;
-                cx.tracer.note_parallel();
-                cx.tracer.note_partitions(&sizes);
-                if let Some(raw) = raw {
-                    cx.tracer.note_raw(raw);
-                }
-                out
+            let layout = JoinLayout::new(&l.cols(), &r.cols());
+            if !lrel.is_empty() && !rrel.is_empty() {
+                lanes.parts = partition_plan(lrel.len().max(rrel.len()), budget);
+            }
+            if lanes.parts > 1 && !layout.l_shared.is_empty() && !layout.r_extra.is_empty() {
+                // Hash join: co-partition both sides on the shared key, so
+                // matching rows meet in the same partition.
+                let parts = lanes.parts;
+                let lp = co_partition(l, &lrel, &layout.l_shared, parts, db);
+                let rp = co_partition(r, &rrel, &layout.r_shared, parts, db);
+                let joined = lanes
+                    .run(|k, gov| hash_join(&lp.parts()[k], &rp.parts()[k], &layout, None, gov))?;
+                lanes.merge(layout.arity(&lrel), joined)?
             } else {
-                let mut raw = 0u64;
-                let out = join_kernel(
-                    &lrel, &rrel, &l_shared, &r_shared, &r_extra, &mut gov, &mut raw,
-                )?;
-                if raw > 0 {
-                    cx.tracer.note_raw(raw);
-                }
-                out
+                lanes.join(&lrel, &rrel, &layout, None)?
             }
         }
         RaExpr::Union(l, r) => {
@@ -1210,189 +1065,63 @@ fn eval_node(expr: &RaExpr, db: &Database, cx: &mut EvalCtx<'_>) -> Result<Relat
             cx.tracer.note_input(lrel.len());
             cx.tracer.note_input(rrel.len());
             cx.tracer.note_raw((lrel.len() + rrel.len()) as u64);
-            let lcols = l.cols();
-            let rcols = r.cols();
-            let perm = positions(&rcols, &lcols);
-            if perm.iter().enumerate().all(|(i, &p)| i == p) {
-                let parts = partition_plan(lrel.len().max(rrel.len()), budget);
-                if parts > 1 && lrel.arity() > 0 && !lrel.is_empty() && !rrel.is_empty() {
-                    let (out, sizes) = union_partitioned(
-                        &lrel,
-                        &rrel,
-                        parts,
-                        budget,
-                        &mut part_checks,
-                        &mut part_ticks,
-                    )?;
-                    cx.tracer.note_parallel();
-                    cx.tracer.note_partitions(&sizes);
-                    out
-                } else {
-                    // Same column order: one linear merge of two sorted inputs.
-                    lrel.union_governed(&rrel, &mut gov)?
-                }
-            } else {
-                let mut permuted = RelationBuilder::with_capacity(lcols.len(), rrel.len());
-                for row in rrel.iter() {
-                    gov.tick(permuted.len())?;
-                    permuted.push_row_from(perm.iter().map(|&i| row[i]));
-                }
-                lrel.union_governed(&permuted.finish(), &mut gov)?
+            let perm = positions(&r.cols(), &l.cols());
+            let same_order = is_identity(&perm, lrel.arity());
+            let rrel = lanes.project(&rrel, &perm)?;
+            if same_order && lrel.arity() > 0 && !lrel.is_empty() && !rrel.is_empty() {
+                lanes.parts = partition_plan(lrel.len().max(rrel.len()), budget);
             }
+            lanes.union(&lrel, &rrel)?
         }
         RaExpr::Diff(l, r) => {
             let (lrel, rrel) = eval_pair(l, r, db, cx)?;
             cx.tracer.note_input(lrel.len());
             cx.tracer.note_input(rrel.len());
-            let lcols = l.cols();
-            let rcols = r.cols();
-            let proj = positions(&lcols, &rcols);
-            let parts = partition_plan(lrel.len().max(rrel.len()), budget);
-            let partitioned = parts > 1 && !lrel.is_empty() && !rrel.is_empty();
-            if proj.len() == lcols.len() && proj.iter().enumerate().all(|(i, &p)| i == p) {
-                if partitioned && lrel.arity() > 0 {
-                    let (out, sizes) = minus_partitioned(
-                        &lrel,
-                        &rrel,
-                        parts,
-                        budget,
-                        &mut part_checks,
-                        &mut part_ticks,
-                    )?;
-                    cx.tracer.note_parallel();
-                    cx.tracer.note_partitions(&sizes);
-                    out
-                } else {
-                    // Same columns, same order: plain sorted-merge difference.
-                    lrel.minus_governed(&rrel, &mut gov)?
-                }
-            } else if partitioned {
-                // Anti-join over left-side chunks probing one shared table.
-                let r_all: Vec<usize> = (0..rrel.arity()).collect();
-                let table = RowTable::build(&rrel, &r_all);
-                let (out, sizes) = filter_partitioned(
-                    &lrel,
-                    parts,
-                    budget,
-                    &mut part_checks,
-                    &mut part_ticks,
-                    |lrow| {
-                        let mut cur = table.first(hash_cols(lrow, &proj));
-                        while cur != NIL {
-                            if keys_match(lrow, &proj, rrel.row(cur as usize), &r_all) {
-                                return false;
-                            }
-                            cur = table.next[cur as usize];
-                        }
-                        true
-                    },
-                )?;
-                cx.tracer.note_parallel();
-                cx.tracer.note_partitions(&sizes);
-                out
+            let layout = JoinLayout::new(&l.cols(), &r.cols());
+            if lrel.arity() > 0 && !lrel.is_empty() && !rrel.is_empty() {
+                lanes.parts = partition_plan(lrel.len().max(rrel.len()), budget);
+            }
+            if is_identity(&layout.l_shared, lrel.arity()) {
+                // Same columns, same order: plain sorted-merge difference.
+                lanes.minus(&lrel, &rrel)?
             } else {
-                antijoin_kernel(&lrel, &rrel, &proj, &mut gov)?
+                lanes.antijoin(&lrel, &rrel, &layout, None)?
             }
         }
         RaExpr::Project { input, cols } => {
             let rel = eval_child(input, db, cx)?;
             cx.tracer.note_input(rel.len());
             cx.tracer.note_raw(rel.len() as u64);
-            let icols = input.cols();
-            let proj = positions(&icols, cols);
-            let parts = partition_plan(rel.len(), budget);
-            if parts > 1 && !rel.is_empty() && !cols.is_empty() {
-                let (out, sizes) = project_partitioned(
-                    &rel,
-                    &proj,
-                    cols.len(),
-                    parts,
-                    budget,
-                    &mut gov,
-                    &mut part_checks,
-                    &mut part_ticks,
-                )?;
-                cx.tracer.note_parallel();
-                cx.tracer.note_partitions(&sizes);
-                out
-            } else {
-                let mut out = RelationBuilder::with_capacity(cols.len(), rel.len());
-                for row in rel.iter() {
-                    gov.tick(out.len())?;
-                    out.push_row_from(proj.iter().map(|&i| row[i]));
-                }
-                out.finish()
+            if !rel.is_empty() && !cols.is_empty() {
+                lanes.parts = partition_plan(rel.len(), budget);
             }
+            lanes.project(&rel, &positions(&input.cols(), cols))?
         }
         RaExpr::Select { input, pred } => {
             let rel = eval_child(input, db, cx)?;
             cx.tracer.note_input(rel.len());
-            let icols = input.cols();
-            let keep: RowPred = match *pred {
-                SelPred::EqCols(a, b) => {
-                    let (i, j) = (positions(&icols, &[a])[0], positions(&icols, &[b])[0]);
-                    Box::new(move |t: &[Value]| t[i] == t[j])
-                }
-                SelPred::NeqCols(a, b) => {
-                    let (i, j) = (positions(&icols, &[a])[0], positions(&icols, &[b])[0]);
-                    Box::new(move |t: &[Value]| t[i] != t[j])
-                }
-                SelPred::EqConst(a, c) => {
-                    let i = positions(&icols, &[a])[0];
-                    Box::new(move |t: &[Value]| t[i] == c)
-                }
-                SelPred::NeqConst(a, c) => {
-                    let i = positions(&icols, &[a])[0];
-                    Box::new(move |t: &[Value]| t[i] != c)
-                }
-            };
-            // Pure filter: canonical order is preserved, no re-sort needed.
-            let parts = partition_plan(rel.len(), budget);
-            if parts > 1 && !rel.is_empty() {
-                let (out, sizes) = filter_partitioned(
-                    &rel,
-                    parts,
-                    budget,
-                    &mut part_checks,
-                    &mut part_ticks,
-                    |row| keep(row),
-                )?;
-                cx.tracer.note_parallel();
-                cx.tracer.note_partitions(&sizes);
-                out
-            } else {
-                let mut kept: Vec<Value> = Vec::new();
-                let mut n = 0usize;
-                for row in rel.iter() {
-                    gov.tick(n)?;
-                    if keep(row) {
-                        kept.extend_from_slice(row);
-                        n += 1;
-                    }
-                }
-                Relation::from_canonical(icols.len(), n, kept)
+            if !rel.is_empty() {
+                lanes.parts = partition_plan(rel.len(), budget);
             }
+            lanes.filter(&rel, select_pred(*pred, &input.cols()))?
         }
         RaExpr::Duplicate { input, src, .. } => {
             let rel = eval_child(input, db, cx)?;
             cx.tracer.note_input(rel.len());
+            // Every column, then a copy of `src`.
             let icols = input.cols();
-            let i = positions(&icols, &[*src])[0];
-            // Appending a copy of an existing column cannot reorder rows:
-            // distinct rows already differ within the original prefix.
-            let mut data: Vec<Value> = Vec::with_capacity(rel.len() * (icols.len() + 1));
-            for (k, row) in rel.iter().enumerate() {
-                gov.tick(k)?;
-                data.extend_from_slice(row);
-                data.push(row[i]);
-            }
-            Relation::from_canonical(icols.len() + 1, rel.len(), data)
+            let mut proj: Vec<usize> = (0..icols.len()).collect();
+            proj.push(positions(&icols, &[*src])[0]);
+            lanes.project(&rel, &proj)?
         }
     };
+    if !lanes.sizes.is_empty() {
+        cx.tracer.note_parallel();
+        cx.tracer.note_partitions(&lanes.sizes);
+    }
     cx.stats.record(&out);
-    cx.stats.budget_checks += gov.checks() + part_checks + 1;
-    cx.tracer
-        .note_kernel_rows((gov.ticks() + part_ticks) as u64);
+    cx.stats.budget_checks += lanes.checks() + 1;
+    cx.tracer.note_kernel_rows(lanes.ticks() as u64);
     budget.checkpoint(Stage::Eval)?;
     budget.charge_tuples(Stage::Eval, out.len() as u64)?;
     Ok(out)

@@ -391,6 +391,12 @@ impl<'a> Governor<'a> {
         Ok(())
     }
 
+    /// A fresh governor on the same budget and stage, for a partition
+    /// worker.
+    pub(crate) fn worker(&self) -> Governor<'a> {
+        Governor::new(self.budget, self.stage)
+    }
+
     /// How many full checkpoints this governor has run (deterministic for
     /// a given loop shape; folded into evaluation stats).
     pub fn checks(&self) -> u64 {

@@ -45,39 +45,48 @@
 //! # Δ-rules
 //!
 //! With `P`/`Q` the children's *new* values (computed bottom-up) and
-//! `ΔP`/`ΔQ` their delta pairs (see DESIGN.md §14 for the proofs):
+//! `ΔP`/`ΔQ` their delta pairs (see DESIGN.md §14 for the proofs). Every
+//! rule runs the evaluator's own kernels ([`eval`](mod@crate::eval)) on
+//! one lane over the delta relations; the kernels each rule calls are
+//! named in parentheses:
 //!
-//! * **Scan**: the table delta filtered through the pattern's
+//! * **Scan** (`scan`): the table delta filtered through the pattern's
 //!   constant/diagonal checks and projected to first occurrences — the
 //!   projection is injective on passing rows, so both sides transfer.
-//! * **Select/Duplicate**: per-row transforms of the child delta.
-//! * **Join**: `Δ⁺ = (Δ⁺P ⋈ Q) ∪ (P ⋈ Δ⁺Q)`;
+//! * **Select** (`filter`) and **Duplicate** (`project` onto every column
+//!   plus the copy): per-row transforms of the child delta.
+//! * **Join** (`join`, `union`): `Δ⁺ = (Δ⁺P ⋈ Q) ∪ (P ⋈ Δ⁺Q)`;
 //!   `Δ⁻ = (Δ⁻P ⋈ Q) ∪ (P ⋈ Δ⁻Q) ∪ (Δ⁻P ⋈ Δ⁻Q)` — sound because the
 //!   join output carries every input column, so an output row has
-//!   unique witnesses.
-//! * **Union**: `Δ⁺ = Δ⁺P ∪ π(Δ⁺Q)`; `Δ⁻` is the candidate deletes
-//!   filtered by membership in neither new child.
-//! * **Diff** (anti-join): `Δ⁺ = σ_{∄Q}(Δ⁺P) ∪ σ_{∄Q}(P ⋉ Δ⁻Q)`;
-//!   `Δ⁻ = Δ⁻P ∪ (P ⋉ Δ⁺Q)` — the two-sided rule re-probing the
-//!   unchanged side.
-//! * **Project**: `Δ⁺ = π(Δ⁺in)`; `Δ⁻` is `π(Δ⁻in)` filtered by a
-//!   scan-and-mark pass over the materialized new input (a projected
-//!   row dies only when *no* surviving input row still produces it).
+//!   unique witnesses. The `Δ⋈Q` legs probe a hash table over `Q` kept
+//!   alive across refreshes.
+//! * **Union** (`project` to permute, `union`, `filter`):
+//!   `Δ⁺ = Δ⁺P ∪ π(Δ⁺Q)`; `Δ⁻` is the candidate deletes filtered by
+//!   membership in neither new child.
+//! * **Diff** (`join` as a semijoin, `antijoin`, `union`):
+//!   `Δ⁺ = σ_{∄Q}(Δ⁺P) ∪ σ_{∄Q}(P ⋉ Δ⁻Q)`; `Δ⁻ = Δ⁻P ∪ (P ⋉ Δ⁺Q)` — the
+//!   two-sided rule re-probing the unchanged side, whose anti-join legs
+//!   probe a persistent table over `Q` as in the join rule.
+//! * **Project** (`project`): `Δ⁺ = π(Δ⁺in)`; `Δ⁻` is `π(Δ⁻in)`
+//!   filtered by a scan-and-mark pass over the materialized new input —
+//!   one binary search per input row marks the candidates it still
+//!   produces (a projected row dies only when *no* surviving input row
+//!   produces it).
 //!
 //! Refresh work is charged to [`Stage::Maintain`] and traced with
 //! `ivm=refresh` spans carrying per-operator Δ cardinalities; any budget
 //! trip or cancellation abandons the walk with the old view intact.
 
 use crate::eval::{
-    antijoin_kernel, antijoin_probe_prebuilt, join_kernel, join_probe_prebuilt, on_fresh_stack,
-    positions, EvalCtx, EvalStats, RowTable, STACK_SEGMENT_LEVELS,
+    on_fresh_stack, positions, select_pred, EvalCtx, EvalStats, JoinLayout, Lanes, RowTable,
+    STACK_SEGMENT_LEVELS,
 };
-use crate::expr::{RaExpr, SelPred};
-use crate::govern::{Budget, BudgetExceeded, Governor, Stage};
-use crate::relation::{Relation, RelationBuilder};
+use crate::expr::RaExpr;
+use crate::govern::{Budget, BudgetExceeded, Stage};
+use crate::relation::Relation;
 use crate::trace::Tracer;
 use rc_formula::fxhash::{FxHashMap, FxHashSet};
-use rc_formula::{Symbol, Term, Value, Var};
+use rc_formula::{symbol_order, Symbol, Value};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
@@ -603,7 +612,8 @@ fn refresh_span(
 
 /// Compute one node's delta pair from its children's (already-refreshed)
 /// values and deltas, apply it to the node's old value, and account the
-/// work.
+/// work. Every per-row loop is the evaluator's own kernel ([`Lanes`]),
+/// run on one lane under this node's [`Stage::Maintain`] governor.
 fn refresh_inner(
     node: &Arc<RaExpr>,
     key: usize,
@@ -612,7 +622,7 @@ fn refresh_inner(
     tr: &mut Tracer,
 ) -> Result<(TableDelta, Relation), RefreshError> {
     let budget = ctx.budget;
-    let mut gov = Governor::new(budget, Stage::Maintain);
+    let mut lanes = Lanes::new(budget, Stage::Maintain);
     let pair = match &**node {
         RaExpr::Scan { pred, pattern } => {
             let cols = node.cols();
@@ -626,8 +636,8 @@ fn refresh_inner(
                         ));
                     }
                     TableDelta {
-                        plus: scan_transform(&td.plus, pattern, &cols, &mut gov)?,
-                        minus: scan_transform(&td.minus, pattern, &cols, &mut gov)?,
+                        plus: lanes.scan(&td.plus, pattern, &cols)?,
+                        minus: lanes.scan(&td.minus, pattern, &cols)?,
                     }
                 }
             }
@@ -637,20 +647,20 @@ fn refresh_inner(
         RaExpr::Empty { cols } => TableDelta::empty(cols.len()),
         RaExpr::Select { input, pred } => {
             let d = refresh_node(input, ctx, stats, tr)?;
-            let icols = input.cols();
-            let keep = select_pred(*pred, &icols);
+            let keep = select_pred(*pred, &input.cols());
             TableDelta {
-                plus: filter(&d.plus, &keep, &mut gov)?,
-                minus: filter(&d.minus, &keep, &mut gov)?,
+                plus: lanes.filter(&d.plus, &keep)?,
+                minus: lanes.filter(&d.minus, &keep)?,
             }
         }
         RaExpr::Duplicate { input, src, .. } => {
             let d = refresh_node(input, ctx, stats, tr)?;
             let icols = input.cols();
-            let i = positions(&icols, &[*src])[0];
+            let mut proj: Vec<usize> = (0..icols.len()).collect();
+            proj.push(positions(&icols, &[*src])[0]);
             TableDelta {
-                plus: duplicate_col(&d.plus, i, &mut gov)?,
-                minus: duplicate_col(&d.minus, i, &mut gov)?,
+                plus: lanes.project(&d.plus, &proj)?,
+                minus: lanes.project(&d.minus, &proj)?,
             }
         }
         RaExpr::Join(l, r) => {
@@ -658,57 +668,30 @@ fn refresh_inner(
             let dr = refresh_node(r, ctx, stats, tr)?;
             let ln = ctx.new_val(l);
             let rn = ctx.new_val(r);
-            let lcols = l.cols();
-            let rcols = r.cols();
-            let shared: Vec<Var> = rcols
-                .iter()
-                .filter(|v| lcols.contains(v))
-                .copied()
-                .collect();
-            let l_shared = positions(&lcols, &shared);
-            let r_shared = positions(&rcols, &shared);
-            let r_extra: Vec<usize> = rcols
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| !lcols.contains(v))
-                .map(|(i, _)| i)
-                .collect();
-            let mut raw = 0u64;
+            let layout = JoinLayout::new(&l.cols(), &r.cols());
             // The Δ⋈Q legs probe the full (new) right side: route them
             // through the node's persistent hash index so a small delta
             // pays O(|Δ|·fanout), not an O(|Q|) table build per serve.
             // The remaining legs pair a full side with a tiny delta,
             // where the kernel already builds on the smaller input. A
             // cross join (no shared columns) never uses a table.
-            let r_index = if !l_shared.is_empty()
-                && !rn.is_empty()
-                && (!dl.plus.is_empty() || !dl.minus.is_empty())
-            {
-                Some(ctx.index(key, &rn, &r_shared))
-            } else {
-                None
-            };
-            let dj = |a: &Relation, b: &Relation, gov: &mut Governor<'_>, raw: &mut u64| {
-                join_kernel(a, b, &l_shared, &r_shared, &r_extra, gov, raw)
-            };
-            let probe = |a: &Relation, gov: &mut Governor<'_>, raw: &mut u64| match &r_index {
-                Some(ix) => {
-                    join_probe_prebuilt(a, &rn, &l_shared, &r_shared, &r_extra, &ix.table, gov, raw)
-                }
-                None => join_kernel(a, &rn, &l_shared, &r_shared, &r_extra, gov, raw),
-            };
+            let r_index = (!layout.l_shared.is_empty() && !rn.is_empty() && !dl.is_empty())
+                .then(|| ctx.index(key, &rn, &layout.r_shared));
+            let r_table = r_index.as_deref().map(|ix| &ix.table);
             // Δ⁺ = (Δ⁺P ⋈ Q) ∪ (P ⋈ Δ⁺Q); an output row's witnesses are
             // unique (the output keeps all columns), so covering each
             // changed witness covers every changed output row.
-            let plus = probe(&dl.plus, &mut gov, &mut raw)?
-                .union_governed(&dj(&ln, &dr.plus, &mut gov, &mut raw)?, &mut gov)?;
+            let a = lanes.join(&dl.plus, &rn, &layout, r_table)?;
+            let b = lanes.join(&ln, &dr.plus, &layout, None)?;
+            let plus = lanes.union(&a, &b)?;
             // Δ⁻ re-probes the *unchanged* side on both flanks plus the
             // both-sides-deleted corner.
-            let minus = probe(&dl.minus, &mut gov, &mut raw)?
-                .union_governed(&dj(&ln, &dr.minus, &mut gov, &mut raw)?, &mut gov)?
-                .union_governed(&dj(&dl.minus, &dr.minus, &mut gov, &mut raw)?, &mut gov)?;
+            let a = lanes.join(&dl.minus, &rn, &layout, r_table)?;
+            let b = lanes.join(&ln, &dr.minus, &layout, None)?;
+            let c = lanes.join(&dl.minus, &dr.minus, &layout, None)?;
+            let minus = lanes.union(&a, &b)?;
+            let minus = lanes.union(&minus, &c)?;
             ctx.carry_index(key, &rn);
-            tr.note_raw(raw);
             TableDelta { plus, minus }
         }
         RaExpr::Union(l, r) => {
@@ -716,103 +699,75 @@ fn refresh_inner(
             let dr = refresh_node(r, ctx, stats, tr)?;
             let ln = ctx.new_val(l);
             let rn = ctx.new_val(r);
-            let lcols = l.cols();
-            let rcols = r.cols();
+            let (lcols, rcols) = (l.cols(), r.cols());
             let perm = positions(&rcols, &lcols);
             let inv = positions(&lcols, &rcols);
-            let plus = dl
-                .plus
-                .union_governed(&permute(&dr.plus, &perm, &mut gov)?, &mut gov)?;
+            let b = lanes.project(&dr.plus, &perm)?;
+            let plus = lanes.union(&dl.plus, &b)?;
             // A deleted row only leaves the union when *neither* new
             // child still produces it.
-            let cand = dl
-                .minus
-                .union_governed(&permute(&dr.minus, &perm, &mut gov)?, &mut gov)?;
-            let mut kept: Vec<Value> = Vec::new();
-            let mut n = 0usize;
-            for row in cand.iter() {
-                gov.tick(n)?;
-                if ln.contains(row) {
-                    continue;
-                }
-                let probe: Vec<Value> = inv.iter().map(|&j| row[j]).collect();
-                if rn.contains(&probe) {
-                    continue;
-                }
-                kept.extend_from_slice(row);
-                n += 1;
-            }
-            TableDelta {
-                plus,
-                minus: Relation::from_canonical(lcols.len(), n, kept),
-            }
+            let b = lanes.project(&dr.minus, &perm)?;
+            let cand = lanes.union(&dl.minus, &b)?;
+            let minus = lanes.filter(&cand, |row| {
+                let in_r: Vec<Value> = inv.iter().map(|&j| row[j]).collect();
+                !ln.contains(row) && !rn.contains(&in_r)
+            })?;
+            TableDelta { plus, minus }
         }
         RaExpr::Diff(l, r) => {
             let dl = refresh_node(l, ctx, stats, tr)?;
             let dr = refresh_node(r, ctx, stats, tr)?;
             let ln = ctx.new_val(l);
             let rn = ctx.new_val(r);
-            let lcols = l.cols();
-            let rcols = r.cols();
-            let proj = positions(&lcols, &rcols);
-            let r_all: Vec<usize> = (0..rcols.len()).collect();
-            let mut raw = 0u64;
+            // The right columns are all shared, so a join under this
+            // layout is the semijoin `⋉`.
+            let layout = JoinLayout::new(&l.cols(), &r.cols());
             // Left rows revived because their last blocker was deleted:
-            // P ⋉ Δ⁻Q (a semijoin — r_extra empty keeps left columns).
-            let revived = join_kernel(&ln, &dr.minus, &proj, &r_all, &[], &mut gov, &mut raw)?;
+            // P ⋉ Δ⁻Q.
+            let revived = lanes.join(&ln, &dr.minus, &layout, None)?;
             // Both anti-join legs probe the full (new) right side: use
             // the node's persistent hash index, as in the join rule.
-            let r_index = if !rn.is_empty() && (!dl.plus.is_empty() || !revived.is_empty()) {
-                Some(ctx.index(key, &rn, &r_all))
-            } else {
-                None
-            };
-            let aj = |l: &Relation, gov: &mut Governor<'_>| match &r_index {
-                Some(ix) => antijoin_probe_prebuilt(l, &rn, &proj, &ix.table, gov),
-                None => antijoin_kernel(l, &rn, &proj, gov),
-            };
+            let r_index = (!rn.is_empty() && (!dl.plus.is_empty() || !revived.is_empty()))
+                .then(|| ctx.index(key, &rn, &layout.r_shared));
+            let r_table = r_index.as_deref().map(|ix| &ix.table);
             // Δ⁺: new or revived left rows that have no blocker in the
             // *new* right side.
-            let plus =
-                aj(&dl.plus, &mut gov)?.union_governed(&aj(&revived, &mut gov)?, &mut gov)?;
+            let a = lanes.antijoin(&dl.plus, &rn, &layout, r_table)?;
+            let b = lanes.antijoin(&revived, &rn, &layout, r_table)?;
+            let plus = lanes.union(&a, &b)?;
             ctx.carry_index(key, &rn);
             // Δ⁻: left deletions, plus left rows newly blocked by Δ⁺Q.
-            let blocked = join_kernel(&ln, &dr.plus, &proj, &r_all, &[], &mut gov, &mut raw)?;
-            let minus = dl.minus.union_governed(&blocked, &mut gov)?;
+            let blocked = lanes.join(&ln, &dr.plus, &layout, None)?;
+            let minus = lanes.union(&dl.minus, &blocked)?;
             TableDelta { plus, minus }
         }
         RaExpr::Project { input, cols } => {
             let d = refresh_node(input, ctx, stats, tr)?;
             let new_in = ctx.new_val(input);
-            let icols = input.cols();
-            let proj = positions(&icols, cols);
-            let plus = project(&d.plus, &proj, &mut gov)?;
+            let proj = positions(&input.cols(), cols);
+            let plus = lanes.project(&d.plus, &proj)?;
             // A projected row dies only when no surviving input row
-            // still produces it: scan-and-mark over the new input.
-            let cand = project(&d.minus, &proj, &mut gov)?;
+            // still produces it: mark the candidates the new input still
+            // produces, one binary search per input row.
+            let cand = lanes.project(&d.minus, &proj)?;
             let minus = if cand.is_empty() {
                 cand
             } else {
-                let mut alive: FxHashSet<&[Value]> = FxHashSet::default();
+                let order = symbol_order();
+                let mut alive = vec![false; cand.len()];
                 let mut scratch: Vec<Value> = Vec::with_capacity(proj.len());
                 for (i, row) in new_in.iter().enumerate() {
-                    gov.tick(i)?;
+                    lanes.gov.tick(i)?;
                     scratch.clear();
                     scratch.extend(proj.iter().map(|&j| row[j]));
-                    if cand.contains(&scratch) {
-                        // Borrow the candidate's own storage so the set
-                        // outlives `scratch`.
-                        let idx = cand
-                            .iter()
-                            .position(|c| c == scratch.as_slice())
-                            .expect("contains implies present");
-                        alive.insert(cand.row(idx));
+                    if let Ok(at) = cand.search(&scratch, &order) {
+                        alive[at] = true;
                     }
                 }
                 let mut kept: Vec<Value> = Vec::new();
                 let mut n = 0usize;
-                for row in cand.iter() {
-                    if !alive.contains(row) {
+                for (row, &alive) in cand.iter().zip(&alive) {
+                    if !alive {
                         kept.extend_from_slice(row);
                         n += 1;
                     }
@@ -825,176 +780,17 @@ fn refresh_inner(
     let old = ctx.old.get(&key).ok_or(RefreshError::Unsupported(
         "subplan has no materialized value",
     ))?;
-    let new_val = old.apply_delta(&pair.plus, &pair.minus, &mut gov)?;
+    let new_val = old.apply_delta(&pair.plus, &pair.minus, &mut lanes.gov)?;
     stats.operators += 1;
     stats.tuples_produced += pair.rows() as u64;
     stats.max_intermediate = stats.max_intermediate.max(new_val.len());
-    stats.budget_checks += gov.checks() + 1;
-    tr.note_kernel_rows(gov.ticks() as u64);
+    stats.budget_checks += lanes.checks() + 1;
+    tr.note_kernel_rows(lanes.ticks() as u64);
     budget.checkpoint(Stage::Maintain)?;
     budget.charge_tuples(Stage::Maintain, pair.rows() as u64)?;
     ctx.new_vals.insert(key, new_val.clone());
     ctx.done.insert(key, pair.clone());
     Ok((pair, new_val))
-}
-
-/// Apply a scan pattern's constant/diagonal checks and first-occurrence
-/// projection to one side of a table delta. Injective on passing rows
-/// (every output column pins a pattern position), so delta membership
-/// transfers through it.
-fn scan_transform(
-    rel: &Relation,
-    pattern: &[Term],
-    cols: &[Var],
-    gov: &mut Governor<'_>,
-) -> Result<Relation, BudgetExceeded> {
-    // All-distinct-variable pattern: the delta side transfers as-is.
-    if cols.len() == pattern.len() {
-        return Ok(rel.clone());
-    }
-    let first_pos: Vec<usize> = cols
-        .iter()
-        .map(|v| {
-            pattern
-                .iter()
-                .position(|t| *t == Term::Var(*v))
-                .expect("column came from pattern")
-        })
-        .collect();
-    enum Check {
-        Const(Value),
-        SameAs(usize),
-        Free,
-    }
-    let checks: Vec<Check> = pattern
-        .iter()
-        .enumerate()
-        .map(|(i, t)| match t {
-            Term::Const(c) => Check::Const(*c),
-            Term::Var(v) => {
-                let fp = first_pos[cols.iter().position(|w| w == v).expect("var in cols")];
-                if fp == i {
-                    Check::Free
-                } else {
-                    Check::SameAs(fp)
-                }
-            }
-        })
-        .collect();
-    let mut out = RelationBuilder::with_capacity(cols.len(), rel.len());
-    'rows: for row in rel.iter() {
-        gov.tick(out.len())?;
-        for (i, chk) in checks.iter().enumerate() {
-            match chk {
-                Check::Const(c) => {
-                    if row[i] != *c {
-                        continue 'rows;
-                    }
-                }
-                Check::SameAs(fp) => {
-                    if row[i] != row[*fp] {
-                        continue 'rows;
-                    }
-                }
-                Check::Free => {}
-            }
-        }
-        out.push_row_from(first_pos.iter().map(|&i| row[i]));
-    }
-    Ok(out.finish())
-}
-
-/// A compiled row predicate, boxed for storage in the Δ-rule closures.
-type RowPred = Box<dyn Fn(&[Value]) -> bool>;
-
-/// The compiled row predicate for a `Select` node.
-fn select_pred(pred: SelPred, icols: &[Var]) -> RowPred {
-    match pred {
-        SelPred::EqCols(a, b) => {
-            let (i, j) = (positions(icols, &[a])[0], positions(icols, &[b])[0]);
-            Box::new(move |t: &[Value]| t[i] == t[j])
-        }
-        SelPred::NeqCols(a, b) => {
-            let (i, j) = (positions(icols, &[a])[0], positions(icols, &[b])[0]);
-            Box::new(move |t: &[Value]| t[i] != t[j])
-        }
-        SelPred::EqConst(a, c) => {
-            let i = positions(icols, &[a])[0];
-            Box::new(move |t: &[Value]| t[i] == c)
-        }
-        SelPred::NeqConst(a, c) => {
-            let i = positions(icols, &[a])[0];
-            Box::new(move |t: &[Value]| t[i] != c)
-        }
-    }
-}
-
-/// Filter a canonical relation by a row predicate (order-preserving).
-fn filter(
-    rel: &Relation,
-    keep: &dyn Fn(&[Value]) -> bool,
-    gov: &mut Governor<'_>,
-) -> Result<Relation, BudgetExceeded> {
-    if rel.is_empty() {
-        return Ok(rel.clone());
-    }
-    let mut kept: Vec<Value> = Vec::new();
-    let mut n = 0usize;
-    for row in rel.iter() {
-        gov.tick(n)?;
-        if keep(row) {
-            kept.extend_from_slice(row);
-            n += 1;
-        }
-    }
-    Ok(Relation::from_canonical(rel.arity(), n, kept))
-}
-
-/// Append a copy of column `i` to every row (order-preserving: rows
-/// already differ within the original prefix).
-fn duplicate_col(
-    rel: &Relation,
-    i: usize,
-    gov: &mut Governor<'_>,
-) -> Result<Relation, BudgetExceeded> {
-    let mut data: Vec<Value> = Vec::with_capacity(rel.len() * (rel.arity() + 1));
-    for (k, row) in rel.iter().enumerate() {
-        gov.tick(k)?;
-        data.extend_from_slice(row);
-        data.push(row[i]);
-    }
-    Ok(Relation::from_canonical(rel.arity() + 1, rel.len(), data))
-}
-
-/// Reorder columns by `perm` (identity permutations are O(1)).
-fn permute(
-    rel: &Relation,
-    perm: &[usize],
-    gov: &mut Governor<'_>,
-) -> Result<Relation, BudgetExceeded> {
-    if perm.iter().enumerate().all(|(i, &p)| i == p) {
-        return Ok(rel.clone());
-    }
-    let mut out = RelationBuilder::with_capacity(perm.len(), rel.len());
-    for row in rel.iter() {
-        gov.tick(out.len())?;
-        out.push_row_from(perm.iter().map(|&i| row[i]));
-    }
-    Ok(out.finish())
-}
-
-/// Project columns `proj` out of every row, deduplicating.
-fn project(
-    rel: &Relation,
-    proj: &[usize],
-    gov: &mut Governor<'_>,
-) -> Result<Relation, BudgetExceeded> {
-    let mut out = RelationBuilder::with_capacity(proj.len(), rel.len());
-    for row in rel.iter() {
-        gov.tick(out.len())?;
-        out.push_row_from(proj.iter().map(|&i| row[i]));
-    }
-    Ok(out.finish())
 }
 
 /// Collect every scanned predicate in the plan.
@@ -1019,7 +815,7 @@ mod tests {
     use super::*;
     use crate::database::Database;
     use crate::eval::eval;
-    use rc_formula::Term;
+    use rc_formula::{Term, Var};
 
     /// Evaluate with a recording memo: the answer and its standing query.
     fn materialize(expr: &RaExpr, db: &Database) -> (Relation, MaintainedView) {

@@ -43,6 +43,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A database tuple.
@@ -235,7 +236,7 @@ impl Relation {
     }
 
     /// Binary-search for a row, returning its index or the insertion point.
-    fn search(&self, t: &[Value], order: &SymbolOrder) -> Result<usize, usize> {
+    pub(crate) fn search(&self, t: &[Value], order: &SymbolOrder) -> Result<usize, usize> {
         let (mut lo, mut hi) = (0usize, self.n_rows);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
@@ -375,9 +376,17 @@ impl Relation {
 
     /// Iterate over rows in sorted order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Value]> + Clone + '_ {
+        self.rows(0..self.n_rows)
+    }
+
+    /// Iterate over the rows with indices in `range`, in sorted order.
+    pub(crate) fn rows(
+        &self,
+        range: Range<usize>,
+    ) -> impl ExactSizeIterator<Item = &[Value]> + Clone + '_ {
         let arity = self.arity;
         let data: &[Value] = &self.data;
-        (0..self.n_rows).map(move |i| &data[i * arity..(i + 1) * arity])
+        range.map(move |i| &data[i * arity..(i + 1) * arity])
     }
 
     /// For a nullary relation: is it "true" (`{()}`)?
@@ -454,36 +463,7 @@ impl Relation {
                 out,
             ));
         }
-        let mut out = Vec::with_capacity(self.data.len() + other.data.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut n = 0usize;
-        while i < self.n_rows && j < other.n_rows {
-            gov.tick(n)?;
-            match cmp_rows(self.row(i), other.row(j), &order) {
-                Ordering::Less => {
-                    out.extend_from_slice(self.row(i));
-                    i += 1;
-                }
-                Ordering::Greater => {
-                    out.extend_from_slice(other.row(j));
-                    j += 1;
-                }
-                Ordering::Equal => {
-                    out.extend_from_slice(self.row(i));
-                    i += 1;
-                    j += 1;
-                }
-            }
-            n += 1;
-        }
-        if i < self.n_rows {
-            out.extend_from_slice(&self.data[i * arity..]);
-            n += self.n_rows - i;
-        }
-        if j < other.n_rows {
-            out.extend_from_slice(&other.data[j * arity..]);
-            n += other.n_rows - j;
-        }
+        let (out, n) = union_rows(self, 0..self.n_rows, other, 0..other.n_rows, gov)?;
         Ok(Relation::from_canonical(arity, n, out))
     }
 
@@ -544,28 +524,7 @@ impl Relation {
                 out,
             ));
         }
-        let mut out = Vec::new();
-        let mut n = 0usize;
-        let mut j = 0usize;
-        for i in 0..self.n_rows {
-            gov.tick(i)?;
-            let row = self.row(i);
-            let mut keep = true;
-            while j < other.n_rows {
-                match cmp_rows(other.row(j), row, &order) {
-                    Ordering::Less => j += 1,
-                    Ordering::Equal => {
-                        keep = false;
-                        break;
-                    }
-                    Ordering::Greater => break,
-                }
-            }
-            if keep {
-                out.extend_from_slice(row);
-                n += 1;
-            }
-        }
+        let (out, n) = minus_rows(self, 0..self.n_rows, other, 0..other.n_rows, gov)?;
         Ok(Relation::from_canonical(arity, n, out))
     }
 
@@ -586,6 +545,84 @@ impl Relation {
         }
         self.minus_governed(minus, gov)?.union_governed(plus, gov)
     }
+}
+
+/// The sorted-merge union loop: rows `lr` of `l` merged with rows `rr` of
+/// `r` (same arity, both canonical), a row on both sides kept once. The
+/// general path of [`Relation::union_governed`], and the loop each lane of
+/// the evaluator's range-parallel union runs.
+pub(crate) fn union_rows(
+    l: &Relation,
+    lr: Range<usize>,
+    r: &Relation,
+    rr: Range<usize>,
+    gov: &mut Governor<'_>,
+) -> Result<(Vec<Value>, usize), BudgetExceeded> {
+    let order = symbol_order();
+    let arity = l.arity;
+    let mut out = Vec::with_capacity((lr.len() + rr.len()) * arity);
+    let (mut i, mut j) = (lr.start, rr.start);
+    let mut n = 0usize;
+    while i < lr.end && j < rr.end {
+        gov.tick(n)?;
+        match cmp_rows(l.row(i), r.row(j), &order) {
+            Ordering::Less => {
+                out.extend_from_slice(l.row(i));
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.extend_from_slice(r.row(j));
+                j += 1;
+            }
+            Ordering::Equal => {
+                out.extend_from_slice(l.row(i));
+                i += 1;
+                j += 1;
+            }
+        }
+        n += 1;
+    }
+    out.extend_from_slice(&l.data[i * arity..lr.end * arity]);
+    out.extend_from_slice(&r.data[j * arity..rr.end * arity]);
+    n += (lr.end - i) + (rr.end - j);
+    Ok((out, n))
+}
+
+/// The sorted-merge difference loop: the rows `lr` of `l` that are not
+/// among the rows `rr` of `r` (same arity, both canonical). The general
+/// path of [`Relation::minus_governed`], and the loop each lane of the
+/// evaluator's range-parallel difference runs.
+pub(crate) fn minus_rows(
+    l: &Relation,
+    lr: Range<usize>,
+    r: &Relation,
+    rr: Range<usize>,
+    gov: &mut Governor<'_>,
+) -> Result<(Vec<Value>, usize), BudgetExceeded> {
+    let order = symbol_order();
+    let mut out = Vec::new();
+    let mut n = 0usize;
+    let mut j = rr.start;
+    for i in lr.clone() {
+        gov.tick(i - lr.start)?;
+        let row = l.row(i);
+        let mut keep = true;
+        while j < rr.end {
+            match cmp_rows(r.row(j), row, &order) {
+                Ordering::Less => j += 1,
+                Ordering::Equal => {
+                    keep = false;
+                    break;
+                }
+                Ordering::Greater => break,
+            }
+        }
+        if keep {
+            out.extend_from_slice(row);
+            n += 1;
+        }
+    }
+    Ok((out, n))
 }
 
 /// Merge already-canonical relations pairwise (a balanced binary union

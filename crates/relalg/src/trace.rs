@@ -186,41 +186,14 @@ impl OpSpan {
     /// [`crate::govern::Budget::with_partitions`] — which is exactly how
     /// the partitioned golden-trace snapshot pins it.
     pub fn partitioned_projection(&self) -> String {
-        fn go(s: &OpSpan, depth: usize, out: &mut String) {
-            let pad = "  ".repeat(depth);
-            let ins: Vec<String> = s.rows_in.iter().map(|n| n.to_string()).collect();
-            let _ = write!(
-                out,
-                "{pad}op {}: in=[{}] out={} raw={}",
-                s.op,
-                ins.join(","),
-                s.rows_out,
-                s.raw_rows
-            );
-            if !s.partitions.is_empty() {
-                let ps: Vec<String> = s.partitions.iter().map(|n| n.to_string()).collect();
-                let _ = write!(out, " parts=[{}]", ps.join(","));
-            }
-            if let Some(note) = &s.ivm {
-                let _ = write!(out, " ivm={} d+={} d-={}", note.mode, note.plus, note.minus);
-            }
-            if s.cache_hit {
-                out.push_str(" MEMO");
-            }
-            if !s.completed {
-                out.push_str(" INCOMPLETE");
-            }
-            out.push('\n');
-            for c in &s.children {
-                go(c, depth + 1, out);
-            }
-        }
         let mut out = String::new();
-        go(self, 0, &mut out);
+        self.projection_into(0, true, &mut out);
         out
     }
 
-    fn deterministic_into(&self, depth: usize, out: &mut String) {
+    /// The line-per-span projection renderer: the deterministic projection,
+    /// plus `parts=[..]` on partitioned spans when `parts` is set.
+    fn projection_into(&self, depth: usize, parts: bool, out: &mut String) {
         let pad = "  ".repeat(depth);
         let ins: Vec<String> = self.rows_in.iter().map(|n| n.to_string()).collect();
         let _ = write!(
@@ -231,6 +204,10 @@ impl OpSpan {
             self.rows_out,
             self.raw_rows
         );
+        if parts && !self.partitions.is_empty() {
+            let ps: Vec<String> = self.partitions.iter().map(|n| n.to_string()).collect();
+            let _ = write!(out, " parts=[{}]", ps.join(","));
+        }
         if let Some(note) = &self.ivm {
             let _ = write!(out, " ivm={} d+={} d-={}", note.mode, note.plus, note.minus);
         }
@@ -242,7 +219,7 @@ impl OpSpan {
         }
         out.push('\n');
         for c in &self.children {
-            c.deterministic_into(depth + 1, out);
+            c.projection_into(depth + 1, parts, out);
         }
     }
 
@@ -735,7 +712,7 @@ impl PipelineTrace {
             out.push('\n');
         }
         if let Some(root) = &self.root {
-            root.deterministic_into(0, &mut out);
+            root.projection_into(0, false, &mut out);
         }
         out
     }

@@ -19,7 +19,10 @@
 //! Payloads are UTF-8 text with one shape: a first line `rc1 <kind>`, a
 //! run of `key value` header lines, a `.` separator line, and a free-form
 //! body. The body carries the query text (requests), fact text
-//! (mutations), or the answer relation as TSV rows (responses).
+//! (mutations), or the answer relation as TSV rows (responses). A request's
+//! `partitions` header (a forced partition count) is capped at 64: a larger
+//! count is a [`ProtoError::BadHeader`], because each partition costs the
+//! server a worker thread and a buffer.
 //!
 //! Answer rows go through the engine's one TSV codec, so the wire shares
 //! [`rc_relalg::io`]'s cell conventions. [`Response::encode`] writes the
@@ -371,7 +374,11 @@ impl Request {
                 "nodes" => req.limits.nodes = Some(parse_num(key, value)?),
                 "ms" => req.limits.ms = Some(parse_num(key, value)?),
                 "partitions" => {
-                    req.limits.partitions = Some(parse_num(key, value)?.max(1) as usize)
+                    let n = parse_num(key, value)?;
+                    if n > MAX_WIRE_PARTITIONS {
+                        return Err(ProtoError::BadHeader(format!("{key} {value}")));
+                    }
+                    req.limits.partitions = Some(n.max(1) as usize)
                 }
                 "optimize" => req.optimize = parse_on_off(key, value)?,
                 "eqreduce" => req.eqreduce = parse_on_off(key, value)?,
@@ -381,6 +388,12 @@ impl Request {
         Ok(req)
     }
 }
+
+/// Ceiling on a request's `partitions` header. A forced count sizes the
+/// partition buffers and spawns one worker thread per partition in every
+/// partitioned kernel, so an unbounded count could exhaust the server's
+/// memory or threads and abort it.
+const MAX_WIRE_PARTITIONS: u64 = 64;
 
 fn parse_num(key: &str, value: &str) -> Result<u64, ProtoError> {
     value

@@ -126,6 +126,54 @@ fn garbage_payloads_get_structured_errors_and_the_stream_survives() {
     assert_eq!(server.protocol_errors(), garbage.len() as u64);
 }
 
+/// A forced partition count above the wire ceiling is a structured
+/// `err proto`, not a request the server tries to honour: a count in the
+/// billions would size partition buffers in terabytes, and one in the
+/// hundred thousands would spawn threads until the runtime aborts. The
+/// connection keeps serving, and a count at the ceiling is still accepted.
+#[test]
+fn oversized_partition_counts_are_rejected_and_the_server_survives() {
+    let mut db = Database::new();
+    let mut a = RelationBuilder::new(2);
+    let mut b = RelationBuilder::new(2);
+    for i in 0..10_000i64 {
+        a.push_row(&[Value::int(i), Value::int(i % 97)]);
+        b.push_row(&[Value::int(i % 97), Value::int(i % 13)]);
+    }
+    db.insert_relation("A", a.finish());
+    db.insert_relation("B", b.finish());
+    let server = Server::start(db, ServerConfig::default()).expect("bind");
+    let addr = server.local_addr();
+    let mut c = connect(addr);
+    let join = "A(x, y) & B(y, z)";
+    for count in ["100000000000", "100000", "65"] {
+        let payload = format!("rc1 query\npartitions {count}\n.\n{join}");
+        c.send_raw_frame(payload.as_bytes()).unwrap();
+        match c.read_response().expect("structured answer") {
+            Response::Error(e) => {
+                assert_eq!(e.kind, "proto", "partitions {count}");
+                assert!(e.message.contains("partitions"), "{}", e.message);
+            }
+            other => panic!("partitions {count}: expected err proto, got {other:?}"),
+        }
+    }
+    let at_ceiling = Request {
+        limits: WireLimits {
+            partitions: Some(64),
+            ..WireLimits::default()
+        },
+        ..Request::query(join)
+    };
+    for req in [Request::query(join), at_ceiling] {
+        match c.query_with(req).expect("query after rejected counts") {
+            Response::Query(ok) => assert_eq!(ok.relation.len(), 10_000 * 13),
+            other => panic!("expected a query response, got {other:?}"),
+        }
+    }
+    assert_eq!(server.protocol_errors(), 3);
+    assert_server_alive(addr);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
