@@ -1,9 +1,12 @@
 //! E-PERF3 (Criterion form): transformation cost — `genify` (Alg. 8.1),
-//! `ranf` (Alg. 9.1), translation (Sec. 9.3), and the composed pipeline.
+//! `ranf` (Alg. 9.1), translation (Sec. 9.3), and the composed pipeline —
+//! plus the cost planner (`rc_relalg::optimize`, the Sec. 9.3 clean-up
+//! pass), which `compile_with` never runs because it has no database.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rc_bench::{allowed_formula_sized, division_query, negation_query};
+use rc_bench::{allowed_formula_sized, bench_db, division_query, negation_query};
 use rc_formula::parse;
+use rc_relalg::{eval, harvest_actuals, optimize, Budget, Database, EvalCtx, RaExpr, Tracer};
 use rc_safety::pipeline::{compile_with, CompileOptions};
 use rc_safety::{genify, ranf, translate};
 
@@ -60,5 +63,66 @@ fn bench_paper_queries(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_stages, bench_paper_queries);
+/// The first `n` plans of the `cold_compile` benchmark's sized corpus
+/// (formulas of 40–150 nodes whose plan stays within 600 nodes), as
+/// translated and before any simplification — the planner's input.
+fn sized_plans(n: usize) -> Vec<RaExpr> {
+    let opts = || CompileOptions {
+        optimize: false,
+        budget: Budget::new().with_max_nodes(600),
+        ..CompileOptions::default()
+    };
+    (0u64..)
+        .map(|seed| allowed_formula_sized(40 + (seed * 37 % 111) as usize, seed))
+        .filter_map(|f| compile_with(&f, opts()).ok())
+        .map(|c| c.expr)
+        .filter(|e| e.node_count() <= 600)
+        .take(n)
+        .collect()
+}
+
+/// The cost planner over sized-corpus plans against the corpus tables
+/// (`bench_db(24, 60, 7)`): once with an empty feedback store, and once
+/// after the actual cardinalities of every plan that evaluates were
+/// harvested, as a traced server would have done.
+fn bench_optimize(c: &mut Criterion) {
+    let plans = sized_plans(32);
+    let largest = plans
+        .iter()
+        .max_by_key(|e| e.node_count())
+        .expect("corpus is not empty")
+        .clone();
+    let fresh = bench_db(24, 60, 7);
+    let fed = bench_db(24, 60, 7);
+    for e in &plans {
+        let plan = optimize(e, &fed);
+        let mut cx = EvalCtx::default().with_tracer(Tracer::on());
+        // A few plans scan a wide `W*` relation the corpus tables lack.
+        if eval(&plan, &fed, &mut cx).is_ok() {
+            harvest_actuals(&plan, cx.tracer.finish().as_ref(), &fed);
+        }
+    }
+    let mut group = c.benchmark_group("optimize");
+    group.sample_size(15);
+    let run = |plans: &[RaExpr], db: &Database| {
+        plans
+            .iter()
+            .map(|e| optimize(std::hint::black_box(e), db).node_count())
+            .sum::<usize>()
+    };
+    for (name, db) in [("corpus32", &fresh), ("corpus32-feedback", &fed)] {
+        group.bench_with_input(BenchmarkId::new(name, plans.len()), &plans, |b, p| {
+            b.iter(|| run(p, db))
+        });
+    }
+    let one = std::slice::from_ref(&largest);
+    group.bench_with_input(
+        BenchmarkId::new("largest", largest.node_count()),
+        one,
+        |b, p| b.iter(|| run(p, &fresh)),
+    );
+    group.finish();
+}
+
+criterion_group!(benches, bench_stages, bench_paper_queries, bench_optimize);
 criterion_main!(benches);

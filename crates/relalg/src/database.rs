@@ -144,7 +144,7 @@ impl Database {
             StatsStore {
                 epoch: store.epoch,
                 tables: Default::default(),
-                observed: store.observed.clone(),
+                observed: Arc::clone(&store.observed),
             }
         };
         self.stats_cache = Arc::new(Mutex::new(carried));
@@ -484,8 +484,10 @@ impl Database {
     /// leave cached plans valid.
     pub fn record_observed(&self, plan_hash: u64, rows: u64) -> bool {
         let mut store = self.stats_cache.lock().expect("stats cache lock poisoned");
-        let changed = store.observed.insert(plan_hash, rows) != Some(rows);
+        let changed = store.observed.get(&plan_hash) != Some(&rows);
         if changed {
+            // Copy-on-write: an estimator's snapshot keeps the old map.
+            Arc::make_mut(&mut store.observed).insert(plan_hash, rows);
             store.epoch = next_version();
         }
         changed
@@ -501,6 +503,13 @@ impl Database {
             .copied()
     }
 
+    /// The feedback store as it is now, shared rather than copied (`None`
+    /// when it is empty). Later observations do not reach the snapshot.
+    pub(crate) fn observed_snapshot(&self) -> Option<Arc<FxHashMap<u64, u64>>> {
+        let store = self.stats_cache.lock().expect("stats cache lock poisoned");
+        (!store.observed.is_empty()).then(|| Arc::clone(&store.observed))
+    }
+
     /// Number of harvested cardinality observations currently stored.
     pub fn observed_count(&self) -> usize {
         self.stats_cache
@@ -514,7 +523,7 @@ impl Database {
     /// take a fresh stats epoch (the REPL's `stats clear`).
     pub fn clear_stats(&self) {
         let mut store = self.stats_cache.lock().expect("stats cache lock poisoned");
-        store.observed.clear();
+        store.observed = Arc::default();
         store.tables.clear();
         store.epoch = next_version();
     }

@@ -66,7 +66,7 @@ pub use govern::{Budget, BudgetExceeded, CancelHandle, FaultInjector, Governor, 
 pub use ivm::{
     refresh, worth_refreshing, Delta, DeltaLog, MaintainedView, RefreshError, TableDelta,
 };
-pub use optimize::{optimize, simplify};
+pub use optimize::{optimize, optimize_priced, simplify};
 pub use plan::{intern, plan_hash, InternStats, Interner};
 pub use relation::{
     partition_count, tuple, PartitionedRelation, Relation, RelationBuilder, Tuple,

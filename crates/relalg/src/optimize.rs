@@ -58,6 +58,26 @@
 //! plan shape). Rewrites only have to preserve the relation — partition
 //! invisibility then guarantees the row order too.
 //!
+//! ## Planning cost
+//!
+//! The cost pass prices each node once. It works on priced nodes (a node
+//! with its cost and estimate, and its children's) and carries prices up
+//! from the leaves: a node it rebuilds is priced from its children's
+//! prices, and a node it leaves unchanged comes back as it went in, `Arc`
+//! and price included — as does every subtree [`simplify`] leaves alone —
+//! so the fixpoint test is a pointer comparison once nothing moves. Each
+//! gate compares two carried prices and prices only what its candidate
+//! adds: a reorder the joins (and column-restoring projection) it builds
+//! over the priced leaves, an early projection its narrowed join, a
+//! factoring its union and the join or difference above it; the final
+//! check compares the optimized plan's carried price with the heuristic
+//! plan's, taken when the call starts. Where the simplifier rebuilds a
+//! candidate around subtrees it keeps, their prices are found by address
+//! among the nodes already priced in the call. The join-order search
+//! combines estimates in an allocation-free form that reproduces
+//! [`Estimator::join_cardinality`] bit for bit, so the cheaper pass
+//! chooses exactly the plans the old one did.
+//!
 //! ## Selection pushdown around `Diff` — soundness audit
 //!
 //! For the generalized difference `A diff B` the **only** sound pushdown is
@@ -100,9 +120,10 @@
 
 use crate::database::Database;
 use crate::expr::{RaExpr, SelPred};
-use crate::stats::{CardEst, Estimator};
+use crate::stats::{join_step, CardEst, Estimator, JoinCard, JoinEstimate, Price};
 use rc_formula::fxhash::FxHashMap;
 use rc_formula::Var;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// May `e ⋈ e → e` fire for these (already simplified) operands? Requires
@@ -118,113 +139,139 @@ fn join_dedup_applies(l: &RaExpr, r: &RaExpr) -> bool {
 /// Simplify to a fixpoint (each rewrite strictly shrinks the tree, so one
 /// bottom-up pass that re-simplifies rebuilt nodes suffices).
 pub fn simplify(e: &RaExpr) -> RaExpr {
-    match e {
+    Arc::unwrap_or_clone(simp(&Arc::new(e.clone())))
+}
+
+/// [`simplify`] over shared nodes: a subtree no rewrite touches comes back
+/// as the same `Arc`, so the cost pass can tell an unchanged plan, and
+/// reuse its prices, by pointer.
+fn simp(e: &Arc<RaExpr>) -> Arc<RaExpr> {
+    match &**e {
         RaExpr::Scan { .. } | RaExpr::Single { .. } | RaExpr::Unit | RaExpr::Empty { .. } => {
             e.clone()
         }
-        RaExpr::Join(l, r) => {
-            let l = simplify(l);
-            let r = simplify(r);
-            if matches!(l, RaExpr::Unit) {
+        RaExpr::Join(l0, r0) => {
+            let (l, r) = (simp(l0), simp(r0));
+            if matches!(*l, RaExpr::Unit) {
                 return r;
             }
-            if matches!(r, RaExpr::Unit) {
+            if matches!(*r, RaExpr::Unit) {
                 return l;
             }
             // Join with an empty side is empty over the merged columns.
             if is_empty(&l) || is_empty(&r) {
-                let cols = RaExpr::Join(Arc::new(l), Arc::new(r)).cols();
-                return RaExpr::Empty { cols };
+                let cols = RaExpr::Join(l, r).cols();
+                return Arc::new(RaExpr::Empty { cols });
             }
             // Set semantics: joining an expression with itself on all
             // columns is the identity (column-set guard included).
             if join_dedup_applies(&l, &r) {
                 return l;
             }
-            RaExpr::Join(Arc::new(l), Arc::new(r))
+            with_children(e, [&l, &r].into_iter())
         }
-        RaExpr::Union(l, r) => {
-            let l = simplify(l);
-            let r = simplify(r);
+        RaExpr::Union(l0, r0) => {
+            let (l, r) = (simp(l0), simp(r0));
             if is_empty(&l) {
                 return align_union_result(r, &l);
             }
             if is_empty(&r) || l == r {
                 return l;
             }
-            RaExpr::Union(Arc::new(l), Arc::new(r))
+            with_children(e, [&l, &r].into_iter())
         }
-        RaExpr::Diff(l, r) => {
-            let l = simplify(l);
-            let r = simplify(r);
+        RaExpr::Diff(l0, r0) => {
+            let (l, r) = (simp(l0), simp(r0));
             if is_empty(&r) {
                 return l;
             }
             if is_empty(&l) {
-                return RaExpr::Empty { cols: l.cols() };
+                return Arc::new(RaExpr::Empty { cols: l.cols() });
             }
-            RaExpr::Diff(Arc::new(l), Arc::new(r))
+            with_children(e, [&l, &r].into_iter())
         }
-        RaExpr::Project { input, cols } => {
-            let input = simplify(input);
+        RaExpr::Project { input: i0, cols } => {
+            let input = simp(i0);
             if input.cols() == *cols {
                 return input;
             }
             if is_empty(&input) {
-                return RaExpr::Empty { cols: cols.clone() };
+                return Arc::new(RaExpr::Empty { cols: cols.clone() });
             }
             // Cascade: π[c](π[d](e)) = π[c](e).
-            if let RaExpr::Project { input: inner, .. } = input {
-                return simplify(&RaExpr::Project {
-                    input: inner,
+            if let RaExpr::Project { input: inner, .. } = &*input {
+                return simp(&Arc::new(RaExpr::Project {
+                    input: inner.clone(),
                     cols: cols.clone(),
-                });
+                }));
             }
             // Push through union: π(a ∪ b) = π(a) ∪ π(b).
-            if let RaExpr::Union(a, b) = input {
-                return simplify(&RaExpr::Union(
+            if let RaExpr::Union(a, b) = &*input {
+                let project = |side: &Arc<RaExpr>| {
                     Arc::new(RaExpr::Project {
-                        input: a,
+                        input: side.clone(),
                         cols: cols.clone(),
-                    }),
-                    Arc::new(RaExpr::Project {
-                        input: b,
-                        cols: cols.clone(),
-                    }),
-                ));
+                    })
+                };
+                return simp(&Arc::new(RaExpr::Union(project(a), project(b))));
             }
-            RaExpr::Project {
-                input: Arc::new(input),
-                cols: cols.clone(),
-            }
+            with_children(e, [&input].into_iter())
         }
-        RaExpr::Select { input, pred } => {
-            let input = simplify(input);
+        RaExpr::Select { input: i0, pred } => {
+            let input = simp(i0);
             if is_empty(&input) {
-                return RaExpr::Empty { cols: input.cols() };
+                return Arc::new(RaExpr::Empty { cols: input.cols() });
             }
             if let Some(pushed) = push_select(&input, *pred) {
                 return pushed;
             }
-            RaExpr::Select {
-                input: Arc::new(input),
-                pred: *pred,
-            }
+            with_children(e, [&input].into_iter())
         }
-        RaExpr::Duplicate { input, src, dst } => {
-            let input = simplify(input);
+        RaExpr::Duplicate { input: i0, dst, .. } => {
+            let input = simp(i0);
             if is_empty(&input) {
                 let mut cols = input.cols();
                 cols.push(*dst);
-                return RaExpr::Empty { cols };
+                return Arc::new(RaExpr::Empty { cols });
             }
-            RaExpr::Duplicate {
-                input: Arc::new(input),
-                src: *src,
-                dst: *dst,
-            }
+            with_children(e, [&input].into_iter())
         }
     }
+}
+
+/// `e` with `kids` as its children, in order: `e` itself when they are
+/// the children it has.
+fn with_children<'a>(
+    e: &Arc<RaExpr>,
+    kids: impl Iterator<Item = &'a Arc<RaExpr>> + Clone,
+) -> Arc<RaExpr> {
+    if child_arcs(e)
+        .zip(kids.clone())
+        .all(|(old, new)| Arc::ptr_eq(old, new))
+    {
+        return e.clone();
+    }
+    let mut kids = kids.cloned();
+    let mut kid = || kids.next().expect("one child per operand");
+    Arc::new(match &**e {
+        RaExpr::Join(..) => RaExpr::Join(kid(), kid()),
+        RaExpr::Union(..) => RaExpr::Union(kid(), kid()),
+        RaExpr::Diff(..) => RaExpr::Diff(kid(), kid()),
+        RaExpr::Project { cols, .. } => RaExpr::Project {
+            input: kid(),
+            cols: cols.clone(),
+        },
+        RaExpr::Select { pred, .. } => RaExpr::Select {
+            input: kid(),
+            pred: *pred,
+        },
+        RaExpr::Duplicate { src, dst, .. } => RaExpr::Duplicate {
+            input: kid(),
+            src: *src,
+            dst: *dst,
+        },
+        leaf => leaf.clone(),
+    })
 }
 
 fn is_empty(e: &RaExpr) -> bool {
@@ -242,58 +289,35 @@ fn is_empty(e: &RaExpr) -> bool {
 /// * `σ(a diff b) → σ(a) diff b` — left side **only**; pushing into the
 ///   right side of a difference is unsound (`σ(A−B) ≠ A−σ(B)`, see the
 ///   module docs), even when every selected column lives in `b`'s columns.
-fn push_select(input: &RaExpr, pred: SelPred) -> Option<RaExpr> {
+fn push_select(input: &RaExpr, pred: SelPred) -> Option<Arc<RaExpr>> {
     let need = pred.cols();
-    match input {
+    let select = |side: &Arc<RaExpr>| {
+        Arc::new(RaExpr::Select {
+            input: side.clone(),
+            pred,
+        })
+    };
+    let pushed = match input {
         RaExpr::Project { input: inner, cols } if need.iter().all(|v| cols.contains(v)) => {
-            Some(simplify(&RaExpr::Project {
-                input: Arc::new(RaExpr::Select {
-                    input: inner.clone(),
-                    pred,
-                }),
+            RaExpr::Project {
+                input: select(inner),
                 cols: cols.clone(),
-            }))
+            }
         }
         RaExpr::Join(l, r) => {
             if need.iter().all(|v| l.cols().contains(v)) {
-                Some(simplify(&RaExpr::Join(
-                    Arc::new(RaExpr::Select {
-                        input: l.clone(),
-                        pred,
-                    }),
-                    r.clone(),
-                )))
+                RaExpr::Join(select(l), r.clone())
             } else if need.iter().all(|v| r.cols().contains(v)) {
-                Some(simplify(&RaExpr::Join(
-                    l.clone(),
-                    Arc::new(RaExpr::Select {
-                        input: r.clone(),
-                        pred,
-                    }),
-                )))
+                RaExpr::Join(l.clone(), select(r))
             } else {
-                None
+                return None;
             }
         }
-        RaExpr::Union(a, b) => Some(simplify(&RaExpr::Union(
-            Arc::new(RaExpr::Select {
-                input: a.clone(),
-                pred,
-            }),
-            Arc::new(RaExpr::Select {
-                input: b.clone(),
-                pred,
-            }),
-        ))),
-        RaExpr::Diff(a, b) => Some(simplify(&RaExpr::Diff(
-            Arc::new(RaExpr::Select {
-                input: a.clone(),
-                pred,
-            }),
-            b.clone(),
-        ))),
-        _ => None,
-    }
+        RaExpr::Union(a, b) => RaExpr::Union(select(a), select(b)),
+        RaExpr::Diff(a, b) => RaExpr::Diff(select(a), b.clone()),
+        _ => return None,
+    };
+    Some(simp(&Arc::new(pushed)))
 }
 
 // ---------------------------------------------- cost-based optimization --
@@ -317,6 +341,11 @@ fn push_select(input: &RaExpr, pred: SelPred) -> Option<RaExpr> {
 /// result is never priced above `simplify(e)`: when it would be, the
 /// simplified plan is returned instead.
 ///
+/// Planning cost is linear in the plan per round: the pass carries each
+/// node's price up from its children, so no gate re-walks a subtree, and
+/// the statistics it reads are fixed when the call starts (see
+/// [`Estimator::new`]).
+///
 /// ```
 /// use rc_formula::Term;
 /// use rc_relalg::{eval, optimize, Database, Estimator, EvalCtx, RaExpr};
@@ -335,262 +364,411 @@ fn push_select(input: &RaExpr, pred: SelPred) -> Option<RaExpr> {
 /// assert!(est.cost(&planned) <= est.cost(&plan));
 /// ```
 pub fn optimize(e: &RaExpr, db: &Database) -> RaExpr {
+    optimize_priced(e, db).0
+}
+
+/// [`optimize`], also returning the `(cost, estimate)` the cost pass
+/// carried for the plan it returns. It equals
+/// [`Estimator::cost_and_estimate`] of that plan, bit for bit, for an
+/// estimator over `db` with the same feedback.
+pub fn optimize_priced(e: &RaExpr, db: &Database) -> (RaExpr, (f64, CardEst)) {
     let mut pass = CostPass {
         est: Estimator::new(db),
-        orders: FxHashMap::default(),
+        priced: FxHashMap::default(),
+        reordered: FxHashMap::default(),
     };
-    let heuristic = simplify(e);
+    let heuristic = pass.price(&simp(&Arc::new(e.clone())));
     let mut cur = heuristic.clone();
     for _ in 0..8 {
-        let next = simplify(&pass.run(&cur));
-        if next == cur {
+        let out = pass.run(&cur);
+        let next = simp(out.expr());
+        if next == *cur.expr() {
             break;
         }
-        cur = next;
+        cur = pass.price(&next);
     }
     // Each rewrite is gated on its own subtree's price, but it also moves
     // that subtree's row estimate, which can raise the price of operators
     // above it. Keep the heuristic plan whenever the whole optimized plan
     // prices higher.
-    if pass.est.cost(&cur) > pass.est.cost(&heuristic) {
-        heuristic
-    } else {
-        cur
+    let best = cheaper(heuristic, cur);
+    let price = &best.0.price;
+    ((**best.expr()).clone(), (price.cost, price.card.clone()))
+}
+
+/// A plan node with its price, and its children's (in order): the unit
+/// the cost pass builds, compares and carries. Cloning shares it.
+#[derive(Clone)]
+struct Priced(Rc<PricedNode>);
+
+struct PricedNode {
+    expr: Arc<RaExpr>,
+    price: Price,
+    kids: Vec<Priced>,
+}
+
+impl Priced {
+    fn expr(&self) -> &Arc<RaExpr> {
+        &self.0.expr
+    }
+
+    fn kid(&self, i: usize) -> &Priced {
+        &self.0.kids[i]
+    }
+
+    fn cost(&self) -> f64 {
+        self.0.price.cost
+    }
+
+    fn cols(&self) -> &[Var] {
+        self.0.price.card.cols()
     }
 }
 
-/// The cost-gated rewriting state of one [`optimize`] call: the estimator
-/// and the join orders already searched. The join-order search dominates
-/// the pass, and the same leaf lists recur — in duplicated subplans and in
-/// every fixpoint iteration after the first — so each list is searched
-/// once.
+/// The gate: `candidate` iff it prices strictly below `baseline`.
+fn cheaper(candidate: Priced, baseline: Priced) -> Priced {
+    if candidate.cost() < baseline.cost() {
+        candidate
+    } else {
+        baseline
+    }
+}
+
+/// The cost-gated rewriting state of one [`optimize`] call.
 struct CostPass<'a> {
     est: Estimator<'a>,
-    orders: FxHashMap<Vec<RaExpr>, RaExpr>,
+    /// Every node priced in this call, by address. The pass hands prices
+    /// up the plan itself; this finds them again for a plan the simplifier
+    /// rebuilt around subtrees it kept (it keeps their `Arc`s). An entry
+    /// holds its node, so no address is reused while the call runs.
+    priced: FxHashMap<*const RaExpr, Priced>,
+    /// The reordered join of each leaf list already searched, priced. The
+    /// same leaf lists recur — in duplicated subplans and in every
+    /// fixpoint iteration after the first — so each list is searched and
+    /// its candidate built once. (Equal leaves have equal prices, and a
+    /// join's column order depends on its leaf order only, so the
+    /// candidate fits every join over the list.)
+    reordered: FxHashMap<Vec<Arc<RaExpr>>, Priced>,
 }
 
 impl CostPass<'_> {
-    /// Bottom-up cost-gated rewriting of an already-simplified expression.
-    fn run(&mut self, e: &RaExpr) -> RaExpr {
-        match e {
+    /// Price `expr` from its priced children.
+    fn node(&mut self, expr: Arc<RaExpr>, kids: Vec<Priced>) -> Priced {
+        let price = match kids.as_slice() {
+            [] => self.est.price_node(&expr, &[]),
+            [a] => self.est.price_node(&expr, &[&a.0.price]),
+            [a, b] => self.est.price_node(&expr, &[&a.0.price, &b.0.price]),
+            _ => unreachable!("an operator has at most two children"),
+        };
+        let p = Priced(Rc::new(PricedNode { expr, price, kids }));
+        self.priced.insert(Arc::as_ptr(p.expr()), p.clone());
+        p
+    }
+
+    /// Price `e`, pricing only the nodes not priced yet in this call.
+    fn price(&mut self, e: &Arc<RaExpr>) -> Priced {
+        if let Some(p) = self.priced.get(&Arc::as_ptr(e)) {
+            return p.clone();
+        }
+        let kids = child_arcs(e).map(|c| self.price(c)).collect();
+        self.node(e.clone(), kids)
+    }
+
+    /// Price the join, union or difference of two priced plans.
+    fn pair(
+        &mut self,
+        op: fn(Arc<RaExpr>, Arc<RaExpr>) -> RaExpr,
+        a: &Priced,
+        b: &Priced,
+    ) -> Priced {
+        let expr = Arc::new(op(a.expr().clone(), b.expr().clone()));
+        self.node(expr, vec![a.clone(), b.clone()])
+    }
+
+    /// `p` over new children; `p` itself when they are its own.
+    fn rebuilt(&mut self, p: &Priced, kids: Vec<Priced>) -> Priced {
+        let expr = with_children(p.expr(), kids.iter().map(Priced::expr));
+        if Arc::ptr_eq(&expr, p.expr()) {
+            return p.clone();
+        }
+        self.node(expr, kids)
+    }
+
+    /// Bottom-up cost-gated rewriting of an already-simplified, priced
+    /// plan. Unchanged nodes come back as they went in, price included.
+    fn run(&mut self, p: &Priced) -> Priced {
+        match &**p.expr() {
             RaExpr::Scan { .. } | RaExpr::Single { .. } | RaExpr::Unit | RaExpr::Empty { .. } => {
-                e.clone()
+                p.clone()
             }
             RaExpr::Join(..) => {
                 let mut raw_leaves = Vec::new();
-                collect_join_leaves(e, &mut raw_leaves);
-                let leaves: Vec<RaExpr> = raw_leaves.into_iter().map(|l| self.run(l)).collect();
+                collect_join_leaves(p, &mut raw_leaves);
+                let leaves: Vec<Priced> = raw_leaves.into_iter().map(|l| self.run(l)).collect();
                 // The original join shape with optimized leaves is the
                 // baseline the reordered candidate must strictly beat.
-                let mut it = leaves.iter();
-                let baseline = rebuild_join_shape(e, &mut it);
-                let reordered = match self.orders.get(&leaves) {
-                    Some(order) => order.clone(),
+                let baseline = self.rebuild_join_shape(p, &mut leaves.iter());
+                let key: Vec<Arc<RaExpr>> = leaves.iter().map(|l| l.expr().clone()).collect();
+                let candidate = match self.reordered.get(&key) {
+                    Some(candidate) => candidate.clone(),
                     None => {
-                        let order = order_join(&leaves, &self.est);
-                        self.orders.insert(leaves, order.clone());
-                        order
+                        let candidate = self.build_order(&order_join(&leaves), &leaves);
+                        let candidate = self.restore_columns(candidate, baseline.cols());
+                        self.reordered.insert(key, candidate.clone());
+                        candidate
                     }
                 };
-                let candidate = restore_columns(reordered, baseline.cols());
-                self.cheaper(candidate, baseline)
+                cheaper(candidate, baseline)
             }
-            RaExpr::Union(l, r) => {
-                let (l, r) = (Arc::new(self.run(l)), Arc::new(self.run(r)));
-                match factor_shared_leg(&l, &r) {
-                    Some(candidate) => self.cheaper(candidate, RaExpr::Union(l, r)),
-                    None => RaExpr::Union(l, r),
+            RaExpr::Union(..) => {
+                let kids = vec![self.run(p.kid(0)), self.run(p.kid(1))];
+                let baseline = self.rebuilt(p, kids);
+                match self.factor_shared_leg(baseline.kid(0), baseline.kid(1)) {
+                    Some(candidate) => cheaper(candidate, baseline),
+                    None => baseline,
                 }
             }
-            RaExpr::Diff(l, r) => RaExpr::Diff(Arc::new(self.run(l)), Arc::new(self.run(r))),
-            RaExpr::Project { input, cols } => {
-                let input = self.run(input);
-                // Re-simplify the rebuilt node: a reordered child may have
+            RaExpr::Project { cols, .. } => {
+                let input = self.run(p.kid(0));
+                // Re-simplify a rebuilt node: a reordered child may have
                 // gained a column-restoring projection that cascades with
-                // this one.
-                let baseline = simplify(&RaExpr::Project {
-                    input: Arc::new(input),
-                    cols: cols.clone(),
-                });
-                try_early_project(baseline, &self.est)
+                // this one. An unchanged child leaves `p` as it was, and
+                // `p`, part of a simplified plan, is simplified already.
+                let baseline = if Arc::ptr_eq(input.expr(), p.kid(0).expr()) {
+                    p.clone()
+                } else {
+                    let node = simp(&Arc::new(RaExpr::Project {
+                        input: input.expr().clone(),
+                        cols: cols.clone(),
+                    }));
+                    self.price(&node)
+                };
+                self.try_early_project(baseline)
             }
-            RaExpr::Select { input, pred } => RaExpr::Select {
-                input: Arc::new(self.run(input)),
-                pred: *pred,
-            },
-            RaExpr::Duplicate { input, src, dst } => RaExpr::Duplicate {
-                input: Arc::new(self.run(input)),
-                src: *src,
-                dst: *dst,
-            },
+            RaExpr::Diff(..) => {
+                let kids = vec![self.run(p.kid(0)), self.run(p.kid(1))];
+                self.rebuilt(p, kids)
+            }
+            RaExpr::Select { .. } | RaExpr::Duplicate { .. } => {
+                let kids = vec![self.run(p.kid(0))];
+                self.rebuilt(p, kids)
+            }
         }
     }
 
-    /// The cost gate: `candidate` iff it prices strictly below `baseline`.
-    fn cheaper(&self, candidate: RaExpr, baseline: RaExpr) -> RaExpr {
-        if self.est.cost(&candidate) < self.est.cost(&baseline) {
-            candidate
-        } else {
-            baseline
+    /// Rebuild the original join skeleton, substituting leaves in order;
+    /// parts whose leaves did not change are reused as they are.
+    fn rebuild_join_shape(
+        &mut self,
+        p: &Priced,
+        leaves: &mut std::slice::Iter<'_, Priced>,
+    ) -> Priced {
+        match &**p.expr() {
+            RaExpr::Join(..) => {
+                let l = self.rebuild_join_shape(p.kid(0), leaves);
+                let r = self.rebuild_join_shape(p.kid(1), leaves);
+                self.rebuilt(p, vec![l, r])
+            }
+            _ => leaves
+                .next()
+                .expect("one optimized leaf per flat leaf")
+                .clone(),
         }
+    }
+
+    /// The plan an [`Order`] describes over `leaves`, each new join priced.
+    fn build_order(&mut self, order: &Order, leaves: &[Priced]) -> Priced {
+        match order {
+            Order::Leaf(i) => leaves[*i].clone(),
+            Order::Join(l, r) => {
+                let (l, r) = (self.build_order(l, leaves), self.build_order(r, leaves));
+                self.pair(RaExpr::Join, &l, &r)
+            }
+        }
+    }
+
+    /// Restore the original output column order after a reorder (a
+    /// natural join's columns are left-side-first, so a different order is
+    /// a different column sequence). Identity when the order already
+    /// matches.
+    fn restore_columns(&mut self, p: Priced, want: &[Var]) -> Priced {
+        if p.cols() == want {
+            return p;
+        }
+        let expr = Arc::new(RaExpr::Project {
+            input: p.expr().clone(),
+            cols: want.to_vec(),
+        });
+        self.node(expr, vec![p])
+    }
+
+    /// The factored form of `l ∪ r` when both branches share a join leg or
+    /// a `diff` right operand and the other operands have equal column
+    /// sets (see the module docs). The shared leg keeps the side it has in
+    /// `l`, so the result's column order is `l`'s. `Arc` equality compares
+    /// pointers before structure, so a physically shared leg matches in
+    /// O(1). Only the two nodes the rewrite adds are priced.
+    fn factor_shared_leg(&mut self, l: &Priced, r: &Priced) -> Option<Priced> {
+        let factored = match (&**l.expr(), &**r.expr()) {
+            (RaExpr::Join(..), RaExpr::Join(..)) => {
+                let (a, c, p, q) = (l.kid(0), l.kid(1), r.kid(0), r.kid(1));
+                if c.expr() == q.expr() && same_col_set(a, p) {
+                    let u = self.pair(RaExpr::Union, a, p);
+                    self.pair(RaExpr::Join, &u, c)
+                } else if c.expr() == p.expr() && same_col_set(a, q) {
+                    let u = self.pair(RaExpr::Union, a, q);
+                    self.pair(RaExpr::Join, &u, c)
+                } else if a.expr() == p.expr() && same_col_set(c, q) {
+                    let u = self.pair(RaExpr::Union, c, q);
+                    self.pair(RaExpr::Join, a, &u)
+                } else if a.expr() == q.expr() && same_col_set(c, p) {
+                    let u = self.pair(RaExpr::Union, c, p);
+                    self.pair(RaExpr::Join, a, &u)
+                } else {
+                    return None;
+                }
+            }
+            (RaExpr::Diff(..), RaExpr::Diff(..))
+                if l.kid(1).expr() == r.kid(1).expr() && same_col_set(l.kid(0), r.kid(0)) =>
+            {
+                let u = self.pair(RaExpr::Union, l.kid(0), r.kid(0));
+                self.pair(RaExpr::Diff, &u, l.kid(1))
+            }
+            _ => return None,
+        };
+        debug_assert_eq!(factored.cols(), l.cols(), "factoring keeps column order");
+        Some(factored)
+    }
+
+    /// Cost-gated early projection: for `π[C](A ⋈ B)`, project each join
+    /// side down to the columns it must carry (`C` plus the join columns)
+    /// *before* the join when the estimator says the dedup pays for the
+    /// extra projections — `π[C](A ⋈ B) = π[C](π[Cₐ](A) ⋈ π[C_b](B))` with
+    /// the join columns retained on both sides (set semantics; the classic
+    /// pushdown).
+    fn try_early_project(&mut self, baseline: Priced) -> Priced {
+        let RaExpr::Project { input, cols } = &**baseline.expr() else {
+            return baseline;
+        };
+        if !matches!(**input, RaExpr::Join(..)) {
+            return baseline;
+        }
+        let (l, r) = (baseline.kid(0).kid(0), baseline.kid(0).kid(1));
+        let Some(candidate) = early_project(l, r, cols) else {
+            return baseline;
+        };
+        let candidate = self.price(&simp(&Arc::new(candidate)));
+        cheaper(candidate, baseline)
     }
 }
 
-/// The factored form of `l ∪ r` when both branches share a join leg or a
-/// `diff` right operand and the other operands have equal column sets (see
-/// the module docs). The shared leg keeps the side it has in `l`, so the
-/// result's column order is `l`'s. `Arc` equality compares pointers before
-/// structure, so a physically shared leg matches in O(1).
-fn factor_shared_leg(l: &RaExpr, r: &RaExpr) -> Option<RaExpr> {
-    let union = |a: &Arc<RaExpr>, b: &Arc<RaExpr>| Arc::new(RaExpr::Union(a.clone(), b.clone()));
-    let factored = match (l, r) {
-        (RaExpr::Join(a, c), RaExpr::Join(p, q)) => {
-            if c == q && same_col_set(a, p) {
-                RaExpr::Join(union(a, p), c.clone())
-            } else if c == p && same_col_set(a, q) {
-                RaExpr::Join(union(a, q), c.clone())
-            } else if a == p && same_col_set(c, q) {
-                RaExpr::Join(a.clone(), union(c, q))
-            } else if a == q && same_col_set(c, p) {
-                RaExpr::Join(a.clone(), union(c, p))
-            } else {
-                return None;
-            }
+/// `e`'s children, as the `Arc`s that hold them.
+fn child_arcs(e: &RaExpr) -> impl Iterator<Item = &Arc<RaExpr>> {
+    let (a, b) = match e {
+        RaExpr::Join(l, r) | RaExpr::Union(l, r) | RaExpr::Diff(l, r) => (Some(l), Some(r)),
+        RaExpr::Project { input, .. }
+        | RaExpr::Select { input, .. }
+        | RaExpr::Duplicate { input, .. } => (Some(input), None),
+        RaExpr::Scan { .. } | RaExpr::Single { .. } | RaExpr::Unit | RaExpr::Empty { .. } => {
+            (None, None)
         }
-        (RaExpr::Diff(a, w), RaExpr::Diff(b, w2)) if w == w2 && same_col_set(a, b) => {
-            RaExpr::Diff(union(a, b), w.clone())
-        }
-        _ => return None,
     };
-    debug_assert_eq!(factored.cols(), l.cols(), "factoring keeps column order");
-    Some(factored)
+    a.into_iter().chain(b)
 }
 
 /// Do `a` and `b` have the same columns, in any order?
-fn same_col_set(a: &RaExpr, b: &RaExpr) -> bool {
-    let (mut ca, mut cb) = (a.cols(), b.cols());
+fn same_col_set(a: &Priced, b: &Priced) -> bool {
+    let (mut ca, mut cb) = (a.cols().to_vec(), b.cols().to_vec());
     ca.sort_unstable();
     cb.sort_unstable();
     ca == cb
 }
 
 /// Flatten a nested join tree into its non-join leaves, left to right.
-fn collect_join_leaves<'a>(e: &'a RaExpr, out: &mut Vec<&'a RaExpr>) {
-    match e {
-        RaExpr::Join(l, r) => {
-            collect_join_leaves(l, out);
-            collect_join_leaves(r, out);
-        }
-        other => out.push(other),
-    }
-}
-
-/// Rebuild the original join skeleton, substituting leaves in order.
-fn rebuild_join_shape(e: &RaExpr, leaves: &mut std::slice::Iter<'_, RaExpr>) -> RaExpr {
-    match e {
-        RaExpr::Join(l, r) => {
-            let nl = rebuild_join_shape(l, leaves);
-            let nr = rebuild_join_shape(r, leaves);
-            RaExpr::Join(Arc::new(nl), Arc::new(nr))
-        }
-        _ => leaves
-            .next()
-            .expect("one optimized leaf per flat leaf")
-            .clone(),
-    }
-}
-
-/// Restore the original output column order after a reorder (a natural
-/// join's columns are left-side-first, so a different order is a different
-/// column sequence). Identity when the order already matches.
-fn restore_columns(e: RaExpr, want: Vec<Var>) -> RaExpr {
-    if e.cols() == want {
-        e
+fn collect_join_leaves<'a>(p: &'a Priced, out: &mut Vec<&'a Priced>) {
+    if let RaExpr::Join(..) = **p.expr() {
+        collect_join_leaves(p.kid(0), out);
+        collect_join_leaves(p.kid(1), out);
     } else {
-        RaExpr::Project {
-            input: Arc::new(e),
-            cols: want,
-        }
+        out.push(p);
     }
 }
 
-/// A join-order search entry: the plan so far with its cardinality
-/// estimate and accumulated cost.
-struct Planned {
-    expr: RaExpr,
-    est: CardEst,
-    cost: f64,
+/// A join order over flattened leaves: a leaf, by index, or the join of
+/// two orders.
+#[derive(Debug, PartialEq)]
+enum Order {
+    Leaf(usize),
+    Join(Box<Order>, Box<Order>),
 }
 
 /// Pick a join order over the flattened leaves: exhaustive
 /// subset-dynamic-programming up to 8 leaves, greedy pairing above.
-/// Cardinalities combine through
-/// [`Estimator::join_cardinality`] so the search never re-walks subtrees;
-/// the caller's final cost gate re-checks the winner against the full
-/// (feedback-aware) cost model.
-fn order_join(leaves: &[RaExpr], est: &Estimator) -> RaExpr {
+/// Cardinalities combine by the containment rule of
+/// [`Estimator::join_cardinality`] from the leaves' prices, so the search
+/// never re-walks a subtree; the caller's cost gate prices the winner with
+/// the full (feedback-aware) model. The search runs on [`JoinCard`]s,
+/// which allocate nothing, whenever the leaves' columns fit one.
+fn order_join(leaves: &[Priced]) -> Order {
     debug_assert!(leaves.len() >= 2);
+    let cards: Vec<&CardEst> = leaves.iter().map(|l| &l.0.price.card).collect();
+    match JoinCard::number(&cards) {
+        Some(compact) => search_order(compact, leaves),
+        None => search_order(cards.into_iter().cloned().collect(), leaves),
+    }
+}
+
+/// Search over the leaves' estimates `ests` (one per leaf, in order).
+fn search_order<C: JoinEstimate>(ests: Vec<C>, leaves: &[Priced]) -> Order {
+    let leaves: Vec<(C, f64)> = ests
+        .into_iter()
+        .zip(leaves.iter().map(Priced::cost))
+        .collect();
     if leaves.len() <= 8 {
-        dp_join(leaves, est)
+        dp_join(&leaves)
     } else {
-        greedy_join(leaves, est)
+        greedy_join(leaves)
     }
 }
 
-fn planned_leaf(e: &RaExpr, est: &Estimator) -> Planned {
-    let (cost, card) = est.cost_and_estimate(e);
-    Planned {
-        expr: e.clone(),
-        est: card,
-        cost,
-    }
-}
-
-fn join_planned(l: &Planned, r: &Planned, est: &Estimator) -> Planned {
-    let card = est.join_cardinality(&l.est, &r.est);
-    let cost = l.cost + r.cost + Estimator::join_step_cost(&l.est, &r.est, &card);
-    Planned {
-        expr: RaExpr::Join(Arc::new(l.expr.clone()), Arc::new(r.expr.clone())),
-        est: card,
-        cost,
-    }
-}
-
-/// Selinger-style dynamic programming over leaf subsets. Splits are
-/// enumerated deterministically (canonical orientation: the side holding
-/// the lowest leaf index is the left operand), cross-product splits are
-/// skipped whenever a connected split exists, and ties keep the first
-/// candidate found — so the result is a deterministic function of the
-/// leaves and the statistics. The table keeps each subset's estimate,
-/// cost and winning split; only the final plan is built as an expression.
-fn dp_join(leaves: &[RaExpr], est: &Estimator) -> RaExpr {
-    struct Best {
-        est: CardEst,
+/// Selinger-style dynamic programming over leaf subsets (each leaf an
+/// estimate and its cost). Splits are enumerated deterministically
+/// (canonical orientation: the side holding the lowest leaf index is the
+/// left operand), cross-product splits are skipped whenever a connected
+/// split exists, and ties keep the first candidate found — so the result
+/// is a deterministic function of the leaves and the statistics. The table
+/// keeps each subset's estimate, cost and winning split.
+fn dp_join<C: JoinEstimate>(leaves: &[(C, f64)]) -> Order {
+    struct Best<C> {
+        est: C,
         cost: f64,
         /// The left operand's leaf mask (0 for a single leaf).
         split: usize,
     }
     let n = leaves.len();
     let full: usize = (1 << n) - 1;
-    let col_sets: Vec<Vec<Var>> = leaves.iter().map(RaExpr::cols).collect();
-    // adj[i]: the leaves sharing a column name with leaf i.
+    // adj[i]: the leaves sharing a column name with leaf i; nbr[s]: the
+    // leaves sharing one with some leaf of s.
     let adj: Vec<usize> = (0..n)
         .map(|i| {
             (0..n)
-                .filter(|&j| j != i && col_sets[i].iter().any(|v| col_sets[j].contains(v)))
+                .filter(|&j| j != i && leaves[i].0.shares_col(&leaves[j].0))
                 .fold(0, |m, j| m | 1 << j)
         })
         .collect();
+    let mut nbr = vec![0usize; full + 1];
+    for s in 1..=full {
+        nbr[s] = nbr[s & (s - 1)] | adj[s.trailing_zeros() as usize];
+    }
     // Is joining the two leaf sets *not* a cross product (an equijoin
     // predicate exists)?
-    let connected = |s: usize, t: usize| (0..n).any(|i| s & (1 << i) != 0 && adj[i] & t != 0);
-    let mut best: Vec<Option<Best>> = Vec::with_capacity(full + 1);
+    let connected = |s: usize, t: usize| nbr[s] & t != 0;
+    let mut best: Vec<Option<Best<C>>> = Vec::with_capacity(full + 1);
     best.resize_with(full + 1, || None);
-    for (i, l) in leaves.iter().enumerate() {
-        let (cost, est) = est.cost_and_estimate(l);
+    for (i, (est, cost)) in leaves.iter().enumerate() {
         best[1 << i] = Some(Best {
-            est,
-            cost,
+            est: est.clone(),
+            cost: *cost,
             split: 0,
         });
     }
@@ -598,64 +776,73 @@ fn dp_join(leaves: &[RaExpr], est: &Estimator) -> RaExpr {
         if (mask as u32).count_ones() < 2 {
             continue;
         }
-        let lowest = mask & mask.wrapping_neg();
         // First pass: does any canonical split avoid a cross product?
-        let mut any_connected = false;
-        let mut s = (mask - 1) & mask;
-        while s > 0 {
-            if s & lowest != 0 && connected(s, mask ^ s) {
-                any_connected = true;
-                break;
-            }
-            s = (s - 1) & mask;
-        }
-        let mut chosen: Option<Best> = None;
-        let mut s = (mask - 1) & mask;
-        while s > 0 {
+        let any_connected = splits(mask).any(|s| connected(s, mask ^ s));
+        // The cheapest split as (cost, left operand); its estimate is
+        // built once, after the search.
+        let mut chosen: Option<(f64, usize)> = None;
+        for s in splits(mask) {
             let t = mask ^ s;
-            if s & lowest != 0 && (!any_connected || connected(s, t)) {
+            if !any_connected || connected(s, t) {
                 let (l, r) = (
                     best[s].as_ref().expect("smaller mask planned"),
                     best[t].as_ref().expect("smaller mask planned"),
                 );
-                let card = est.join_cardinality(&l.est, &r.est);
-                let cost = l.cost + r.cost + Estimator::join_step_cost(&l.est, &r.est, &card);
-                if chosen.as_ref().is_none_or(|c| cost < c.cost) {
-                    chosen = Some(Best {
-                        est: card,
-                        cost,
-                        split: s,
-                    });
+                let rows = l.est.join_rows(&r.est);
+                let cost = l.cost + r.cost + join_step(l.est.rows(), r.est.rows(), rows);
+                if chosen.is_none_or(|(best_cost, _)| cost < best_cost) {
+                    chosen = Some((cost, s));
                 }
             }
-            s = (s - 1) & mask;
         }
+        let chosen = chosen.map(|(cost, s)| {
+            let (l, r) = (&best[s], &best[mask ^ s]);
+            let (l, r) = (l.as_ref().expect("planned"), r.as_ref().expect("planned"));
+            Best {
+                est: l.est.join(&r.est),
+                cost,
+                split: s,
+            }
+        });
         best[mask] = chosen;
     }
-    fn build(mask: usize, best: &[Option<Best>], leaves: &[RaExpr]) -> RaExpr {
+    fn build<C>(mask: usize, best: &[Option<Best<C>>]) -> Order {
         match best[mask].as_ref().expect("mask planned").split {
-            0 => leaves[mask.trailing_zeros() as usize].clone(),
-            s => RaExpr::join(build(s, best, leaves), build(mask ^ s, best, leaves)),
+            0 => Order::Leaf(mask.trailing_zeros() as usize),
+            s => Order::Join(Box::new(build(s, best)), Box::new(build(mask ^ s, best))),
         }
     }
-    build(full, &best, leaves)
+    build(full, &best)
+}
+
+/// The canonical splits of a leaf set: every left operand `s ⊂ mask` that
+/// holds the set's lowest leaf, in descending order.
+fn splits(mask: usize) -> impl Iterator<Item = usize> {
+    let lowest = mask & mask.wrapping_neg();
+    let rest = mask ^ lowest;
+    let mut next = Some(rest.wrapping_sub(1) & rest);
+    std::iter::from_fn(move || {
+        let sub = next?;
+        next = sub.checked_sub(1).map(|s| s & rest);
+        Some(sub | lowest)
+    })
 }
 
 /// Greedy fallback for > 8 leaves: repeatedly join the (connected, if
 /// possible) pair with the smallest estimated output, deterministically
 /// preferring lower indices on ties.
-fn greedy_join(leaves: &[RaExpr], est: &Estimator) -> RaExpr {
-    let mut work: Vec<Planned> = leaves.iter().map(|l| planned_leaf(l, est)).collect();
+fn greedy_join<C: JoinEstimate>(leaves: Vec<(C, f64)>) -> Order {
+    let mut work: Vec<(C, f64, Order)> = leaves
+        .into_iter()
+        .enumerate()
+        .map(|(i, (est, cost))| (est, cost, Order::Leaf(i)))
+        .collect();
     while work.len() > 1 {
         let mut pick: Option<(usize, usize, f64, bool)> = None;
         for i in 0..work.len() {
             for j in (i + 1)..work.len() {
-                let connected = work[i]
-                    .est
-                    .cols()
-                    .iter()
-                    .any(|v| work[j].est.cols().contains(v));
-                let rows = est.join_cardinality(&work[i].est, &work[j].est).rows;
+                let connected = work[i].0.shares_col(&work[j].0);
+                let rows = work[i].0.join_rows(&work[j].0);
                 let better = match pick {
                     None => true,
                     // A connected pair always beats a cross product; then
@@ -670,33 +857,19 @@ fn greedy_join(leaves: &[RaExpr], est: &Estimator) -> RaExpr {
             }
         }
         let (i, j, _, _) = pick.expect("at least one pair");
-        let joined = join_planned(&work[i], &work[j], est);
-        work.remove(j);
-        work[i] = joined;
+        let (r_est, r_cost, r_order) = work.remove(j);
+        let (l_est, l_cost, l_order) = &mut work[i];
+        let est = l_est.join(&r_est);
+        let cost = *l_cost + r_cost + join_step(l_est.rows(), r_est.rows(), est.rows());
+        let l_order = std::mem::replace(l_order, Order::Leaf(0));
+        work[i] = (est, cost, Order::Join(Box::new(l_order), Box::new(r_order)));
     }
-    work.pop().expect("one plan left").expr
+    work.pop().expect("one plan left").2
 }
 
-/// Cost-gated early projection: for `π[C](A ⋈ B)`, project each join side
-/// down to the columns it must carry (`C` plus the join columns) *before*
-/// the join when the estimator says the dedup pays for the extra
-/// projections — `π[C](A ⋈ B) = π[C](π[Cₐ](A) ⋈ π[C_b](B))` with the join
-/// columns retained on both sides (set semantics; the classic pushdown).
-fn try_early_project(baseline: RaExpr, est: &Estimator) -> RaExpr {
-    if let RaExpr::Project { input, cols } = &baseline {
-        if let RaExpr::Join(l, r) = &**input {
-            if let Some(candidate) = early_project(l, r, cols) {
-                let candidate = simplify(&candidate);
-                if est.cost(&candidate) < est.cost(&baseline) {
-                    return candidate;
-                }
-            }
-        }
-    }
-    baseline
-}
-
-fn early_project(l: &Arc<RaExpr>, r: &Arc<RaExpr>, cols: &[Var]) -> Option<RaExpr> {
+/// The early-projection candidate for `π[cols](l ⋈ r)`, or `None` when
+/// neither side carries a column it could drop.
+fn early_project(l: &Priced, r: &Priced, cols: &[Var]) -> Option<RaExpr> {
     let (lc, rc) = (l.cols(), r.cols());
     let shared: Vec<Var> = lc.iter().copied().filter(|v| rc.contains(v)).collect();
     let keep = |side: &[Var]| -> Vec<Var> {
@@ -705,22 +878,22 @@ fn early_project(l: &Arc<RaExpr>, r: &Arc<RaExpr>, cols: &[Var]) -> Option<RaExp
             .filter(|v| cols.contains(v) || shared.contains(v))
             .collect()
     };
-    let (keep_l, keep_r) = (keep(&lc), keep(&rc));
+    let (keep_l, keep_r) = (keep(lc), keep(rc));
     if keep_l.len() == lc.len() && keep_r.len() == rc.len() {
         return None; // nothing to drop early
     }
-    let narrow = |side: &Arc<RaExpr>, keep: Vec<Var>, full: &[Var]| -> RaExpr {
-        if keep.len() == full.len() {
-            (**side).clone()
+    let narrow = |side: &Priced, keep: Vec<Var>| -> Arc<RaExpr> {
+        if keep.len() == side.cols().len() {
+            side.expr().clone()
         } else {
-            RaExpr::Project {
-                input: side.clone(),
+            Arc::new(RaExpr::Project {
+                input: side.expr().clone(),
                 cols: keep,
-            }
+            })
         }
     };
     Some(RaExpr::Project {
-        input: Arc::new(RaExpr::join(narrow(l, keep_l, &lc), narrow(r, keep_r, &rc))),
+        input: Arc::new(RaExpr::Join(narrow(l, keep_l), narrow(r, keep_r))),
         cols: cols.to_vec(),
     })
 }
@@ -728,15 +901,15 @@ fn early_project(l: &Arc<RaExpr>, r: &Arc<RaExpr>, cols: &[Var]) -> Option<RaExp
 /// When the left union branch vanished, the surviving right branch may have
 /// its columns in a different order than the union advertised; project to
 /// restore the original order if needed.
-fn align_union_result(survivor: RaExpr, vanished_left: &RaExpr) -> RaExpr {
+fn align_union_result(survivor: Arc<RaExpr>, vanished_left: &RaExpr) -> Arc<RaExpr> {
     let want = vanished_left.cols();
     if survivor.cols() == want {
         survivor
     } else {
-        simplify(&RaExpr::Project {
-            input: Arc::new(survivor),
+        simp(&Arc::new(RaExpr::Project {
+            input: survivor,
             cols: want,
-        })
+        }))
     }
 }
 
@@ -1174,6 +1347,77 @@ mod tests {
                 eval(&after, &db, &mut EvalCtx::default()).unwrap(),
                 eval(&before, &db, &mut EvalCtx::default()).unwrap()
             );
+        }
+
+        #[test]
+        fn simplify_keeps_unchanged_subtrees() {
+            let plan = Arc::new(simplify(&three_way()));
+            assert!(
+                Arc::ptr_eq(&simp(&plan), &plan),
+                "a fixpoint comes back as is"
+            );
+            // A rewrite above an untouched subtree keeps that subtree.
+            let wrapped = Arc::new(RaExpr::Join(Arc::new(RaExpr::Unit), plan.clone()));
+            assert!(Arc::ptr_eq(&simp(&wrapped), &plan));
+        }
+
+        #[test]
+        fn cost_pass_returns_an_optimized_plan_as_it_is() {
+            let db = skewed_db();
+            let mut pass = CostPass {
+                est: Estimator::new(&db),
+                priced: FxHashMap::default(),
+                reordered: FxHashMap::default(),
+            };
+            let once = pass.price(&Arc::new(optimize(&three_way(), &db)));
+            let again = pass.run(&once);
+            assert!(
+                Rc::ptr_eq(&once.0, &again.0),
+                "no node re-priced or rebuilt"
+            );
+        }
+
+        /// The search over `JoinCard`s and over `CardEst`s picks the same
+        /// order, through the DP (≤ 8 leaves) and the greedy pairing.
+        #[test]
+        fn compact_and_allocating_join_searches_agree() {
+            use rand::{Rng, SeedableRng};
+            let vars = ["a", "b", "c", "d", "e", "f"];
+            for seed in 0..60u64 {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let n = rng.gen_range(2..11usize);
+                let mut facts = String::new();
+                for r in 0..n {
+                    for _ in 0..rng.gen_range(0..12) {
+                        let (a, b) = (rng.gen_range(0..5), rng.gen_range(0..5));
+                        facts.push_str(&format!("R{r}({a}, {b})\n"));
+                    }
+                }
+                let db = Database::from_facts(&facts).unwrap();
+                let mut pass = CostPass {
+                    est: Estimator::new(&db),
+                    priced: FxHashMap::default(),
+                    reordered: FxHashMap::default(),
+                };
+                let leaves: Vec<Priced> = (0..n)
+                    .map(|r| {
+                        let (a, b) = (rng.gen_range(0..vars.len()), rng.gen_range(0..vars.len()));
+                        let scan = RaExpr::scan(
+                            format!("R{r}").as_str(),
+                            vec![Term::var(vars[a]), Term::var(vars[b])],
+                        );
+                        pass.price(&Arc::new(scan))
+                    })
+                    .collect();
+                let cards: Vec<&CardEst> = leaves.iter().map(|l| &l.0.price.card).collect();
+                let compact = JoinCard::number(&cards).expect("six columns fit");
+                let full: Vec<CardEst> = cards.into_iter().cloned().collect();
+                assert_eq!(
+                    search_order(compact, &leaves),
+                    search_order(full, &leaves),
+                    "seed {seed}"
+                );
+            }
         }
     }
 }

@@ -183,10 +183,57 @@ pub fn intern(e: &RaExpr) -> (RaExpr, InternStats) {
 /// [`crate::stats::harvest_actuals`]). Equal expressions hash equal; the
 /// value is deterministic within a process but not across processes
 /// (symbol interning order feeds the hash).
+///
+/// The hash is compositional: a node's hash mixes its own operator and
+/// payload with its children's hashes, so one bottom-up walk yields the
+/// hash of every subplan, each in O(1) from its children's.
 pub fn plan_hash(e: &RaExpr) -> u64 {
+    match e {
+        RaExpr::Join(l, r) | RaExpr::Union(l, r) | RaExpr::Diff(l, r) => {
+            node_hash(e, &[plan_hash(l), plan_hash(r)])
+        }
+        RaExpr::Project { input, .. }
+        | RaExpr::Select { input, .. }
+        | RaExpr::Duplicate { input, .. } => node_hash(e, &[plan_hash(input)]),
+        RaExpr::Scan { .. } | RaExpr::Single { .. } | RaExpr::Unit | RaExpr::Empty { .. } => {
+            node_hash(e, &[])
+        }
+    }
+}
+
+/// The [`plan_hash`] of `e` given the [`plan_hash`]es of its children, in
+/// order. Only `e`'s own operator and payload are read, never its
+/// subtrees.
+pub(crate) fn node_hash(e: &RaExpr, children: &[u64]) -> u64 {
     let mut h = FxHasher::default();
-    e.hash(&mut h);
-    h.finish()
+    std::mem::discriminant(e).hash(&mut h);
+    match e {
+        RaExpr::Scan { pred, pattern } => {
+            pred.hash(&mut h);
+            pattern.hash(&mut h);
+        }
+        RaExpr::Single { var, value } => {
+            var.hash(&mut h);
+            value.hash(&mut h);
+        }
+        RaExpr::Empty { cols } | RaExpr::Project { cols, .. } => cols.hash(&mut h),
+        RaExpr::Select { pred, .. } => pred.hash(&mut h),
+        RaExpr::Duplicate { src, dst, .. } => {
+            src.hash(&mut h);
+            dst.hash(&mut h);
+        }
+        RaExpr::Unit | RaExpr::Join(..) | RaExpr::Union(..) | RaExpr::Diff(..) => {}
+    }
+    for c in children {
+        h.write_u64(*c);
+    }
+    // FxHash's last multiply leaves the low bits depending only on the
+    // inputs' low bits; a finalizer spreads every input bit over the
+    // result before it feeds a parent's hash (and the cache shards).
+    let mut x = h.finish();
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 #[cfg(test)]
@@ -292,6 +339,20 @@ mod tests {
         let (_, third) = interner.intern(&RaExpr::diff(scan("A"), scan("B")));
         assert_eq!(third.unique_nodes, 1); // just the diff node
         assert_eq!(interner.len(), 7);
+    }
+
+    #[test]
+    fn plan_hash_composes_from_children() {
+        let e = big_shared();
+        let RaExpr::Union(l, r) = &e else {
+            panic!("expected union")
+        };
+        assert_eq!(plan_hash(&e), node_hash(&e, &[plan_hash(l), plan_hash(r)]));
+        // Same children, different operator: different hash.
+        assert_ne!(
+            plan_hash(&e),
+            plan_hash(&RaExpr::Join(l.clone(), r.clone()))
+        );
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   kernel timings recorded in `BENCH_eval.json` (see [`cost`] docs).
 //! * the **feedback store** — actual cardinalities harvested from
 //!   completed [`OpSpan`] trees by [`harvest_actuals`], keyed by the
-//!   subplan's structural [`plan_hash`]. When the estimator visits a node
-//!   whose hash has an observation, the observed row count overrides the
-//!   estimate, so repeated queries re-plan with observed truth. Every
+//!   subplan's structural [`plan_hash`]. When the estimator visits a
+//!   node whose hash has an observation, the observed row count overrides
+//!   the estimate, so repeated queries re-plan with observed truth. Every
 //!   *changed* observation bumps the database's **stats epoch**
 //!   ([`Database::stats_epoch`](crate::database::Database::stats_epoch)),
 //!   which the cached serving path mixes into its plan key — a re-planned
@@ -30,16 +30,36 @@
 //!   and an unchanged observation leaves the epoch (and therefore the
 //!   plan cache) alone.
 //!
+//! An [`Estimator`] reads the feedback store once, when it is built: it
+//! keeps a snapshot (the store is copy-on-write, so the snapshot is a
+//! pointer, not a copy), and an observation recorded later — say by an
+//! `analyze` harvest on another connection — reaches the next estimator,
+//! never one halfway through pricing a plan. A node's price is its cost,
+//! its cardinality estimate and, when the snapshot is not empty, its
+//! feedback key, computed from its children's keys (the plan hash is
+//! compositional, see [`crate::plan`]). [`Estimator::cost_and_estimate`]
+//! therefore visits each node once and hashes no subtree twice, and with
+//! an empty snapshot it neither hashes nor looks anything up.
+//!
+//! The join-order search of [`crate::optimize()`] combines estimates many
+//! times per plan. It works on a fixed-size copy of [`CardEst`] over the
+//! search's own numbering of at most 8 columns, which copies without
+//! allocating and does the float operations of
+//! [`Estimator::join_cardinality`] in the same order (pinned bit for bit
+//! by a property test), so the search picks what the allocating form
+//! would.
+//!
 //! Estimates are heuristics; correctness never depends on them. The
 //! optimizer only uses them to *choose among semantically equal plans*
 //! (the differential property suite in `tests/prop_optimizer.rs` pins
 //! result identity), so a wildly wrong estimate costs time, not answers.
 //!
 //! [`cost`]: Estimator::cost
+//! [`plan_hash`]: crate::plan::plan_hash
 
 use crate::database::Database;
 use crate::expr::{RaExpr, SelPred};
-use crate::plan::plan_hash;
+use crate::plan::node_hash;
 use crate::relation::Relation;
 use crate::trace::OpSpan;
 use rc_formula::fxhash::{FxHashMap, FxHashSet};
@@ -102,8 +122,9 @@ pub(crate) struct StatsStore {
     /// Lazily computed per-relation statistics.
     pub(crate) tables: FxHashMap<Symbol, Arc<TableStats>>,
     /// Observed cardinalities from traced runs, keyed by subplan
-    /// [`plan_hash`].
-    pub(crate) observed: FxHashMap<u64, u64>,
+    /// [`plan_hash`](crate::plan::plan_hash); copy-on-write, so
+    /// estimators can snapshot it.
+    pub(crate) observed: Arc<FxHashMap<u64, u64>>,
 }
 
 /// A cardinality estimate for one plan node: estimated rows plus
@@ -185,23 +206,43 @@ const SELECT_NS: f64 = 5.0;
 const PROJECT_NS: f64 = 20.0;
 const DUP_NS: f64 = 20.0;
 
-/// Cardinality/cost estimator over one database's statistics (plus its
-/// harvested-cardinality feedback). Cheap to construct; borrows the
-/// database.
+/// The estimator's verdict on one plan node: the total cost of evaluating
+/// it (its subtree included) and the cardinality estimate of its output.
+#[derive(Clone, Debug)]
+pub(crate) struct Price {
+    /// Estimated total cost, in calibrated nanoseconds (see
+    /// [`Estimator::cost`]).
+    pub(crate) cost: f64,
+    /// Estimated output cardinality.
+    pub(crate) card: CardEst,
+    /// The node's [`plan_hash`](crate::plan::plan_hash) when the
+    /// estimator has feedback to look up, 0 otherwise.
+    key: u64,
+}
+
+/// Cardinality/cost estimator over one database's statistics and a
+/// snapshot of its harvested-cardinality feedback, taken when the
+/// estimator is built. Cheap to construct; borrows the database.
 pub struct Estimator<'a> {
     db: &'a Database,
+    /// The feedback store at construction; `None` when it was empty.
+    observed: Option<Arc<FxHashMap<u64, u64>>>,
 }
 
 impl<'a> Estimator<'a> {
-    /// An estimator over `db`'s statistics and feedback store.
+    /// An estimator over `db`'s statistics and its feedback store as it is
+    /// now.
     pub fn new(db: &'a Database) -> Estimator<'a> {
-        Estimator { db }
+        Estimator {
+            db,
+            observed: db.observed_snapshot(),
+        }
     }
 
     /// Estimate the cardinality of `e` (rows and per-column distincts).
     /// Nodes with a harvested observation return the observed row count.
     pub fn estimate(&self, e: &RaExpr) -> CardEst {
-        self.cost_and_estimate(e).1
+        self.price(e).card
     }
 
     /// Estimated output rows of `e`, rounded.
@@ -214,35 +255,53 @@ impl<'a> Estimator<'a> {
     /// database*: the optimizer applies a rewrite iff the estimated cost
     /// strictly drops.
     pub fn cost(&self, e: &RaExpr) -> f64 {
-        self.cost_and_estimate(e).0
+        self.price(e).cost
     }
 
-    /// One recursive pass computing both the total cost and the root
-    /// cardinality estimate.
+    /// The total cost and the root cardinality estimate of `e`, from one
+    /// bottom-up walk that prices each node once.
     pub fn cost_and_estimate(&self, e: &RaExpr) -> (f64, CardEst) {
-        let (cost, est) = match e {
+        let p = self.price(e);
+        (p.cost, p.card)
+    }
+
+    /// [`Estimator::cost_and_estimate`], with the feedback key.
+    pub(crate) fn price(&self, e: &RaExpr) -> Price {
+        match e {
+            RaExpr::Join(l, r) | RaExpr::Union(l, r) | RaExpr::Diff(l, r) => {
+                self.price_node(e, &[&self.price(l), &self.price(r)])
+            }
+            RaExpr::Project { input, .. }
+            | RaExpr::Select { input, .. }
+            | RaExpr::Duplicate { input, .. } => self.price_node(e, &[&self.price(input)]),
+            RaExpr::Scan { .. } | RaExpr::Single { .. } | RaExpr::Unit | RaExpr::Empty { .. } => {
+                self.price_node(e, &[])
+            }
+        }
+    }
+
+    /// Price one node from the prices of its children, in order (which
+    /// this estimator must have computed). Reads only `e`'s own operator
+    /// and payload, never its subtrees.
+    pub(crate) fn price_node(&self, e: &RaExpr, kids: &[&Price]) -> Price {
+        let (cost, card) = match e {
             RaExpr::Scan { pred, pattern } => {
-                let est = self.scan_estimate(*pred, pattern, e.cols());
-                let base = self
-                    .db
-                    .table_stats(*pred)
-                    .map(|t| t.rows as f64)
-                    .unwrap_or(0.0);
-                (SCAN_NS * base + 1.0, est)
+                let ts = self.db.table_stats(*pred);
+                let base = ts.as_ref().map(|t| t.rows as f64).unwrap_or(0.0);
+                let card = Self::scan_estimate(ts.as_deref(), pattern, e.cols());
+                (SCAN_NS * base + 1.0, card)
             }
             RaExpr::Single { var, .. } => (1.0, CardEst::new(vec![*var], 1.0, vec![1.0])),
             RaExpr::Unit => (1.0, CardEst::new(Vec::new(), 1.0, Vec::new())),
             RaExpr::Empty { cols } => (1.0, CardEst::empty(cols.clone())),
-            RaExpr::Join(l, r) => {
-                let (cl, el) = self.cost_and_estimate(l);
-                let (cr, er) = self.cost_and_estimate(r);
-                let est = self.join_cardinality(&el, &er);
-                let cost = cl + cr + Self::join_step_cost(&el, &er, &est);
-                (cost, est)
+            RaExpr::Join(..) => {
+                let (l, r) = (kids[0], kids[1]);
+                let card = join_estimate(&l.card, &r.card);
+                let cost = l.cost + r.cost + Self::join_step_cost(&l.card, &r.card, &card);
+                (cost, card)
             }
-            RaExpr::Union(l, r) => {
-                let (cl, el) = self.cost_and_estimate(l);
-                let (cr, er) = self.cost_and_estimate(r);
+            RaExpr::Union(..) => {
+                let (cl, el, cr, er) = (kids[0].cost, &kids[0].card, kids[1].cost, &kids[1].card);
                 let cols = el.cols.clone();
                 let rows = el.rows + er.rows;
                 let distinct = cols
@@ -252,9 +311,8 @@ impl<'a> Estimator<'a> {
                 let cost = cl + cr + UNION_NS * (el.rows + er.rows);
                 (cost, CardEst::new(cols, rows, distinct))
             }
-            RaExpr::Diff(l, r) => {
-                let (cl, el) = self.cost_and_estimate(l);
-                let (cr, er) = self.cost_and_estimate(r);
+            RaExpr::Diff(..) => {
+                let (cl, el, cr, er) = (kids[0].cost, &kids[0].card, kids[1].cost, &kids[1].card);
                 // Anti-join: of the key domain (product of per-key-column
                 // distinct maxima), `r` covers at most `min(r.rows,
                 // domain)`; survivors are the uncovered fraction of `l`,
@@ -271,10 +329,10 @@ impl<'a> Estimator<'a> {
                 };
                 let rows = (el.rows * (1.0 - covered)).max(el.rows * 0.05);
                 let cost = cl + cr + DIFF_NS * (el.rows + er.rows);
-                (cost, el.with_rows(rows))
+                (cost, el.clone().with_rows(rows))
             }
-            RaExpr::Project { input, cols } => {
-                let (ci, ei) = self.cost_and_estimate(input);
+            RaExpr::Project { cols, .. } => {
+                let (ci, ei) = (kids[0].cost, &kids[0].card);
                 // Set semantics: output rows are bounded by the product of
                 // the kept columns' distinct counts (the dedup bound).
                 let mut bound = 1.0f64;
@@ -289,13 +347,13 @@ impl<'a> Estimator<'a> {
                 let cost = ci + PROJECT_NS * ei.rows;
                 (cost, CardEst::new(cols.clone(), rows, distinct))
             }
-            RaExpr::Select { input, pred } => {
-                let (ci, ei) = self.cost_and_estimate(input);
+            RaExpr::Select { pred, .. } => {
+                let (ci, ei) = (kids[0].cost, &kids[0].card);
                 let cost = ci + SELECT_NS * ei.rows;
-                (cost, Self::select_estimate(ei, *pred))
+                (cost, Self::select_estimate(ei.clone(), *pred))
             }
-            RaExpr::Duplicate { input, src, dst } => {
-                let (ci, ei) = self.cost_and_estimate(input);
+            RaExpr::Duplicate { src, dst, .. } => {
+                let (ci, ei) = (kids[0].cost, &kids[0].card);
                 let mut cols = ei.cols.clone();
                 cols.push(*dst);
                 let mut distinct = ei.distinct.clone();
@@ -305,56 +363,39 @@ impl<'a> Estimator<'a> {
             }
         };
         // Feedback override: an observed actual beats any estimate.
-        if let Some(actual) = self.db.observed_rows(plan_hash(e)) {
-            return (cost, est.with_rows(actual as f64));
+        let Some(observed) = &self.observed else {
+            return Price { cost, card, key: 0 };
+        };
+        let mut keys = [0u64; 2];
+        for (k, p) in keys.iter_mut().zip(kids) {
+            *k = p.key;
         }
-        (cost, est)
+        let key = node_hash(e, &keys[..kids.len()]);
+        let card = match observed.get(&key) {
+            Some(&actual) => card.with_rows(actual as f64),
+            None => card,
+        };
+        Price { cost, card, key }
     }
 
     /// The containment-assumption join estimate over two child estimates:
     /// cross product divided, per shared column, by the larger distinct
-    /// count. Public so the join-reordering DP can combine estimates
-    /// without re-walking subtrees.
+    /// count. Public so callers can combine estimates without re-walking
+    /// subtrees.
     pub fn join_cardinality(&self, l: &CardEst, r: &CardEst) -> CardEst {
-        let mut cols = l.cols.clone();
-        for v in &r.cols {
-            if !cols.contains(v) {
-                cols.push(*v);
-            }
-        }
-        let mut denom = 1.0f64;
-        for v in &r.cols {
-            if l.cols.contains(v) {
-                denom *= l.distinct_of(*v).max(r.distinct_of(*v)).max(1.0);
-            }
-        }
-        let rows = l.rows * r.rows / denom;
-        let distinct = cols
-            .iter()
-            .map(|v| {
-                let in_l = l.cols.contains(v);
-                let in_r = r.cols.contains(v);
-                match (in_l, in_r) {
-                    (true, true) => l.distinct_of(*v).min(r.distinct_of(*v)),
-                    (true, false) => l.distinct_of(*v),
-                    _ => r.distinct_of(*v),
-                }
-            })
-            .collect();
-        CardEst::new(cols, rows, distinct)
+        join_estimate(l, r)
     }
 
     /// The local (non-recursive) cost of one hash-join step given the
     /// operand and output estimates. Public for the same reason as
     /// [`Estimator::join_cardinality`].
     pub fn join_step_cost(l: &CardEst, r: &CardEst, out: &CardEst) -> f64 {
-        JOIN_NS * (l.rows + r.rows + out.rows)
+        join_step(l.rows, r.rows, out.rows)
     }
 
-    fn scan_estimate(&self, pred: Symbol, pattern: &[Term], out_cols: Vec<Var>) -> CardEst {
-        let ts = match self.db.table_stats(pred) {
-            Some(ts) => ts,
-            None => return CardEst::empty(out_cols),
+    fn scan_estimate(ts: Option<&TableStats>, pattern: &[Term], out_cols: Vec<Var>) -> CardEst {
+        let Some(ts) = ts else {
+            return CardEst::empty(out_cols);
         };
         let d = |i: usize| ts.distinct.get(i).copied().unwrap_or(1).max(1) as f64;
         let mut rows = ts.rows as f64;
@@ -420,27 +461,224 @@ impl<'a> Estimator<'a> {
     }
 }
 
+/// The containment-rule join estimate behind [`Estimator::join_cardinality`].
+fn join_estimate(l: &CardEst, r: &CardEst) -> CardEst {
+    let mut cols = l.cols.clone();
+    for v in &r.cols {
+        if !cols.contains(v) {
+            cols.push(*v);
+        }
+    }
+    let mut denom = 1.0f64;
+    for v in &r.cols {
+        if l.cols.contains(v) {
+            denom *= l.distinct_of(*v).max(r.distinct_of(*v)).max(1.0);
+        }
+    }
+    let rows = l.rows * r.rows / denom;
+    let distinct = cols
+        .iter()
+        .map(|v| {
+            let in_l = l.cols.contains(v);
+            let in_r = r.cols.contains(v);
+            match (in_l, in_r) {
+                (true, true) => l.distinct_of(*v).min(r.distinct_of(*v)),
+                (true, false) => l.distinct_of(*v),
+                _ => r.distinct_of(*v),
+            }
+        })
+        .collect();
+    CardEst::new(cols, rows, distinct)
+}
+
+/// The cost of one hash-join step from its operand and output rows.
+pub(crate) fn join_step(l_rows: f64, r_rows: f64, out_rows: f64) -> f64 {
+    JOIN_NS * (l_rows + r_rows + out_rows)
+}
+
+/// What the join-order search needs of an estimate: its rows, the join of
+/// two, and whether two share a column (an equijoin, not a cross
+/// product). Implemented by [`CardEst`] and by its fixed-size copy
+/// [`JoinCard`], which must agree bit for bit.
+pub(crate) trait JoinEstimate: Clone {
+    /// Estimated rows.
+    fn rows(&self) -> f64;
+    /// The join's estimate, as [`Estimator::join_cardinality`].
+    fn join(&self, r: &Self) -> Self;
+    /// The join's estimated rows: `self.join(r).rows()`, possibly cheaper.
+    fn join_rows(&self, r: &Self) -> f64 {
+        self.join(r).rows()
+    }
+    /// Do the two share a column?
+    fn shares_col(&self, r: &Self) -> bool;
+}
+
+impl JoinEstimate for CardEst {
+    fn rows(&self) -> f64 {
+        self.rows
+    }
+
+    fn join(&self, r: &CardEst) -> CardEst {
+        join_estimate(self, r)
+    }
+
+    fn shares_col(&self, r: &CardEst) -> bool {
+        self.cols.iter().any(|v| r.cols.contains(v))
+    }
+}
+
+/// Most columns a [`JoinCard`] search can number.
+pub(crate) const JOIN_CARD_COLS: usize = 8;
+
+/// A [`CardEst`] over a join-order search's numbering of its columns
+/// (`0..JOIN_CARD_COLS`): a `Copy` value, so the search allocates nothing
+/// per candidate, and column membership is one bit test.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct JoinCard {
+    rows: f64,
+    /// Column numbers in output order (`len` of them).
+    order: [u8; JOIN_CARD_COLS],
+    len: u8,
+    /// Bit `i` set iff column `i` is present.
+    mask: u8,
+    /// Distinct estimate by column number (meaningful where `mask` is set).
+    distinct: [f64; JOIN_CARD_COLS],
+}
+
+impl JoinCard {
+    /// The estimates as `JoinCard`s over one numbering of their columns,
+    /// or `None` when they hold more than [`JOIN_CARD_COLS`] columns
+    /// between them or one repeats a column.
+    pub(crate) fn number(ests: &[&CardEst]) -> Option<Vec<JoinCard>> {
+        let mut universe: Vec<Var> = Vec::new();
+        ests.iter()
+            .map(|e| {
+                let mut card = JoinCard {
+                    rows: e.rows,
+                    order: [0; JOIN_CARD_COLS],
+                    len: 0,
+                    mask: 0,
+                    distinct: [0.0; JOIN_CARD_COLS],
+                };
+                for (v, d) in e.cols.iter().zip(&e.distinct) {
+                    let id = match universe.iter().position(|u| u == v) {
+                        Some(id) => id,
+                        None if universe.len() < JOIN_CARD_COLS => {
+                            universe.push(*v);
+                            universe.len() - 1
+                        }
+                        None => return None,
+                    };
+                    if card.has(id) {
+                        return None;
+                    }
+                    card.order[card.len as usize] = id as u8;
+                    card.len += 1;
+                    card.mask |= 1 << id;
+                    card.distinct[id] = *d;
+                }
+                Some(card)
+            })
+            .collect()
+    }
+
+    fn has(&self, id: usize) -> bool {
+        self.mask & (1 << id) != 0
+    }
+
+    fn ids(&self) -> impl Iterator<Item = usize> + '_ {
+        self.order[..self.len as usize]
+            .iter()
+            .map(|&id| id as usize)
+    }
+}
+
+impl JoinEstimate for JoinCard {
+    fn rows(&self) -> f64 {
+        self.rows
+    }
+
+    /// [`join_estimate`] and [`CardEst::new`]'s clamp, step for step.
+    fn join(&self, r: &JoinCard) -> JoinCard {
+        let (l, rows) = (self, self.join_rows(r));
+        let mut out = JoinCard {
+            rows,
+            mask: l.mask | r.mask,
+            ..*l
+        };
+        for id in r.ids() {
+            if !l.has(id) {
+                out.order[out.len as usize] = id as u8;
+                out.len += 1;
+            }
+        }
+        for i in 0..out.len as usize {
+            let id = out.order[i] as usize;
+            let d = match (l.has(id), r.has(id)) {
+                (true, true) => l.distinct[id].min(r.distinct[id]),
+                (true, false) => l.distinct[id],
+                _ => r.distinct[id],
+            };
+            out.distinct[id] = if rows < 1.0 {
+                0.0
+            } else {
+                d.min(rows).max(1.0)
+            };
+        }
+        out
+    }
+
+    fn join_rows(&self, r: &JoinCard) -> f64 {
+        let mut denom = 1.0f64;
+        for id in r.ids() {
+            if self.has(id) {
+                denom *= self.distinct[id].max(r.distinct[id]).max(1.0);
+            }
+        }
+        let rows = self.rows * r.rows / denom;
+        if !rows.is_finite() || rows < 0.0 {
+            0.0
+        } else {
+            rows
+        }
+    }
+
+    fn shares_col(&self, r: &JoinCard) -> bool {
+        self.mask & r.mask != 0
+    }
+}
+
 /// Harvest actual cardinalities out of a completed operator-span tree into
 /// `db`'s feedback store: the span tree mirrors the plan shape (children
 /// zip by index; memoized subplans appear as childless `cache_hit` leaves,
 /// which still carry the correct output cardinality), so each *completed*
 /// span records its `rows_out` under the matching subexpression's
-/// [`plan_hash`]. Incomplete spans (a budget trip mid-plan) are skipped but
-/// their completed children still contribute. Returns how many
-/// observations *changed* — any change bumps the stats epoch, so callers
-/// (and the plan cache) can tell whether re-planning is worthwhile.
+/// [`plan_hash`](crate::plan::plan_hash). Incomplete spans (a budget trip
+/// mid-plan) are skipped but their completed children still contribute.
+/// One bottom-up walk computes every subplan's key from its children's.
+/// Returns how many observations *changed* — any change bumps the stats
+/// epoch, so callers (and the plan cache) can tell whether re-planning is
+/// worthwhile.
 pub fn harvest_actuals(expr: &RaExpr, span: Option<&OpSpan>, db: &Database) -> usize {
-    let span = match span {
-        Some(s) => s,
-        None => return 0,
-    };
-    let mut changed = 0;
-    if span.completed && db.record_observed(plan_hash(expr), span.rows_out as u64) {
-        changed += 1;
+    /// Record `expr`'s subtree; returns `expr`'s key.
+    fn walk(expr: &RaExpr, span: Option<&OpSpan>, db: &Database, changed: &mut usize) -> u64 {
+        let spans = span.map_or(&[][..], |s| s.children.as_slice());
+        let mut keys = [0u64; 2];
+        let kids = expr.children();
+        for (i, c) in kids.iter().enumerate() {
+            keys[i] = walk(c, spans.get(i), db, changed);
+        }
+        let key = node_hash(expr, &keys[..kids.len()]);
+        if let Some(s) = span.filter(|s| s.completed) {
+            if db.record_observed(key, s.rows_out as u64) {
+                *changed += 1;
+            }
+        }
+        key
     }
-    let spans = span.children.as_slice();
-    for (i, c) in expr.children().into_iter().enumerate() {
-        changed += harvest_actuals(c, spans.get(i), db);
+    let mut changed = 0;
+    if span.is_some() {
+        walk(expr, span, db, &mut changed);
     }
     changed
 }
@@ -448,6 +686,7 @@ pub fn harvest_actuals(expr: &RaExpr, span: Option<&OpSpan>, db: &Database) -> u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::plan_hash;
     use rc_formula::Term;
 
     fn db() -> Database {
@@ -579,7 +818,112 @@ mod tests {
         assert_eq!(db.observed_rows(plan_hash(&e)), Some(out.len() as u64));
         // The estimator now reports the truth at the root.
         assert_eq!(Estimator::new(&db).rows(&e), out.len() as u64);
+        // Every subplan is filed under its own plan hash.
+        for scan in e.children() {
+            assert!(db.observed_rows(plan_hash(scan)).is_some(), "{scan}");
+        }
         // A second harvest of the same run changes nothing.
         assert_eq!(harvest_actuals(&e, Some(&root), &db), 0);
+    }
+
+    #[test]
+    fn estimator_reads_feedback_as_of_construction() {
+        let db = db();
+        let p = RaExpr::scan("P", vec![Term::var("x"), Term::var("y")]);
+        let empty = Estimator::new(&db);
+        assert!(db.record_observed(plan_hash(&p), 9));
+        let before = Estimator::new(&db);
+        assert!(db.record_observed(plan_hash(&p), 17));
+        // An observation landing mid-plan (say, a harvest on another
+        // connection) does not move an estimator already pricing.
+        assert_eq!(empty.rows(&p), 4);
+        assert_eq!(before.rows(&p), 9);
+        assert_eq!(Estimator::new(&db).rows(&p), 17);
+    }
+
+    /// A random estimate over columns drawn from `pool` (no repeats, any
+    /// order), with rows and distincts from empty through fractional to
+    /// huge.
+    fn random_card(rng: &mut rand::rngs::StdRng, pool: &[Var]) -> CardEst {
+        use rand::Rng;
+        let mut cols: Vec<Var> = pool.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
+        for i in (1..cols.len()).rev() {
+            cols.swap(i, rng.gen_range(0..=i));
+        }
+        let scale = [0.0, 0.5, 3.0, 1e3, 1e9][rng.gen_range(0..5usize)];
+        let mut frac = |hi: u32| f64::from(rng.gen_range(0..hi)) / 1000.0;
+        let rows = scale * frac(1500);
+        let distinct = cols.iter().map(|_| rows * frac(1200)).collect();
+        CardEst::new(cols, rows, distinct)
+    }
+
+    fn assert_same(card: &JoinCard, est: &CardEst, universe: &[Var]) {
+        assert_eq!(card.rows.to_bits(), est.rows.to_bits());
+        let cols: Vec<Var> = card.ids().map(|id| universe[id]).collect();
+        assert_eq!(cols, est.cols);
+        for (id, d) in card.ids().zip(&est.distinct) {
+            assert_eq!(card.distinct[id].to_bits(), d.to_bits());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// The search's allocation-free estimate joins, prices and tests
+        /// connectivity exactly like `join_cardinality`/`join_step_cost`,
+        /// bit for bit, through chains of joins.
+        #[test]
+        fn join_card_matches_card_est(seed in 0u64..100_000) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let pool: Vec<Var> = (0..JOIN_CARD_COLS).map(|i| Var::new(&format!("v{i}"))).collect();
+            let ests: Vec<CardEst> = (0..rng.gen_range(2..6)).map(|_| random_card(&mut rng, &pool)).collect();
+            let refs: Vec<&CardEst> = ests.iter().collect();
+            let cards = JoinCard::number(&refs).expect("the pool fits a JoinCard");
+            // The numbering follows first appearance across the estimates.
+            let mut universe: Vec<Var> = Vec::new();
+            for v in ests.iter().flat_map(|e| e.cols.iter()) {
+                if !universe.contains(v) {
+                    universe.push(*v);
+                }
+            }
+            let db = Database::new();
+            let est = Estimator::new(&db);
+            let (mut card, mut card_est) = (cards[0], ests[0].clone());
+            for (c, e) in cards.iter().zip(&ests).skip(1) {
+                proptest::prop_assert_eq!(card.shares_col(c), card_est.shares_col(e));
+                let joined = est.join_cardinality(&card_est, e);
+                let joined_card = card.join(c);
+                assert_same(&joined_card, &joined, &universe);
+                proptest::prop_assert_eq!(card.join_rows(c).to_bits(), joined.rows.to_bits());
+                proptest::prop_assert_eq!(
+                    join_step(card.rows(), c.rows(), joined_card.rows()).to_bits(),
+                    Estimator::join_step_cost(&card_est, e, &joined).to_bits()
+                );
+                // Alternate the sides, so the accumulated estimate is
+                // joined on both the left and the right.
+                if rng.gen_bool(0.5) {
+                    (card, card_est) = (joined_card, joined);
+                } else {
+                    (card, card_est) = (c.join(&card), est.join_cardinality(e, &card_est));
+                    assert_same(&card, &card_est, &universe);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn join_card_numbering_refuses_what_it_cannot_hold() {
+        let wide: Vec<Var> = (0..=JOIN_CARD_COLS)
+            .map(|i| Var::new(&format!("w{i}")))
+            .collect();
+        let card = CardEst::new(wide.clone(), 5.0, vec![1.0; wide.len()]);
+        assert!(JoinCard::number(&[&card]).is_none(), "too many columns");
+        let x = Var::new("x");
+        let repeated = CardEst::new(vec![x, x], 5.0, vec![1.0, 1.0]);
+        assert!(
+            JoinCard::number(&[&repeated]).is_none(),
+            "a repeated column"
+        );
     }
 }

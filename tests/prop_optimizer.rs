@@ -9,7 +9,8 @@
 //! plans include unions whose branches share a join leg or a `diff` right
 //! operand, so the cost pass's union factoring is exercised — and
 //! near-misses it must leave alone. Per-rule soundness tests pin the two
-//! factoring identities directly.
+//! factoring identities directly, and the price the cost pass carries for
+//! its plan must equal a fresh estimator walk of that plan, bit for bit.
 
 mod common;
 
@@ -20,8 +21,8 @@ use rand::SeedableRng;
 use rcsafe::formula::generate::{random_allowed_formula, GenConfig};
 use rcsafe::formula::vars::rectified;
 use rcsafe::relalg::{
-    eval, eval_baseline, optimize, plan_hash, simplify, Estimator, EvalCtx, PlanCache, RaExpr,
-    SelPred,
+    eval, eval_baseline, harvest_actuals, optimize, optimize_priced, plan_hash, simplify,
+    Estimator, EvalCtx, PlanCache, RaExpr, SelPred, Tracer,
 };
 use rcsafe::safety::corpus::{corpus, formula_of, random_db};
 use rcsafe::safety::pipeline::{
@@ -337,6 +338,28 @@ proptest! {
             e,
             optimized
         );
+    }
+
+    /// The planner prices each node once and carries prices up from the
+    /// leaves; what it carries for its plan is exactly what a fresh walk
+    /// of that plan computes — with an empty feedback store and with
+    /// observations harvested from a traced run.
+    #[test]
+    fn optimize_carries_the_fresh_price(seed in 0u64..10_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let e = random_plan(&mut rng, 4);
+        let db = stats_db(seed);
+        if seed.is_multiple_of(2) {
+            let plan = simplify(&e);
+            let mut cx = EvalCtx::default().with_tracer(Tracer::on());
+            eval(&plan, &db, &mut cx).expect("heuristic plan evaluates");
+            harvest_actuals(&plan, cx.tracer.finish().as_ref(), &db);
+        }
+        let (plan, (cost, card)) = optimize_priced(&e, &db);
+        prop_assert_eq!(&plan, &optimize(&e, &db));
+        let (fresh_cost, fresh_card) = Estimator::new(&db).cost_and_estimate(&plan);
+        prop_assert_eq!(cost.to_bits(), fresh_cost.to_bits(), "cost of {}", plan);
+        prop_assert_eq!(card.rows.to_bits(), fresh_card.rows.to_bits(), "rows of {}", plan);
     }
 
     /// Re-running the cost-based planner on its own output is a no-op: the
