@@ -557,6 +557,10 @@ pub struct Served {
     pub class: SafetyClass,
     /// The answer; for a safe pair, the active-domain answer.
     pub relation: Relation,
+    /// The structural hash keying the plan's result-cache entry (for a
+    /// safe pair, the fin leg's): with `relation` it finds the entry's
+    /// memoised body ([`rc_relalg::PlanCache::result_body`]).
+    pub plan_hash: u64,
     /// Evaluation counters, summed over both legs of a safe pair. On a
     /// result hit only the governance charge is recorded.
     pub stats: EvalStats,
@@ -782,6 +786,7 @@ pub(crate) fn leg<S: PlanStore<Compiled>>(
         per_variable: vec![false; compiled.columns.len()],
         compiled,
         relation,
+        plan_hash,
         stats,
         plan_cached,
         result_cached,

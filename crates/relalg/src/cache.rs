@@ -24,6 +24,11 @@
 //!   plan keeps at most one result (the latest), so a mutate–reserve loop
 //!   self-evicts instead of accumulating garbage; [`purge_stale`] drops
 //!   leftovers eagerly.
+//! * **Encoded bodies** ride on result entries. A server answering the
+//!   same hit many times asks [`PlanCache::result_body`] for the answer's
+//!   wire body: the first ask encodes it, every later one shares it. The
+//!   body belongs to its entry and goes when the entry is overwritten,
+//!   refreshed or purged; there is no separate map or eviction for it.
 //!
 //! The payload type is generic because this crate only knows about algebra
 //! expressions — `rc-core` instantiates `PlanCache` with its full compiled
@@ -89,10 +94,30 @@ fn rate(hits: u64, misses: u64) -> f64 {
     }
 }
 
+/// One result entry: a plan's answer at one database version, and the
+/// answer's encoded body once a caller asked for it
+/// ([`PlanCache::result_body`]). The body lives exactly as long as the
+/// entry: replacing, refreshing or purging the entry drops it.
+struct ResultEntry {
+    version: u64,
+    relation: Relation,
+    body: Option<Arc<[u8]>>,
+}
+
+impl ResultEntry {
+    fn new(version: u64, relation: Relation) -> ResultEntry {
+        ResultEntry {
+            version,
+            relation,
+            body: None,
+        }
+    }
+}
+
 /// One lock's worth of cache state; see [`PlanCache`].
 struct Shard<P> {
     plans: FxHashMap<(String, u64, u64), (Arc<P>, u64)>,
-    results: FxHashMap<u64, (u64, Relation)>,
+    results: FxHashMap<u64, ResultEntry>,
     /// Materialized standing queries keyed by plan hash — the substrate
     /// the maintenance layer refreshes when a result entry goes stale by
     /// a known delta chain. At most one view per plan (latest wins), and
@@ -104,9 +129,19 @@ struct Shard<P> {
 }
 
 impl<P> Shard<P> {
+    /// The body memo of `plan_hash`'s result entry, if that entry holds
+    /// `relation`'s buffer.
+    fn body_slot(&mut self, plan_hash: u64, relation: &Relation) -> Option<&mut Option<Arc<[u8]>>> {
+        self.results
+            .get_mut(&plan_hash)
+            .filter(|e| e.relation.shares_data(relation))
+            .map(|e| &mut e.body)
+    }
+
     /// Store a view and its root result, stamped with the view's version.
     fn install(&mut self, plan_hash: u64, view: MaintainedView, rel: Relation) {
-        self.results.insert(plan_hash, (view.base_version(), rel));
+        self.results
+            .insert(plan_hash, ResultEntry::new(view.base_version(), rel));
         self.views.insert(plan_hash, view);
     }
 }
@@ -243,7 +278,7 @@ impl<P> PlanCache<P> {
     pub fn lookup_result(&self, plan_hash: u64, db_version: u64) -> Option<Relation> {
         let mut shard = self.result_shard(plan_hash);
         let (hit, stale) = match shard.results.get(&plan_hash) {
-            Some((v, rel)) if *v == db_version => (Some(rel.clone()), false),
+            Some(e) if e.version == db_version => (Some(e.relation.clone()), false),
             Some(_) => (None, true),
             None => (None, false),
         };
@@ -261,7 +296,33 @@ impl<P> PlanCache<P> {
     pub fn insert_result(&self, plan_hash: u64, db_version: u64, rel: Relation) {
         self.result_shard(plan_hash)
             .results
-            .insert(plan_hash, (db_version, rel));
+            .insert(plan_hash, ResultEntry::new(db_version, rel));
+    }
+
+    /// The encoded body of `relation`, memoised on `plan_hash`'s result
+    /// entry when that entry holds this very relation (the same shared
+    /// buffer, as [`lookup_result`](PlanCache::lookup_result) hands out).
+    /// The first call encodes it with `encode`, outside the lock; later
+    /// calls share that body. The flag is `true` when the body was already
+    /// memoised. When the entry has been replaced or purged meanwhile, the
+    /// fresh body is returned but not kept: a body never outlives the
+    /// answer it encodes, and no entry gains one it did not encode.
+    pub fn result_body(
+        &self,
+        plan_hash: u64,
+        relation: &Relation,
+        encode: impl FnOnce() -> Vec<u8>,
+    ) -> (Arc<[u8]>, bool) {
+        if let Some(Some(body)) = self.result_shard(plan_hash).body_slot(plan_hash, relation) {
+            return (Arc::clone(body), true);
+        }
+        let body: Arc<[u8]> = encode().into();
+        match self.result_shard(plan_hash).body_slot(plan_hash, relation) {
+            // Another caller raced this one to the first encode: keep and
+            // hand out the body that landed first.
+            Some(slot) => (Arc::clone(slot.get_or_insert(body)), false),
+            None => (body, false),
+        }
     }
 
     /// Drop every result entry not computed against `db_version`. Returns
@@ -275,7 +336,7 @@ impl<P> PlanCache<P> {
         for shard in &self.shards {
             let mut shard = lock(shard);
             let before = shard.results.len();
-            shard.results.retain(|_, (v, _)| *v == db_version);
+            shard.results.retain(|_, e| e.version == db_version);
             let n = before - shard.results.len();
             shard.stats.evicted_results += n as u64;
             evicted += n;
@@ -613,6 +674,82 @@ mod tests {
         c.clear();
         assert_eq!(c.view_count(), 0);
         assert_eq!(c.stats(), CacheStats::default());
+    }
+
+    /// `result_body` for the entry's answer, reporting whether it was
+    /// memoised and how often `encode` ran.
+    fn body(c: &PlanCache<()>, hash: u64, rel: &Relation, calls: &mut u32) -> (Vec<u8>, bool) {
+        let (body, reused) = c.result_body(hash, rel, || {
+            *calls += 1;
+            format!("{rel}").into_bytes()
+        });
+        (body.to_vec(), reused)
+    }
+
+    #[test]
+    fn result_bodies_live_exactly_as_long_as_their_entry() {
+        let c: PlanCache<()> = PlanCache::new();
+        let mut calls = 0;
+        c.insert_result(7, 100, rel([1, 2]));
+        let hit = c.lookup_result(7, 100).expect("hit");
+        let first = body(&c, 7, &hit, &mut calls);
+        assert_eq!(first, (format!("{hit}").into_bytes(), false));
+        assert_eq!(body(&c, 7, &hit, &mut calls), (first.0.clone(), true));
+        assert_eq!(calls, 1, "the second ask shares the first body");
+        // Overwritten: the new answer's body is encoded afresh, and the old
+        // answer (still held by a slow reader) no longer finds a memo.
+        c.insert_result(7, 101, rel([3, 4]));
+        let new = c.lookup_result(7, 101).expect("hit");
+        assert_eq!(
+            body(&c, 7, &new, &mut calls),
+            (format!("{new}").into_bytes(), false)
+        );
+        assert!(!body(&c, 7, &hit, &mut calls).1);
+        assert!(body(&c, 7, &new, &mut calls).1);
+        // The same version stored again (a racing evaluation) is a new
+        // entry with no body.
+        c.insert_result(7, 101, rel([3, 4]));
+        let again = c.lookup_result(7, 101).expect("hit");
+        assert!(!body(&c, 7, &again, &mut calls).1);
+        // Purged: the entry and its body are gone.
+        assert_eq!(c.purge_stale(102), 1);
+        assert!(!body(&c, 7, &again, &mut calls).1);
+        assert!(!body(&c, 7, &again, &mut calls).1, "no entry, no memo");
+        assert_eq!(c.result_count(), 0);
+    }
+
+    #[test]
+    fn a_refreshed_entry_drops_its_body() {
+        use crate::eval::EvalStats;
+        use crate::govern::Budget;
+        use crate::ivm::refresh;
+        use crate::trace::Tracer;
+        let (mut db, out, view) = tiny_view();
+        let c: PlanCache<()> = PlanCache::new();
+        let mut calls = 0;
+        c.insert_result(7, db.version(), out);
+        c.register_view(7, view);
+        let hit = c.lookup_result(7, db.version()).expect("hit");
+        body(&c, 7, &hit, &mut calls);
+        assert!(body(&c, 7, &hit, &mut calls).1);
+        let delta = db.apply_delta("P(2)").unwrap();
+        let snap = c.view_snapshot(7).expect("view registered");
+        let (nv, fresh) = refresh(
+            &snap,
+            &delta,
+            db.version(),
+            &mut EvalStats::default(),
+            Budget::unlimited(),
+            &mut Tracer::off(),
+        )
+        .unwrap();
+        c.install_refreshed(7, nv, fresh.clone());
+        let hit = c.lookup_result(7, db.version()).expect("refreshed hit");
+        assert_eq!(hit, fresh);
+        assert_eq!(
+            body(&c, 7, &hit, &mut calls),
+            (format!("{fresh}").into_bytes(), false)
+        );
     }
 
     #[test]

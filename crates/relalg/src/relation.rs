@@ -782,6 +782,16 @@ impl RelationBuilder {
         }
     }
 
+    /// A builder holding `rows` rows already laid out flat in `data`.
+    pub(crate) fn from_flat(arity: usize, rows: usize, data: Vec<Value>) -> RelationBuilder {
+        debug_assert_eq!(data.len(), arity * rows);
+        RelationBuilder {
+            arity,
+            n_rows: rows,
+            data,
+        }
+    }
+
     /// Append one row. Panics on arity mismatch.
     #[inline]
     pub fn push_row(&mut self, row: &[Value]) {

@@ -55,8 +55,8 @@ pub mod server;
 pub use admit::{Admission, AdmissionConfig, AdmissionStats, AdmitError, Permit};
 pub use client::{Client, ClientError};
 pub use protocol::{
-    read_frame, write_frame, DeltaCount, FrameError, Priority, ProtoError, QueryOk, Request,
-    Response, Verb, WireError, WireLimits, WireStats, MAX_REQUEST_FRAME, MAX_RESPONSE_FRAME,
-    PROTOCOL_VERSION,
+    encode_answer, read_frame, write_frame, write_frame_parts, DeltaCount, FrameError, Priority,
+    ProtoError, QueryOk, Request, Response, Verb, WireError, WireLimits, WireStats,
+    MAX_REQUEST_FRAME, MAX_RESPONSE_FRAME, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerConfig};

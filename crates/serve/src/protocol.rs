@@ -12,7 +12,10 @@
 //! carry whole relations, at the larger [`MAX_RESPONSE_FRAME`].
 //! [`write_frame`] hands the length and the payload to the stream in one
 //! vectored write, so the peer wakes once per frame, not once for the
-//! length and again for the payload.
+//! length and again for the payload. [`write_frame_parts`] does the same
+//! for a payload in several pieces, which is how a server sends a
+//! memoised answer body behind freshly encoded headers without copying
+//! it.
 //!
 //! ## Payloads
 //!
@@ -26,14 +29,19 @@
 //!
 //! Answer rows go through the engine's one TSV codec, so the wire shares
 //! [`rc_relalg::io`]'s cell conventions. [`Response::encode`] writes the
-//! headers and then [`rc_relalg::io::append_tsv`]'s rows into one buffer.
-//! [`Response::parse`] borrows the body and decodes it in one byte scan
-//! with [`rc_relalg::io::TsvRows`]. A string cell is single-quoted when it
+//! headers ([`QueryOk::encode_head`]) and then the rows
+//! ([`encode_answer`], [`rc_relalg::io::append_tsv`]) into one buffer; the
+//! two halves are public so a server can memoise the rows and send them
+//! again behind new headers. [`Response::parse`] borrows the body and
+//! decodes it in one byte scan straight into a flat row buffer with
+//! [`rc_relalg::io::decode_tsv`]. A string cell is single-quoted when it
 //! would otherwise read back as an integer, lose whitespace or split a
 //! row. Inside quotes `\t`, `\n`, `\r` and `\\` are backslash-escaped, so
 //! every value, including one holding a tab or newline, round-trips. The
 //! `rows` and `arity` headers are checked against the body, and are not
-//! trusted to size allocations beyond what the body can hold.
+//! trusted to size allocations beyond what the body can hold. After the
+//! last row the body may hold a trace JSON object and nothing else: rows
+//! beyond the `rows` count are an error, not a trace.
 //!
 //! ## Determinism contract
 //!
@@ -45,8 +53,8 @@
 //! `tests/serve_differential.rs` pins over the whole paper corpus.
 
 use rc_relalg::govern::{BudgetExceeded, Resource, Stage};
-use rc_relalg::io::{append_tsv, TsvRows};
-use rc_relalg::{EvalStats, Relation, RelationBuilder};
+use rc_relalg::io::{append_tsv, decode_tsv};
+use rc_relalg::{EvalStats, Relation};
 use rc_safety::pipeline::PipelineError;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -118,11 +126,23 @@ fn io_frame_error(e: io::Error) -> FrameError {
 /// again for the payload. Bytes that the writer does not take are written
 /// again until the whole frame is out.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
+    write_frame_parts(w, &[payload])
+}
+
+/// Write one frame whose payload is the concatenation of `parts`, without
+/// copying them into one buffer: the length and every part go out in one
+/// vectored write, exactly as [`write_frame`] sends the joined payload.
+/// The server sends a memoised answer body this way, behind freshly
+/// encoded headers.
+pub fn write_frame_parts(w: &mut impl Write, parts: &[&[u8]]) -> io::Result<()> {
+    let len = parts.iter().map(|p| p.len()).sum::<usize>();
+    let len = u32::try_from(len)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
     let len = len.to_be_bytes();
-    let mut parts = [io::IoSlice::new(&len), io::IoSlice::new(payload)];
-    let mut rest = &mut parts[..];
+    let mut slices: Vec<io::IoSlice<'_>> = Vec::with_capacity(1 + parts.len());
+    slices.push(io::IoSlice::new(&len));
+    slices.extend(parts.iter().map(|p| io::IoSlice::new(p)));
+    let mut rest = &mut slices[..];
     while !rest.is_empty() {
         match w.write_vectored(rest) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
@@ -550,6 +570,57 @@ pub struct QueryOk {
     pub any_infinite_vars: Option<Vec<bool>>,
 }
 
+impl QueryOk {
+    /// Append the response's first line and headers, through the `.`
+    /// separator: everything [`Response::encode`] writes before the answer
+    /// rows. A server holding the rows already encoded
+    /// ([`encode_answer`]) sends these bytes in front of them.
+    pub fn encode_head(&self, out: &mut Vec<u8>) {
+        let _ = writeln!(out, "{PROTOCOL_VERSION} ok query");
+        let _ = writeln!(out, "version {}", self.version);
+        let _ = writeln!(out, "plan_cached {}", u8::from(self.plan_cached));
+        let _ = writeln!(out, "result_cached {}", u8::from(self.result_cached));
+        let _ = writeln!(out, "result_refreshed {}", u8::from(self.result_refreshed));
+        let _ = writeln!(out, "operators {}", self.stats.operators);
+        let _ = writeln!(out, "tuples_produced {}", self.stats.tuples_produced);
+        let _ = writeln!(out, "max_intermediate {}", self.stats.max_intermediate);
+        let _ = writeln!(out, "budget_checks {}", self.stats.budget_checks);
+        let _ = writeln!(out, "memo_hits {}", self.stats.memo_hits);
+        if let Some(inf) = self.any_infinite {
+            let _ = writeln!(out, "any_infinite {}", u8::from(inf));
+        }
+        if let Some(mask) = &self.any_infinite_vars {
+            let bits = if mask.is_empty() {
+                "-".to_string()
+            } else {
+                mask.iter()
+                    .map(|&b| if b { "1" } else { "0" })
+                    .collect::<Vec<_>>()
+                    .join(",")
+            };
+            let _ = writeln!(out, "any_infinite_vars {bits}");
+        }
+        let cols = if self.columns.is_empty() {
+            "-".to_string()
+        } else {
+            self.columns.join(",")
+        };
+        let _ = writeln!(out, "columns {cols}");
+        let _ = writeln!(out, "arity {}", self.relation.arity());
+        let _ = writeln!(out, "rows {}", self.relation.len());
+        out.extend_from_slice(b".\n");
+    }
+}
+
+/// Append an answer's rows as a query response body carries them: TSV rows
+/// in canonical order, and nothing for a nullary answer, whose `rows`
+/// header is the whole answer.
+pub fn encode_answer(relation: &Relation, out: &mut Vec<u8>) {
+    if relation.arity() > 0 {
+        append_tsv(relation, out);
+    }
+}
+
 /// A structured error response; `kind` names the failure class and the
 /// budget fields survive serialization so a client can reconstruct the
 /// exact [`BudgetExceeded`] attribution.
@@ -712,42 +783,8 @@ impl Response {
         let mut out = Vec::new();
         match self {
             Response::Query(ok) => {
-                let _ = writeln!(out, "{PROTOCOL_VERSION} ok query");
-                let _ = writeln!(out, "version {}", ok.version);
-                let _ = writeln!(out, "plan_cached {}", u8::from(ok.plan_cached));
-                let _ = writeln!(out, "result_cached {}", u8::from(ok.result_cached));
-                let _ = writeln!(out, "result_refreshed {}", u8::from(ok.result_refreshed));
-                let _ = writeln!(out, "operators {}", ok.stats.operators);
-                let _ = writeln!(out, "tuples_produced {}", ok.stats.tuples_produced);
-                let _ = writeln!(out, "max_intermediate {}", ok.stats.max_intermediate);
-                let _ = writeln!(out, "budget_checks {}", ok.stats.budget_checks);
-                let _ = writeln!(out, "memo_hits {}", ok.stats.memo_hits);
-                if let Some(inf) = ok.any_infinite {
-                    let _ = writeln!(out, "any_infinite {}", u8::from(inf));
-                }
-                if let Some(mask) = &ok.any_infinite_vars {
-                    let bits = if mask.is_empty() {
-                        "-".to_string()
-                    } else {
-                        mask.iter()
-                            .map(|&b| if b { "1" } else { "0" })
-                            .collect::<Vec<_>>()
-                            .join(",")
-                    };
-                    let _ = writeln!(out, "any_infinite_vars {bits}");
-                }
-                let cols = if ok.columns.is_empty() {
-                    "-".to_string()
-                } else {
-                    ok.columns.join(",")
-                };
-                let _ = writeln!(out, "columns {cols}");
-                let _ = writeln!(out, "arity {}", ok.relation.arity());
-                let _ = writeln!(out, "rows {}", ok.relation.len());
-                out.extend_from_slice(b".\n");
-                if ok.relation.arity() > 0 {
-                    append_tsv(&ok.relation, &mut out);
-                }
+                ok.encode_head(&mut out);
+                encode_answer(&ok.relation, &mut out);
                 if let Some(trace) = &ok.trace_json {
                     out.extend_from_slice(trace.as_bytes());
                     out.push(b'\n');
@@ -804,8 +841,13 @@ impl Response {
         let kind = words.next().unwrap_or("").trim();
         match status {
             "ok" => match kind {
-                "query" => parse_query_ok(&headers, body)
-                    .ok_or_else(|| ProtoError::BadHeader("incomplete query response".to_string())),
+                "query" => {
+                    let (mut ok, rest) = parse_query_ok(&headers, body).ok_or_else(|| {
+                        ProtoError::BadHeader("incomplete query response".to_string())
+                    })?;
+                    ok.trace_json = parse_trace(rest)?;
+                    Ok(Response::Query(ok))
+                }
                 "mutate" => {
                     let version = header_num(&headers, "version")
                         .ok_or_else(|| ProtoError::BadHeader("version".to_string()))?;
@@ -872,7 +914,9 @@ fn parse_delta_count(line: &str) -> Option<DeltaCount> {
     })
 }
 
-fn parse_query_ok(headers: &[(&str, &str)], body: &str) -> Option<Response> {
+/// Parse a query response's headers and its `rows` answer rows. Returns the
+/// response without its trace, and the body after the last row.
+fn parse_query_ok<'a>(headers: &[(&str, &str)], body: &'a str) -> Option<(QueryOk, &'a str)> {
     let version = header_num(headers, "version")?;
     let plan_cached = header_num(headers, "plan_cached")? != 0;
     let result_cached = header_num(headers, "result_cached")? != 0;
@@ -890,29 +934,14 @@ fn parse_query_ok(headers: &[(&str, &str)], body: &str) -> Option<Response> {
     } else {
         cols_raw.split(',').map(|s| s.to_string()).collect()
     };
-    let arity = header_num(headers, "arity")? as usize;
-    let rows = header_num(headers, "rows")? as usize;
-    let mut decoder = TsvRows::new(body);
-    // `rows` comes from the peer: pre-size only for the rows the body can
-    // hold (each needs `arity - 1` tabs and a newline). Arity 0 has no
-    // such bound and needs none: `rows` alone carries the boolean answer.
-    let relation = match (body.len() + 1).checked_div(arity) {
-        None if rows > 0 => Relation::unit(),
-        None => Relation::empty_nullary(),
-        Some(fit) => {
-            let mut b = RelationBuilder::with_capacity(arity, rows.min(fit));
-            for _ in 0..rows {
-                let row = decoder.next_row()?;
-                if row.len() != arity {
-                    return None;
-                }
-                b.push_row(row);
-            }
-            b.finish()
-        }
+    let arity = usize::try_from(header_num(headers, "arity")?).ok()?;
+    let rows = usize::try_from(header_num(headers, "rows")?).ok()?;
+    // A nullary answer has no body rows: `rows` alone carries it.
+    let (relation, rest) = match arity {
+        0 if rows > 0 => (Relation::unit(), body),
+        0 => (Relation::empty_nullary(), body),
+        _ => decode_tsv(body, arity, rows)?,
     };
-    let trace: String = decoder.rest().lines().collect::<Vec<_>>().join("\n");
-    let trace_json = if trace.is_empty() { None } else { Some(trace) };
     let any_infinite = header_str(headers, "any_infinite").map(|v| v != "0");
     let any_infinite_vars = header_str(headers, "any_infinite_vars").map(|raw| {
         if raw == "-" {
@@ -921,7 +950,7 @@ fn parse_query_ok(headers: &[(&str, &str)], body: &str) -> Option<Response> {
             raw.split(',').map(|b| b == "1").collect()
         }
     });
-    Some(Response::Query(QueryOk {
+    let ok = QueryOk {
         version,
         plan_cached,
         result_cached,
@@ -929,10 +958,27 @@ fn parse_query_ok(headers: &[(&str, &str)], body: &str) -> Option<Response> {
         stats,
         columns,
         relation,
-        trace_json,
+        trace_json: None,
         any_infinite,
         any_infinite_vars,
-    }))
+    };
+    Some((ok, rest))
+}
+
+/// The trace JSON after a query response's last row: nothing (blank lines
+/// at most), or one JSON object. Anything else, such as rows beyond the
+/// `rows` header's count, is an error rather than a trace.
+fn parse_trace(rest: &str) -> Result<Option<String>, ProtoError> {
+    let trace = rest.lines().collect::<Vec<_>>().join("\n");
+    if trace.is_empty() {
+        Ok(None)
+    } else if trace.starts_with('{') && trace.ends_with('}') {
+        Ok(Some(trace))
+    } else {
+        Err(ProtoError::BadHeader(
+            "rows: the body holds more than the declared rows and a trace".to_string(),
+        ))
+    }
 }
 
 #[cfg(test)]
@@ -1168,6 +1214,16 @@ mod tests {
             assert_eq!(
                 Response::parse(&query_payload(2, rows, body)),
                 incomplete,
+                "{body:?}"
+            );
+        }
+        // Rows beyond the `rows` count are an error, not a trace.
+        for (arity, body) in [(1, "1\n2\n3\n"), (1, "1\n2\n{}\n"), (2, "1\t2\n3\t4")] {
+            assert!(
+                matches!(
+                    Response::parse(&query_payload(arity, 1, body)),
+                    Err(ProtoError::BadHeader(_))
+                ),
                 "{body:?}"
             );
         }

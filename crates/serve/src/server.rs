@@ -23,7 +23,13 @@
 //! 3. **serves** through the process-wide [`PlanCache`] via
 //!    [`serve`] — the *same* code path in-process callers use, which is
 //!    why served responses are byte-identical to local serving
-//!    (`tests/serve_differential.rs`).
+//!    (`tests/serve_differential.rs`);
+//! 4. **writes** the response frame. A plain `query` result hit sends the
+//!    result entry's memoised body ([`PlanCache::result_body`]) behind
+//!    freshly encoded headers, in one vectored write: the rows are
+//!    encoded once per cached answer, not once per hit. Every other
+//!    response is encoded whole. The `stats` verb counts both kinds
+//!    (`bodies_reused`, `bodies_encoded`).
 //!
 //! Mutations serialize on a dedicated mutate lock and do the expensive
 //! part — cloning the database (cheap: relations are `Arc`'d flat
@@ -33,8 +39,8 @@
 
 use crate::admit::{Admission, AdmissionConfig, AdmitError};
 use crate::protocol::{
-    read_frame, write_frame, DeltaCount, FrameError, QueryOk, Request, Response, Verb, WireError,
-    WireLimits, WireStats, MAX_REQUEST_FRAME,
+    encode_answer, read_frame, write_frame, write_frame_parts, DeltaCount, FrameError, QueryOk,
+    Request, Response, Verb, WireError, WireLimits, WireStats, MAX_REQUEST_FRAME,
 };
 use rc_relalg::{Budget, Database, FaultInjector, NoCache, PlanCache};
 use rc_safety::pipeline::{self, serve, CompileOptions, Compiled, Mode};
@@ -101,6 +107,10 @@ struct Shared {
     protocol_errors: AtomicU64,
     inline_served: AtomicU64,
     mutations: AtomicU64,
+    /// Query responses that sent their result entry's memoised body.
+    bodies_reused: AtomicU64,
+    /// Query responses that encoded their answer rows.
+    bodies_encoded: AtomicU64,
 }
 
 /// A running query server. Dropping it shuts it down.
@@ -138,6 +148,8 @@ impl Server {
             protocol_errors: AtomicU64::new(0),
             inline_served: AtomicU64::new(0),
             mutations: AtomicU64::new(0),
+            bodies_reused: AtomicU64::new(0),
+            bodies_encoded: AtomicU64::new(0),
         });
         let conns: Conns = Arc::default();
         let accept_state = Arc::clone(&state);
@@ -280,30 +292,55 @@ fn serve_connection(state: &Arc<Shared>, mut stream: TcpStream) {
                 return;
             }
         };
-        let response = match Request::parse(&payload) {
+        let reply = match Request::parse(&payload) {
             Ok(req) => dispatch(state, &req),
             Err(e) => {
                 // The frame itself was sound, so the stream is still in
                 // sync; answer and keep serving.
                 state.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                Response::Error(WireError::proto(&e))
+                Response::Error(WireError::proto(&e)).into()
             }
         };
         state.served.fetch_add(1, Ordering::Relaxed);
-        if write_frame(&mut stream, &response.encode()).is_err() {
+        let written = match (&reply.response, &reply.body) {
+            (Response::Query(ok), Some(body)) => {
+                let mut head = Vec::new();
+                ok.encode_head(&mut head);
+                write_frame_parts(&mut stream, &[&head, body])
+            }
+            (response, _) => write_frame(&mut stream, &response.encode()),
+        };
+        if written.is_err() {
             return; // client went away mid-response
         }
     }
 }
 
-fn dispatch(state: &Arc<Shared>, req: &Request) -> Response {
+/// A response, and for a query answered by a plain result hit, the
+/// answer rows already encoded: the result entry's memoised body, which
+/// goes out behind the response's headers without being copied.
+struct Reply {
+    response: Response,
+    body: Option<Arc<[u8]>>,
+}
+
+impl From<Response> for Reply {
+    fn from(response: Response) -> Reply {
+        Reply {
+            response,
+            body: None,
+        }
+    }
+}
+
+fn dispatch(state: &Arc<Shared>, req: &Request) -> Reply {
     if state.shutdown.load(Ordering::SeqCst) {
-        return Response::Error(WireError::server("shutdown", "server is shutting down"));
+        return Response::Error(WireError::server("shutdown", "server is shutting down")).into();
     }
     match req.verb {
-        Verb::Ping => Response::Pong,
-        Verb::Stats => stats_response(state),
-        Verb::Mutate => mutate(state, &req.body),
+        Verb::Ping => Response::Pong.into(),
+        Verb::Stats => stats_response(state).into(),
+        Verb::Mutate => mutate(state, &req.body).into(),
         Verb::Query | Verb::Analyze | Verb::Any => {
             // Admission first: the permit covers compile + eval, and its
             // Drop releases the slot on *every* exit path below.
@@ -313,13 +350,15 @@ fn dispatch(state: &Arc<Shared>, req: &Request) -> Response {
                     return Response::Error(WireError::server(
                         "overloaded",
                         "admission queue is full; retry later",
-                    ));
+                    ))
+                    .into();
                 }
                 Err(AdmitError::Closed) => {
                     return Response::Error(WireError::server(
                         "shutdown",
                         "server is shutting down",
-                    ));
+                    ))
+                    .into();
                 }
             };
             let snapshot: Arc<Database> = {
@@ -372,7 +411,7 @@ fn serve_query(
     req: &Request,
     snapshot: &Database,
     opts: CompileOptions,
-) -> Response {
+) -> Reply {
     // `analyze` is traced and uncached: the same serve as local `explain
     // analyze`, including the statistics feedback harvest (the snapshot
     // shares the live database's stats store until a mutation, so
@@ -397,7 +436,23 @@ fn serve_query(
     match served {
         Ok(out) => {
             let any = request.mode == Mode::Any;
-            Response::Query(QueryOk {
+            // A plain hit serves the very relation the result entry holds,
+            // so the entry's memoised body is its rows. Misses, refreshes,
+            // `analyze` and `any` encode theirs.
+            let body = (req.verb == Verb::Query && out.result_cached && !out.result_refreshed)
+                .then(|| {
+                    state.cache.result_body(out.plan_hash, &out.relation, || {
+                        let mut rows = Vec::new();
+                        encode_answer(&out.relation, &mut rows);
+                        rows
+                    })
+                });
+            let counter = match body {
+                Some((_, true)) => &state.bodies_reused,
+                _ => &state.bodies_encoded,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            let response = Response::Query(QueryOk {
                 version: snapshot.version(),
                 plan_cached: out.plan_cached,
                 result_cached: out.result_cached,
@@ -408,9 +463,13 @@ fn serve_query(
                 any_infinite: any.then(|| out.maybe_infinite()),
                 any_infinite_vars: any.then_some(out.per_variable),
                 relation: out.relation,
-            })
+            });
+            Reply {
+                response,
+                body: body.map(|(body, _)| body),
+            }
         }
-        Err(e) => Response::Error(WireError::from_pipeline(&e)),
+        Err(e) => Response::Error(WireError::from_pipeline(&e)).into(),
     }
 }
 
@@ -489,6 +548,14 @@ fn stats_response(state: &Arc<Shared>) -> Response {
         (
             "evicted_results".to_string(),
             cache.evicted_results.to_string(),
+        ),
+        (
+            "bodies_reused".to_string(),
+            state.bodies_reused.load(Ordering::Relaxed).to_string(),
+        ),
+        (
+            "bodies_encoded".to_string(),
+            state.bodies_encoded.load(Ordering::Relaxed).to_string(),
         ),
         ("plans".to_string(), state.cache.plan_count().to_string()),
         ("views".to_string(), state.cache.view_count().to_string()),

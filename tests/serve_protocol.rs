@@ -13,9 +13,11 @@ use rand::{Rng, SeedableRng};
 use rc_serve::{
     read_frame, write_frame, Client, ClientError, DeltaCount, FrameError, Priority, QueryOk,
     Request, Response, Server, ServerConfig, Verb, WireLimits, WireStats, MAX_REQUEST_FRAME,
+    MAX_RESPONSE_FRAME,
 };
 use rcsafe::relalg::RelationBuilder;
 use rcsafe::{Database, Relation, Value};
+use std::net::TcpStream;
 use std::time::Duration;
 
 fn test_server() -> (Server, std::net::SocketAddr) {
@@ -604,6 +606,103 @@ fn refreshed_serves_are_distinguishable_over_the_wire() {
             );
         }
         other => panic!("expected a query response, got {other:?}"),
+    }
+}
+
+/// One request on a raw stream, and the response payload exactly as the
+/// server sent it.
+fn raw_round_trip(stream: &mut TcpStream, req: &Request) -> Vec<u8> {
+    write_frame(stream, &req.encode()).expect("send");
+    read_frame(stream, MAX_RESPONSE_FRAME)
+        .expect("read")
+        .expect("a response")
+}
+
+/// A query response's sent bytes, checked against a fresh encode of the
+/// answer they carry.
+fn served_query(stream: &mut TcpStream, req: &Request) -> QueryOk {
+    let bytes = raw_round_trip(stream, req);
+    let resp = Response::parse(&bytes).expect("the response parses");
+    assert_eq!(
+        String::from_utf8_lossy(&resp.encode()),
+        String::from_utf8_lossy(&bytes),
+        "the sent bytes differ from a fresh encode"
+    );
+    match resp {
+        Response::Query(ok) => ok,
+        other => panic!("expected a query response, got {other:?}"),
+    }
+}
+
+/// The server's `(bodies_reused, bodies_encoded)` counters.
+fn body_counters(c: &mut Client) -> (u64, u64) {
+    let stats = c.stats().expect("stats");
+    let get = |key: &str| {
+        stats
+            .iter()
+            .find(|(k, _)| k == key)
+            .and_then(|(_, v)| v.parse().ok())
+            .unwrap_or_else(|| panic!("stats carry {key}"))
+    };
+    (get("bodies_reused"), get("bodies_encoded"))
+}
+
+/// A plain result hit sends its entry's memoised body, and that body is
+/// never stale: every hit's bytes equal a fresh encode of its answer, the
+/// first hit after a mutation and refresh carries the new answer, and
+/// `analyze` and `any` serves of the same cached answer never read the
+/// memo.
+#[test]
+fn memoised_bodies_are_never_stale_over_the_wire() {
+    let (_server, addr) = test_server();
+    let mut c = connect(addr);
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let text = "Part(x) & Supplies(y, x)";
+    let query = Request::query(text);
+    assert!(matches!(
+        c.mutate("Supplies('acme', 'bolt')"),
+        Ok(Response::Mutate { .. })
+    ));
+
+    let cold = served_query(&mut stream, &query);
+    assert!(!cold.result_cached);
+    assert_eq!(body_counters(&mut c), (0, 1));
+    // The first hit encodes the body it memoises; later hits share it.
+    for (reused, encoded) in [(0, 2), (1, 2), (2, 2)] {
+        let hit = served_query(&mut stream, &query);
+        assert!(hit.result_cached && !hit.result_refreshed);
+        assert_eq!(hit.relation, cold.relation);
+        assert_eq!(body_counters(&mut c), (reused, encoded));
+    }
+    // `analyze` and `any` of the same text serve the same answer (`any`
+    // from the same cache entry) and encode their own.
+    let analyzed = served_query(&mut stream, &Request::analyze(text));
+    let any = served_query(&mut stream, &Request::any(text));
+    assert!(any.result_cached && analyzed.trace_json.is_some());
+    assert_eq!(
+        (&analyzed.relation, &any.relation),
+        (&cold.relation, &cold.relation)
+    );
+    assert_eq!(body_counters(&mut c), (2, 4));
+
+    // A mutation: the refreshed serve encodes its answer, and the next
+    // hits send the new answer, not the memoised old one.
+    assert!(matches!(
+        c.mutate("Supplies('apex', 'nut')"),
+        Ok(Response::Mutate { .. })
+    ));
+    let refreshed = served_query(&mut stream, &query);
+    assert!(refreshed.result_refreshed);
+    assert_eq!(refreshed.relation.len(), 2);
+    assert_eq!(body_counters(&mut c), (2, 5));
+    for (reused, encoded) in [(2, 6), (3, 6)] {
+        let hit = served_query(&mut stream, &query);
+        assert!(hit.result_cached && !hit.result_refreshed);
+        assert_eq!(hit.relation, refreshed.relation);
+        assert_eq!(body_counters(&mut c), (reused, encoded));
     }
 }
 
