@@ -71,7 +71,11 @@ const SIZE_SAMPLE_ROWS: usize = 32;
 ///
 /// The first 32 rows (`SIZE_SAMPLE_ROWS`) are encoded as they come; the rest
 /// of the output is then reserved from their mean width, so a large answer
-/// grows its buffer about once instead of once per doubling.
+/// grows its buffer about once instead of once per doubling. The estimate
+/// is capped at the widest integer row (20 bytes and a delimiter per
+/// cell), so long strings in the sample cannot make it reserve far more
+/// than the relation itself holds; rows wider than that grow the buffer
+/// as they come.
 pub fn append_tsv(rel: &Relation, out: &mut Vec<u8>) {
     let start = out.len();
     let mut rows = rel.iter();
@@ -80,9 +84,10 @@ pub fn append_tsv(rel: &Relation, out: &mut Vec<u8>) {
     }
     let rest = rows.len();
     if rest > 0 {
-        let per_row = (out.len() - start).div_ceil(SIZE_SAMPLE_ROWS);
+        let sampled = (out.len() - start).div_ceil(SIZE_SAMPLE_ROWS);
+        let per_row = sampled.min(21 * rel.arity());
         // An eighth of slack absorbs rows a little wider than the sample.
-        out.reserve(rest.saturating_mul(per_row + per_row / 8));
+        out.reserve_exact(rest.saturating_mul(per_row + per_row / 8));
     }
     for row in rows {
         push_row(out, row);
@@ -889,6 +894,29 @@ mod tests {
         for text in ["1\n", "123456\n", "12345678"] {
             assert_eq!(eight_digits(text.as_bytes(), 0), None, "{text:?}");
         }
+    }
+
+    #[test]
+    fn long_strings_in_the_sample_do_not_inflate_the_reservation() {
+        let long = "s".repeat(10_000);
+        let rows = (0..10_032i64).map(|i| {
+            let cell = if i < 32 {
+                Value::str(&format!("{long}{i}"))
+            } else {
+                Value::int(i)
+            };
+            tuple([Value::int(i), cell])
+        });
+        let rel = Relation::from_rows(2, rows);
+        let mut out = Vec::new();
+        append_tsv(&rel, &mut out);
+        // From the sample alone the rest would reserve ~100 MB.
+        assert!(
+            out.capacity() <= 2 * out.len(),
+            "{} for {}",
+            out.capacity(),
+            out.len()
+        );
     }
 
     #[test]
