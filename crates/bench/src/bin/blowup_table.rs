@@ -50,7 +50,7 @@ fn main() {
     println!("{}", t.render());
     println!(
         "RANF growth is driven by T11 distribution (disjunctions multiply out);\n\
-         the node budget (RanfBudget) rejects pathological inputs instead of\n\
-         exhausting memory."
+         the node budget (Budget::with_max_nodes, or ranf's DEFAULT_NODE_CAP\n\
+         when unset) rejects pathological inputs instead of exhausting memory."
     );
 }

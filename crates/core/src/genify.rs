@@ -23,16 +23,25 @@
 //! instance of such an atom is false for all assignments extending the
 //! current one, so replacing the twins by `false` preserves equivalence by
 //! the same argument as Lemma 8.3.
+//!
+//! ### Entries
+//!
+//! [`stage`] is the compiler's entry: it runs under a [`CompileCtx`]
+//! (budget, conjunct choice, stage tracer) and records the genify stage
+//! span. [`genify`] is the paper-named one-argument form, for the oracles
+//! and benches.
 
 use crate::classes::SafetyViolation;
 use crate::gencon::gen;
 use crate::generator::{con_generator_with, ConGen, ConjunctChoice};
+use crate::pipeline::{CompileCtx, CompileOptions};
 use rc_formula::ast::Formula;
 use rc_formula::pushnot::eliminate_forall;
 use rc_formula::simplify::replace_atoms_by_false;
 use rc_formula::term::{Term, Var};
 use rc_formula::vars::{free_vars, is_free, rectified, rename_bound_fresh, substitute, FreshVars};
 use rc_relalg::govern::{Budget, BudgetExceeded, Stage};
+use rc_relalg::StageTracer;
 use std::fmt;
 
 /// Failure of `genify`.
@@ -62,46 +71,25 @@ impl From<BudgetExceeded> for GenifyError {
 }
 
 /// Transform `f` (any evaluable formula) into an equivalent allowed formula
-/// with no universal quantifiers.
+/// with no universal quantifiers — [`stage`] under default options.
 pub fn genify(f: &Formula) -> Result<Formula, GenifyError> {
-    genify_with(f, ConjunctChoice::Smallest)
+    stage(
+        f,
+        &mut CompileCtx::new(&CompileOptions::default(), None, &mut StageTracer::off()),
+    )
 }
 
-/// [`genify`] with an explicit resolution of the Fig. 5 conjunction
-/// nondeterminism (the paper's noted optimization opportunity; see the
-/// `ablation_table` experiment).
-pub fn genify_with(f: &Formula, choice: ConjunctChoice) -> Result<Formula, GenifyError> {
-    genify_governed(f, choice, Budget::unlimited())
-}
-
-/// [`genify_with`] under a shared resource [`Budget`]: the step-1d rewrite
-/// duplicates subformulas, so the rebuilt formula is checked against the
-/// node cap, and every `∃`-repair honors the deadline and cancellation.
-/// Trips are attributed to [`Stage::Genify`].
-pub fn genify_governed(
-    f: &Formula,
-    choice: ConjunctChoice,
-    budget: &Budget,
-) -> Result<Formula, GenifyError> {
-    Ok(genify_reported(f, choice, budget)?.0)
-}
-
-/// What [`genify_reported`] observed about its own work — the stage detail
-/// the tracing layer records.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GenifyReport {
-    /// Number of step-1d `∃`-repairs performed (0 means the input was
-    /// already allowed up to `∀`-elimination).
-    pub repairs: u64,
-}
-
-/// [`genify_governed`] that also reports how many step-1d repairs ran —
-/// deterministic for a given formula and conjunct choice.
-pub fn genify_reported(
-    f: &Formula,
-    choice: ConjunctChoice,
-    budget: &Budget,
-) -> Result<(Formula, GenifyReport), GenifyError> {
+/// The genify stage under `cx`: resolves the Fig. 5 conjunction
+/// nondeterminism by `cx.opts.generator_choice` (the paper's noted
+/// optimization opportunity; see the `ablation_table` experiment). The
+/// step-1d rewrite duplicates subformulas, so the rebuilt formula is
+/// checked against the budget's node cap, and every `∃`-repair honors the
+/// deadline and cancellation; trips are attributed to [`Stage::Genify`].
+/// The stage span's detail counts the step-1d repairs (`repairs=0` means
+/// the input was already allowed up to `∀`-elimination).
+pub fn stage(f: &Formula, cx: &mut CompileCtx<'_>) -> Result<Formula, GenifyError> {
+    cx.begin(Stage::Genify, || f.node_count());
+    let budget = &cx.opts.budget;
     budget.checkpoint(Stage::Genify)?;
     let f = rectified(f);
     for x in free_vars(&f) {
@@ -113,10 +101,17 @@ pub fn genify_reported(
     }
     let f = eliminate_forall(&f);
     let mut fresh = FreshVars::for_formula(&f);
-    let mut report = GenifyReport::default();
-    let out = go(&f, &mut fresh, choice, budget, &mut report)?;
+    let mut repairs = 0;
+    let out = go(
+        &f,
+        &mut fresh,
+        cx.opts.generator_choice,
+        budget,
+        &mut repairs,
+    )?;
     budget.checkpoint(Stage::Genify)?;
-    Ok((out, report))
+    cx.end(|| out.node_count(), || format!("repairs={repairs}"));
+    Ok(out)
 }
 
 /// `∃*G(x)` (Def. 8.1): the disjunction of the generator atoms with every
@@ -137,19 +132,19 @@ fn go(
     fresh: &mut FreshVars,
     choice: ConjunctChoice,
     budget: &Budget,
-    report: &mut GenifyReport,
+    repairs: &mut u64,
 ) -> Result<Formula, GenifyError> {
     match f {
         Formula::Atom(_) | Formula::Eq(..) => Ok(f.clone()),
-        Formula::Not(g) => Ok(Formula::not(go(g, fresh, choice, budget, report)?)),
+        Formula::Not(g) => Ok(Formula::not(go(g, fresh, choice, budget, repairs)?)),
         Formula::And(fs) => Ok(Formula::And(
             fs.iter()
-                .map(|g| go(g, fresh, choice, budget, report))
+                .map(|g| go(g, fresh, choice, budget, repairs))
                 .collect::<Result<_, _>>()?,
         )),
         Formula::Or(fs) => Ok(Formula::Or(
             fs.iter()
-                .map(|g| go(g, fresh, choice, budget, report))
+                .map(|g| go(g, fresh, choice, budget, repairs))
                 .collect::<Result<_, _>>()?,
         )),
         Formula::Exists(x, a) => {
@@ -158,7 +153,7 @@ fn go(
             if gen(*x, a) {
                 return Ok(Formula::Exists(
                     *x,
-                    Box::new(go(a, fresh, choice, budget, report)?),
+                    Box::new(go(a, fresh, choice, budget, repairs)?),
                 ));
             }
             match con_generator_with(*x, a, choice) {
@@ -170,10 +165,10 @@ fn go(
                     },
                 )),
                 // Step 1c: vacuous quantifier.
-                Some(ConGen::Bottom) => go(a, fresh, choice, budget, report),
+                Some(ConGen::Bottom) => go(a, fresh, choice, budget, repairs),
                 // Step 1d: split into generated part and remainder.
                 Some(ConGen::Atoms(g_atoms)) => {
-                    report.repairs += 1;
+                    *repairs += 1;
                     let r = replace_atoms_by_false(a, &g_atoms);
                     if is_free(*x, &r) {
                         // Lemma 8.2(2) fails ⇒ the input was not evaluable
@@ -203,7 +198,7 @@ fn go(
                     // "Continue at (3)": process the rebuilt formula. The
                     // new ∃x node now satisfies gen (Lemma 8.2(1)), so this
                     // terminates.
-                    go(&f1, fresh, choice, budget, report)
+                    go(&f1, fresh, choice, budget, repairs)
                 }
             }
         }

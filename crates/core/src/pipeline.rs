@@ -2,27 +2,34 @@
 //! → `ranf` → translate → simplify → evaluate.
 //!
 //! This is the public face of the reproduction: given any relational
-//! calculus formula, [`compile_for`] either produces a Dom-free relational
+//! calculus formula, [`compile`] either produces a Dom-free relational
 //! algebra expression computing its answer, or rejects it with the reason
 //! it is unsafe. Unlike the approaches the paper criticizes (Sec. 3), the
 //! pipeline never silently reinterprets a formula: every transformation
 //! preserves logical equivalence, and unsafety is reported, not papered
 //! over.
 //!
+//! Compilation threads one [`CompileCtx`] — options and budget, the target
+//! database the cost planner reads, the stage tracer — through one entry
+//! per stage: [`compile`] here, and `stage` in [`mod@crate::genify`],
+//! [`mod@crate::ranf`] and [`mod@crate::translate`]. Every failure is a
+//! [`PipelineError`]. [`compile_with`], [`compile_for`] and
+//! [`compile_traced_for`] are one-call wrappers over [`compile`], kept
+//! only for the frozen benchmark package.
+//!
 //! [`serve`] is the one way to run a query text end to end: plan lookup →
 //! result lookup → IVM refresh → evaluation, through any [`PlanStore`]
 //! (a [`rc_relalg::PlanCache`], shareable across threads, or the
-//! retain-nothing
-//! [`rc_relalg::NoCache`]), in
-//! [`Mode::Safe`] or — via safe pairs ([`crate::anyrc`]) — [`Mode::Any`].
+//! retain-nothing [`rc_relalg::NoCache`]), in [`Mode::Safe`] or — via
+//! safe pairs ([`crate::anyrc`]) — [`Mode::Any`].
 
 use crate::anyrc::Guard;
 use crate::classes::{check_evaluable, is_allowed, SafetyViolation};
 use crate::eqreduce::equality_reduce;
 use crate::generator::ConjunctChoice;
-use crate::genify::{genify_reported, GenifyError};
-use crate::ranf::{ranf_reported, RanfError};
-use crate::translate::{translate_reported, TranslateError};
+use crate::genify::GenifyError;
+use crate::ranf::RanfError;
+use crate::translate::TranslateError;
 use rc_formula::ast::Formula;
 use rc_formula::parser::ParseError;
 use rc_formula::term::Var;
@@ -93,7 +100,7 @@ pub fn classify(f: &Formula) -> SafetyClass {
     }
 }
 
-/// Options for [`compile_with`] and [`serve`].
+/// Options for [`compile`] and [`serve`].
 #[derive(Clone, Debug)]
 pub struct CompileOptions {
     /// Attempt equality reduction (Alg. A.1) when the formula is not
@@ -101,10 +108,10 @@ pub struct CompileOptions {
     pub equality_reduction: bool,
     /// Run the algebraic simplifier on the final expression.
     pub optimize: bool,
-    /// Resource budget governing every stage (subsumes the old
-    /// `RanfBudget`: set [`Budget::with_max_nodes`] to bound formula
-    /// blowup). The default is unlimited apart from `ranf`'s built-in
-    /// distribution backstop.
+    /// Resource budget governing every stage (set
+    /// [`Budget::with_max_nodes`] to bound formula blowup). The default is
+    /// unlimited apart from `ranf`'s built-in distribution backstop
+    /// ([`crate::ranf::DEFAULT_NODE_CAP`]).
     pub budget: Budget,
     /// Resolution of the Fig. 5 conjunction nondeterminism in `genify`.
     pub generator_choice: ConjunctChoice,
@@ -159,102 +166,71 @@ pub struct Compiled {
     pub columns: Vec<Var>,
 }
 
-/// Compilation failure.
-#[derive(Clone, Debug, PartialEq)]
-pub enum CompileError {
-    /// The formula is not in any recognized safe class.
-    NotSafe(SafetyViolation),
-    /// A resource bound tripped; carries the stage, bound, and consumption.
-    Budget(BudgetExceeded),
-    /// `ranf` failed internally.
-    Ranf(RanfError),
-    /// Translation failed (should not happen on `ranf` output).
-    Translate(TranslateError),
+/// What a compile threads through its stages — the compile-side
+/// counterpart of [`EvalCtx`]. Every stage entry ([`compile`],
+/// [`crate::genify::stage`], [`crate::ranf::stage`],
+/// [`crate::translate::stage`]) takes one and records its own span into
+/// `tracer` (node counts, wall time, and a deterministic detail such as
+/// `repairs=`); a stage that fails leaves its span open for
+/// [`StageTracer::into_trace`] to seal as failed, so a partial trace names
+/// the stage that tripped.
+pub struct CompileCtx<'a> {
+    /// The options; `opts.budget` governs every stage.
+    pub opts: &'a CompileOptions,
+    /// The database the plan is tuned for: when `opts.optimize` is on, the
+    /// final stage runs the cost-based planner against its statistics
+    /// instead of the statistics-free simplifier.
+    pub db: Option<&'a Database>,
+    /// The collector every stage records its span into.
+    pub tracer: &'a mut StageTracer,
 }
 
-impl fmt::Display for CompileError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CompileError::NotSafe(v) => write!(f, "query is not safe: {v}"),
-            CompileError::Budget(b) => write!(f, "budget exceeded: {b}"),
-            CompileError::Ranf(e) => write!(f, "normalization failed: {e}"),
-            CompileError::Translate(e) => write!(f, "translation failed: {e}"),
+impl<'a> CompileCtx<'a> {
+    /// A context over `opts`, tuned for `db` when given, recording into
+    /// `tracer`.
+    pub fn new(
+        opts: &'a CompileOptions,
+        db: Option<&'a Database>,
+        tracer: &'a mut StageTracer,
+    ) -> CompileCtx<'a> {
+        CompileCtx { opts, db, tracer }
+    }
+
+    /// Open `stage`'s span. A span's sizes and detail are computed only
+    /// when the tracer collects, so an untraced compile pays nothing for
+    /// them.
+    pub(crate) fn begin(&mut self, stage: Stage, nodes_in: impl FnOnce() -> usize) {
+        if self.tracer.is_on() {
+            self.tracer.begin(stage, nodes_in() as u64);
         }
     }
-}
 
-impl std::error::Error for CompileError {}
-
-impl From<GenifyError> for CompileError {
-    fn from(e: GenifyError) -> Self {
-        match e {
-            GenifyError::NotEvaluable(v) => CompileError::NotSafe(v),
-            GenifyError::Budget(b) => CompileError::Budget(b),
+    /// Close the open span as completed.
+    pub(crate) fn end(
+        &mut self,
+        nodes_out: impl FnOnce() -> usize,
+        detail: impl FnOnce() -> String,
+    ) {
+        if self.tracer.is_on() {
+            self.tracer.end(nodes_out() as u64, detail());
         }
     }
-}
-
-impl From<RanfError> for CompileError {
-    fn from(e: RanfError) -> Self {
-        match e {
-            RanfError::Budget(b) => CompileError::Budget(b),
-            other => CompileError::Ranf(other),
-        }
-    }
-}
-
-impl From<TranslateError> for CompileError {
-    fn from(e: TranslateError) -> Self {
-        match e {
-            TranslateError::Budget(b) => CompileError::Budget(b),
-            other => CompileError::Translate(other),
-        }
-    }
-}
-
-/// Compile a formula into a Dom-free relational algebra expression.
-///
-/// Without a target database the final stage runs the statistics-free
-/// [`rc_relalg::simplify`]; use [`compile_for`] to get cost-based join
-/// reordering against a concrete database's statistics.
-pub fn compile_with(f: &Formula, opts: CompileOptions) -> Result<Compiled, CompileError> {
-    compile_traced_for(f, opts, None, &mut StageTracer::off())
-}
-
-/// [`compile_with`] against a target database: when `opts.optimize` is on,
-/// the final stage runs the full cost-based planner
-/// ([`rc_relalg::optimize()`]) — cardinality estimation from `db`'s
-/// statistics (and any trace-fed observed cardinalities), join reordering,
-/// and cost-gated projection placement. The compiled plan is still
-/// portable: it evaluates correctly against any database, it is merely
-/// *tuned* for this one.
-pub fn compile_for(
-    f: &Formula,
-    opts: CompileOptions,
-    db: &Database,
-) -> Result<Compiled, CompileError> {
-    compile_traced_for(f, opts, Some(db), &mut StageTracer::off())
 }
 
 /// The compiler: every stage from classification to the optimized,
-/// hash-consed plan, with an optional target database enabling the
-/// cost-based planner (see [`compile_for`]). One
-/// [`rc_relalg::StageSpan`] per stage is recorded into `st` (node counts,
-/// wall time, and a deterministic stage detail such as `class=` or
-/// `repairs=`); on an error the open span is left for
-/// [`StageTracer::into_trace`] to seal as failed, so a partial trace names
-/// the stage that tripped.
-pub fn compile_traced_for(
-    f: &Formula,
-    opts: CompileOptions,
-    db: Option<&Database>,
-    st: &mut StageTracer,
-) -> Result<Compiled, CompileError> {
+/// hash-consed plan, under `cx` (see [`CompileCtx`]). With a target
+/// database the final stage runs the full cost-based planner
+/// ([`rc_relalg::optimize()`]) — cardinality estimation from the
+/// database's statistics (and any trace-fed observed cardinalities), join
+/// reordering, and cost-gated projection placement. The compiled plan is
+/// still portable: it evaluates correctly against any database, it is
+/// merely *tuned* for that one.
+pub fn compile(f: &Formula, cx: &mut CompileCtx<'_>) -> Result<Compiled, PipelineError> {
     let original = rectified(f);
     let columns = free_vars(&original);
 
     // Stage 1: find an evaluable form.
-    st.begin(Stage::Classify, original.node_count() as u64);
+    cx.begin(Stage::Classify, || original.node_count());
     let (class, evaluable_form, reduced) = match check_evaluable(&original) {
         Ok(()) => {
             let class = if is_allowed(&original) {
@@ -265,44 +241,24 @@ pub fn compile_traced_for(
             (class, original.clone(), None)
         }
         Err(violation) => {
-            if opts.equality_reduction {
-                let r = equality_reduce(&original);
-                if check_evaluable(&r).is_ok() {
-                    (SafetyClass::WideSenseEvaluable, r.clone(), Some(r))
-                } else {
-                    return Err(CompileError::NotSafe(violation));
-                }
-            } else {
-                return Err(CompileError::NotSafe(violation));
-            }
+            let reduced = cx
+                .opts
+                .equality_reduction
+                .then(|| equality_reduce(&original))
+                .filter(|r| check_evaluable(r).is_ok());
+            let Some(r) = reduced else {
+                return Err(PipelineError::NotSafe(violation));
+            };
+            (SafetyClass::WideSenseEvaluable, r.clone(), Some(r))
         }
     };
-    st.end(evaluable_form.node_count() as u64, format!("class={class}"));
+    cx.end(|| evaluable_form.node_count(), || format!("class={class}"));
 
-    // Stage 2: evaluable → allowed (Alg. 8.1).
-    st.begin(Stage::Genify, evaluable_form.node_count() as u64);
-    let (allowed_form, genify_report) =
-        genify_reported(&evaluable_form, opts.generator_choice, &opts.budget)?;
-    st.end(
-        allowed_form.node_count() as u64,
-        format!("repairs={}", genify_report.repairs),
-    );
-
-    // Stage 3: allowed → RANF (Alg. 9.1).
-    st.begin(Stage::Ranf, allowed_form.node_count() as u64);
-    let (ranf_form, ranf_report) = ranf_reported(&allowed_form, &opts.budget)?;
-    st.end(
-        ranf_form.node_count() as u64,
-        format!("step1_nodes={}", ranf_report.nodes_step1),
-    );
-
-    // Stage 4: RANF → algebra (Sec. 9.3).
-    st.begin(Stage::Translate, ranf_form.node_count() as u64);
-    let (raw, ops_emitted) = translate_reported(&ranf_form, &opts.budget)?;
-    st.end(
-        raw.node_count() as u64,
-        format!("ops_emitted={ops_emitted}"),
-    );
+    // Stages 2–4: evaluable → allowed (Alg. 8.1) → RANF (Alg. 9.1) →
+    // algebra (Sec. 9.3); each stage records its own span.
+    let allowed_form = crate::genify::stage(&evaluable_form, cx)?;
+    let ranf_form = crate::ranf::stage(&allowed_form, cx)?;
+    let raw = crate::translate::stage(&ranf_form, cx)?;
 
     // Stage 5: impose the answer column order, optimize (cost-based when a
     // target database's statistics are in reach, plain simplification
@@ -310,17 +266,17 @@ pub fn compile_traced_for(
     // subplans are physically shared (the memoizing evaluator computes
     // each shared node once; the stage detail reports the chosen planner
     // and how many tree nodes the interner folded away).
-    st.begin(Stage::Optimize, raw.node_count() as u64);
+    cx.begin(Stage::Optimize, || raw.node_count());
     let expr = impose_columns(raw, &columns, &ranf_form)?;
-    let (expr, planner) = match (opts.optimize, db) {
+    let (expr, planner) = match (cx.opts.optimize, cx.db) {
         (true, Some(db)) => (rc_relalg::optimize(&expr, db), "cost"),
         (true, None) => (rc_relalg::simplify(&expr), "simplify"),
         (false, _) => (expr, "off"),
     };
     let (expr, intern_stats) = rc_relalg::intern(&expr);
-    st.end(
-        expr.node_count() as u64,
-        format!("planner={planner} shared={}", intern_stats.shared_nodes()),
+    cx.end(
+        || expr.node_count(),
+        || format!("planner={planner} shared={}", intern_stats.shared_nodes()),
     );
 
     Ok(Compiled {
@@ -334,11 +290,43 @@ pub fn compile_traced_for(
     })
 }
 
+/// [`compile`] with `opts`, untraced and without a target database (the
+/// final stage runs the statistics-free [`rc_relalg::simplify`]).
+pub fn compile_with(f: &Formula, opts: CompileOptions) -> Result<Compiled, PipelineError> {
+    compile(
+        f,
+        &mut CompileCtx::new(&opts, None, &mut StageTracer::off()),
+    )
+}
+
+/// [`compile`] with `opts`, untraced, tuned for `db`.
+pub fn compile_for(
+    f: &Formula,
+    opts: CompileOptions,
+    db: &Database,
+) -> Result<Compiled, PipelineError> {
+    compile(
+        f,
+        &mut CompileCtx::new(&opts, Some(db), &mut StageTracer::off()),
+    )
+}
+
+/// [`compile`] with `opts`, tuned for `db` when given, recording one stage
+/// span per stage into `st`.
+pub fn compile_traced_for(
+    f: &Formula,
+    opts: CompileOptions,
+    db: Option<&Database>,
+    st: &mut StageTracer,
+) -> Result<Compiled, PipelineError> {
+    compile(f, &mut CompileCtx::new(&opts, db, st))
+}
+
 fn impose_columns(
     raw: RaExpr,
     columns: &[Var],
     ranf_form: &Formula,
-) -> Result<RaExpr, CompileError> {
+) -> Result<RaExpr, PipelineError> {
     let have = raw.cols();
     if have == columns {
         return Ok(raw);
@@ -355,7 +343,7 @@ fn impose_columns(
             cols: columns.to_vec(),
         })
     } else {
-        Err(CompileError::Ranf(RanfError::Stuck(format!(
+        Err(PipelineError::Ranf(RanfError::Stuck(format!(
             "free-variable columns {columns:?} not all present in {have:?}"
         ))))
     }
@@ -484,13 +472,29 @@ impl fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-impl From<CompileError> for PipelineError {
-    fn from(e: CompileError) -> Self {
+impl From<GenifyError> for PipelineError {
+    fn from(e: GenifyError) -> Self {
         match e {
-            CompileError::NotSafe(v) => PipelineError::NotSafe(v),
-            CompileError::Budget(b) => PipelineError::Budget(b),
-            CompileError::Ranf(e) => PipelineError::Ranf(e),
-            CompileError::Translate(e) => PipelineError::Translate(e),
+            GenifyError::NotEvaluable(v) => PipelineError::NotSafe(v),
+            GenifyError::Budget(b) => PipelineError::Budget(b),
+        }
+    }
+}
+
+impl From<RanfError> for PipelineError {
+    fn from(e: RanfError) -> Self {
+        match e {
+            RanfError::Budget(b) => PipelineError::Budget(b),
+            other => PipelineError::Ranf(other),
+        }
+    }
+}
+
+impl From<TranslateError> for PipelineError {
+    fn from(e: TranslateError) -> Self {
+        match e {
+            TranslateError::Budget(b) => PipelineError::Budget(b),
+            other => PipelineError::Translate(other),
         }
     }
 }
@@ -710,7 +714,7 @@ pub(crate) fn leg<S: PlanStore<Compiled>>(
                     Some((g, f)) => &*aug.insert(g.augment(db, f)),
                     None => db,
                 };
-                let compiled = compile_traced_for(f, opts.clone(), Some(target), st)?;
+                let compiled = compile(f, &mut CompileCtx::new(opts, Some(target), st))?;
                 let hash = rc_relalg::plan_hash(&compiled.expr);
                 let compiled = store.insert_plan(req.text, opts_key, stats_epoch, compiled, hash);
                 (compiled, hash, false)

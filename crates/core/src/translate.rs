@@ -16,12 +16,18 @@
 //! No `Dom` relation — the relation of all constants in the database and
 //! query — is ever constructed, which is the paper's headline practical
 //! property (Sec. 3).
+//!
+//! [`stage`] is the compiler's entry: it runs under a [`CompileCtx`]
+//! (budget, stage tracer) and records the translate stage span.
+//! [`translate`] is the paper-named one-argument form, for the oracles and
+//! benches.
 
+use crate::pipeline::{CompileCtx, CompileOptions};
 use rc_formula::ast::Formula;
 use rc_formula::term::{Term, Var};
 use rc_formula::vars::free_vars;
 use rc_relalg::govern::{Budget, BudgetExceeded, Stage};
-use rc_relalg::{RaExpr, SelPred};
+use rc_relalg::{RaExpr, SelPred, StageTracer};
 use std::fmt;
 
 /// Failure of the RANF → algebra translation.
@@ -74,31 +80,33 @@ fn not_ranf<T>(f: &Formula, why: &str) -> Result<T, TranslateError> {
 }
 
 /// Translate a RANF formula into an equivalent relational algebra
-/// expression. The expression's columns are the formula's free variables
-/// (in the order produced by the operators; use a final projection to
-/// impose a specific order).
+/// expression — [`stage`] under default options. The expression's columns
+/// are the formula's free variables (in the order produced by the
+/// operators; use a final projection to impose a specific order).
 pub fn translate(f: &Formula) -> Result<RaExpr, TranslateError> {
-    translate_governed(f, Budget::unlimited())
+    stage(
+        f,
+        &mut CompileCtx::new(&CompileOptions::default(), None, &mut StageTracer::off()),
+    )
 }
 
-/// [`translate`] under a shared resource [`Budget`]: every emitted algebra
-/// operator counts against the node cap, and emission honors the deadline
-/// and cancellation. Trips are attributed to [`Stage::Translate`].
-pub fn translate_governed(f: &Formula, budget: &Budget) -> Result<RaExpr, TranslateError> {
-    Ok(translate_reported(f, budget)?.0)
-}
-
-/// [`translate_governed`] that also returns the number of operators
-/// emitted (the consumption counted against the node cap) — the stage
-/// detail the tracing layer records. Deterministic for a given formula.
-pub fn translate_reported(f: &Formula, budget: &Budget) -> Result<(RaExpr, u64), TranslateError> {
-    let mut gov = TransGov { budget, ops: 0 };
+/// The translate stage under `cx`: every emitted algebra operator counts
+/// against the budget's node cap, and emission honors the deadline and
+/// cancellation; trips are attributed to [`Stage::Translate`]. The stage
+/// span's detail is the number of operators emitted (`ops_emitted=`).
+pub fn stage(f: &Formula, cx: &mut CompileCtx<'_>) -> Result<RaExpr, TranslateError> {
+    cx.begin(Stage::Translate, || f.node_count());
+    let mut gov = TransGov {
+        budget: &cx.opts.budget,
+        ops: 0,
+    };
     let expr = match f {
         Formula::Or(fs) if fs.is_empty() => RaExpr::Empty { cols: Vec::new() },
         Formula::Or(fs) => union_all(fs, &mut gov)?,
         other => translate_d(other, &mut gov)?,
     };
-    Ok((expr, gov.ops))
+    cx.end(|| expr.node_count(), || format!("ops_emitted={}", gov.ops));
+    Ok(expr)
 }
 
 fn union_all(fs: &[Formula], gov: &mut TransGov<'_>) -> Result<RaExpr, TranslateError> {

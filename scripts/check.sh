@@ -26,8 +26,21 @@ echo "==> rcbench (its own package) builds and passes its tests against this tre
 cargo test -q --release --offline --manifest-path rcbench/Cargo.toml
 
 echo "==> example smoke tests"
-cargo run -q --example quickstart > /dev/null
-cargo run -q --example suppliers_parts > /dev/null
+for example in quickstart suppliers_parts geometry quel_anomaly; do
+  cargo run -q --example "$example" > /dev/null
+done
+
+echo "==> repl smoke test (a query, explain, then a node-budget trip that names its stage)"
+# An evaluable formula that is not allowed: genify must repair it, so a
+# 5-node budget trips in the genify stage.
+evaluable='exists x. ((Supplies(x, y) | Part(y)) & !Part(y))'
+repl_out=$(printf '%s\n' 'exists y. Supplies(y, x)' "explain $evaluable" 'budget nodes 5' \
+  "$evaluable" quit | cargo run -q --example repl)
+if ! grep -q 'budget exceeded: genify stage exceeded the node budget' <<< "$repl_out"; then
+  echo "error: the repl's budget-trip line does not name the genify stage:" >&2
+  echo "$repl_out" >&2
+  exit 1
+fi
 
 echo "==> bench_eval gates (trace, cache, partition, optimizer, IVM, any; all verdicts, then fail)"
 cargo run -q --release -p rc-bench --bin bench_eval -- --gates

@@ -14,7 +14,7 @@ use rcsafe::relalg::govern::Stage;
 use rcsafe::safety::corpus::{corpus, formula_of, random_db};
 use rcsafe::safety::dom_baseline::eval_brute_force;
 use rcsafe::safety::pipeline::{
-    classify, compile_with, CompileError, CompileOptions, PipelineError, SafetyClass,
+    classify, compile_with, CompileOptions, PipelineError, SafetyClass,
 };
 use rcsafe::EvalCtx;
 
@@ -63,13 +63,12 @@ fn rejected_entries_report_the_classify_stage() {
         let err =
             compile_with(&f, CompileOptions::default()).expect_err("unsafe entry must be rejected");
         assert!(
-            matches!(err, CompileError::NotSafe(_)),
+            matches!(err, PipelineError::NotSafe(_)),
             "{}: expected a safety rejection, got {err:?}",
             e.id
         );
-        let unified: PipelineError = err.into();
-        assert_eq!(unified.stage(), Stage::Classify, "{}", e.id);
-        assert!(unified.budget().is_none(), "{}", e.id);
+        assert_eq!(err.stage(), Stage::Classify, "{}", e.id);
+        assert!(err.budget().is_none(), "{}", e.id);
     }
 }
 
