@@ -25,8 +25,8 @@
 //!   second serve of the same text against an unchanged database, which
 //!   must hit both the plan and the result layer;
 //! * **shared_subtree** — plans whose join subtree appears several times:
-//!   plain tree evaluation vs the memoizing DAG evaluator
-//!   ([`EvalCtx::memoized`]), with the per-run memo hit count.
+//!   the evaluation time, which computes the shared join once, and the
+//!   per-run memo hit count.
 //!
 //! A **partition** family rides along: a large-join workload timed with
 //! the kernels forced sequential (`Budget::with_partitions(1)`) against
@@ -816,8 +816,8 @@ fn repeated_queries() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
-/// Plans whose join subtree occurs several times, so the DAG evaluator
-/// can reuse one materialization (the selects differ, so no union-dedup
+/// Plans whose join subtree occurs several times, so the evaluator can
+/// reuse one materialization (the selects differ, so no union-dedup
 /// rewrite can collapse the sharing away).
 fn shared_subtree_workloads() -> Vec<(&'static str, RaExpr)> {
     let a = || RaExpr::scan("A", vec![Term::var("x"), Term::var("y")]);
@@ -1373,40 +1373,26 @@ fn main() -> ExitCode {
     cache_speedups.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let median_cache_speedup = cache_speedups[cache_speedups.len() / 2];
     let mut shared_records: Vec<String> = Vec::new();
-    let mut shared_table = Table::new(&[
-        "workload",
-        "rows",
-        "tree ms",
-        "dag ms",
-        "memo hits",
-        "speedup",
-    ]);
+    let mut shared_table = Table::new(&["workload", "rows", "dag ms", "memo hits"]);
     for (name, expr) in shared_subtree_workloads() {
-        let tree_ns = time_median(samples, || {
+        let dag_ns = time_median(samples, || {
             black_box(run(black_box(&expr), black_box(&cache_db)));
         });
-        let dag_ns = time_median(samples, || {
-            let mut cx = EvalCtx::default().memoized();
-            black_box(eval(black_box(&expr), black_box(&cache_db), &mut cx).unwrap());
-        });
-        let mut cx = EvalCtx::default().memoized();
+        let mut cx = EvalCtx::default();
         eval(&expr, &cache_db, &mut cx).unwrap();
-        let stats = cx.stats;
-        let speedup = tree_ns as f64 / dag_ns as f64;
+        let memo_hits = cx.stats.memo_hits;
         shared_table.row(vec![
             name.to_string(),
             cache_n.to_string(),
-            format!("{:.3}", tree_ns as f64 / 1e6),
             format!("{:.3}", dag_ns as f64 / 1e6),
-            stats.memo_hits.to_string(),
-            format!("{speedup:.2}x"),
+            memo_hits.to_string(),
         ]);
         shared_records.push(format!(
             concat!(
-                "    {{\"workload\": \"{}\", \"rows\": {}, \"tree_ns\": {}, ",
-                "\"dag_ns\": {}, \"memo_hits\": {}, \"speedup\": {:.2}}}"
+                "    {{\"workload\": \"{}\", \"rows\": {}, ",
+                "\"dag_ns\": {}, \"memo_hits\": {}}}"
             ),
-            name, cache_n, tree_ns, dag_ns, stats.memo_hits, speedup
+            name, cache_n, dag_ns, memo_hits
         ));
     }
 
@@ -1620,7 +1606,7 @@ fn main() -> ExitCode {
     println!("=== repeated-query serving: cold vs cached ===\n");
     println!("{}", cache_table.render());
     println!("median repeated-query speedup: {median_cache_speedup:.1}x (target >= 5x)");
-    println!("\n=== shared-subtree plans: tree eval vs memoizing DAG eval ===\n");
+    println!("\n=== shared-subtree plans: each shared join evaluated once ===\n");
     println!("{}", shared_table.render());
     println!("=== partition family: sequential kernels vs auto-partitioned ===\n");
     println!("{}", par_table.render());

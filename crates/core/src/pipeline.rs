@@ -21,7 +21,8 @@
 //! result lookup → IVM refresh → evaluation, through any [`PlanStore`]
 //! (a [`rc_relalg::PlanCache`], shareable across threads, or the
 //! retain-nothing [`rc_relalg::NoCache`]), in [`Mode::Safe`] or — via
-//! safe pairs ([`crate::anyrc`]) — [`Mode::Any`].
+//! safe pairs ([`crate::anyrc`]) — [`Mode::Any`]. Every store gets the
+//! same evaluation, the one schedule of [`rc_relalg::eval()`].
 
 use crate::anyrc::Guard;
 use crate::classes::{check_evaluable, is_allowed, SafetyViolation};
@@ -263,8 +264,8 @@ pub fn compile(f: &Formula, cx: &mut CompileCtx<'_>) -> Result<Compiled, Pipelin
     // Stage 5: impose the answer column order, optimize (cost-based when a
     // target database's statistics are in reach, plain simplification
     // otherwise), then hash-cons into a DAG so genify/RANF-duplicated
-    // subplans are physically shared (the memoizing evaluator computes
-    // each shared node once; the stage detail reports the chosen planner
+    // subplans are physically shared (the evaluator computes each shared
+    // node once; the stage detail reports the chosen planner
     // and how many tree nodes the interner folded away).
     cx.begin(Stage::Optimize, || raw.node_count());
     let expr = impose_columns(raw, &columns, &ranf_form)?;
@@ -382,8 +383,8 @@ impl Compiled {
         eval(&self.expr, &prepare(db, &self.original), cx)
     }
 
-    /// [`Compiled::run`] with a recording memo, returning the standing
-    /// query ([`MaintainedView`]) stamped `base_version` alongside the
+    /// [`Compiled::run`], returning the standing query the run's memo
+    /// records ([`MaintainedView`]), stamped `base_version`, alongside the
     /// answer.
     pub fn run_maintained(
         &self,
@@ -393,15 +394,14 @@ impl Compiled {
         budget: &Budget,
         tracer: &mut Tracer,
     ) -> Result<(Relation, MaintainedView), EvalError> {
-        let mut cx = EvalCtx::new(budget)
-            .with_tracer(std::mem::take(tracer))
-            .memoized();
+        let mut cx = EvalCtx::new(budget).with_tracer(std::mem::take(tracer));
         let out = self.run(db, &mut cx);
         stats.merge(cx.stats);
         *tracer = std::mem::take(&mut cx.tracer);
         Ok((
             out?,
-            MaintainedView::recorded(&mut cx, base_version).expect("memoized run"),
+            MaintainedView::recorded(&mut cx, base_version)
+                .expect("a successful run records its view"),
         ))
     }
 }
@@ -614,10 +614,9 @@ impl Served {
 /// the answer's cardinality against the tuple budget, before anything is
 /// installed — a trip leaves the store exactly as it was.
 ///
-/// A store that retains things evaluates through the memoizing evaluator
-/// ([`EvalCtx::memoized`]), recording the view it keeps;
-/// [`rc_relalg::NoCache`] gets
-/// plain evaluation (no memo, subtree and partition parallelism allowed).
+/// Every store gets the same evaluation: each shared subplan is computed
+/// once (see [`EvalCtx`]), and the run records the view a
+/// [`rc_relalg::PlanCache`] keeps and [`rc_relalg::NoCache`] drops.
 /// A traced request ([`Request::trace`]) records one stage span per
 /// pipeline stage and the operator tree of the evaluation; on success the
 /// tree's actual cardinalities feed `db`'s statistics store
@@ -767,9 +766,6 @@ pub(crate) fn leg<S: PlanStore<Compiled>>(
             _ => Tracer::off(),
         };
         let mut cx = EvalCtx::new(budget).with_tracer(tracer);
-        if store.retains() {
-            cx = cx.memoized();
-        }
         st.begin(Stage::Eval, compiled.expr.node_count() as u64);
         let out = compiled.run(target, &mut cx);
         if let Some(ops) = ops {

@@ -33,7 +33,9 @@
 //! The payload type is generic because this crate only knows about algebra
 //! expressions — `rc-core` instantiates `PlanCache` with its full compiled
 //! pipeline artifact. [`PlanStore`] is the surface the serving path runs
-//! over: a shared [`PlanCache`] or the retain-nothing [`NoCache`].
+//! over: a shared [`PlanCache`] or the retain-nothing [`NoCache`]. A store
+//! decides only what is kept: both get the same evaluation, which computes
+//! each shared subplan once and records the view a `PlanCache` keeps.
 //!
 //! Governance interaction: the cache stores only *completed* results.
 //! Serving a hit still passes through the caller's budget accounting (see
@@ -419,12 +421,6 @@ impl<P> PlanCache<P> {
 /// code path — the byte-identical guarantee between in-process and
 /// server-side serving holds by construction.
 pub trait PlanStore<P> {
-    /// Does this store keep what it is given? A store that retains nothing
-    /// gets plain (non-memoizing, parallel) evaluation: recording subplan
-    /// values for a view nobody keeps would be wasted work.
-    fn retains(&self) -> bool {
-        true
-    }
     /// See [`PlanCache::lookup_plan`].
     fn lookup_plan(&mut self, text: &str, opts_key: u64, stats_epoch: u64)
         -> Option<(Arc<P>, u64)>;
@@ -486,15 +482,13 @@ impl<P> PlanStore<P> for &PlanCache<P> {
 }
 
 /// The store that retains nothing: every lookup misses, every insert is
-/// dropped. Serving through it is plain uncached compile-and-evaluate.
+/// dropped. Serving through it compiles and evaluates every time, on the
+/// same memoizing evaluation a [`PlanCache`] gets; the view that
+/// evaluation records is dropped by `install_view`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoCache;
 
 impl<P> PlanStore<P> for NoCache {
-    fn retains(&self) -> bool {
-        false
-    }
-
     fn lookup_plan(&mut self, _: &str, _: u64, _: u64) -> Option<(Arc<P>, u64)> {
         None
     }
@@ -626,7 +620,7 @@ mod tests {
     fn tiny_view() -> (crate::Database, Relation, MaintainedView) {
         let db = crate::Database::from_facts("P(1)").unwrap();
         let e = crate::expr::RaExpr::scan("P", vec![rc_formula::Term::var("x")]);
-        let mut cx = crate::EvalCtx::default().memoized();
+        let mut cx = crate::EvalCtx::default();
         let out = crate::eval(&e, &db, &mut cx).unwrap();
         let view = MaintainedView::recorded(&mut cx, db.version()).unwrap();
         (db, out, view)

@@ -17,10 +17,11 @@
 //! * everything else goes through [`RelationBuilder`], which sorts only
 //!   when a single linear scan shows the produced rows are out of order.
 //!
-//! Independent children of `Join`/`Union`/`Diff` are evaluated in parallel
-//! with `std::thread::scope` when both subtrees scan enough base tuples to
-//! amortize a thread spawn; each branch accumulates its own [`EvalStats`],
-//! merged deterministically afterwards.
+//! Every run evaluates a plan as a DAG: the expression is hash-consed
+//! ([`crate::plan::intern`]) and each distinct subplan is computed once,
+//! later occurrences being served from the run's memo table (see
+//! [`EvalCtx`]). Operators evaluate their children in order, on one
+//! thread; parallelism lives inside the kernels.
 //!
 //! The evaluator takes the expression it is given as-is — join order and
 //! operator placement are decided upstream by
@@ -92,8 +93,7 @@ pub struct EvalStats {
     /// one per [`crate::govern::CHECK_INTERVAL`] kernel rows) — the governance consumption
     /// counter; deterministic for a given expression and database.
     pub budget_checks: u64,
-    /// Subplan evaluations satisfied from the per-run memo table
-    /// ([`EvalCtx::memoized`] runs); always 0 otherwise.
+    /// Subplan evaluations satisfied from the per-run memo table.
     pub memo_hits: u64,
 }
 
@@ -104,8 +104,7 @@ impl EvalStats {
         self.max_intermediate = self.max_intermediate.max(rel.len());
     }
 
-    /// Fold another branch's counters into this one (used when subtrees
-    /// are evaluated in parallel).
+    /// Fold another run's counters into this one.
     pub fn merge(&mut self, other: EvalStats) {
         self.operators += other.operators;
         self.tuples_produced += other.tuples_produced;
@@ -169,9 +168,9 @@ impl From<BudgetExceeded> for EvalError {
 
 /// Everything one evaluation threads through the operator tree: the
 /// counters it accumulates, the [`Budget`] governing it, the operator
-/// [`Tracer`], and — for memoizing runs — the per-run memo table.
+/// [`Tracer`], and the per-run memo table.
 ///
-/// * [`EvalCtx::default`] is an ungoverned, untraced, non-memoizing run.
+/// * [`EvalCtx::default`] is an ungoverned, untraced run.
 /// * [`EvalCtx::new`] governs the run by a budget: the result is either
 ///   exactly the ungoverned answer or an [`EvalError::Budget`] — never a
 ///   truncated relation. Checks run at every operator boundary and every
@@ -181,18 +180,17 @@ impl From<BudgetExceeded> for EvalError {
 ///   kernel loop counts — including partial spans when the evaluation
 ///   errors, so a budget trip can be attributed to the operator that was
 ///   running.
-/// * [`EvalCtx::memoized`] turns on common-subexpression sharing: the
-///   expression is hash-consed into a DAG ([`crate::plan::intern`]) and
-///   each distinct subplan is computed **once**, later occurrences being
-///   served from the memo. A memo hit still passes a budget checkpoint and
-///   charges the materialized cardinality, so governed runs cannot smuggle
-///   rows past the limits. [`EvalStats::memo_hits`] counts the hits,
-///   `operators`/`tuples_produced` count only work actually performed,
-///   served subplans trace as `cache_hit` leaves, and subtrees evaluate
-///   sequentially (the memo is shared mutable state). The memo keeps every
-///   subplan's value afterwards —
-///   [`MaintainedView::recorded`](crate::ivm::MaintainedView::recorded)
-///   turns it into a standing query for incremental maintenance.
+///
+/// Every run shares common subexpressions: the expression is hash-consed
+/// into a DAG ([`crate::plan::intern`]) and each distinct subplan is
+/// computed **once**, later occurrences being served from the memo. A memo
+/// hit still passes a budget checkpoint and charges the materialized
+/// cardinality, so governed runs cannot smuggle rows past the limits.
+/// [`EvalStats::memo_hits`] counts the hits, `operators`/`tuples_produced`
+/// count only work actually performed, and served subplans trace as
+/// `cache_hit` leaves. The memo keeps every subplan's value afterwards —
+/// [`MaintainedView::recorded`](crate::ivm::MaintainedView::recorded)
+/// turns it into a standing query for incremental maintenance.
 #[derive(Debug)]
 pub struct EvalCtx<'a> {
     /// Counters accumulated by the run.
@@ -201,7 +199,7 @@ pub struct EvalCtx<'a> {
     pub budget: &'a Budget,
     /// The operator span collector.
     pub tracer: Tracer,
-    memo: Option<Memo>,
+    memo: Memo,
     /// Operator nesting depth of the node being evaluated.
     depth: usize,
 }
@@ -213,13 +211,13 @@ impl Default for EvalCtx<'_> {
 }
 
 impl<'a> EvalCtx<'a> {
-    /// An untraced, non-memoizing run governed by `budget`.
+    /// An untraced run governed by `budget`.
     pub fn new(budget: &'a Budget) -> EvalCtx<'a> {
         EvalCtx {
             stats: EvalStats::default(),
             budget,
             tracer: Tracer::off(),
-            memo: None,
+            memo: Memo::default(),
             depth: 0,
         }
     }
@@ -230,37 +228,12 @@ impl<'a> EvalCtx<'a> {
         self
     }
 
-    /// Evaluate shared subplans once, keeping every subplan's value.
-    pub fn memoized(mut self) -> EvalCtx<'a> {
-        self.memo = Some(Memo::default());
-        self
-    }
-
     /// Take the memo of the last run: the interned root it evaluated and
     /// one relation per distinct DAG node, keyed by node address (root
-    /// included). `None` for non-memoizing or failed runs.
+    /// included). `None` before the first run and after a failed one.
     pub(crate) fn take_memo(&mut self) -> Option<(Arc<RaExpr>, FxHashMap<usize, Relation>)> {
-        let memo = self.memo.as_mut()?;
-        let root = memo.root.take()?;
-        Some((root, std::mem::take(&mut memo.table)))
-    }
-
-    /// A context for a parallel branch: same budget and depth, fresh
-    /// counters, a forked tracer, no memo.
-    fn fork(&self) -> EvalCtx<'a> {
-        EvalCtx {
-            stats: EvalStats::default(),
-            budget: self.budget,
-            tracer: self.tracer.fork(),
-            memo: None,
-            depth: self.depth,
-        }
-    }
-
-    /// Fold a finished branch back in (stats merged, spans adopted).
-    fn join(&mut self, branch: EvalCtx<'_>) {
-        self.stats.merge(branch.stats);
-        self.tracer.adopt(branch.tracer);
+        let root = self.memo.root.take()?;
+        Some((root, std::mem::take(&mut self.memo.table)))
     }
 }
 
@@ -268,21 +241,16 @@ impl<'a> EvalCtx<'a> {
 /// budget, tracing and memoization semantics). The result's column order
 /// is `expr.cols()`.
 pub fn eval(expr: &RaExpr, db: &Database, cx: &mut EvalCtx<'_>) -> Result<Relation, EvalError> {
+    cx.memo = Memo::default();
     expr.validate(None)?;
     cx.stats.budget_checks += 1;
     cx.budget.checkpoint(Stage::Eval)?;
-    if cx.memo.is_none() {
-        return eval_rec(expr, db, cx);
-    }
     let (root, _) = crate::plan::Interner::new().intern(expr);
-    if let Some(memo) = cx.memo.as_mut() {
-        *memo = Memo::default();
-    }
     let out = eval_rec(&root, db, cx)?;
-    if let Some(memo) = cx.memo.as_mut() {
-        memo.table.insert(Arc::as_ptr(&root) as usize, out.clone());
-        memo.root = Some(root);
-    }
+    cx.memo
+        .table
+        .insert(Arc::as_ptr(&root) as usize, out.clone());
+    cx.memo.root = Some(root);
     Ok(out)
 }
 
@@ -340,10 +308,7 @@ fn eval_child(
     cx: &mut EvalCtx<'_>,
 ) -> Result<Relation, EvalError> {
     let key = Arc::as_ptr(child) as usize;
-    let Some(memo) = cx.memo.as_ref() else {
-        return eval_rec(child, db, cx);
-    };
-    if let Some(rel) = memo.table.get(&key).cloned() {
+    if let Some(rel) = cx.memo.table.get(&key).cloned() {
         cx.stats.memo_hits += 1;
         cx.tracer.open(child);
         cx.tracer.note_cache_hit();
@@ -358,9 +323,7 @@ fn eval_child(
         return res;
     }
     let rel = eval_rec(child, db, cx)?;
-    if let Some(memo) = cx.memo.as_mut() {
-        memo.table.insert(key, rel.clone());
-    }
+    cx.memo.table.insert(key, rel.clone());
     Ok(rel)
 }
 
@@ -945,57 +908,6 @@ impl<'b> Lanes<'b> {
     }
 }
 
-/// Total base tuples scanned by a subtree — the cost signal deciding
-/// whether a subtree is worth a thread of its own.
-fn scan_cost(expr: &RaExpr, db: &Database) -> u64 {
-    match expr {
-        RaExpr::Scan { pred, .. } => db.relation(*pred).map(|r| r.len() as u64).unwrap_or(0),
-        _ => expr.children().iter().map(|c| scan_cost(c, db)).sum(),
-    }
-}
-
-/// Below this many scanned base tuples per side, a thread spawn costs more
-/// than it saves.
-const PARALLEL_THRESHOLD: u64 = 8192;
-
-/// Evaluate the two children of a binary operator, in parallel when both
-/// sides are heavy enough and the budget's fault injector does not deny
-/// thread spawns (the sequential fallback path). Stats are merged and
-/// trace branches adopted left-then-right so the totals *and* the span
-/// tree are identical to sequential evaluation; on a budget trip in either
-/// branch the scope still joins both workers, so cancelled threads drain
-/// cleanly (and leave their partial spans) before the error propagates.
-///
-/// Memoizing runs always take the sequential path: the memo is shared
-/// mutable state, and cross-branch sharing is the point.
-fn eval_pair(
-    l: &Arc<RaExpr>,
-    r: &Arc<RaExpr>,
-    db: &Database,
-    cx: &mut EvalCtx<'_>,
-) -> Result<(Relation, Relation), EvalError> {
-    if cx.memo.is_none()
-        && scan_cost(l, db) >= PARALLEL_THRESHOLD
-        && scan_cost(r, db) >= PARALLEL_THRESHOLD
-        && cx.budget.spawn_allowed()
-    {
-        cx.tracer.note_parallel();
-        let (mut lcx, mut rcx) = (cx.fork(), cx.fork());
-        let (lres, rres) = std::thread::scope(|s| {
-            let lhandle = s.spawn(|| eval_rec(l, db, &mut lcx));
-            let rres = eval_rec(r, db, &mut rcx);
-            (lhandle.join().expect("eval worker panicked"), rres)
-        });
-        cx.join(lcx);
-        cx.join(rcx);
-        Ok((lres?, rres?))
-    } else {
-        let lrel = eval_child(l, db, cx)?;
-        let rrel = eval_child(r, db, cx)?;
-        Ok((lrel, rrel))
-    }
-}
-
 /// Span-wrapping shell around [`eval_node`]: opens an operator span,
 /// evaluates, closes it as completed or incomplete. This is the single
 /// place tracing observes the operator boundary — the same boundary the
@@ -1040,7 +952,8 @@ fn eval_node(expr: &RaExpr, db: &Database, cx: &mut EvalCtx<'_>) -> Result<Relat
         RaExpr::Unit => Relation::unit(),
         RaExpr::Empty { cols } => Relation::new(cols.len()),
         RaExpr::Join(l, r) => {
-            let (lrel, rrel) = eval_pair(l, r, db, cx)?;
+            let lrel = eval_child(l, db, cx)?;
+            let rrel = eval_child(r, db, cx)?;
             cx.tracer.note_input(lrel.len());
             cx.tracer.note_input(rrel.len());
             let layout = JoinLayout::new(&l.cols(), &r.cols());
@@ -1061,7 +974,8 @@ fn eval_node(expr: &RaExpr, db: &Database, cx: &mut EvalCtx<'_>) -> Result<Relat
             }
         }
         RaExpr::Union(l, r) => {
-            let (lrel, rrel) = eval_pair(l, r, db, cx)?;
+            let lrel = eval_child(l, db, cx)?;
+            let rrel = eval_child(r, db, cx)?;
             cx.tracer.note_input(lrel.len());
             cx.tracer.note_input(rrel.len());
             cx.tracer.note_raw((lrel.len() + rrel.len()) as u64);
@@ -1074,7 +988,8 @@ fn eval_node(expr: &RaExpr, db: &Database, cx: &mut EvalCtx<'_>) -> Result<Relat
             lanes.union(&lrel, &rrel)?
         }
         RaExpr::Diff(l, r) => {
-            let (lrel, rrel) = eval_pair(l, r, db, cx)?;
+            let lrel = eval_child(l, db, cx)?;
+            let rrel = eval_child(r, db, cx)?;
             cx.tracer.note_input(lrel.len());
             cx.tracer.note_input(rrel.len());
             let layout = JoinLayout::new(&l.cols(), &r.cols());
@@ -1115,10 +1030,7 @@ fn eval_node(expr: &RaExpr, db: &Database, cx: &mut EvalCtx<'_>) -> Result<Relat
             lanes.project(&rel, &proj)?
         }
     };
-    if !lanes.sizes.is_empty() {
-        cx.tracer.note_parallel();
-        cx.tracer.note_partitions(&lanes.sizes);
-    }
+    cx.tracer.note_partitions(&lanes.sizes);
     cx.stats.record(&out);
     cx.stats.budget_checks += lanes.checks() + 1;
     cx.tracer.note_kernel_rows(lanes.ticks() as u64);
@@ -1375,35 +1287,6 @@ mod tests {
         let _ = tuple([1i64]); // silence unused import when tests shrink
     }
 
-    #[test]
-    fn parallel_and_sequential_agree_above_threshold() {
-        // Two scans big enough to trip PARALLEL_THRESHOLD on both sides.
-        let mut d = Database::new();
-        let mut a = RelationBuilder::new(2);
-        let mut b = RelationBuilder::new(2);
-        let rows = (PARALLEL_THRESHOLD + 500) as i64;
-        for i in 0..rows {
-            a.push_row(&[Value::int(i), Value::int(i % 97)]);
-            b.push_row(&[Value::int(i % 97), Value::int(i % 13)]);
-        }
-        d.insert_relation("A", a.finish());
-        d.insert_relation("B", b.finish());
-        let e = RaExpr::join(
-            RaExpr::scan("A", vec![Term::var("x"), Term::var("y")]),
-            RaExpr::scan("B", vec![Term::var("y"), Term::var("z")]),
-        );
-        let mut cx = EvalCtx::default();
-        let r = eval(&e, &d, &mut cx).unwrap();
-        assert_eq!(cx.stats.operators, 3);
-        // B dedups to the (i % 97, i % 13) pairs — 13 partners per key by
-        // CRT — so every A row contributes exactly 13 output rows.
-        assert_eq!(r.len(), rows as usize * 13);
-        // Deterministic: a second (parallel) evaluation renders identically.
-        let r2 = eval(&e, &d, &mut EvalCtx::default()).unwrap();
-        assert_eq!(r, r2);
-        assert_eq!(r.to_string(), r2.to_string());
-    }
-
     /// A database big enough for interesting partition splits, with keys
     /// shared between `A` and `B` and half of `A` mirrored into `A2`.
     fn partition_db() -> Database {
@@ -1484,7 +1367,7 @@ mod tests {
                 p2.partitioned_projection(),
                 "per-partition spans must reproduce under a fixed count"
             );
-            assert!(p1.any_partitioned(), "plan {e} never partitioned");
+            assert!(p1.any_parallel(), "plan {e} never partitioned");
         }
     }
 
@@ -1501,7 +1384,7 @@ mod tests {
         let mut cx = EvalCtx::new(&denied).with_tracer(Tracer::on());
         let got = eval(&e, &d, &mut cx).unwrap();
         let root = cx.tracer.finish().unwrap();
-        assert!(!root.any_partitioned(), "denied spawn must stay sequential");
+        assert!(!root.any_parallel(), "denied spawn must stay sequential");
         let plain = eval(&e, &d, &mut EvalCtx::default()).unwrap();
         assert_eq!(got, plain);
     }
@@ -1552,11 +1435,11 @@ mod tests {
     }
 
     #[test]
-    fn memoized_eval_matches_eval_and_counts_hits() {
+    fn shared_subplans_evaluate_once_and_count_hits() {
         let d = db();
         let e = shared_subtree_plan();
-        let want = eval(&e, &d, &mut EvalCtx::default()).unwrap();
-        let mut cx = EvalCtx::default().with_tracer(Tracer::on()).memoized();
+        let want = crate::baseline::eval_baseline(&e, &d).unwrap();
+        let mut cx = EvalCtx::default().with_tracer(Tracer::on());
         let got = eval(&e, &d, &mut cx).unwrap();
         let stats = cx.stats;
         assert_eq!(want, got);
@@ -1586,42 +1469,36 @@ mod tests {
     }
 
     #[test]
-    fn memoized_eval_without_sharing_is_plain_eval() {
+    fn unshared_plans_have_no_memo_hits() {
         let d = db();
         let e = RaExpr::diff(
             RaExpr::scan("P", vec![Term::var("x"), Term::var("y")]),
             RaExpr::scan("S", vec![Term::var("x"), Term::var("y")]),
         );
-        let mut cx = EvalCtx::default().memoized();
+        let mut cx = EvalCtx::default();
         let got = eval(&e, &d, &mut cx).unwrap();
-        assert_eq!(got, eval(&e, &d, &mut EvalCtx::default()).unwrap());
+        assert_eq!(got, crate::baseline::eval_baseline(&e, &d).unwrap());
         assert_eq!(cx.stats.memo_hits, 0);
+        assert_eq!(cx.stats.operators, 3);
     }
 
     #[test]
     fn memo_hits_still_charge_the_tuple_budget() {
         let d = db();
         let e = shared_subtree_plan();
-        // Ungoverned: find out how many tuples the memoized run charges.
-        let mut cx = EvalCtx::default().memoized();
+        // Ungoverned: find out how many tuples the run charges.
+        let mut cx = EvalCtx::default();
         eval(&e, &d, &mut cx).unwrap();
-        let stats = cx.stats;
+        assert_eq!(cx.stats.memo_hits, 1);
         let full = Budget::new().with_max_tuples(1_000_000);
-        eval(&e, &d, &mut EvalCtx::new(&full).memoized()).unwrap();
+        eval(&e, &d, &mut EvalCtx::new(&full)).unwrap();
         let charged = full.tuples_used();
         assert!(charged > 0);
         // A budget one short of that must trip — even though the final
         // tuples flow through a memo hit, the hit still charges its
         // materialized cardinality.
         let tight = Budget::new().with_max_tuples(charged - 1);
-        let err =
-            eval(&e, &d, &mut EvalCtx::new(&tight).memoized()).expect_err("tuple cap must trip");
+        let err = eval(&e, &d, &mut EvalCtx::new(&tight)).expect_err("tuple cap must trip");
         assert!(matches!(err, EvalError::Budget(_)), "got {err:?}");
-        // Sanity: the memoized run charges no more than the parallel-free
-        // plain run (shared subtrees are charged once per *service*, and
-        // the service charge equals the subplan's output size).
-        let plain = Budget::new().with_max_tuples(1_000_000);
-        eval(&e, &d, &mut EvalCtx::new(&plain)).unwrap();
-        assert!(charged <= plain.tuples_used() + stats.memo_hits * stats.max_intermediate as u64);
     }
 }

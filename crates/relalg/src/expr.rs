@@ -45,8 +45,7 @@ impl SelPred {
 /// ([`crate::plan::intern`]) can *physically share* duplicate subtrees: the
 /// genify/RANF pipeline routinely emits the same scan/join/diff subplan in
 /// several union branches, and interning turns that tree into a DAG whose
-/// shared nodes the memoizing evaluator ([`crate::eval::EvalCtx::memoized`])
-/// computes once. Cloning an expression is cheap (reference bumps).
+/// shared nodes the evaluator ([`crate::eval::eval`]) computes once. Cloning an expression is cheap (reference bumps).
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum RaExpr {
     /// Scan of a base relation through an atom pattern. Constants select,

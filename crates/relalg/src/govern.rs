@@ -19,8 +19,8 @@
 //! * kernels check every [`CHECK_INTERVAL`] rows, not per row.
 //!
 //! The [`FaultInjector`] is a test hook threaded through the same budget:
-//! it can deny thread spawns (forcing the parallel evaluator onto its
-//! sequential fallback) and flip the cancellation flag after a chosen
+//! it can deny thread spawns (forcing the partition-parallel kernels onto
+//! one lane) and flip the cancellation flag after a chosen
 //! number of checkpoints (forcing mid-kernel unwinding), so the cleanup
 //! paths are provable rather than hopeful.
 //!
@@ -461,8 +461,8 @@ impl FaultInjector {
         FaultInjector::default()
     }
 
-    /// Deny (or re-allow) evaluator thread spawns; the parallel evaluator
-    /// must fall back to its sequential path and produce identical output.
+    /// Deny (or re-allow) evaluator thread spawns; partitioned kernels
+    /// must fall back to one lane and produce identical output.
     pub fn deny_thread_spawn(&self, deny: bool) {
         self.state.deny_thread_spawn.store(deny, Ordering::Relaxed);
     }

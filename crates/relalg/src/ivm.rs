@@ -261,8 +261,8 @@ impl DeltaLog {
 /// A materialized standing query: the hash-consed plan DAG, one
 /// canonical relation per DAG node (keyed by `Arc` address, stable
 /// because the view owns the root), and the database version the values
-/// reflect. Recorded by a memoizing evaluation
-/// ([`MaintainedView::recorded`]), advanced by [`refresh`].
+/// reflect. Recorded by an evaluation ([`MaintainedView::recorded`]),
+/// advanced by [`refresh`].
 #[derive(Clone, Debug)]
 pub struct MaintainedView {
     root: Arc<RaExpr>,
@@ -396,12 +396,12 @@ impl From<BudgetExceeded> for RefreshError {
 }
 
 impl MaintainedView {
-    /// The standing query recorded by the last successful memoizing run
-    /// of `cx` ([`EvalCtx::memoized`]): the interned plan DAG and every
-    /// subplan's value, stamped `base_version` — the version of the
-    /// database the caller serves results for (the run may have used a
-    /// prepared clone whose own stamp differs). `None` when `cx` is not
-    /// memoizing or its last run failed. Takes the memo out of `cx`.
+    /// The standing query recorded by the last successful run of `cx`
+    /// ([`EvalCtx`]): the interned plan DAG and every subplan's value,
+    /// stamped `base_version` — the version of the database the caller
+    /// serves results for (the run may have used a prepared clone whose own
+    /// stamp differs). `None` when `cx` has not run or its last run failed.
+    /// Takes the memo out of `cx`.
     pub fn recorded(cx: &mut EvalCtx<'_>, base_version: u64) -> Option<MaintainedView> {
         let (root, vals) = cx.take_memo()?;
         let mut preds = FxHashSet::default();
@@ -817,9 +817,9 @@ mod tests {
     use crate::eval::eval;
     use rc_formula::{Term, Var};
 
-    /// Evaluate with a recording memo: the answer and its standing query.
+    /// Evaluate: the answer and the standing query its memo records.
     fn materialize(expr: &RaExpr, db: &Database) -> (Relation, MaintainedView) {
-        let mut cx = EvalCtx::default().memoized();
+        let mut cx = EvalCtx::default();
         let out = eval(expr, db, &mut cx).unwrap();
         (
             out,

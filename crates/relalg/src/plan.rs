@@ -9,9 +9,9 @@
 //! evaluates exactly like the input tree, but
 //!
 //! * physically shared nodes make [`Arc::ptr_eq`] a sound (and complete,
-//!   within one interner) structural-equality test, which the memoizing
-//!   evaluator ([`crate::eval::EvalCtx::memoized`]) exploits to compute each
-//!   distinct subplan once per run;
+//!   within one interner) structural-equality test, which the evaluator
+//!   ([`crate::eval::eval`]) exploits to compute each distinct subplan once
+//!   per run;
 //! * [`InternStats`] quantifies the sharing, and is surfaced through the
 //!   pipeline trace so `explain` can report how much of a plan is reused.
 //!
@@ -50,7 +50,7 @@ pub struct InternStats {
 
 impl InternStats {
     /// Node visits that resolved to an already-interned subplan — the
-    /// evaluation work a memoizing evaluator saves on this plan (plus, for
+    /// evaluation work the memoizing evaluator saves on this plan (plus, for
     /// a long-lived [`Interner`], sharing against previously seen plans).
     pub fn shared_nodes(&self) -> usize {
         self.tree_nodes - self.unique_nodes

@@ -650,7 +650,7 @@ impl JoinEstimate for JoinCard {
 
 /// Harvest actual cardinalities out of a completed operator-span tree into
 /// `db`'s feedback store: the span tree mirrors the plan shape (children
-/// zip by index; memoized subplans appear as childless `cache_hit` leaves,
+/// zip by index; memo-served subplans appear as childless `cache_hit` leaves,
 /// which still carry the correct output cardinality), so each *completed*
 /// span records its `rows_out` under the matching subexpression's
 /// [`plan_hash`](crate::plan::plan_hash). Incomplete spans (a budget trip

@@ -10,8 +10,9 @@
 //! * **stage spans** ([`StageSpan`], collected by [`StageTracer`]) carry
 //!   formula/plan node counts and wall time per pipeline stage;
 //! * **operator spans** ([`OpSpan`], collected by [`Tracer`]) carry input
-//!   and output cardinalities, kernel row counts, pre-dedup row counts, and
-//!   whether the parallel or the sequential evaluation path ran.
+//!   and output cardinalities, kernel row counts, pre-dedup row counts,
+//!   per-partition output cardinalities when a kernel ran
+//!   partition-parallel, and whether the memo served the subplan.
 //!
 //! Tracing is opt-in through the [`TraceSink`] enum and near-zero cost when
 //! off: a disabled tracer's hooks are a branch on one bool, no allocation,
@@ -21,15 +22,15 @@
 //!
 //! **Determinism contract:** span structure, labels, cardinalities,
 //! raw row counts and stage node counts are deterministic for a given
-//! expression and database — identical under parallel and sequential
-//! evaluation (parallel branches are adopted left-then-right, mirroring
-//! the stats merge). Wall times, the parallel flag, per-partition
-//! cardinalities ([`OpSpan::partitions`] — the auto partition count is
-//! host-dependent), and kernel loop counts (a partitioned join may pick
-//! different per-partition probe sides than the global kernel would) are
-//! *not* part of the contract; [`PipelineTrace::deterministic`] projects
-//! them away, and that projection is what the golden-trace snapshot suite
-//! pins. Partition cardinalities get their own snapshot through
+//! expression and database — identical under partitioned and one-lane
+//! kernels. Wall times, per-partition cardinalities
+//! ([`OpSpan::partitions`] — the auto partition count is host-dependent,
+//! and so is [`OpSpan::parallel`], which reads it), and kernel loop counts
+//! (a partitioned join may pick different per-partition probe sides than
+//! the global kernel would) are *not* part of the contract;
+//! [`PipelineTrace::deterministic`] projects them away, and that
+//! projection is what the golden-trace snapshot suite pins. Partition
+//! cardinalities get their own snapshot through
 //! [`OpSpan::partitioned_projection`] under a forced partition count.
 
 use crate::database::Database;
@@ -82,9 +83,6 @@ pub struct OpSpan {
     pub raw_rows: u64,
     /// Kernel loop iterations observed by the governor for this operator.
     pub kernel_rows: u64,
-    /// Were the children evaluated on separate threads? (Excluded from the
-    /// deterministic projection: spawn denial flips it, cardinalities not.)
-    pub parallel: bool,
     /// Per-partition output cardinalities when the operator's kernel ran
     /// partition-parallel; empty for sequential kernels. Excluded from the
     /// deterministic projection (the auto partition count depends on the
@@ -92,9 +90,9 @@ pub struct OpSpan {
     /// golden snapshot uses [`OpSpan::partitioned_projection`] under a
     /// forced partition count instead.
     pub partitions: Vec<u64>,
-    /// Was this subplan served from the per-run memo table
-    /// ([`crate::eval::EvalCtx::memoized`])? Such spans are leaves — the subtree
-    /// was traced at its first evaluation.
+    /// Was this subplan served from the per-run memo table (see
+    /// [`crate::eval::EvalCtx`])? Such spans are leaves — the subtree was
+    /// traced at its first evaluation.
     pub cache_hit: bool,
     /// Did the operator run to completion? `false` when a budget trip or
     /// cancellation unwound it — the deepest incomplete span is the hot
@@ -117,7 +115,6 @@ impl OpSpan {
             rows_out: 0,
             raw_rows: 0,
             kernel_rows: 0,
-            parallel: false,
             partitions: Vec::new(),
             cache_hit: false,
             completed: false,
@@ -125,6 +122,14 @@ impl OpSpan {
             ivm: None,
             children: Vec::new(),
         }
+    }
+
+    /// Did the operator's kernel run partition-parallel? Exactly when it
+    /// recorded per-partition cardinalities. (Excluded from the
+    /// deterministic projection: spawn denial clears it, cardinalities
+    /// not.)
+    pub fn parallel(&self) -> bool {
+        !self.partitions.is_empty()
     }
 
     /// Rows materialized per surviving output row (1.0 = no dedup work).
@@ -145,10 +150,12 @@ impl OpSpan {
         1 + self.children.iter().map(OpSpan::span_count).sum::<usize>()
     }
 
-    /// Total output rows across the subtree — equals
-    /// `EvalStats::tuples_produced` for a completed evaluation.
+    /// Total output rows the subtree's operators produced — memo-served
+    /// spans produced none, so this equals `EvalStats::tuples_produced`
+    /// for a completed evaluation.
     pub fn total_rows_out(&self) -> u64 {
-        self.rows_out as u64
+        let own = if self.cache_hit { 0 } else { self.rows_out };
+        own as u64
             + self
                 .children
                 .iter()
@@ -170,14 +177,9 @@ impl OpSpan {
         Some(self)
     }
 
-    /// Any parallel span in the subtree?
-    pub fn any_parallel(&self) -> bool {
-        self.parallel || self.children.iter().any(OpSpan::any_parallel)
-    }
-
     /// Any partition-parallel kernel in the subtree?
-    pub fn any_partitioned(&self) -> bool {
-        !self.partitions.is_empty() || self.children.iter().any(OpSpan::any_partitioned)
+    pub fn any_parallel(&self) -> bool {
+        self.parallel() || self.children.iter().any(OpSpan::any_parallel)
     }
 
     /// The deterministic projection *plus* per-partition cardinalities
@@ -270,7 +272,7 @@ impl OpSpan {
             self.raw_rows,
             self.kernel_rows,
             self.elapsed_ns as f64 / 1e6,
-            if self.parallel { "  [parallel]" } else { "" },
+            if self.parallel() { "  [parallel]" } else { "" },
             if self.cache_hit { "  [cached]" } else { "" },
             if self.completed { "" } else { "  [INCOMPLETE]" },
         );
@@ -306,7 +308,7 @@ impl OpSpan {
             self.rows_out,
             self.raw_rows,
             self.kernel_rows,
-            self.parallel,
+            self.parallel(),
             self.partitions
                 .iter()
                 .map(|n| n.to_string())
@@ -468,9 +470,7 @@ impl StageTracer {
 // ------------------------------------------------------ operator tracer --
 
 /// Collector for the operator span tree, threaded through the evaluator
-/// alongside `EvalStats`. Parallel branches evaluate into [`Tracer::fork`]s
-/// that the parent adopts left-then-right, so the recorded tree is
-/// identical to a sequential run's.
+/// alongside `EvalStats`.
 #[derive(Debug, Default)]
 pub struct Tracer {
     on: bool,
@@ -503,14 +503,6 @@ impl Tracer {
         self.on
     }
 
-    /// An empty tracer with the same sink, for a parallel branch.
-    pub fn fork(&self) -> Tracer {
-        Tracer {
-            on: self.on,
-            ..Tracer::default()
-        }
-    }
-
     /// Open a span for an operator about to be evaluated.
     pub(crate) fn open(&mut self, expr: &RaExpr) {
         if !self.on {
@@ -538,13 +530,6 @@ impl Tracer {
     pub(crate) fn note_kernel_rows(&mut self, n: u64) {
         if let Some((span, _)) = self.stack.last_mut() {
             span.kernel_rows = n;
-        }
-    }
-
-    /// Mark the open span's children as evaluated in parallel.
-    pub(crate) fn note_parallel(&mut self) {
-        if let Some((span, _)) = self.stack.last_mut() {
-            span.parallel = true;
         }
     }
 
@@ -603,17 +588,6 @@ impl Tracer {
             }
         }
         self.attach(span);
-    }
-
-    /// Graft a forked branch's spans under the currently open span, in the
-    /// order the forks are adopted (left branch first for determinism).
-    pub(crate) fn adopt(&mut self, forked: Tracer) {
-        if !self.on {
-            return;
-        }
-        for span in forked.into_spans() {
-            self.attach(span);
-        }
     }
 
     fn attach(&mut self, span: OpSpan) {
@@ -693,8 +667,8 @@ impl PipelineTrace {
 
     /// The deterministic projection: span tree shape, labels, per-operator
     /// in/out/raw cardinalities and stage node counts — everything except
-    /// wall times and the parallel flag. Identical across parallel and
-    /// sequential evaluation; this is what the golden-trace snapshots pin.
+    /// wall times and the partition split. Identical across partitioned
+    /// and one-lane kernels; this is what the golden-trace snapshots pin.
     pub fn deterministic(&self) -> String {
         let mut out = String::new();
         for s in &self.stages {
@@ -885,7 +859,8 @@ fn plan_into(expr: &RaExpr, est: &crate::stats::Estimator, depth: usize, out: &m
 /// Render the plan tree annotated with estimated *and* actual
 /// cardinalities (plus raw rows and per-operator wall time) by zipping the
 /// expression with its operator span tree — the `explain analyze` view.
-/// Span-less nodes (unreached after a mid-plan trip) render with `actual=-`.
+/// Span-less nodes (unreached after a mid-plan trip) render with `actual=-`;
+/// a memo-served subplan renders as one `[cached]` line.
 pub fn render_analyze(expr: &RaExpr, db: &Database, span: Option<&OpSpan>) -> String {
     let estimator = crate::stats::Estimator::new(db);
     let mut out = String::new();
@@ -906,7 +881,7 @@ fn analyze_into(
         Some(s) => {
             let _ = writeln!(
                 out,
-                "{pad}{}  est={} actual={} raw={}  {:.3} ms{}{}",
+                "{pad}{}  est={} actual={} raw={}  {:.3} ms{}{}{}",
                 s.op,
                 est,
                 if s.completed {
@@ -916,9 +891,14 @@ fn analyze_into(
                 },
                 s.raw_rows,
                 s.elapsed_ns as f64 / 1e6,
-                if s.parallel { "  [parallel]" } else { "" },
+                if s.parallel() { "  [parallel]" } else { "" },
+                if s.cache_hit { "  [cached]" } else { "" },
                 if s.completed { "" } else { "  [INCOMPLETE]" },
             );
+            if s.cache_hit {
+                // The subtree was rendered where it was first evaluated.
+                return;
+            }
         }
         None => {
             let _ = writeln!(out, "{pad}{}  est={} actual=-", op_label(expr), est);
@@ -941,7 +921,7 @@ mod tests {
         let e = RaExpr::Unit;
         t.open(&e);
         t.note_input(5);
-        t.note_parallel();
+        t.note_partitions(&[2, 3]);
         t.close(Some(&Relation::unit()));
         assert!(t.finish().is_none());
     }
@@ -983,30 +963,6 @@ mod tests {
         assert!(!root.completed);
         let hot = root.last_incomplete().unwrap();
         assert_eq!(hot.op, "scan P");
-    }
-
-    #[test]
-    fn forked_branches_adopt_in_call_order() {
-        let mut t = Tracer::on();
-        let join = RaExpr::join(
-            RaExpr::scan("P", vec![Term::var("x")]),
-            RaExpr::scan("Q", vec![Term::var("x")]),
-        );
-        t.open(&join);
-        let mut l = t.fork();
-        let mut r = t.fork();
-        r.open(join.children()[1]);
-        r.close(Some(&Relation::new(1)));
-        l.open(join.children()[0]);
-        l.close(Some(&Relation::new(1)));
-        t.note_parallel();
-        t.adopt(l);
-        t.adopt(r);
-        t.close(Some(&Relation::new(1)));
-        let root = t.finish().unwrap();
-        assert!(root.parallel);
-        assert_eq!(root.children[0].op, "scan P", "left adopted first");
-        assert_eq!(root.children[1].op, "scan Q");
     }
 
     #[test]

@@ -520,7 +520,8 @@ pub struct WireStats {
     pub max_intermediate: u64,
     /// Cooperative budget checkpoints passed.
     pub budget_checks: u64,
-    /// Memo-table services ([`rc_relalg::EvalCtx::memoized`] runs).
+    /// Subplans served from the evaluation's memo table
+    /// ([`rc_relalg::EvalStats::memo_hits`]).
     pub memo_hits: u64,
 }
 

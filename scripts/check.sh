@@ -45,9 +45,6 @@ fi
 echo "==> bench_eval gates (trace, cache, partition, optimizer, IVM, any; all verdicts, then fail)"
 cargo run -q --release -p rc-bench --bin bench_eval -- --gates
 
-echo "==> serve gate (100 concurrent clients complete, zero errors, p99 bounded; 5x throughput at >= 8 cores)"
-SERVE_GATE=1 cargo run -q --release -p rc-bench --bin bench_serve
-
 echo "==> partitioned golden trace carries per-partition span fields"
 # The blessed snapshot must pin per-partition cardinalities; if the field
 # vanished, the partitioned projection regressed — regenerate intentionally

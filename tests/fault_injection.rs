@@ -1,15 +1,13 @@
-//! Fault-injected degradation of the parallel evaluator and the query
-//! server: thread-spawn denial must fall back to the sequential path
+//! Fault-injected degradation of the partition-parallel kernels and the
+//! query server: thread-spawn denial must fall back to one-lane kernels
 //! (engine) or inline accept-thread serving (server) with *identical*
 //! output, and forced mid-evaluation cancellation must unwind cleanly,
 //! releasing the admission slot and leaving engine and server usable.
 //!
-//! Tests that compare full [`EvalStats`] across the parallel and the
-//! denied (sequential) path pin the kernel partition count to 1: subtree
-//! parallelism keeps `budget_checks` layout-invariant, but partitioned
-//! kernels run one governor per worker, whose checkpoint *cadence* (every
-//! 4096 ticks per worker) legitimately depends on the partition count —
-//! which would otherwise vary with the host's core count.
+//! Partitioned kernels run one governor per worker, whose checkpoint
+//! *cadence* (every 4096 ticks per worker) depends on the partition
+//! count, so tests comparing [`EvalStats`] across paths force the count
+//! rather than take the host-dependent automatic one.
 
 mod common;
 
@@ -18,8 +16,7 @@ use rcsafe::relalg::{EvalCtx, EvalStats, OpSpan, RelationBuilder};
 use rcsafe::safety::pipeline::{compile_with, CompileOptions, Compiled};
 use rcsafe::{parse, Budget, Database, FaultInjector, Tracer, Value};
 
-/// A join big enough on both sides to cross the evaluator's parallel
-/// threshold (8192 scanned base tuples per side).
+/// A join of two 9000-row relations.
 fn big_join() -> (Compiled, Database) {
     let mut db = Database::new();
     let mut a = RelationBuilder::new(2);
@@ -64,8 +61,7 @@ fn spawn_denial_degrades_to_identical_sequential_results() {
     );
     assert_eq!(
         par.stats, seq.stats,
-        "stats merge must be deterministic: parallel left-then-right \
-         merging equals straight sequential accumulation"
+        "a forced single partition and spawn denial must count alike"
     );
 }
 
@@ -159,9 +155,8 @@ fn span_projection(root: &OpSpan) -> String {
     out
 }
 
-/// A database whose `A` and `B` stay above the parallel threshold *after*
-/// builder dedup (the `big_join` fixture's `B` collapses to 97×13 rows, so
-/// it exercises the sequential kernels only).
+/// A database whose `A` and `B` keep 9000 rows each *after* builder
+/// dedup (the `big_join` fixture's `B` collapses to 97×13 rows).
 fn big_parallel_db() -> Database {
     let mut db = Database::new();
     let mut a = RelationBuilder::new(2);
@@ -184,15 +179,15 @@ fn spawn_denial_leaves_the_trace_projection_unchanged() {
     )
     .unwrap();
 
-    let pinned = Budget::new().with_partitions(1);
-    let mut par = EvalCtx::new(&pinned).with_tracer(Tracer::on());
+    let split = Budget::new().with_partitions(4);
+    let mut par = EvalCtx::new(&split).with_tracer(Tracer::on());
     let parallel = c.run(&db, &mut par).unwrap();
     let par_root = std::mem::take(&mut par.tracer)
         .finish()
         .expect("parallel run leaves a root span");
     assert!(
         par_root.any_parallel(),
-        "both sides scan 9000 distinct rows — the parallel path must fire"
+        "four forced partitions over 9000 rows — the parallel path must fire"
     );
 
     let fault = FaultInjector::new();
@@ -219,10 +214,12 @@ fn spawn_denial_leaves_the_trace_projection_unchanged() {
 }
 
 /// The differential pin the spawn-denial tests rely on, widened to every
-/// parallel-capable operator shape: join, union, and difference with both
-/// subtrees above the parallel threshold must report identical `EvalStats`
-/// (all fields, `max_intermediate` included) on the parallel and the
-/// sequential path.
+/// binary operator shape: join, union, and difference over 9000-row
+/// inputs. Under spawn denial they must report the same `EvalStats` (all
+/// fields) as a forced single partition, and on four forced partitions
+/// every field but `budget_checks` (`max_intermediate` included) — the
+/// split kernels checkpoint once per worker and once in the merge, so
+/// that count follows the partition layout, reproducibly.
 #[test]
 fn parallel_and_sequential_stats_agree_for_all_operator_shapes() {
     let db = big_parallel_db();
@@ -234,8 +231,8 @@ fn parallel_and_sequential_stats_agree_for_all_operator_shapes() {
     ] {
         let c = compile_with(&parse(text).unwrap(), CompileOptions::default()).unwrap();
 
-        let pinned = Budget::new().with_partitions(1);
-        let mut par = EvalCtx::new(&pinned).with_tracer(Tracer::on());
+        let split = Budget::new().with_partitions(4);
+        let mut par = EvalCtx::new(&split).with_tracer(Tracer::on());
         let parallel = c.run(&db, &mut par).unwrap();
         assert!(
             std::mem::take(&mut par.tracer)
@@ -244,6 +241,13 @@ fn parallel_and_sequential_stats_agree_for_all_operator_shapes() {
                 .any_parallel(),
             "{text}: fixture must actually exercise the parallel path"
         );
+        let mut again = EvalCtx::new(&split);
+        c.run(&db, &mut again).unwrap();
+        assert_eq!(par.stats, again.stats, "{text}: split runs must reproduce");
+
+        let pinned = Budget::new().with_partitions(1);
+        let mut one = EvalCtx::new(&pinned);
+        c.run(&db, &mut one).unwrap();
 
         let fault = FaultInjector::new();
         fault.deny_thread_spawn(true);
@@ -253,7 +257,15 @@ fn parallel_and_sequential_stats_agree_for_all_operator_shapes() {
 
         assert_eq!(parallel, sequential, "{text}: answers diverged");
         assert_eq!(
-            par.stats, seq.stats,
+            one.stats, seq.stats,
+            "{text}: spawn denial and a single partition must count alike"
+        );
+        assert_eq!(
+            EvalStats {
+                budget_checks: seq.stats.budget_checks,
+                ..par.stats
+            },
+            seq.stats,
             "{text}: an EvalStats field diverges between the parallel and \
              sequential paths"
         );
@@ -450,7 +462,7 @@ fn cancellation_mid_refresh_never_tears_the_cached_entry() {
 fn spawn_denial_during_partitioned_refresh_is_byte_identical() {
     let (c, mut db) = big_join();
     let budget_par = Budget::new().with_partitions(4);
-    let mut cx = EvalCtx::new(&budget_par).memoized();
+    let mut cx = EvalCtx::new(&budget_par);
     eval(&c.expr, &db, &mut cx).unwrap();
     let view = MaintainedView::recorded(&mut cx, db.version()).unwrap();
 

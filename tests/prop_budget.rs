@@ -185,6 +185,56 @@ fn ranf_budget_trips_with_stage_attribution() {
     }
 }
 
+/// ranf: a trip in T11 reports the size of the formula the distribution
+/// would build, not how many disjuncts it would have. A conjunction of k
+/// binary disjunctions of atoms, capped at its own node count, trips with
+/// `used` equal to the node count of the distributed `Or` (81 for k = 4,
+/// which holds 16 disjuncts).
+#[test]
+fn ranf_trip_reports_the_distributed_node_count() {
+    for k in 4..=8 {
+        let pair = |i: usize| (format!("A{i}(x)"), format!("B{i}(x)"));
+        let parts: Vec<String> = (0..k)
+            .map(|i| {
+                let (a, b) = pair(i);
+                format!("({a} | {b})")
+            })
+            .collect();
+        let f = parse(&parts.join(" & ")).unwrap();
+        let distributed: Vec<String> = (0..1usize << k)
+            .map(|bits| {
+                let picks: Vec<String> = (0..k)
+                    .map(|i| {
+                        let (a, b) = pair(i);
+                        if bits >> i & 1 == 0 {
+                            a
+                        } else {
+                            b
+                        }
+                    })
+                    .collect();
+                format!("({})", picks.join(" & "))
+            })
+            .collect();
+        let built = parse(&distributed.join(" | ")).unwrap().node_count() as u64;
+        if k == 4 {
+            assert_eq!(built, 81);
+        }
+        let cap = f.node_count() as u64;
+        let err = capped_stage(cap, |cx| ranf::stage(&f, cx))
+            .expect_err("distribution beyond the input size must trip");
+        match err {
+            RanfError::Budget(b) => {
+                assert_eq!(b.stage, Stage::Ranf);
+                assert_eq!(b.resource, Resource::Nodes);
+                assert_eq!(b.limit, cap);
+                assert_eq!(b.used, built, "k = {k}");
+            }
+            other => panic!("expected a ranf budget trip, got {other:?}"),
+        }
+    }
+}
+
 /// translate: every emitted operator counts against the node cap; a RANF
 /// formula with more operators than the cap trips with translate
 /// attributed (ranf itself fits comfortably).

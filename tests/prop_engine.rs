@@ -228,7 +228,7 @@ proptest! {
         }
     }
 
-    /// The IVM Δ-rules shape by shape: a memoized view of every
+    /// The IVM Δ-rules shape by shape: a recorded view of every
     /// hand-built shape (scans with constants and repeated variables,
     /// `NeqCols`/`EqConst` selects, `Duplicate`, permuted union, anti-join,
     /// cross product, ...) is refreshed through three random insert+delete
@@ -243,7 +243,7 @@ proptest! {
             let budget = Budget::new().with_partitions(n);
             for e in synthetic_exprs() {
                 let mut db = base.clone();
-                let mut cx = EvalCtx::new(&budget).memoized();
+                let mut cx = EvalCtx::new(&budget);
                 eval(&e, &db, &mut cx).expect("recording eval");
                 let mut view = MaintainedView::recorded(&mut cx, db.version()).expect("memo");
                 for round in 0..3 {
@@ -294,12 +294,12 @@ proptest! {
     }
 }
 
-/// Above the parallel threshold the scoped-thread path must produce the
-/// same relation, in the same order, as the baseline — on join, union and
-/// diff roots.
+/// Partition-parallel kernels over 9000-row inputs must produce the same
+/// relation, in the same order, as the baseline — on join, union and diff
+/// roots.
 #[test]
 fn parallel_path_matches_baseline() {
-    let rows: usize = 9_000; // comfortably above the 8192 scan-cost threshold
+    let rows: usize = 9_000;
     let mut a = RelationBuilder::with_capacity(2, rows);
     let mut b = RelationBuilder::with_capacity(2, rows);
     for i in 0..rows as i64 {
@@ -318,12 +318,13 @@ fn parallel_path_matches_baseline() {
         RaExpr::diff(scan_a.clone(), scan_b_xy),
         RaExpr::diff(scan_a, RaExpr::project(scan_b, vec![Var::new("y")])),
     ] {
-        let fast = eval(&e, &db, &mut EvalCtx::default()).expect("parallel eval");
+        let split = Budget::new().with_partitions(4);
+        let fast = eval(&e, &db, &mut EvalCtx::new(&split)).expect("parallel eval");
         let slow = eval_baseline(&e, &db).expect("baseline eval");
         assert_eq!(fast, slow, "parallel engine disagrees on {e}");
         assert_eq!(fast.to_string(), slow.to_string(), "order differs on {e}");
         // And a second run is identical (thread interleaving must not leak
         // into results).
-        assert_eq!(fast, eval(&e, &db, &mut EvalCtx::default()).unwrap());
+        assert_eq!(fast, eval(&e, &db, &mut EvalCtx::new(&split)).unwrap());
     }
 }

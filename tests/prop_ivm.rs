@@ -306,7 +306,7 @@ fn refresh_traces_report_the_same_final_cardinality_as_full_eval() {
     let x = Term::var("x");
     let expr = RaExpr::join(RaExpr::scan("P", vec![x]), RaExpr::scan("Q", vec![x]));
     let budget = Budget::new();
-    let mut cx = EvalCtx::new(&budget).memoized();
+    let mut cx = EvalCtx::new(&budget);
     eval(&expr, &db, &mut cx).unwrap();
     let view = MaintainedView::recorded(&mut cx, db.version()).unwrap();
 

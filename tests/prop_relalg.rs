@@ -10,7 +10,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rcsafe::formula::generate::{random_allowed_formula, GenConfig};
 use rcsafe::formula::vars::rectified;
-use rcsafe::relalg::{eval, simplify, EvalCtx, RaExpr, Relation, SelPred};
+use rcsafe::relalg::{eval, eval_baseline, simplify, EvalCtx, RaExpr, Relation, SelPred};
 use rcsafe::safety::pipeline::{compile_with, CompileOptions};
 use rcsafe::{Database, Term, Value, Var};
 
@@ -211,9 +211,9 @@ proptest! {
 
     /// The selection-pushdown audit, property-tested: on Diff-heavy plans
     /// (selections wrapped around differences at every depth) the
-    /// simplifier and the memoizing DAG evaluator both agree with plain
-    /// bottom-up evaluation. A pushdown that crossed to the right side of
-    /// a `Diff` would resurrect tuples here and fail the comparison.
+    /// simplifier and the memoizing DAG evaluator both agree with the
+    /// tuple-at-a-time baseline. A pushdown that crossed to the right side
+    /// of a `Diff` would resurrect tuples here and fail the comparison.
     #[test]
     fn diff_heavy_plans_optimize_and_share_soundly(seed in 0u64..10_000) {
         let db = random_db(seed, 15);
@@ -222,14 +222,13 @@ proptest! {
             random_diff_plan(&mut rng, 3),
             SelPred::NeqConst(Var::new("x"), Value::int(rng.gen_range(0..6))),
         );
-        let raw = eval(&e, &db, &mut EvalCtx::default()).expect("raw plan evaluates");
+        let raw = eval_baseline(&e, &db).expect("raw plan evaluates");
         let slim = simplify(&e);
         prop_assert!(
             same_answers(&e, &slim, &db),
             "optimizer changed answers on {e} -> {slim}"
         );
-        let shared = eval(&e, &db, &mut EvalCtx::default().memoized())
-            .expect("shared eval evaluates");
+        let shared = eval(&e, &db, &mut EvalCtx::default()).expect("shared eval evaluates");
         prop_assert_eq!(shared, raw, "memoized DAG eval diverged on {}", e);
     }
 

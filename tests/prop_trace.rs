@@ -6,7 +6,8 @@
 //!   identical [`EvalStats`];
 //! * the root span's subtree tuple total equals
 //!   [`EvalStats::tuples_produced`], and its span count equals
-//!   [`EvalStats::operators`];
+//!   [`EvalStats::operators`] plus [`EvalStats::memo_hits`] (a memo-served
+//!   subplan is one leaf span);
 //! * every operator span's output cardinality equals the relation its
 //!   subtree actually produced (checked by re-evaluating each subtree);
 //! * the deterministic trace projection is identical under parallel and
@@ -58,6 +59,15 @@ fn check_span_cardinalities(
         span.rows_out
     );
     let children = expr.children();
+    if span.cache_hit {
+        // The subtree was traced where it was first evaluated.
+        prop_assert!(
+            span.children.is_empty(),
+            "memo leaf {} has children",
+            &span.op
+        );
+        return Ok(());
+    }
     prop_assert_eq!(span.children.len(), children.len(), "arity of {}", &span.op);
     for (cs, ce) in span.children.iter().zip(children) {
         check_span_cardinalities(cs, ce, db)?;
@@ -88,7 +98,12 @@ proptest! {
         // The span tree totals reconcile with the stats counters.
         let root = cx.tracer.finish().expect("traced run leaves a root span");
         prop_assert_eq!(root.total_rows_out(), traced_stats.tuples_produced, "{}", &f);
-        prop_assert_eq!(root.span_count() as u64, traced_stats.operators, "{}", &f);
+        prop_assert_eq!(
+            root.span_count() as u64,
+            traced_stats.operators + traced_stats.memo_hits,
+            "{}",
+            &f
+        );
         prop_assert_eq!(root.rows_out, plain.len(), "root cardinality: {}", &f);
         prop_assert!(root.completed);
     }

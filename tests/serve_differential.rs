@@ -19,7 +19,7 @@ use rc_serve::{
     Client, QueryOk, Request, Response, Server, ServerConfig, WireError, WireLimits, WireStats,
 };
 use rcsafe::relalg::govern::Resource;
-use rcsafe::safety::corpus::{corpus, formula_of, random_db};
+use rcsafe::safety::corpus::{by_id, corpus, formula_of, random_db};
 use rcsafe::safety::dom_baseline::eval_brute_force;
 use rcsafe::safety::pipeline::{compile_and_eval_cached, CompileOptions, Compiled};
 use rcsafe::{serve, Budget, Database, Mode, PipelineError, PlanCache};
@@ -392,4 +392,23 @@ fn the_shared_cache_spans_connections() {
         warm_same.encode(),
         "warm responses must be byte-identical across connections"
     );
+}
+
+/// `analyze` runs the evaluation a cold `query` runs: on a plan that
+/// shares a subtree (Ex. 9.1's translation scans `P` in both union
+/// branches), both compute the shared scan once and report the same
+/// `stats` header.
+#[test]
+fn analyze_reports_the_stats_of_a_cold_query() {
+    let entry = by_id("ex9.1-a").expect("corpus entry");
+    let db = random_db(&formula_of(&entry), 7);
+    let (_server, mut client) = start(&db);
+    let stats = |resp: Response| match resp {
+        Response::Query(ok) => ok.stats,
+        other => panic!("expected a query response, got {other:?}"),
+    };
+    let cold = stats(client.query(entry.text).expect("cold query"));
+    let analyzed = stats(client.analyze(entry.text).expect("analyze"));
+    assert_eq!(cold.memo_hits, 1, "the shared scan is served once");
+    assert_eq!(analyzed, cold);
 }
