@@ -39,8 +39,9 @@ use rc_relalg::govern::{Budget, BudgetExceeded, Stage};
 use rc_relalg::{
     eval, refresh, worth_refreshing, Database, Estimator, EvalCtx, EvalError, EvalStats,
     MaintainedView, OpSpan, PipelineTrace, PlanCache, PlanStore, RaExpr, RefreshError, Relation,
-    SharedPlanCache, StageTracer, TraceSink, Tracer,
+    SharedPlanCache, StageTracer, Tracer,
 };
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -378,7 +379,8 @@ impl Compiled {
     }
 
     /// Evaluate the compiled plan against `db` — uncached, under `cx`'s
-    /// budget, tracer and memo (see [`EvalCtx`]).
+    /// budget, tracer and memo (see [`EvalCtx`]). A predicate of the query
+    /// that `db` lacks evaluates as empty.
     pub fn run(&self, db: &Database, cx: &mut EvalCtx<'_>) -> Result<Relation, EvalError> {
         eval(&self.expr, &prepare(db, &self.original), cx)
     }
@@ -407,13 +409,19 @@ impl Compiled {
 }
 
 /// Make missing query predicates evaluate as empty relations rather than
-/// errors (matching the logical semantics of an absent relation).
-fn prepare(db: &Database, f: &Formula) -> Database {
+/// errors (matching the logical semantics of an absent relation). When
+/// `db` holds every predicate of `f` — the common case — the plan runs on
+/// `db` itself; otherwise on a copy that declares the missing ones.
+fn prepare<'d>(db: &'d Database, f: &Formula) -> Cow<'d, Database> {
+    let preds = f.predicates();
+    if preds.iter().all(|&(p, _)| db.relation(p).is_some()) {
+        return Cow::Borrowed(db);
+    }
     let mut out = db.clone();
-    for (p, arity) in f.predicates() {
+    for (p, arity) in preds {
         out.declare(p, arity);
     }
-    out
+    Cow::Owned(out)
 }
 
 /// Unified failure taxonomy for the whole pipeline
@@ -643,11 +651,11 @@ pub fn serve<S: PlanStore<Compiled>>(
     db: &Database,
     mut store: S,
 ) -> Result<Served, PipelineError> {
-    let sink = match req.trace {
-        Some(_) => TraceSink::Tree,
-        None => TraceSink::Off,
+    let mut st = if req.trace.is_some() {
+        StageTracer::on()
+    } else {
+        StageTracer::off()
     };
-    let mut st = StageTracer::new(sink);
     let mut root = None;
     let res = match req.mode {
         Mode::Safe => leg(req, None, 0, None, db, &mut store, &mut st, Some(&mut root)),
@@ -687,8 +695,6 @@ pub(crate) fn leg<S: PlanStore<Compiled>>(
     let opts = &req.opts;
     let budget = &opts.budget;
     let guarded = guard.zip(formula);
-    // Capture the version before `prepare` clones-and-declares inside the
-    // eval path; the clone's declares must not disturb our key.
     let db_version = db.version();
     let opts_key = opts.cache_key() ^ salt;
     // Plans compiled without the cost-based planner never read statistics,

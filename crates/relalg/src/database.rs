@@ -1,7 +1,7 @@
 //! Databases: named relations plus loading helpers.
 
 use crate::ivm::{Delta, DeltaLog, TableDelta};
-use crate::relation::{PartitionedRelation, Relation, RelationBuilder, Tuple};
+use crate::relation::{Relation, RelationBuilder, Tuple};
 use crate::stats::{StatsStore, TableStats};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -41,18 +41,9 @@ fn next_version() -> u64 {
 pub struct Database {
     relations: FxHashMap<Symbol, Relation>,
     domain_cache: OnceLock<BTreeSet<Value>>,
-    /// Hash-partitioned layouts of stored relations, keyed by
-    /// `(predicate, key columns, partition count)` — computed on first use
-    /// by [`Database::partitioned`] and dropped wholesale by any mutation,
-    /// so the partition-parallel join never re-partitions a base relation
-    /// two queries in a row. Clones share the map (their contents are
-    /// identical until either side mutates, at which point the mutator
-    /// swaps in a fresh empty cache).
-    partition_cache: Arc<Mutex<PartitionCache>>,
     /// Per-relation statistics, the harvested-cardinality feedback map,
-    /// and the stats epoch (see [`crate::stats`]) — same sharing
-    /// discipline as the partition cache (clones share the store until
-    /// either side mutates), but mutation only drops the *table*
+    /// and the stats epoch (see [`crate::stats`]). Clones share the store
+    /// until either side mutates; mutation drops only the *table*
     /// statistics: the feedback map and the epoch are carried over, so
     /// cached plans survive data mutations exactly like plan-cache entries
     /// do, and the epoch moves only when an *observation* changes.
@@ -68,9 +59,6 @@ pub struct Database {
     delta_log: Arc<Mutex<DeltaLog>>,
     version: u64,
 }
-
-/// Partitioned layouts keyed by `(predicate, key columns, partition count)`.
-type PartitionCache = FxHashMap<(Symbol, Vec<usize>, usize), Arc<PartitionedRelation>>;
 
 impl PartialEq for Database {
     fn eq(&self, other: &Database) -> bool {
@@ -130,15 +118,14 @@ impl Database {
     }
 
     /// Invalidate derived state after a mutation: drop the active-domain
-    /// and partition caches, drop the per-table statistics (row counts and
-    /// distincts are stale the moment data changes), and take a fresh
-    /// version stamp. The statistics *epoch* and the harvested-cardinality
+    /// cache and the per-table statistics (row counts and distincts are
+    /// stale the moment data changes), and take a fresh version stamp.
+    /// The statistics *epoch* and the harvested-cardinality
     /// feedback map survive: the epoch keys plan-cache entries, and plans
     /// are data-independent (a mutation invalidates cached *results*
     /// through the version stamp, never compiled plans).
     fn bump(&mut self) {
         self.domain_cache.take();
-        self.partition_cache = Arc::default();
         let carried = {
             let store = self.stats_cache.lock().expect("stats cache lock poisoned");
             StatsStore {
@@ -420,35 +407,6 @@ impl Database {
         })
     }
 
-    /// Total number of stored tuples.
-    pub fn total_tuples(&self) -> usize {
-        self.relations.values().map(Relation::len).sum()
-    }
-
-    /// The hash-partitioned layout of the stored relation for `pred` on
-    /// `key_cols` with `n` partitions, computed once and cached until the
-    /// next mutation (`None` if the predicate is absent). This is how the
-    /// partition-parallel join reuses materializations across repeated
-    /// queries and shared subtrees: a plain scan's partitions are a pure
-    /// function of `(contents, key columns, n)`, so serving the cached
-    /// [`PartitionedRelation`] is indistinguishable from re-partitioning.
-    pub fn partitioned(
-        &self,
-        pred: Symbol,
-        key_cols: &[usize],
-        n: usize,
-    ) -> Option<Arc<PartitionedRelation>> {
-        let rel = self.relations.get(&pred)?;
-        let mut cache = self
-            .partition_cache
-            .lock()
-            .expect("partition cache lock poisoned");
-        let entry = cache
-            .entry((pred, key_cols.to_vec(), n))
-            .or_insert_with(|| Arc::new(rel.partition_by(key_cols, n)));
-        Some(Arc::clone(entry))
-    }
-
     /// Statistics (row count, per-column distinct counts) of the stored
     /// relation for `pred`, computed on first use and cached until the
     /// next mutation (`None` if the predicate is absent). This feeds the
@@ -526,25 +484,6 @@ impl Database {
         store.observed = Arc::default();
         store.tables.clear();
         store.epoch = next_version();
-    }
-
-    /// How many per-relation statistics entries are currently cached
-    /// (observability for tests, like [`Database::partition_cache_entries`]).
-    pub fn stats_cache_entries(&self) -> usize {
-        self.stats_cache
-            .lock()
-            .expect("stats cache lock poisoned")
-            .tables
-            .len()
-    }
-
-    /// How many partitioned layouts are currently cached (observability for
-    /// tests; the cache itself is an implementation detail).
-    pub fn partition_cache_entries(&self) -> usize {
-        self.partition_cache
-            .lock()
-            .expect("partition cache lock poisoned")
-            .len()
     }
 
     /// Generate a random database over `schema`: each relation receives
@@ -679,29 +618,6 @@ mod tests {
         assert_eq!(db.relation(Symbol::intern("Q")).unwrap().arity(), 2);
         // Set semantics may deduplicate, but some rows must exist.
         assert!(!db.relation(Symbol::intern("Q")).unwrap().is_empty());
-    }
-
-    #[test]
-    fn partition_cache_serves_and_invalidates() {
-        let mut db = Database::from_facts("P(1, 2)\nP(2, 3)\nP(3, 3)").unwrap();
-        let p = Symbol::intern("P");
-        assert_eq!(db.partition_cache_entries(), 0);
-        let a = db.partitioned(p, &[1], 2).unwrap();
-        let b = db.partitioned(p, &[1], 2).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "second request must be a cache hit");
-        assert_eq!(db.partition_cache_entries(), 1);
-        // A different key or count is a different entry.
-        db.partitioned(p, &[0], 2).unwrap();
-        db.partitioned(p, &[1], 3).unwrap();
-        assert_eq!(db.partition_cache_entries(), 3);
-        // Unknown predicates don't cache.
-        assert!(db.partitioned(Symbol::intern("Zzz"), &[0], 2).is_none());
-        // Any mutation drops the cache.
-        db.insert_fact("P", tuple([9i64, 9])).unwrap();
-        assert_eq!(db.partition_cache_entries(), 0);
-        let c = db.partitioned(p, &[1], 2).unwrap();
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(c.total_rows(), 4);
     }
 
     #[test]

@@ -48,8 +48,8 @@
 //!   sorted-merge union/difference split *both* sides at matching key
 //!   boundaries found by binary search; hash joins co-partition both sides
 //!   by hashing the shared key columns (so matching rows meet in the same
-//!   partition — the `hash_cols` helper is shared with
-//!   [`Relation::partition_by`] exactly for this) and merge the
+//!   partition — the join kernel's `hash_cols` helper is shared with
+//!   `Relation::partition_by` exactly for this) and merge the
 //!   per-partition results;
 //! * **incremental** — the IVM Δ-rules ([`crate::ivm`]) run the same
 //!   kernels on one lane over delta relations, under a
@@ -70,8 +70,7 @@ use crate::database::Database;
 use crate::expr::{ExprError, RaExpr, SelPred};
 use crate::govern::{Budget, BudgetExceeded, Governor, Stage};
 use crate::relation::{
-    hash_cols, merge_sorted, minus_rows, partition_count, union_rows, PartitionedRelation,
-    Relation, RelationBuilder,
+    hash_cols, merge_sorted, minus_rows, partition_count, union_rows, Relation, RelationBuilder,
 };
 use crate::trace::Tracer;
 use rc_formula::fxhash::FxHashMap;
@@ -556,25 +555,6 @@ fn aligned_bounds(l: &Relation, r: &Relation, parts: usize) -> Vec<usize> {
     rb
 }
 
-/// Partition a join input on its shared-key columns, serving the layout
-/// from the [`Database`] partition cache when the input is a plain scan of
-/// a stored relation (the common case after optimization) so repeated
-/// queries over the same base relation re-use one partitioning.
-fn co_partition(
-    expr: &RaExpr,
-    rel: &Relation,
-    key: &[usize],
-    n: usize,
-    db: &Database,
-) -> Arc<PartitionedRelation> {
-    if let Some(pred) = expr.plain_scan() {
-        if let Some(parts) = db.partitioned(pred, key, n) {
-            return parts;
-        }
-    }
-    Arc::new(rel.partition_by(key, n))
-}
-
 /// Where one operator's row loops run. Each operator's loop is written
 /// once, over a row range (or a relation) and a [`Governor`]. With one
 /// lane — the sequential evaluator and IVM's Δ-rules — it runs inline on
@@ -964,10 +944,9 @@ fn eval_node(expr: &RaExpr, db: &Database, cx: &mut EvalCtx<'_>) -> Result<Relat
                 // Hash join: co-partition both sides on the shared key, so
                 // matching rows meet in the same partition.
                 let parts = lanes.parts;
-                let lp = co_partition(l, &lrel, &layout.l_shared, parts, db);
-                let rp = co_partition(r, &rrel, &layout.r_shared, parts, db);
-                let joined = lanes
-                    .run(|k, gov| hash_join(&lp.parts()[k], &rp.parts()[k], &layout, None, gov))?;
+                let lp = lrel.partition_by(&layout.l_shared, parts);
+                let rp = rrel.partition_by(&layout.r_shared, parts);
+                let joined = lanes.run(|k, gov| hash_join(&lp[k], &rp[k], &layout, None, gov))?;
                 lanes.merge(layout.arity(&lrel), joined)?
             } else {
                 lanes.join(&lrel, &rrel, &layout, None)?
@@ -1390,22 +1369,6 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_join_reuses_database_partition_cache() {
-        let d = partition_db();
-        let e = RaExpr::join(
-            RaExpr::scan("A", vec![Term::var("x"), Term::var("y")]),
-            RaExpr::scan("B", vec![Term::var("y"), Term::var("z")]),
-        );
-        assert_eq!(d.partition_cache_entries(), 0);
-        let budget = Budget::new().with_partitions(4);
-        eval(&e, &d, &mut EvalCtx::new(&budget)).unwrap();
-        // Both scan sides are plain scans: two cached layouts.
-        assert_eq!(d.partition_cache_entries(), 2);
-        eval(&e, &d, &mut EvalCtx::new(&budget)).unwrap();
-        assert_eq!(d.partition_cache_entries(), 2, "second run must re-use");
-    }
-
-    #[test]
     fn partitioned_budget_trip_is_clean_and_engine_reusable() {
         let d = partition_db();
         let e = RaExpr::join(
@@ -1416,7 +1379,8 @@ mod tests {
         let err = eval(&e, &d, &mut EvalCtx::new(&tight))
             .expect_err("tuple cap must trip inside the partitioned join");
         assert!(matches!(err, EvalError::Budget(_)));
-        // The same database (and its partition cache) serves a fresh run.
+        // The tripped run left nothing behind: the same database serves a
+        // fresh run.
         let ok = eval(&e, &d, &mut EvalCtx::default()).unwrap();
         assert!(!ok.is_empty());
     }

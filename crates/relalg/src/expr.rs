@@ -240,25 +240,6 @@ impl RaExpr {
         }
     }
 
-    /// `Some(pred)` when this node is a *plain* scan — a pattern binding
-    /// every column to a distinct variable — so evaluating it returns the
-    /// stored relation itself, columns in stored order. The
-    /// partition-parallel join uses this to serve co-partitioned layouts
-    /// from [`crate::database::Database`]'s partition cache instead of
-    /// re-partitioning per query.
-    pub fn plain_scan(&self) -> Option<Symbol> {
-        match self {
-            RaExpr::Scan { pred, pattern } => {
-                let all_distinct_vars = pattern.iter().enumerate().all(|(i, t)| match t {
-                    Term::Var(v) => !pattern[..i].contains(&Term::Var(*v)),
-                    Term::Const(_) => false,
-                });
-                all_distinct_vars.then_some(*pred)
-            }
-            _ => None,
-        }
-    }
-
     /// Immediate sub-expressions.
     pub fn children(&self) -> Vec<&RaExpr> {
         match self {

@@ -73,9 +73,11 @@
 //!   produces (a projected row dies only when *no* surviving input row
 //!   produces it).
 //!
-//! Refresh work is charged to [`Stage::Maintain`] and traced with
-//! `ivm=refresh` spans carrying per-operator Δ cardinalities; any budget
-//! trip or cancellation abandons the walk with the old view intact.
+//! Refresh work is charged to [`Stage::Maintain`]. When the caller passes
+//! a collecting tracer to [`refresh`], the walk is traced with
+//! `ivm=refresh` spans carrying per-operator Δ cardinalities (the serving
+//! path refreshes untraced). Any budget trip or cancellation abandons the
+//! walk with the old view intact.
 
 use crate::eval::{
     on_fresh_stack, positions, select_pred, EvalCtx, EvalStats, JoinLayout, Lanes, RowTable,
@@ -416,13 +418,6 @@ impl MaintainedView {
             base_version,
         })
     }
-}
-
-/// Mark the most recent completed top-level trace span as an IVM
-/// fallback (a full re-evaluation that replaced an abandoned or skipped
-/// refresh). No-op on a disabled tracer.
-pub fn note_fallback(tracer: &mut Tracer) {
-    tracer.note_ivm_done("fallback");
 }
 
 /// The cost gate: is refreshing `view` by `delta` expected to beat a

@@ -10,14 +10,12 @@
 //! duplication primitive (Appendix A). This crate implements exactly that
 //! operator set over set-semantics relations with variable-named columns:
 //!
-//! * [`relation::Relation`], [`database::Database`] — storage, including
-//!   hash-partitioned layouts ([`relation::Relation::partition_by`],
-//!   [`relation::PartitionedRelation`]) behind the partition-parallel
-//!   kernels and the per-database partition cache;
+//! * [`relation::Relation`], [`database::Database`] — storage;
 //! * [`expr::RaExpr`] — the expression tree, with structural validation;
-//! * [`eval`](mod@eval) — hash-join/anti-join evaluation: one
-//!   [`eval::eval`] entry taking an [`eval::EvalCtx`] that carries
-//!   statistics, budget, tracer and an optional DAG memo;
+//! * [`eval`](mod@eval) — hash-join/anti-join evaluation, partition-parallel
+//!   above a size threshold: one [`eval::eval`] entry taking an
+//!   [`eval::EvalCtx`] that carries statistics, budget, tracer and the
+//!   run's memo, which computes each shared subplan once;
 //! * [`plan`] — hash-consing expressions into DAGs with physically shared
 //!   subtrees ([`plan::intern`]) and structural plan hashes;
 //! * [`cache`] — cross-run plan/result cache keyed by (plan hash,
@@ -29,8 +27,8 @@
 //! * [`govern`] — resource budgets, cooperative cancellation, fault
 //!   injection for the whole pipeline (shared with `rc-core`'s stages);
 //! * [`trace`] — opt-in span tracing of stages and operators (cardinalities,
-//!   dedup ratios, wall times) hooked at the same operator boundaries the
-//!   governor checkpoints;
+//!   pre-dedup row counts, wall times) hooked at the same operator
+//!   boundaries the governor checkpoints;
 //! * [`stats`] — per-relation statistics, cardinality/cost estimation, and
 //!   the trace-fed feedback store behind the cost-based planner;
 //! * [`optimize::simplify`] — semantics-preserving cleanup — and
@@ -68,9 +66,6 @@ pub use ivm::{
 };
 pub use optimize::{optimize, optimize_priced, simplify};
 pub use plan::{intern, plan_hash, InternStats, Interner};
-pub use relation::{
-    partition_count, tuple, PartitionedRelation, Relation, RelationBuilder, Tuple,
-    MIN_PARTITION_ROWS,
-};
+pub use relation::{partition_count, tuple, Relation, RelationBuilder, Tuple, MIN_PARTITION_ROWS};
 pub use stats::{harvest_actuals, CardEst, Estimator, TableStats};
-pub use trace::{IvmNote, OpSpan, PipelineTrace, StageSpan, StageTracer, TraceSink, Tracer};
+pub use trace::{IvmNote, OpSpan, PipelineTrace, StageSpan, StageTracer, Tracer};

@@ -30,11 +30,11 @@
 //! debug-checked at builder finish, at every trusted `from_canonical`
 //! construction, and at partition merges.
 //!
-//! For partition-parallel evaluation, [`Relation::partition_by`] splits a
-//! relation into disjoint hash partitions ([`PartitionedRelation`]) that
-//! are each canonical by construction (a subsequence of a sorted sequence),
-//! so per-partition kernel outputs merge back into canonical form without
-//! a global re-sort.
+//! For partition-parallel evaluation, the crate-internal
+//! `Relation::partition_by` splits a relation into disjoint hash
+//! partitions that are each canonical by construction (a subsequence of a
+//! sorted sequence), so per-partition kernel outputs merge back into
+//! canonical form without a global re-sort.
 
 use crate::govern::{Budget, BudgetExceeded, Governor, Stage};
 use rc_formula::fxhash::FxHasher;
@@ -268,32 +268,15 @@ impl Relation {
     /// Split the relation into `n` hash partitions on `key_cols`: each row
     /// goes to partition `hash(key columns) mod n`. Rows are taken in
     /// canonical order, so every partition is a strictly ascending
-    /// subsequence — itself a canonical [`Relation`] — and
-    /// [`PartitionedRelation::merge`] restores exactly the source relation.
-    /// Rows agreeing on the key columns always share a partition, which is
-    /// what makes partition-wise joins on those columns sound.
+    /// subsequence — itself a canonical [`Relation`] — and merging the
+    /// parts restores exactly the source relation. Rows agreeing on the
+    /// key columns always share a partition, which is what makes
+    /// partition-wise joins on those columns sound.
     ///
     /// Panics if `n == 0` or a key column is out of range. `n` may exceed
     /// the row count (the surplus partitions are empty); nullary relations
     /// put their at-most-one row in partition 0.
-    ///
-    /// ```
-    /// use rc_relalg::{Relation, RelationBuilder};
-    /// use rc_formula::Value;
-    ///
-    /// let mut b = RelationBuilder::new(2);
-    /// for i in 0..100i64 {
-    ///     b.push_row(&[Value::int(i), Value::int(i % 7)]);
-    /// }
-    /// let rel = b.finish();
-    /// // Partition on the second column into 4 disjoint parts.
-    /// let parts = rel.partition_by(&[1], 4);
-    /// assert_eq!(parts.parts().len(), 4);
-    /// assert_eq!(parts.parts().iter().map(Relation::len).sum::<usize>(), rel.len());
-    /// // Merging restores exactly the original canonical relation.
-    /// assert_eq!(parts.merge(), rel);
-    /// ```
-    pub fn partition_by(&self, key_cols: &[usize], n: usize) -> PartitionedRelation {
+    pub(crate) fn partition_by(&self, key_cols: &[usize], n: usize) -> Vec<Relation> {
         assert!(n > 0, "partition count must be positive");
         for &c in key_cols {
             assert!(
@@ -305,11 +288,7 @@ impl Relation {
         if n == 1 || self.arity == 0 {
             let mut parts = vec![self.clone()];
             parts.resize(n, Relation::new(self.arity));
-            return PartitionedRelation {
-                arity: self.arity,
-                key_cols: key_cols.to_vec(),
-                parts,
-            };
+            return parts;
         }
         let mut bufs: Vec<Vec<Value>> = vec![Vec::new(); n];
         let mut counts = vec![0usize; n];
@@ -318,16 +297,10 @@ impl Relation {
             bufs[b].extend_from_slice(row);
             counts[b] += 1;
         }
-        let parts = bufs
-            .into_iter()
+        bufs.into_iter()
             .zip(counts)
             .map(|(buf, rows)| Relation::from_canonical(self.arity, rows, buf))
-            .collect();
-        PartitionedRelation {
-            arity: self.arity,
-            key_cols: key_cols.to_vec(),
-            parts,
-        }
+            .collect()
     }
 
     /// Insert a tuple; returns whether it was new. Panics on arity mismatch
@@ -626,9 +599,8 @@ pub(crate) fn minus_rows(
 }
 
 /// Merge already-canonical relations pairwise (a balanced binary union
-/// tree) under one governor. The workhorse behind
-/// [`PartitionedRelation::merge_governed`] and the partition-wise join's
-/// result merge.
+/// tree) under one governor: how split kernels (the partition-wise join,
+/// projection) merge their per-lane outputs.
 pub(crate) fn merge_sorted(
     mut layer: Vec<Relation>,
     arity: usize,
@@ -648,61 +620,6 @@ pub(crate) fn merge_sorted(
     let out = layer.pop().unwrap_or_else(|| Relation::new(arity));
     out.debug_assert_canonical();
     Ok(out)
-}
-
-/// A hash-partitioned layout of a [`Relation`], produced by
-/// [`Relation::partition_by`]: disjoint canonical parts whose union is the
-/// source relation, with rows assigned by hashing the key columns. The
-/// partition-parallel kernels evaluate one worker per part;
-/// [`crate::database::Database`] caches these layouts per stored relation
-/// so repeated queries reuse the materialization.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PartitionedRelation {
-    arity: usize,
-    key_cols: Vec<usize>,
-    parts: Vec<Relation>,
-}
-
-impl PartitionedRelation {
-    /// The partitions, each canonical, in partition-index order.
-    pub fn parts(&self) -> &[Relation] {
-        &self.parts
-    }
-
-    /// The key columns rows were hashed on.
-    pub fn key_cols(&self) -> &[usize] {
-        &self.key_cols
-    }
-
-    /// The shared arity of the source and every part.
-    pub fn arity(&self) -> usize {
-        self.arity
-    }
-
-    /// Per-partition row counts, in partition order (what trace spans
-    /// record as partition cardinalities).
-    pub fn part_sizes(&self) -> Vec<u64> {
-        self.parts.iter().map(|p| p.len() as u64).collect()
-    }
-
-    /// Total rows across all partitions (= the source relation's row count).
-    pub fn total_rows(&self) -> usize {
-        self.parts.iter().map(Relation::len).sum()
-    }
-
-    /// Reassemble the source relation: a balanced merge of the (disjoint,
-    /// individually canonical) parts, asserted canonical at the end.
-    pub fn merge(&self) -> Relation {
-        let mut gov = Governor::new(Budget::unlimited(), Stage::Eval);
-        self.merge_governed(&mut gov)
-            .expect("unlimited budget cannot trip")
-    }
-
-    /// [`PartitionedRelation::merge`] under a [`Governor`], checkpointing
-    /// every [`crate::govern::CHECK_INTERVAL`] merged rows.
-    pub fn merge_governed(&self, gov: &mut Governor<'_>) -> Result<Relation, BudgetExceeded> {
-        merge_sorted(self.parts.clone(), self.arity, gov)
-    }
 }
 
 impl PartialEq for Relation {
@@ -1038,49 +955,64 @@ mod tests {
         assert!(!r.contains(&[]));
     }
 
-    fn numbered(rows: i64) -> Relation {
+    /// `rows` rows `(i, i mod modulus)`.
+    fn numbered(rows: i64, modulus: i64) -> Relation {
         let mut b = RelationBuilder::new(2);
         for i in 0..rows {
-            b.push_row(&[Value::int(i), Value::int(i % 13)]);
+            b.push_row(&[Value::int(i), Value::int(i % modulus)]);
         }
         b.finish()
     }
 
+    /// The parts merged back into one relation.
+    fn merged(parts: Vec<Relation>, arity: usize) -> Relation {
+        let mut gov = Governor::new(Budget::unlimited(), Stage::Eval);
+        merge_sorted(parts, arity, &mut gov).expect("unlimited budget cannot trip")
+    }
+
+    fn rows(parts: &[Relation]) -> usize {
+        parts.iter().map(Relation::len).sum()
+    }
+
     #[test]
     fn partition_by_is_a_disjoint_canonical_cover() {
-        let rel = numbered(500);
-        for n in [1usize, 2, 3, 7, 16] {
-            let parts = rel.partition_by(&[1], n);
-            assert_eq!(parts.parts().len(), n);
-            assert_eq!(parts.total_rows(), rel.len());
-            for p in parts.parts() {
-                p.debug_assert_canonical();
-                // Disjointness: every row of a part is in the source.
-                for row in p.iter() {
-                    assert!(rel.contains(row));
+        for rel in [numbered(500, 13), numbered(100, 7)] {
+            for n in [1usize, 2, 3, 4, 7, 16] {
+                let parts = rel.partition_by(&[1], n);
+                assert_eq!(parts.len(), n);
+                assert_eq!(rows(&parts), rel.len());
+                for p in &parts {
+                    p.debug_assert_canonical();
+                    // Disjointness: every row of a part is in the source.
+                    for row in p.iter() {
+                        assert!(rel.contains(row));
+                    }
                 }
+                assert_eq!(
+                    merged(parts, 2),
+                    rel,
+                    "merge must restore the source (n={n})"
+                );
             }
-            assert_eq!(parts.merge(), rel, "merge must restore the source (n={n})");
         }
     }
 
     #[test]
     fn partition_by_more_parts_than_rows() {
-        let rel = numbered(3);
+        let rel = numbered(3, 13);
         let parts = rel.partition_by(&[0], 64);
-        assert_eq!(parts.parts().len(), 64);
-        assert_eq!(parts.total_rows(), 3);
-        assert_eq!(parts.merge(), rel);
+        assert_eq!(parts.len(), 64);
+        assert_eq!(rows(&parts), 3);
+        assert_eq!(merged(parts, 2), rel);
     }
 
     #[test]
     fn partition_by_groups_equal_keys_together() {
-        let rel = numbered(500);
+        let rel = numbered(500, 13);
         let parts = rel.partition_by(&[1], 5);
         // Each distinct key value must land in exactly one partition.
         for key in 0..13i64 {
             let holders = parts
-                .parts()
                 .iter()
                 .filter(|p| p.iter().any(|row| row[1] == Value::int(key)))
                 .count();
@@ -1092,13 +1024,13 @@ mod tests {
     fn partition_by_empty_and_nullary() {
         let empty = Relation::new(2);
         let parts = empty.partition_by(&[0], 4);
-        assert_eq!(parts.total_rows(), 0);
-        assert_eq!(parts.merge(), empty);
+        assert_eq!(rows(&parts), 0);
+        assert_eq!(merged(parts, 2), empty);
 
         let unit = Relation::unit();
         let parts = unit.partition_by(&[], 4);
-        assert_eq!(parts.parts().len(), 4);
-        assert_eq!(parts.merge(), unit);
+        assert_eq!(parts.len(), 4);
+        assert_eq!(merged(parts, 0), unit);
     }
 
     #[test]
@@ -1113,6 +1045,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "partition count")]
     fn partition_by_zero_parts_panics() {
-        numbered(4).partition_by(&[0], 0);
+        numbered(4, 13).partition_by(&[0], 0);
     }
 }

@@ -6,8 +6,7 @@
 //! * [`TableStats`] — row count and per-column distinct counts of one
 //!   stored relation, computed lazily by
 //!   [`Database::table_stats`](crate::database::Database::table_stats) and
-//!   cached until the next mutation. The cache rides the same
-//!   invalidation as the partition cache: every mutating method swaps in a
+//!   cached until the next mutation: every mutating method swaps in a
 //!   fresh store, so stale statistics are unreachable by construction.
 //! * [`Estimator`] — a cardinality estimate ([`CardEst`]: rows plus
 //!   per-column distinct counts) for every [`RaExpr`] operator, and a cost
@@ -112,8 +111,8 @@ impl TableStats {
 
 /// Per-database statistics store: lazily computed [`TableStats`], the
 /// harvested-cardinality feedback map, and the stats epoch. Lives behind
-/// `Arc<Mutex<…>>` in [`Database`] exactly like the partition cache:
-/// clones share the store until either side mutates.
+/// `Arc<Mutex<…>>` in [`Database`]: clones share the store until either
+/// side mutates.
 #[derive(Debug, Default)]
 pub(crate) struct StatsStore {
     /// The stats epoch: 0 until first asked for, then a process-globally

@@ -14,11 +14,12 @@
 //!   per-partition output cardinalities when a kernel ran
 //!   partition-parallel, and whether the memo served the subplan.
 //!
-//! Tracing is opt-in through the [`TraceSink`] enum and near-zero cost when
-//! off: a disabled tracer's hooks are a branch on one bool, no allocation,
-//! and `Instant::now` is never consulted. The instrumentation points are
-//! the same operator boundaries the [`crate::govern::Governor`] checkpoints
-//! at, so governance and tracing share one hook.
+//! Tracing is opt-in ([`Tracer::on`], [`StageTracer::on`]) and near-zero
+//! cost when off: a disabled tracer's hooks are a branch on one bool, no
+//! allocation, and `Instant::now` is never consulted. The instrumentation
+//! points are the same operator boundaries the
+//! [`crate::govern::Governor`] checkpoints at, so governance and tracing
+//! share one hook.
 //!
 //! **Determinism contract:** span structure, labels, cardinalities,
 //! raw row counts and stage node counts are deterministic for a given
@@ -40,18 +41,6 @@ use crate::relation::Relation;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Where trace spans go. [`TraceSink::Off`] is the default and makes every
-/// tracing hook a no-op branch; [`TraceSink::Tree`] collects the full span
-/// tree in memory.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TraceSink {
-    /// Record nothing (near-zero overhead).
-    #[default]
-    Off,
-    /// Collect the span tree in memory.
-    Tree,
-}
-
 // ---------------------------------------------------------------- spans --
 
 /// IVM annotation on an operator span: how the operator's cached value
@@ -60,8 +49,11 @@ pub enum TraceSink {
 /// so pre-IVM trace renders and JSON exports are byte-identical.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IvmNote {
-    /// `"refresh"` (delta-maintained in place) or `"fallback"` (a full
-    /// re-evaluation after maintenance was skipped or unsupported).
+    /// Always `"refresh"` (delta-maintained in place). Notes appear only
+    /// when the caller passes a collecting tracer to
+    /// [`crate::ivm::refresh`]; the serving path refreshes untraced, and a
+    /// full re-evaluation after a skipped or abandoned refresh carries no
+    /// note.
     pub mode: &'static str,
     /// Rows in this operator's Δ⁺ (insert delta).
     pub plus: u64,
@@ -101,7 +93,7 @@ pub struct OpSpan {
     /// Wall time (not deterministic; excluded from the projection).
     pub elapsed_ns: u64,
     /// Incremental-maintenance annotation (`None` on ordinary evaluation
-    /// spans; set by [`crate::ivm`] refresh walks and fallbacks).
+    /// spans; set by traced [`crate::ivm::refresh`] walks).
     pub ivm: Option<IvmNote>,
     /// Sub-operator spans, in evaluation order (left child first).
     pub children: Vec<OpSpan>,
@@ -130,19 +122,6 @@ impl OpSpan {
     /// not.)
     pub fn parallel(&self) -> bool {
         !self.partitions.is_empty()
-    }
-
-    /// Rows materialized per surviving output row (1.0 = no dedup work).
-    pub fn dedup_ratio(&self) -> f64 {
-        if self.rows_out == 0 {
-            if self.raw_rows == 0 {
-                1.0
-            } else {
-                self.raw_rows as f64
-            }
-        } else {
-            self.raw_rows as f64 / self.rows_out as f64
-        }
     }
 
     /// Number of spans in this subtree.
@@ -367,22 +346,17 @@ pub struct StageTracer {
 }
 
 impl StageTracer {
-    /// A tracer honoring `sink`.
-    pub fn new(sink: TraceSink) -> StageTracer {
-        StageTracer {
-            on: sink == TraceSink::Tree,
-            ..StageTracer::default()
-        }
-    }
-
     /// A disabled tracer (all hooks are no-ops).
     pub fn off() -> StageTracer {
-        StageTracer::new(TraceSink::Off)
+        StageTracer::default()
     }
 
     /// A collecting tracer.
     pub fn on() -> StageTracer {
-        StageTracer::new(TraceSink::Tree)
+        StageTracer {
+            on: true,
+            ..StageTracer::default()
+        }
     }
 
     /// Is this tracer collecting?
@@ -479,23 +453,18 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// A tracer honoring `sink`.
-    pub fn new(sink: TraceSink) -> Tracer {
-        Tracer {
-            on: sink == TraceSink::Tree,
-            ..Tracer::default()
-        }
-    }
-
     /// A disabled tracer: every hook is a branch on one bool, nothing is
     /// allocated, and `Instant::now` is never called.
     pub fn off() -> Tracer {
-        Tracer::new(TraceSink::Off)
+        Tracer::default()
     }
 
     /// A collecting tracer.
     pub fn on() -> Tracer {
-        Tracer::new(TraceSink::Tree)
+        Tracer {
+            on: true,
+            ..Tracer::default()
+        }
     }
 
     /// Is this tracer collecting?
@@ -553,19 +522,6 @@ impl Tracer {
     pub(crate) fn note_ivm(&mut self, mode: &'static str, plus: u64, minus: u64) {
         if let Some((span, _)) = self.stack.last_mut() {
             span.ivm = Some(IvmNote { mode, plus, minus });
-        }
-    }
-
-    /// Tag the most recently completed top-level span with an IVM note —
-    /// used to mark a full re-evaluation as `ivm=fallback` after the
-    /// fact, once the maintenance layer knows a refresh was abandoned.
-    pub(crate) fn note_ivm_done(&mut self, mode: &'static str) {
-        if let Some(span) = self.done.last_mut() {
-            span.ivm = Some(IvmNote {
-                mode,
-                plus: 0,
-                minus: 0,
-            });
         }
     }
 

@@ -12,7 +12,7 @@
 //!   render the plan tree with estimated cardinalities
 //! * `explain analyze <formula>` — additionally evaluate with tracing on:
 //!   per-stage wall times and the plan tree annotated with estimated vs.
-//!   actual cardinalities, dedup ratios, and per-operator times
+//!   actual cardinalities, raw (pre-dedup) rows, and per-operator times
 //! * `budget tuples <n>` / `budget nodes <n>` / `budget ms <n>` — cap the
 //!   intermediate tuples, formula/plan nodes, or wall-clock per query
 //! * `budget off` / `budget` — clear / show the current limits

@@ -35,7 +35,7 @@ pub use rc_safety as safety;
 pub use rc_formula::{parse, Formula, Schema, Symbol, Term, Value, Var};
 pub use rc_relalg::{
     Budget, CacheStats, CancelHandle, Database, EvalCtx, FaultInjector, NoCache, PipelineTrace,
-    PlanCache, RaExpr, Relation, SharedPlanCache, TraceSink, Tracer,
+    PlanCache, RaExpr, Relation, SharedPlanCache, Tracer,
 };
 pub use rc_safety::anyrc::AnyAnswer;
 pub use rc_safety::pipeline::{

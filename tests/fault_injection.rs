@@ -275,8 +275,7 @@ fn parallel_and_sequential_stats_agree_for_all_operator_shapes() {
 /// Mid-join cancellation with the join kernel *forced* into partitioned
 /// workers: the trip must drain every worker, surface as a cancellation,
 /// and leave no poisoned state — the same compiled query over the same
-/// database (and its partition cache) still yields the full answer,
-/// partitioned or sequential.
+/// database still yields the full answer, partitioned or sequential.
 #[test]
 fn mid_join_cancellation_under_forced_partitions_unwinds_cleanly() {
     let (c, db) = big_join();
