@@ -508,6 +508,39 @@ mod tests {
         assert_eq!(served.per_variable, fresh.per_variable);
     }
 
+    /// The `∀` leg divides instead of anti-joining a `Dom#` × `Dom#`
+    /// product: counted work, so the bound holds on any host.
+    #[test]
+    fn forall_legs_do_linear_work() {
+        let n = 2_000i64;
+        let key = n / 3;
+        let mut a = RelationBuilder::new(2);
+        let mut b = RelationBuilder::new(2);
+        let mut c = RelationBuilder::new(1);
+        for i in 0..n {
+            a.push_row(&[Value::int(i), Value::int(i % key)]);
+            b.push_row(&[Value::int(i % key), Value::int(i % 97)]);
+            c.push_row(&[Value::int(2 * (i % (n / 2)))]);
+        }
+        let mut db = Database::new();
+        db.insert_relation("A", a.finish());
+        db.insert_relation("B", b.finish());
+        db.insert_relation("C", c.finish());
+        let text = "forall y. (C(y) | B(x, y))";
+        let out = any(text, &db);
+        assert!(out.safe_pair);
+        let adom = db.active_domain().len();
+        assert!(
+            out.stats.max_intermediate <= 4 * adom,
+            "max intermediate {} exceeds 4·|adom| = {}",
+            out.stats.max_intermediate,
+            4 * adom
+        );
+        // Every odd value of the active domain is outside C, and no x has
+        // more than 97 B-partners, so no x covers all 1000 of them.
+        assert!(out.finite.is_empty());
+    }
+
     #[test]
     fn traced_pair_tags_both_legs() {
         let (res, trace) = compile_and_eval_any_traced("!P(x)", &db(), CompileOptions::default());

@@ -192,6 +192,30 @@ fn eval_rec(expr: &RaExpr, db: &Database) -> Result<BRel, EvalError> {
             }
             out
         }
+        RaExpr::Divide(t, s) => {
+            // The ∀ definition, literally: a quotient key `a` qualifies when
+            // the dividend holds `(a, s')` for every divisor row `s'`.
+            let trel = eval_rec(t, db)?;
+            let srel = eval_rec(s, db)?;
+            let (tcols, scols, qcols) = (t.cols(), s.cols(), expr.cols());
+            let q_at = positions(&tcols, &qcols);
+            // Each dividend column's source in the concatenation `a ++ s'`.
+            let joined: Vec<Var> = qcols.iter().chain(&scols).copied().collect();
+            let from = positions(&joined, &tcols);
+            let mut out = BRel::new(qcols.len());
+            for row in trel.rows.iter() {
+                let a: Vec<Value> = q_at.iter().map(|&i| row[i]).collect();
+                let for_all = srel.rows.iter().all(|srow| {
+                    let pair: Vec<Value> = a.iter().chain(srow.iter()).copied().collect();
+                    let probe: Vec<Value> = from.iter().map(|&i| pair[i]).collect();
+                    trel.rows.contains(probe.as_slice())
+                });
+                if for_all {
+                    out.rows.insert(a.into_boxed_slice());
+                }
+            }
+            out
+        }
         RaExpr::Project { input, cols } => {
             let rel = eval_rec(input, db)?;
             let icols = input.cols();
@@ -274,6 +298,8 @@ mod tests {
             RaExpr::diff(p(), q()),
             RaExpr::diff(p(), RaExpr::scan("R", vec![Term::var("y")])),
             RaExpr::project(p(), vec![Var::new("y")]),
+            RaExpr::divide(p(), q()),
+            RaExpr::divide(RaExpr::scan("S", vec![Term::var("y"), Term::var("x")]), q()),
             RaExpr::select(p(), SelPred::NeqCols(Var::new("x"), Var::new("y"))),
             RaExpr::Duplicate {
                 input: Arc::new(q()),

@@ -27,6 +27,8 @@ fn next_version() -> u64 {
 /// computed lazily and cached; every mutating method invalidates the
 /// cache, so repeated `active_domain()` calls — the Dom-translation
 /// baseline asks for it per query — cost one scan total, not one per call.
+/// The cached set sits behind an [`Arc`], so cloning a database copies a
+/// pointer to it, not the set.
 ///
 /// Every mutation also stamps the database with a fresh [`version`] drawn
 /// from a process-wide monotonic counter. Because stamps are globally
@@ -40,11 +42,12 @@ fn next_version() -> u64 {
 #[derive(Clone, Debug, Default)]
 pub struct Database {
     relations: FxHashMap<Symbol, Relation>,
-    domain_cache: OnceLock<BTreeSet<Value>>,
+    domain_cache: OnceLock<Arc<BTreeSet<Value>>>,
     /// Per-relation statistics, the harvested-cardinality feedback map,
     /// and the stats epoch (see [`crate::stats`]). Clones share the store
-    /// until either side mutates; mutation drops only the *table*
-    /// statistics: the feedback map and the epoch are carried over, so
+    /// until either side mutates; mutation drops only the statistics of
+    /// the tables it touched: the rest, the feedback map and the epoch
+    /// are carried over, so
     /// cached plans survive data mutations exactly like plan-cache entries
     /// do, and the epoch moves only when an *observation* changes.
     stats_cache: Arc<Mutex<StatsStore>>,
@@ -117,20 +120,26 @@ impl Database {
         self.version
     }
 
-    /// Invalidate derived state after a mutation: drop the active-domain
-    /// cache and the per-table statistics (row counts and distincts are
-    /// stale the moment data changes), and take a fresh version stamp.
-    /// The statistics *epoch* and the harvested-cardinality
-    /// feedback map survive: the epoch keys plan-cache entries, and plans
-    /// are data-independent (a mutation invalidates cached *results*
-    /// through the version stamp, never compiled plans).
-    fn bump(&mut self) {
+    /// Invalidate derived state after a mutation of the `touched`
+    /// relations: drop the active-domain cache and the touched tables'
+    /// statistics (their row counts and distincts are stale the moment
+    /// their data changes), and take a fresh version stamp. Every other
+    /// table's statistics, the statistics *epoch* and the
+    /// harvested-cardinality feedback map survive: the epoch keys
+    /// plan-cache entries, and plans are data-independent (a mutation
+    /// invalidates cached *results* through the version stamp, never
+    /// compiled plans).
+    fn bump(&mut self, touched: impl IntoIterator<Item = Symbol>) {
         self.domain_cache.take();
         let carried = {
             let store = self.stats_cache.lock().expect("stats cache lock poisoned");
+            let mut tables = store.tables.clone();
+            for pred in touched {
+                tables.remove(&pred);
+            }
             StatsStore {
                 epoch: store.epoch,
-                tables: Default::default(),
+                tables,
                 observed: Arc::clone(&store.observed),
             }
         };
@@ -143,19 +152,23 @@ impl Database {
         self.relations.get(&pred)
     }
 
-    /// Declare an empty relation (or leave an existing one untouched).
+    /// Declare an empty relation. Declaring an existing relation leaves
+    /// the database exactly as it was: same contents, same version stamp,
+    /// same derived state.
     pub fn declare(&mut self, pred: impl Into<Symbol>, arity: usize) -> &mut Self {
-        self.relations
-            .entry(pred.into())
-            .or_insert_with(|| Relation::new(arity));
-        self.bump();
+        let pred = pred.into();
+        if let std::collections::hash_map::Entry::Vacant(slot) = self.relations.entry(pred) {
+            slot.insert(Relation::new(arity));
+            self.bump([pred]);
+        }
         self
     }
 
     /// Insert a whole relation, replacing any existing one.
     pub fn insert_relation(&mut self, pred: impl Into<Symbol>, rel: Relation) -> &mut Self {
-        self.relations.insert(pred.into(), rel);
-        self.bump();
+        let pred = pred.into();
+        self.relations.insert(pred, rel);
+        self.bump([pred]);
         self
     }
 
@@ -174,7 +187,7 @@ impl Database {
             });
         }
         rel.insert(t);
-        self.bump();
+        self.bump([pred]);
         Ok(())
     }
 
@@ -221,6 +234,7 @@ impl Database {
             }
             b.push_row(&vals);
         }
+        let touched: Vec<Symbol> = pending.keys().copied().collect();
         for (pred, b) in pending {
             let built = b.finish();
             let merged = match self.relations.get(&pred) {
@@ -229,7 +243,7 @@ impl Database {
             };
             self.relations.insert(pred, merged);
         }
-        self.bump();
+        self.bump(touched);
         Ok(())
     }
 
@@ -345,11 +359,12 @@ impl Database {
             // every cached result keyed by it) stays valid.
             return Ok(delta);
         }
+        let touched: Vec<Symbol> = updates.iter().map(|(pred, _)| *pred).collect();
         for (pred, rel) in updates {
             self.relations.insert(pred, rel);
         }
         let from = self.version;
-        self.bump();
+        self.bump(touched);
         self.delta_log
             .lock()
             .expect("delta log lock poisoned")
@@ -403,7 +418,7 @@ impl Database {
             for r in self.relations.values() {
                 out.extend(r.flat().iter().copied());
             }
-            out
+            Arc::new(out)
         })
     }
 
@@ -598,6 +613,54 @@ mod tests {
         assert_eq!(db.active_domain().len(), 3);
         db.load_facts("R(11, 12)").unwrap();
         assert_eq!(db.active_domain().len(), 5);
+    }
+
+    #[test]
+    fn declaring_an_existing_relation_is_a_noop() {
+        let mut db = Database::from_facts("P(1)").unwrap();
+        let (version, store) = (db.version(), Arc::clone(&db.stats_cache));
+        db.active_domain();
+        db.declare("P", 1);
+        assert_eq!(db.version(), version);
+        assert!(Arc::ptr_eq(&db.stats_cache, &store), "no fresh stats store");
+        assert!(db.domain_cache.get().is_some(), "domain cache kept");
+        // A new relation is a mutation.
+        db.declare("Q", 2);
+        assert_ne!(db.version(), version);
+        assert_eq!(db.relation(Symbol::intern("Q")).unwrap().arity(), 2);
+    }
+
+    #[test]
+    fn mutations_keep_untouched_table_stats() {
+        let mut db = Database::from_facts("P(1)\nQ(1, 2)").unwrap();
+        let (p, q) = (Symbol::intern("P"), Symbol::intern("Q"));
+        let (p_stats, q_stats) = (db.table_stats(p).unwrap(), db.table_stats(q).unwrap());
+        db.insert_fact("Q", tuple([3i64, 4])).unwrap();
+        assert!(Arc::ptr_eq(&db.table_stats(p).unwrap(), &p_stats));
+        assert_eq!(
+            db.table_stats(q).unwrap().rows,
+            2,
+            "touched table recounted"
+        );
+        assert_eq!(q_stats.rows, 1);
+        db.apply_delta("P(2)").unwrap();
+        assert_eq!(db.table_stats(p).unwrap().rows, 2);
+        let q_stats = db.table_stats(q).unwrap();
+        db.load_facts("P(3)").unwrap();
+        assert!(Arc::ptr_eq(&db.table_stats(q).unwrap(), &q_stats));
+    }
+
+    #[test]
+    fn clones_share_the_active_domain() {
+        let db = Database::from_facts("P(1)\nQ(2, 3)").unwrap();
+        let clone = db.clone();
+        assert!(std::ptr::eq(db.active_domain(), db.clone().active_domain()));
+        // A clone taken before the domain was computed computes its own.
+        assert_eq!(clone.active_domain(), db.active_domain());
+        let mut mutated = db.clone();
+        mutated.insert_fact("P", tuple([9i64])).unwrap();
+        assert_eq!(mutated.active_domain().len(), 4);
+        assert_eq!(db.active_domain().len(), 3);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Textual rendering of algebra expressions.
 //!
 //! The inline form mimics the paper's notation:
-//! `π₍x₎(P(x, y) ⋈ Q(y)) ∪ R(x)`, with `diff` spelled out. A multi-line
+//! `π₍x₎(P(x, y) ⋈ Q(y)) ∪ R(x)`, with `diff` spelled out and division
+//! written `÷`. A multi-line
 //! tree form ([`render_tree`]) is used by the experiment harnesses.
 
 use crate::expr::{RaExpr, SelPred};
@@ -22,7 +23,7 @@ impl fmt::Display for SelPred {
 fn prec(e: &RaExpr) -> u8 {
     match e {
         RaExpr::Union(..) => 1,
-        RaExpr::Diff(..) => 2,
+        RaExpr::Diff(..) | RaExpr::Divide(..) => 2,
         RaExpr::Join(..) => 3,
         _ => 4,
     }
@@ -75,6 +76,11 @@ fn write_expr(out: &mut fmt::Formatter<'_>, e: &RaExpr, parent: u8) -> fmt::Resu
             write!(out, " diff ")?;
             write_expr(out, r, me + 1)?;
         }
+        RaExpr::Divide(t, s) => {
+            write_expr(out, t, me + 1)?;
+            write!(out, " ÷ ")?;
+            write_expr(out, s, me + 1)?;
+        }
         RaExpr::Project { input, cols } => {
             write!(out, "π[")?;
             for (i, v) in cols.iter().enumerate() {
@@ -122,6 +128,7 @@ pub fn render_tree(e: &RaExpr) -> String {
             RaExpr::Join(..) => "⋈".to_string(),
             RaExpr::Union(..) => "∪".to_string(),
             RaExpr::Diff(..) => "diff".to_string(),
+            RaExpr::Divide(..) => "÷".to_string(),
             RaExpr::Project { cols, .. } => format!(
                 "π[{}]",
                 cols.iter()
@@ -172,6 +179,19 @@ mod tests {
             RaExpr::scan("R", vec![Term::var("x")]),
         );
         assert_eq!(e.to_string(), "P(x) diff Q(x) ∪ R(x)");
+    }
+
+    #[test]
+    fn divide_renders_like_diff() {
+        let e = RaExpr::diff(
+            RaExpr::scan("P", vec![Term::var("x")]),
+            RaExpr::divide(
+                RaExpr::scan("B", vec![Term::var("x"), Term::var("y")]),
+                RaExpr::scan("C", vec![Term::var("y")]),
+            ),
+        );
+        assert_eq!(e.to_string(), "P(x) diff (B(x, y) ÷ C(y))");
+        assert!(render_tree(&e).contains("\n  ÷\n"));
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! * hash build/probe uses a chained-array table (`heads` + `next` index
 //!   vectors) keyed by hashing the key columns in place — no per-probe key
 //!   allocation and no per-row heap objects;
+//! * relational division (`÷`) is a counting kernel: semijoin the
+//!   dividend with the divisor, count the surviving rows per quotient key,
+//!   keep the keys whose count is the divisor's size — O(|T| + |S|), where
+//!   the `diff`-of-a-product shape it replaces is O(|L|·|R|);
 //! * pure filters (select, semijoin, anti-join, same-arity difference)
 //!   preserve the input's canonical row order, so their outputs skip the
 //!   canonicalization sort entirely;
@@ -457,6 +461,25 @@ impl JoinLayout {
     }
 }
 
+/// The column layout of a division `t ÷ s`: where the quotient columns
+/// sit in a dividend row, and where the divisor's columns sit in it, in
+/// the divisor's order.
+pub(crate) struct DivideLayout {
+    quotient: Vec<usize>,
+    divisor: Vec<usize>,
+}
+
+impl DivideLayout {
+    pub(crate) fn new(tcols: &[Var], scols: &[Var]) -> DivideLayout {
+        DivideLayout {
+            quotient: (0..tcols.len())
+                .filter(|&i| !scols.contains(&tcols[i]))
+                .collect(),
+            divisor: positions(tcols, scols),
+        }
+    }
+}
+
 /// Hash join of `lrel` and `rrel` under `layout` (shared columns
 /// non-empty): rows `lrow ++ rrow[r_extra]`. Builds a table on the smaller
 /// side, or takes the caller's `r_table` over `rrel`'s shared columns, and
@@ -849,13 +872,58 @@ impl<'b> Lanes<'b> {
         })
     }
 
+    /// Relational division `t ÷ s` under `layout` (never split): the
+    /// quotient keys `a` with `(a, s') ∈ t` for every row `s'` of `s`, and
+    /// how many rows of `t` matched a divisor row. Counting kernel: every
+    /// row of `t` whose divisor columns hit `s` (a semijoin probe) counts
+    /// once toward its quotient key, and a key qualifies when its count is
+    /// `|s|` — `t` is a set, so each `(a, s')` pair counts at most once.
+    /// With `s` empty every quotient key qualifies.
+    pub(crate) fn divide(
+        &mut self,
+        t: &Relation,
+        s: &Relation,
+        layout: &DivideLayout,
+    ) -> Result<(Relation, u64), BudgetExceeded> {
+        if s.is_empty() {
+            return Ok((self.project(t, &layout.quotient)?, 0));
+        }
+        let s_cols: Vec<usize> = (0..s.arity()).collect();
+        let table = RowTable::build(s, &s_cols);
+        let mut counts: FxHashMap<Box<[Value]>, usize> = FxHashMap::default();
+        let mut key: Vec<Value> = Vec::with_capacity(layout.quotient.len());
+        let mut matched = 0u64;
+        for row in t.iter() {
+            self.gov.tick(counts.len())?;
+            if !table.has_partner(s, &s_cols, row, &layout.divisor) {
+                continue;
+            }
+            matched += 1;
+            key.clear();
+            key.extend(layout.quotient.iter().map(|&i| row[i]));
+            match counts.get_mut(key.as_slice()) {
+                Some(n) => *n += 1,
+                None => {
+                    counts.insert(key.as_slice().into(), 1);
+                }
+            }
+        }
+        let mut out = RelationBuilder::with_capacity(layout.quotient.len(), counts.len());
+        for (k, n) in counts {
+            if n == s.len() {
+                out.push_row(&k);
+            }
+        }
+        Ok((out.finish(), matched))
+    }
+
     /// Sorted-merge union of two relations in the same column order.
     pub(crate) fn union(&mut self, l: &Relation, r: &Relation) -> Result<Relation, BudgetExceeded> {
         self.sorted_merge(l, r, Relation::union_governed, union_rows)
     }
 
     /// Sorted-merge difference of two relations in the same column order.
-    fn minus(&mut self, l: &Relation, r: &Relation) -> Result<Relation, BudgetExceeded> {
+    pub(crate) fn minus(&mut self, l: &Relation, r: &Relation) -> Result<Relation, BudgetExceeded> {
         self.sorted_merge(l, r, Relation::minus_governed, minus_rows)
     }
 
@@ -981,6 +1049,17 @@ fn eval_node(expr: &RaExpr, db: &Database, cx: &mut EvalCtx<'_>) -> Result<Relat
             } else {
                 lanes.antijoin(&lrel, &rrel, &layout, None)?
             }
+        }
+        RaExpr::Divide(t, s) => {
+            let trel = eval_child(t, db, cx)?;
+            let srel = eval_child(s, db, cx)?;
+            cx.tracer.note_input(trel.len());
+            cx.tracer.note_input(srel.len());
+            let layout = DivideLayout::new(&t.cols(), &s.cols());
+            let (out, matched) = lanes.divide(&trel, &srel, &layout)?;
+            // Raw rows: the dividend rows the divisor probe kept.
+            cx.tracer.note_raw(matched);
+            out
         }
         RaExpr::Project { input, cols } => {
             let rel = eval_child(input, db, cx)?;
@@ -1125,6 +1204,49 @@ mod tests {
         );
         let r2 = eval(&e2, &db(), &mut EvalCtx::default()).unwrap();
         assert_eq!(r2.len(), 3); // no P.y is 1
+    }
+
+    /// `T ÷ S` over `facts` (with `S` declared unary when the facts hold
+    /// none of it), by the kernel and by the tuple-at-a-time ∀ oracle.
+    fn divide_both_ways(facts: &str, t: Vec<Term>, s: Vec<Term>) -> Relation {
+        let mut d = Database::from_facts(facts).unwrap();
+        d.declare("S", s.len());
+        let e = RaExpr::divide(RaExpr::scan("T", t), RaExpr::scan("S", s));
+        let got = eval(&e, &d, &mut EvalCtx::default()).unwrap();
+        assert_eq!(got, crate::baseline::eval_baseline(&e, &d).unwrap(), "{e}");
+        got
+    }
+
+    #[test]
+    fn divide_keeps_keys_paired_with_every_divisor_row() {
+        let xy = || vec![Term::var("x"), Term::var("y")];
+        let y = || vec![Term::var("y")];
+        let t = "T(1, 1)\nT(1, 2)\nT(2, 1)\nT(3, 2)\nT(3, 1)\nT(3, 9)\n";
+        let r = divide_both_ways(&format!("{t}S(1)\nS(2)"), xy(), y());
+        assert_eq!(r, Relation::from_rows(1, [tuple([1i64]), tuple([3i64])]));
+        // A divisor value absent from the dividend disqualifies every key.
+        assert!(divide_both_ways(&format!("{t}S(1)\nS(7)"), xy(), y()).is_empty());
+        // An empty divisor: every quotient key of the dividend qualifies.
+        assert_eq!(divide_both_ways(t, xy(), y()).len(), 3);
+    }
+
+    #[test]
+    fn divide_edge_shapes() {
+        // Non-canonical dividend columns: T(y, x) ÷ S(y) divides on the
+        // first stored column and keeps the second.
+        let facts = "T(1, 1)\nT(2, 1)\nT(1, 2)\nS(1)\nS(2)";
+        let r = divide_both_ways(
+            facts,
+            vec![Term::var("y"), Term::var("x")],
+            vec![Term::var("y")],
+        );
+        assert_eq!(r, Relation::from_rows(1, [tuple([1i64])]));
+        // A nullary quotient: cols(T) = cols(S) asks whether S ⊆ T.
+        let xy = || vec![Term::var("x"), Term::var("y")];
+        let facts = "T(1, 1)\nT(1, 2)\nT(5, 5)\nS(1, 2)\nS(1, 1)";
+        assert_eq!(divide_both_ways(facts, xy(), xy()).as_bool(), Some(true));
+        let facts = "T(1, 1)\nS(1, 2)\nS(1, 1)";
+        assert_eq!(divide_both_ways(facts, xy(), xy()).as_bool(), Some(false));
     }
 
     #[test]

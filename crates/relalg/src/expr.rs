@@ -84,6 +84,12 @@ pub enum RaExpr {
     /// projection onto `Q`'s columns is not in `Q`. Requires
     /// `cols(Q) ⊆ cols(P)`.
     Diff(Arc<RaExpr>, Arc<RaExpr>),
+    /// Relational division `T ÷ S`: the rows `a` of `π[cols(T) ∖ cols(S)]
+    /// T` such that `(a, s) ∈ T` for **every** `s ∈ S` (with `S` empty,
+    /// all of `π T`). Requires `cols(S) ⊆ cols(T)`; equal column sets give
+    /// a nullary quotient. Output columns are `T`'s minus `S`'s, in `T`'s
+    /// order.
+    Divide(Arc<RaExpr>, Arc<RaExpr>),
     /// Projection onto a subset of columns.
     Project {
         /// Input expression.
@@ -117,6 +123,8 @@ pub enum ExprError {
     UnionColumnsDiffer(Vec<Var>, Vec<Var>),
     /// Diff right columns are not a subset of the left's.
     DiffNotSubset(Vec<Var>, Vec<Var>),
+    /// Divisor columns are not a subset of the dividend's.
+    DivideNotSubset(Vec<Var>, Vec<Var>),
     /// Projection mentions a column the input lacks.
     ProjectUnknownColumn(Var),
     /// Selection mentions a column the input lacks.
@@ -144,6 +152,12 @@ impl fmt::Display for ExprError {
             }
             ExprError::DiffNotSubset(a, b) => {
                 write!(f, "diff requires right columns {b:?} ⊆ left columns {a:?}")
+            }
+            ExprError::DivideNotSubset(a, b) => {
+                write!(
+                    f,
+                    "divide requires divisor columns {b:?} ⊆ dividend columns {a:?}"
+                )
             }
             ExprError::ProjectUnknownColumn(v) => write!(f, "projection onto unknown column {v}"),
             ExprError::SelectUnknownColumn(v) => write!(f, "selection on unknown column {v}"),
@@ -184,6 +198,11 @@ impl RaExpr {
     /// Diff shorthand.
     pub fn diff(l: RaExpr, r: RaExpr) -> RaExpr {
         RaExpr::Diff(Arc::new(l), Arc::new(r))
+    }
+
+    /// Division shorthand: `t ÷ s`.
+    pub fn divide(t: RaExpr, s: RaExpr) -> RaExpr {
+        RaExpr::Divide(Arc::new(t), Arc::new(s))
     }
 
     /// Projection shorthand.
@@ -230,6 +249,10 @@ impl RaExpr {
             }
             RaExpr::Union(l, _) => l.cols(),
             RaExpr::Diff(l, _) => l.cols(),
+            RaExpr::Divide(t, s) => {
+                let sc = s.cols();
+                t.cols().into_iter().filter(|v| !sc.contains(v)).collect()
+            }
             RaExpr::Project { cols, .. } => cols.clone(),
             RaExpr::Select { input, .. } => input.cols(),
             RaExpr::Duplicate { input, dst, .. } => {
@@ -246,7 +269,10 @@ impl RaExpr {
             RaExpr::Scan { .. } | RaExpr::Single { .. } | RaExpr::Unit | RaExpr::Empty { .. } => {
                 Vec::new()
             }
-            RaExpr::Join(l, r) | RaExpr::Union(l, r) | RaExpr::Diff(l, r) => vec![l, r],
+            RaExpr::Join(l, r)
+            | RaExpr::Union(l, r)
+            | RaExpr::Diff(l, r)
+            | RaExpr::Divide(l, r) => vec![l, r],
             RaExpr::Project { input, .. }
             | RaExpr::Select { input, .. }
             | RaExpr::Duplicate { input, .. } => vec![input],
@@ -306,6 +332,15 @@ impl RaExpr {
                 let (lc, rc) = (l.cols(), r.cols());
                 if !rc.iter().all(|v| lc.contains(v)) {
                     return Err(ExprError::DiffNotSubset(lc, rc));
+                }
+                Ok(())
+            }
+            RaExpr::Divide(t, s) => {
+                t.validate(schema)?;
+                s.validate(schema)?;
+                let (tc, sc) = (t.cols(), s.cols());
+                if !sc.iter().all(|v| tc.contains(v)) {
+                    return Err(ExprError::DivideNotSubset(tc, sc));
                 }
                 Ok(())
             }
@@ -387,6 +422,25 @@ mod tests {
         assert!(matches!(
             RaExpr::diff(l, bad).validate(None),
             Err(ExprError::DiffNotSubset(..))
+        ));
+    }
+
+    #[test]
+    fn divide_cols_and_validation() {
+        // T(y, x) ÷ S(y): the quotient keeps T's remaining columns.
+        let t = RaExpr::scan("T", vec![Term::var("y"), Term::var("x")]);
+        let e = RaExpr::divide(t.clone(), RaExpr::scan("S", vec![Term::var("y")]));
+        assert_eq!(e.cols(), vec![v("x")]);
+        assert!(e.validate(None).is_ok());
+        let nullary = RaExpr::divide(
+            t.clone(),
+            RaExpr::scan("S", vec![Term::var("x"), Term::var("y")]),
+        );
+        assert_eq!(nullary.cols(), Vec::<Var>::new());
+        let bad = RaExpr::divide(t, RaExpr::scan("S", vec![Term::var("z")]));
+        assert!(matches!(
+            bad.validate(None),
+            Err(ExprError::DivideNotSubset(..))
         ));
     }
 

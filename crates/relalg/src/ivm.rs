@@ -67,6 +67,11 @@
 //!   `Δ⁺ = σ_{∄Q}(Δ⁺P) ∪ σ_{∄Q}(P ⋉ Δ⁻Q)`; `Δ⁻ = Δ⁻P ∪ (P ⋉ Δ⁺Q)` — the
 //!   two-sided rule re-probing the unchanged side, whose anti-join legs
 //!   probe a persistent table over `Q` as in the join rule.
+//! * **Divide** (`divide`, `minus`): recompute `T ÷ S` from the children's
+//!   new values and diff it against the old value, `Δ⁺ = N \ O`,
+//!   `Δ⁻ = O \ N` — a quotient key can flip on any dividend or divisor
+//!   row, and the kernel is linear in `|T| + |S|`, so no finer rule pays.
+//!   Skipped (empty pair) when neither child changed.
 //! * **Project** (`project`): `Δ⁺ = π(Δ⁺in)`; `Δ⁻` is `π(Δ⁻in)`
 //!   filtered by a scan-and-mark pass over the materialized new input —
 //!   one binary search per input row marks the candidates it still
@@ -80,8 +85,8 @@
 //! walk with the old view intact.
 
 use crate::eval::{
-    on_fresh_stack, positions, select_pred, EvalCtx, EvalStats, JoinLayout, Lanes, RowTable,
-    STACK_SEGMENT_LEVELS,
+    on_fresh_stack, positions, select_pred, DivideLayout, EvalCtx, EvalStats, JoinLayout, Lanes,
+    RowTable, STACK_SEGMENT_LEVELS,
 };
 use crate::expr::RaExpr;
 use crate::govern::{Budget, BudgetExceeded, Stage};
@@ -353,7 +358,10 @@ impl MaintainedView {
                     }
                 }
                 RaExpr::Single { .. } | RaExpr::Unit | RaExpr::Empty { .. } => None,
-                RaExpr::Join(l, r) | RaExpr::Union(l, r) | RaExpr::Diff(l, r) => {
+                RaExpr::Join(l, r)
+                | RaExpr::Union(l, r)
+                | RaExpr::Diff(l, r)
+                | RaExpr::Divide(l, r) => {
                     walk(view, l, pred, seen).or_else(|| walk(view, r, pred, seen))
                 }
                 RaExpr::Project { input, .. }
@@ -618,6 +626,10 @@ fn refresh_inner(
 ) -> Result<(TableDelta, Relation), RefreshError> {
     let budget = ctx.budget;
     let mut lanes = Lanes::new(budget, Stage::Maintain);
+    let old_vals = ctx.old;
+    let old = old_vals.get(&key).ok_or(RefreshError::Unsupported(
+        "subplan has no materialized value",
+    ))?;
     let pair = match &**node {
         RaExpr::Scan { pred, pattern } => {
             let cols = node.cols();
@@ -736,6 +748,20 @@ fn refresh_inner(
             let minus = lanes.union(&dl.minus, &blocked)?;
             TableDelta { plus, minus }
         }
+        RaExpr::Divide(t, s) => {
+            let dt = refresh_node(t, ctx, stats, tr)?;
+            let ds = refresh_node(s, ctx, stats, tr)?;
+            if dt.is_empty() && ds.is_empty() {
+                TableDelta::empty(old.arity())
+            } else {
+                let layout = DivideLayout::new(&t.cols(), &s.cols());
+                let (new, _) = lanes.divide(&ctx.new_val(t), &ctx.new_val(s), &layout)?;
+                TableDelta {
+                    plus: lanes.minus(&new, old)?,
+                    minus: lanes.minus(old, &new)?,
+                }
+            }
+        }
         RaExpr::Project { input, cols } => {
             let d = refresh_node(input, ctx, stats, tr)?;
             let new_in = ctx.new_val(input);
@@ -772,9 +798,6 @@ fn refresh_inner(
             TableDelta { plus, minus }
         }
     };
-    let old = ctx.old.get(&key).ok_or(RefreshError::Unsupported(
-        "subplan has no materialized value",
-    ))?;
     let new_val = old.apply_delta(&pair.plus, &pair.minus, &mut lanes.gov)?;
     stats.operators += 1;
     stats.tuples_produced += pair.rows() as u64;
@@ -795,7 +818,7 @@ fn collect_preds(e: &RaExpr, out: &mut FxHashSet<Symbol>) {
             out.insert(*pred);
         }
         RaExpr::Single { .. } | RaExpr::Unit | RaExpr::Empty { .. } => {}
-        RaExpr::Join(l, r) | RaExpr::Union(l, r) | RaExpr::Diff(l, r) => {
+        RaExpr::Join(l, r) | RaExpr::Union(l, r) | RaExpr::Diff(l, r) | RaExpr::Divide(l, r) => {
             collect_preds(l, out);
             collect_preds(r, out);
         }
@@ -872,6 +895,18 @@ mod tests {
             "P(1, 2)\nP(2, 3)\nQ(2)",
             "-Q(2)\nQ(3)\nP(5, 5)\n-P(1, 2)",
         );
+    }
+
+    #[test]
+    fn divide_refresh_matches_full_eval() {
+        // B(x, y) ÷ C(y): a divisor insert drops quotient keys, a dividend
+        // insert completes one, and emptying the divisor admits every key.
+        let e = RaExpr::divide(scan2("B"), RaExpr::scan("C", vec![Term::var("y")]));
+        let facts = "B(1, 1)\nB(1, 2)\nB(2, 1)\nB(3, 2)\nC(1)\nC(2)";
+        check_refresh(&e, facts, "B(2, 2)");
+        check_refresh(&e, facts, "C(3)\nB(1, 3)");
+        check_refresh(&e, facts, "-C(1)\n-C(2)");
+        check_refresh(&e, facts, "Zzz(1)");
     }
 
     #[test]

@@ -35,8 +35,18 @@
 //!   `cols(A) = cols(B)` as sets;
 //! * `(A − W) ∪ (B − W) → (A ∪ B) − W`, when `cols(A) = cols(B)` as sets.
 //!
-//! The shared leg is scanned, hashed and probed once instead of once per
-//! branch. Both rewrites run once per union node, bottom-up, with no
+//! and it **divides** a `∀`-shaped anti-join of a product, again under the
+//! strict cost gate:
+//!
+//! * `π[X]((L ⋈ R) diff T) → π[X]((L ⋈ π[](R)) diff (T ÷ π[T_R](R)))`,
+//!   when `cols(L) ∩ cols(R) = ∅`, `X ⊆ cols(L)` and
+//!   `T_R = cols(T) ∩ cols(R) ≠ ∅` (`L` either join side, the product
+//!   possibly under a reorder's column-restoring projection, neither side
+//!   nullary).
+//!
+//! The factored shared leg is scanned, hashed and probed once instead of
+//! once per branch; the divided form does O(|L| + |T| + |R|) work where
+//! the product did O(|L|·|R|). Both rewrites run once per union node, bottom-up, with no
 //! search: the legs are compared by pointer first (a cloned subplan shares
 //! them physically) and by structural equality second, which stops at the
 //! first differing node, and the column sets and prices are only computed
@@ -115,6 +125,21 @@
 //! `A − W` was valid. The right operand must be the *same* `W` in both
 //! branches: `(A − W₁) ∪ (B − W₂)` has no factored form.
 //!
+//! ## Division — soundness
+//!
+//! `T ÷ S` keeps the keys `a` of `π[cols(T) ∖ cols(S)] T` with
+//! `(a, s) ∈ T` for every `s ∈ S`. Let `T_L = cols(T) ∖ T_R`; `T_L ⊆
+//! cols(L)` because `cols(T) ⊆ cols(L) ∪ cols(R)`. A row `l ∈ L` yields
+//! an output row on the left-hand side iff some `r ∈ R` has
+//! `(l, r)[cols(T)] ∉ T`, i.e. iff *not* every `s ∈ π[T_R] R` has
+//! `(l[T_L], s) ∈ T`, i.e. iff `l[T_L] ∉ T ÷ π[T_R] R` — the right-hand
+//! side's anti-join, given `R` is nonempty. If `R` is empty the left-hand
+//! side is empty, and so is `L ⋈ π[](R)` (the nullary guard), which is
+//! needed because `T ÷ ∅` admits every key. The output row is `l[X]` on
+//! both sides because `X ⊆ cols(L)`. With `T_L = ∅` the quotient is
+//! nullary and asks whether `π[T_R] R ⊆ T`. The rewrite's own output never
+//! matches again: its join has the nullary guard as one side.
+//!
 //! Simplification is semantics-preserving; a property test in the workspace
 //! integration suite evaluates optimized and raw expressions side by side.
 
@@ -190,6 +215,21 @@ fn simp(e: &Arc<RaExpr>) -> Arc<RaExpr> {
             }
             with_children(e, [&l, &r].into_iter())
         }
+        RaExpr::Divide(t0, s0) => {
+            let (t, s) = (simp(t0), simp(s0));
+            let quotient = RaExpr::Divide(t.clone(), s.clone()).cols();
+            if is_empty(&t) {
+                return Arc::new(RaExpr::Empty { cols: quotient });
+            }
+            // Nothing to divide by: every quotient key of `t` qualifies.
+            if is_empty(&s) {
+                return simp(&Arc::new(RaExpr::Project {
+                    input: t,
+                    cols: quotient,
+                }));
+            }
+            with_children(e, [&t, &s].into_iter())
+        }
         RaExpr::Project { input: i0, cols } => {
             let input = simp(i0);
             if input.cols() == *cols {
@@ -257,6 +297,7 @@ fn with_children<'a>(
         RaExpr::Join(..) => RaExpr::Join(kid(), kid()),
         RaExpr::Union(..) => RaExpr::Union(kid(), kid()),
         RaExpr::Diff(..) => RaExpr::Diff(kid(), kid()),
+        RaExpr::Divide(..) => RaExpr::Divide(kid(), kid()),
         RaExpr::Project { cols, .. } => RaExpr::Project {
             input: kid(),
             cols: cols.clone(),
@@ -543,9 +584,10 @@ impl CostPass<'_> {
                     }));
                     self.price(&node)
                 };
-                self.try_early_project(baseline)
+                let baseline = self.try_early_project(baseline);
+                self.try_divide(baseline)
             }
-            RaExpr::Diff(..) => {
+            RaExpr::Diff(..) | RaExpr::Divide(..) => {
                 let kids = vec![self.run(p.kid(0)), self.run(p.kid(1))];
                 self.rebuilt(p, kids)
             }
@@ -660,12 +702,84 @@ impl CostPass<'_> {
         let candidate = self.price(&simp(&Arc::new(candidate)));
         cheaper(candidate, baseline)
     }
+
+    /// Cost-gated division: `π[X]((L ⋈ R) diff T)` with `cols(L) ∩
+    /// cols(R) = ∅`, `X ⊆ cols(L)` and `T_R = cols(T) ∩ cols(R) ≠ ∅`
+    /// becomes `π[X]((L ⋈ π[](R)) diff (T ÷ π[T_R](R)))` (see the module
+    /// docs). `L` is either join side, and the product may sit under the
+    /// column-restoring projection of a reordered join. A nullary side is
+    /// not a product leg — it is the guard this rewrite adds, so its output
+    /// never matches again. Only the nodes the rewrite adds are priced.
+    fn try_divide(&mut self, baseline: Priced) -> Priced {
+        let RaExpr::Project { input, cols } = &**baseline.expr() else {
+            return baseline;
+        };
+        if !matches!(**input, RaExpr::Diff(..)) {
+            return baseline;
+        }
+        let (product, t) = (baseline.kid(0).kid(0), baseline.kid(0).kid(1));
+        let join = match &**product.expr() {
+            RaExpr::Join(..) => product,
+            RaExpr::Project { input, .. } if matches!(**input, RaExpr::Join(..)) => product.kid(0),
+            _ => return baseline,
+        };
+        let (a, b) = (join.kid(0), join.kid(1));
+        if a.cols().is_empty()
+            || b.cols().is_empty()
+            || a.cols().iter().any(|v| b.cols().contains(v))
+        {
+            return baseline;
+        }
+        let fits = |l: &Priced, r: &Priced| {
+            cols.iter().all(|v| l.cols().contains(v))
+                && t.cols().iter().any(|v| r.cols().contains(v))
+        };
+        let (l, r) = if fits(a, b) {
+            (a.clone(), b.clone())
+        } else if fits(b, a) {
+            (b.clone(), a.clone())
+        } else {
+            return baseline;
+        };
+        let t_r: Vec<Var> = r
+            .cols()
+            .iter()
+            .copied()
+            .filter(|v| t.cols().contains(v))
+            .collect();
+        let nonempty = self.project(&r, Vec::new());
+        let divisor = if t_r.len() == r.cols().len() {
+            r
+        } else {
+            self.project(&r, t_r)
+        };
+        let guarded = self.pair(RaExpr::Join, &l, &nonempty);
+        let quotient = self.pair(RaExpr::Divide, &t.clone(), &divisor);
+        let survivors = self.pair(RaExpr::Diff, &guarded, &quotient);
+        let candidate = if survivors.cols() == cols.as_slice() {
+            survivors
+        } else {
+            self.project(&survivors, cols.clone())
+        };
+        cheaper(candidate, baseline)
+    }
+
+    /// The projection of a priced plan onto `cols`, priced.
+    fn project(&mut self, p: &Priced, cols: Vec<Var>) -> Priced {
+        let expr = Arc::new(RaExpr::Project {
+            input: p.expr().clone(),
+            cols,
+        });
+        self.node(expr, vec![p.clone()])
+    }
 }
 
 /// `e`'s children, as the `Arc`s that hold them.
 fn child_arcs(e: &RaExpr) -> impl Iterator<Item = &Arc<RaExpr>> {
     let (a, b) = match e {
-        RaExpr::Join(l, r) | RaExpr::Union(l, r) | RaExpr::Diff(l, r) => (Some(l), Some(r)),
+        RaExpr::Join(l, r) | RaExpr::Union(l, r) | RaExpr::Diff(l, r) | RaExpr::Divide(l, r) => {
+            (Some(l), Some(r))
+        }
         RaExpr::Project { input, .. }
         | RaExpr::Select { input, .. }
         | RaExpr::Duplicate { input, .. } => (Some(input), None),

@@ -65,6 +65,7 @@ enum Key {
     Join(usize, usize),
     Union(usize, usize),
     Diff(usize, usize),
+    Divide(usize, usize),
     Project(usize, Vec<Var>),
     Select(usize, SelPred),
     Duplicate(usize, Var, Var),
@@ -128,6 +129,11 @@ impl Interner {
                 let r = self.go(r, stats);
                 (Key::Diff(addr(&l), addr(&r)), RaExpr::Diff(l, r))
             }
+            RaExpr::Divide(t, s) => {
+                let t = self.go(t, stats);
+                let s = self.go(s, stats);
+                (Key::Divide(addr(&t), addr(&s)), RaExpr::Divide(t, s))
+            }
             RaExpr::Project { input, cols } => {
                 let input = self.go(input, stats);
                 (
@@ -189,7 +195,7 @@ pub fn intern(e: &RaExpr) -> (RaExpr, InternStats) {
 /// hash of every subplan, each in O(1) from its children's.
 pub fn plan_hash(e: &RaExpr) -> u64 {
     match e {
-        RaExpr::Join(l, r) | RaExpr::Union(l, r) | RaExpr::Diff(l, r) => {
+        RaExpr::Join(l, r) | RaExpr::Union(l, r) | RaExpr::Diff(l, r) | RaExpr::Divide(l, r) => {
             node_hash(e, &[plan_hash(l), plan_hash(r)])
         }
         RaExpr::Project { input, .. }
@@ -222,7 +228,11 @@ pub(crate) fn node_hash(e: &RaExpr, children: &[u64]) -> u64 {
             src.hash(&mut h);
             dst.hash(&mut h);
         }
-        RaExpr::Unit | RaExpr::Join(..) | RaExpr::Union(..) | RaExpr::Diff(..) => {}
+        RaExpr::Unit
+        | RaExpr::Join(..)
+        | RaExpr::Union(..)
+        | RaExpr::Diff(..)
+        | RaExpr::Divide(..) => {}
     }
     for c in children {
         h.write_u64(*c);

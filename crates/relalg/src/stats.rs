@@ -204,6 +204,9 @@ const UNION_NS: f64 = 10.0;
 const SELECT_NS: f64 = 5.0;
 const PROJECT_NS: f64 = 20.0;
 const DUP_NS: f64 = 20.0;
+/// Division: one divisor-table probe plus one grouping-hash update per
+/// dividend row, priced like a semijoin probe followed by a projection.
+const DIVIDE_NS: f64 = 30.0;
 
 /// The estimator's verdict on one plan node: the total cost of evaluating
 /// it (its subtree included) and the cardinality estimate of its output.
@@ -267,9 +270,10 @@ impl<'a> Estimator<'a> {
     /// [`Estimator::cost_and_estimate`], with the feedback key.
     pub(crate) fn price(&self, e: &RaExpr) -> Price {
         match e {
-            RaExpr::Join(l, r) | RaExpr::Union(l, r) | RaExpr::Diff(l, r) => {
-                self.price_node(e, &[&self.price(l), &self.price(r)])
-            }
+            RaExpr::Join(l, r)
+            | RaExpr::Union(l, r)
+            | RaExpr::Diff(l, r)
+            | RaExpr::Divide(l, r) => self.price_node(e, &[&self.price(l), &self.price(r)]),
             RaExpr::Project { input, .. }
             | RaExpr::Select { input, .. }
             | RaExpr::Duplicate { input, .. } => self.price_node(e, &[&self.price(input)]),
@@ -329,6 +333,26 @@ impl<'a> Estimator<'a> {
                 let rows = (el.rows * (1.0 - covered)).max(el.rows * 0.05);
                 let cost = cl + cr + DIFF_NS * (el.rows + er.rows);
                 (cost, el.clone().with_rows(rows))
+            }
+            RaExpr::Divide(..) => {
+                let (ct, et, cs, es) = (kids[0].cost, &kids[0].card, kids[1].cost, &kids[1].card);
+                // A quotient key needs one dividend row per divisor row, so
+                // at most |T| / |S| keys qualify; and never more than the
+                // quotient projection of T (its dedup bound).
+                let cols: Vec<Var> = et
+                    .cols
+                    .iter()
+                    .copied()
+                    .filter(|v| !es.cols.contains(v))
+                    .collect();
+                let mut bound = 1.0f64;
+                for v in &cols {
+                    bound = (bound * et.distinct_of(*v)).min(1e18);
+                }
+                let rows = et.rows.min(bound).min(et.rows / es.rows.max(1.0));
+                let distinct = cols.iter().map(|v| et.distinct_of(*v)).collect();
+                let cost = ct + cs + DIVIDE_NS * et.rows + DIFF_NS * es.rows;
+                (cost, CardEst::new(cols, rows, distinct))
             }
             RaExpr::Project { cols, .. } => {
                 let (ci, ei) = (kids[0].cost, &kids[0].card);

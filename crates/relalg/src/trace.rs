@@ -584,6 +584,7 @@ fn op_label(expr: &RaExpr) -> String {
         RaExpr::Join(..) => "join".into(),
         RaExpr::Union(..) => "union".into(),
         RaExpr::Diff(..) => "diff".into(),
+        RaExpr::Divide(..) => "÷".into(),
         RaExpr::Project { cols, .. } => {
             let cs: Vec<String> = cols.iter().map(|v| v.to_string()).collect();
             format!("project [{}]", cs.join(","))

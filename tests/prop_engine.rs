@@ -72,7 +72,7 @@ fn assert_engines_agree(e: &RaExpr, db: &Database) {
 
 /// A family of hand-built expressions hitting every operator and the
 /// kernels' fast paths (semijoin, cross product, identity union/diff
-/// permutations, order-preserving filters).
+/// permutations, order-preserving filters, division).
 fn synthetic_exprs() -> Vec<RaExpr> {
     let a = || RaExpr::scan("A", vec![Term::var("x"), Term::var("y")]);
     let b_yz = || RaExpr::scan("B", vec![Term::var("y"), Term::var("z")]);
@@ -111,6 +111,11 @@ fn synthetic_exprs() -> Vec<RaExpr> {
             src: Var::new("y"),
             dst: Var::new("y2"),
         },
+        // Division: a unary quotient, a divisor over the dividend's first
+        // column (non-canonical quotient position), a nullary quotient.
+        RaExpr::divide(a(), c()),
+        RaExpr::divide(b_yx(), RaExpr::project(a(), vec![Var::new("y")])),
+        RaExpr::divide(a(), b_xy()),
         // Scan-level selection: constants and repeated variables.
         RaExpr::scan("A", vec![Term::var("x"), Term::val(2)]),
         RaExpr::scan("A", vec![Term::var("x"), Term::var("x")]),

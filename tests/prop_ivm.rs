@@ -184,6 +184,39 @@ fn generated_formula_and_delta_streams_agree() {
     );
 }
 
+/// A plan the cost pass divides (Example 9.2 row 2, `∀` over a product)
+/// refreshes through the `÷` Δ-rule: every post-mutation serve equals a
+/// from-scratch evaluation, and the stream does take the refresh path.
+#[test]
+fn division_plan_refreshes_like_full_evaluation() {
+    let text = "P(x) & forall y. (!Q(y) | exists z. R(x, y, z))";
+    let f = rcsafe::parse(text).expect("static formula");
+    let mut refreshed = 0u64;
+    for seed in 0..6u64 {
+        let (mut db, schema, domain) = db_for(&f, seed);
+        let mut cache: PlanCache<Compiled> = PlanCache::new();
+        let cold = compile_and_eval_cached(text, &db, CompileOptions::default(), &mut cache)
+            .expect("allowed formula compiles");
+        assert!(
+            cold.compiled.expr.to_string().contains('÷'),
+            "seed {seed}: the cost pass must divide {}",
+            cold.compiled.expr
+        );
+        let mut rng = StdRng::seed_from_u64(seed);
+        for round in 0..5 {
+            let delta = random_delta(&db, &schema, &domain, &mut rng);
+            db.apply_delta(&delta)
+                .expect("generated deltas are well-formed");
+            let ctx = format!("division seed {seed} round {round}");
+            refreshed += serve_and_check(text, &db, &mut cache, &ctx).expect("serves") as u64;
+        }
+    }
+    assert!(
+        refreshed >= 10,
+        "division plans must refresh (got {refreshed})"
+    );
+}
+
 /// Delete-then-reinsert round trip: deleting facts and putting them back
 /// in a later delta must refresh the cached result back to its original
 /// answer — the two-link journal chain composes to a near-no-op and the

@@ -8,9 +8,11 @@
 //! never changes the plan hash when re-run on its own output. The random
 //! plans include unions whose branches share a join leg or a `diff` right
 //! operand, so the cost pass's union factoring is exercised — and
-//! near-misses it must leave alone. Per-rule soundness tests pin the two
-//! factoring identities directly, and the price the cost pass carries for
-//! its plan must equal a fresh estimator walk of that plan, bit for bit.
+//! near-misses it must leave alone, and anti-joins of products — the `∀`
+//! shape the cost pass rewrites into relational division. Per-rule
+//! soundness tests pin the two factoring identities and the division
+//! rewrite directly, and the price the cost pass carries for its plan must
+//! equal a fresh estimator walk of that plan, bit for bit.
 
 mod common;
 
@@ -172,7 +174,7 @@ fn random_plan(rng: &mut StdRng, depth: usize) -> RaExpr {
             _ => RaExpr::join(scan_a(), scan_c()),
         };
     }
-    match rng.gen_range(0..10) {
+    match rng.gen_range(0..11) {
         0 => RaExpr::join(random_plan(rng, depth - 1), random_plan(rng, depth - 1)),
         1 => RaExpr::union(random_plan(rng, depth - 1), random_plan(rng, depth - 1)),
         2 => RaExpr::diff(random_plan(rng, depth - 1), scan_c()),
@@ -210,8 +212,47 @@ fn random_plan(rng: &mut StdRng, depth: usize) -> RaExpr {
                 RaExpr::diff(random_plan(rng, depth - 1), w2),
             )
         }
+        9 => division_shape(rng, depth - 1),
         _ => RaExpr::join(random_plan(rng, depth - 1), scan_c()),
     }
+}
+
+/// `π[x, y]((L ⋈ R) diff T)` — the `∀` shape the cost pass divides — with
+/// `L` a random plan, `R` over fresh columns `L` lacks (`w`, maybe `v`),
+/// on either side of the join, and `T` over `w` plus none, one or both of
+/// `x, y`.
+fn division_shape(rng: &mut StdRng, depth: usize) -> RaExpr {
+    let (x, y) = (Var::new("x"), Var::new("y"));
+    let r = match rng.gen_range(0..3) {
+        0 => RaExpr::scan("C", vec![Term::var("w")]),
+        1 => RaExpr::scan("B", vec![Term::var("w"), Term::var("v")]),
+        _ => RaExpr::diff(
+            RaExpr::scan("A", vec![Term::var("w"), Term::var("v")]),
+            RaExpr::scan("C", vec![Term::var("v")]),
+        ),
+    };
+    let t = match rng.gen_range(0..4) {
+        0 => RaExpr::scan("A", vec![Term::var("x"), Term::var("w")]),
+        1 => RaExpr::scan("B", vec![Term::var("w"), Term::var("y")]),
+        // cols(T) ⊆ cols(R): a nullary quotient.
+        2 => RaExpr::scan("C", vec![Term::var("w")]),
+        _ => RaExpr::join(
+            random_plan(rng, depth),
+            RaExpr::scan("B", vec![Term::var("y"), Term::var("w")]),
+        ),
+    };
+    let l = random_plan(rng, depth);
+    let product = if rng.gen_bool(0.5) {
+        RaExpr::join(l, r)
+    } else {
+        RaExpr::join(r, l)
+    };
+    let cols = if rng.gen_bool(0.5) {
+        vec![x, y]
+    } else {
+        vec![y, x]
+    };
+    RaExpr::project(RaExpr::diff(product, t), cols)
 }
 
 /// A right operand for `diff` under [`random_plan`]'s invariant.
@@ -541,4 +582,85 @@ fn rule_diff_distribute_is_sound() {
         ),
     );
     assert!(matches!(optimize(&e, &rule_db(1)), RaExpr::Union(..)));
+}
+
+// ------------------------------------------------------ division rule --
+
+/// A fixture where dividing pays: `P(x) × Q(w)` is 400 rows, `T` 150.
+fn division_db(seed: u64) -> Database {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut facts = String::new();
+    for i in 0..20 {
+        facts.push_str(&format!("P({i})\nQ({})\n", 100 + i));
+    }
+    // Key 0 pairs with every Q value, so some quotient key qualifies.
+    for w in 100..120 {
+        facts.push_str(&format!("T(0, {w})\nU({w})\n"));
+    }
+    for _ in 0..130 {
+        let (x, w) = (rng.gen_range(0..20), rng.gen_range(100..120));
+        facts.push_str(&format!("T({x}, {w})\n"));
+    }
+    Database::from_facts(&facts).expect("division fixture facts load")
+}
+
+/// `optimize` rewrites `shape` into exactly `divided`, and both answer
+/// like the reference evaluator on the input, on several databases.
+fn assert_divides(shape: &RaExpr, divided: &RaExpr) {
+    for seed in [1u64, 4, 9] {
+        let db = division_db(seed);
+        let want = eval_baseline(shape, &db).expect("shape evaluates");
+        let got = eval(divided, &db, &mut EvalCtx::default()).expect("divided form evaluates");
+        assert_eq!(want, got, "{shape} != {divided} (seed {seed})");
+        let optimized = optimize(shape, &db);
+        assert_eq!(
+            &optimized, divided,
+            "optimize did not divide {shape} (seed {seed})"
+        );
+        assert_eq!(
+            optimize(&optimized, &db),
+            optimized,
+            "division is a fixpoint"
+        );
+    }
+}
+
+#[test]
+fn rule_divide_is_sound() {
+    let (x, w) = (Var::new("x"), Var::new("w"));
+    let p = || RaExpr::scan("P", vec![Term::var("x")]);
+    let q = || RaExpr::scan("Q", vec![Term::var("w")]);
+    let t_xw = || RaExpr::scan("T", vec![Term::var("x"), Term::var("w")]);
+    let nonempty_q = || RaExpr::project(q(), Vec::new());
+    let divided = |t: RaExpr, divisor: RaExpr| {
+        RaExpr::diff(RaExpr::join(p(), nonempty_q()), RaExpr::divide(t, divisor))
+    };
+    // The product on either side of the join.
+    let shape = |product: RaExpr, t: RaExpr| RaExpr::project(RaExpr::diff(product, t), vec![x]);
+    assert_divides(
+        &shape(RaExpr::join(p(), q()), t_xw()),
+        &divided(t_xw(), q()),
+    );
+    let t_wx = || RaExpr::scan("T", vec![Term::var("w"), Term::var("x")]);
+    assert_divides(
+        &shape(RaExpr::join(q(), p()), t_wx()),
+        &divided(t_wx(), q()),
+    );
+    // Under the column-restoring projection a join reorder adds.
+    let restored = RaExpr::project(RaExpr::join(q(), p()), vec![x, w]);
+    assert_divides(&shape(restored, t_xw()), &divided(t_xw(), q()));
+    // cols(T) ⊆ cols(R): the quotient is nullary ("is Q ⊆ U?").
+    let u = || RaExpr::scan("U", vec![Term::var("w")]);
+    assert_divides(&shape(RaExpr::join(p(), q()), u()), &divided(u(), q()));
+    // Near-misses: the kept columns span both sides, or the join sides
+    // share a column (no product) — nothing divides.
+    let db = division_db(1);
+    let spans = RaExpr::project(RaExpr::diff(RaExpr::join(p(), q()), t_xw()), vec![x, w]);
+    let shared = shape(RaExpr::join(p(), t_xw()), q());
+    for e in [spans, shared] {
+        assert!(
+            !optimize(&e, &db).to_string().contains('÷'),
+            "{e} must not divide"
+        );
+    }
 }
