@@ -71,6 +71,7 @@ use rc_relalg::{
 };
 use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The reserved name of the star-extended domain guard relation (the
 /// active domain plus the fresh star constants), the `inf` counterpart
@@ -291,6 +292,10 @@ pub(crate) fn serve_any<S: PlanStore<Compiled>>(
         pred: dom_plus_pred(),
         stars: &stars,
     };
+    let mut staged = Staged {
+        inner: store,
+        views: Vec::new(),
+    };
     let fin = tagged(st, "fin", |st| {
         leg(
             req,
@@ -298,7 +303,7 @@ pub(crate) fn serve_any<S: PlanStore<Compiled>>(
             FIN_SALT,
             Some(&fin_guard),
             db,
-            store,
+            &mut staged,
             st,
             Some(root),
         )
@@ -310,11 +315,12 @@ pub(crate) fn serve_any<S: PlanStore<Compiled>>(
             INF_SALT,
             Some(&inf_guard),
             db,
-            store,
+            &mut staged,
             st,
             None,
         )
     })?;
+    staged.commit();
     let mut stats = fin.stats;
     stats.merge(inf.stats);
     Ok(Served {
@@ -327,6 +333,53 @@ pub(crate) fn serve_any<S: PlanStore<Compiled>>(
         result_refreshed: fin.result_refreshed || inf.result_refreshed,
         ..fin
     })
+}
+
+/// The store the two legs of a safe pair serve through: lookups and plan
+/// inserts go to `inner`, view installs wait for [`Staged::commit`]. A
+/// pair installs both legs' results or neither, so an `inf` leg that
+/// trips the budget after the `fin` leg succeeded leaves the store as it
+/// was.
+struct Staged<'s, S> {
+    inner: &'s mut S,
+    views: Vec<(u64, MaintainedView, Relation, bool)>,
+}
+
+impl<S: PlanStore<Compiled>> Staged<'_, S> {
+    fn commit(self) {
+        for (hash, view, rel, refreshed) in self.views {
+            self.inner.install_view(hash, view, rel, refreshed);
+        }
+    }
+}
+
+impl<S: PlanStore<Compiled>> PlanStore<Compiled> for Staged<'_, S> {
+    fn lookup_plan(&mut self, text: &str, key: u64, epoch: u64) -> Option<(Arc<Compiled>, u64)> {
+        self.inner.lookup_plan(text, key, epoch)
+    }
+
+    fn insert_plan(
+        &mut self,
+        text: &str,
+        key: u64,
+        epoch: u64,
+        p: Compiled,
+        hash: u64,
+    ) -> Arc<Compiled> {
+        self.inner.insert_plan(text, key, epoch, p, hash)
+    }
+
+    fn lookup_result(&mut self, plan_hash: u64, db_version: u64) -> Option<Relation> {
+        self.inner.lookup_result(plan_hash, db_version)
+    }
+
+    fn view_snapshot(&self, plan_hash: u64) -> Option<MaintainedView> {
+        self.inner.view_snapshot(plan_hash)
+    }
+
+    fn install_view(&mut self, hash: u64, view: MaintainedView, rel: Relation, refreshed: bool) {
+        self.views.push((hash, view, rel, refreshed));
+    }
 }
 
 /// Run one leg and tag the stage spans it recorded — including a span its
@@ -506,6 +559,39 @@ mod tests {
         assert!(served.result_refreshed);
         assert_eq!(served.relation, fresh.finite);
         assert_eq!(served.per_variable, fresh.per_variable);
+    }
+
+    /// A pair whose `inf` leg trips the tuple budget after the `fin` leg
+    /// succeeded installs neither leg's result.
+    #[test]
+    fn inf_leg_trip_installs_nothing() {
+        let text = "forall y. (P(y) | R(x, y))";
+        let mut inf_trips = 0;
+        for cap in 0..40 {
+            let cache = PlanCache::new();
+            let trace = RefCell::new(PipelineTrace::default());
+            let opts = CompileOptions {
+                budget: rc_relalg::Budget::new().with_max_tuples(cap),
+                ..CompileOptions::default()
+            };
+            let req = Request {
+                mode: Mode::Any,
+                trace: Some(&trace),
+                ..Request::new(text, opts)
+            };
+            if serve(&req, &db(), &cache).is_ok() {
+                continue;
+            }
+            let trace = trace.borrow();
+            let failed = trace.stages.iter().rfind(|s| !s.completed).unwrap();
+            inf_trips += u32::from(failed.detail.contains("anyrc=inf"));
+            assert_eq!(
+                (cache.view_count(), cache.result_count()),
+                (0, 0),
+                "cap {cap}"
+            );
+        }
+        assert!(inf_trips > 0, "no cap tripped the inf leg alone");
     }
 
     /// The `∀` leg divides instead of anti-joining a `Dom#` × `Dom#`

@@ -8,7 +8,9 @@
 //! selections, the generalized set difference `diff` (anti-join, Def. 9.3),
 //! on-the-fly constant singletons (`x = c`, Sec. 5.3) and a column
 //! duplication primitive (Appendix A). This crate implements exactly that
-//! operator set over set-semantics relations with variable-named columns:
+//! operator set over set-semantics relations with variable-named columns,
+//! plus relational division `÷`, which the cost pass substitutes for the
+//! anti-joined product a `∀` translates to:
 //!
 //! * [`relation::Relation`], [`database::Database`] — storage;
 //! * [`expr::RaExpr`] — the expression tree, with structural validation;
@@ -34,8 +36,9 @@
 //! * [`optimize::simplify`] — semantics-preserving cleanup — and
 //!   [`optimize::optimize`], the cost-based pass on top of it
 //!   (join reordering, cost-gated projection placement, factoring a
-//!   shared join leg or `diff` operand out of a union);
-//! * display impls that mimic the paper's `π/σ/⋈/∪/diff` notation;
+//!   shared join leg or `diff` operand out of a union, dividing a `∀`);
+//! * display impls that mimic the paper's `π/σ/⋈/∪/diff` notation (`÷`
+//!   for division);
 //! * [`io`] — fact-text and TSV import/export.
 
 #![deny(missing_docs)]

@@ -637,11 +637,7 @@ impl CostPass<'_> {
         if p.cols() == want {
             return p;
         }
-        let expr = Arc::new(RaExpr::Project {
-            input: p.expr().clone(),
-            cols: want.to_vec(),
-        });
-        self.node(expr, vec![p])
+        self.project(&p, want.to_vec())
     }
 
     /// The factored form of `l ∪ r` when both branches share a join leg or
@@ -754,7 +750,7 @@ impl CostPass<'_> {
             self.project(&r, t_r)
         };
         let guarded = self.pair(RaExpr::Join, &l, &nonempty);
-        let quotient = self.pair(RaExpr::Divide, &t.clone(), &divisor);
+        let quotient = self.pair(RaExpr::Divide, t, &divisor);
         let survivors = self.pair(RaExpr::Diff, &guarded, &quotient);
         let candidate = if survivors.cols() == cols.as_slice() {
             survivors

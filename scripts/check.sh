@@ -55,6 +55,17 @@ if ! grep -q 'parts=\[' tests/snapshots/partitioned-join.trace.txt; then
   exit 1
 fi
 
+echo "==> division golden trace carries the ÷ operator"
+# Example 9.2 row 2 is the paper's forall/division shape; the cost pass
+# must evaluate it as relational division, not as an anti-joined product.
+# A change that silently loses the rewrite drops the operator from the
+# blessed snapshot.
+if ! grep -q '÷' tests/snapshots/ex9.2-row2.trace.txt; then
+  echo "error: tests/snapshots/ex9.2-row2.trace.txt lacks the ÷ operator" >&2
+  echo "       (the forall shape is no longer divided; see DESIGN.md §18)" >&2
+  exit 1
+fi
+
 echo "==> trace export smoke test (the JSON artifact CI uploads)"
 cargo run -q --release -p rc-bench --bin trace_export > /dev/null
 
